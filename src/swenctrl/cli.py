@@ -44,8 +44,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_pattern(path: str) -> SparsityPattern:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"pattern file is not UTF-8 text: {exc}") from None
     stripped = text.lstrip()
     fmt = "json" if stripped.startswith("{") else "grid"
     return parse_pattern(text, fmt)

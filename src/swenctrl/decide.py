@@ -9,7 +9,6 @@ expanded-network flow over a whole (k, q) grid.
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from dataclasses import dataclass
 from time import perf_counter
@@ -17,12 +16,10 @@ from time import perf_counter
 from .errors import ConsistencyError, ScaleError
 from .flow import build_lifted_network, build_small_network, max_flow, min_cut
 from .graph import (
-    MAX_BRUTE_STATES,
     Digraph,
     brute_force_check,
     core_condition_holds,
     counting_violation,
-    in_neighbor_sets,
     kstar_brute,
     reachability_check,
     to_digraph,
@@ -65,14 +62,7 @@ def check_structural(pattern: SparsityPattern, k: int, q: int) -> Verdict:
     stats = VerdictStats(theta, target, len(net.nodes), len(net.arcs), perf_counter() - t0)
     if theta == target:
         return Verdict(True, Saturated(theta), stats)
-    cut = min_cut(net, f)
-    try:
-        subset = witness_from_cut(g, k, q, cut)
-    except ConsistencyError:
-        # Decision stands; only the certificate is unavailable (n too large
-        # for the enumeration fallback).
-        stats = VerdictStats(theta, target, len(net.nodes), len(net.arcs), perf_counter() - t0)
-        return Verdict(False, None, stats)
+    subset = witness_from_cut(g, k, q, min_cut(net, f))
     _, lhs, rhs = core_condition_holds(g, k, q, subset)
     stats = VerdictStats(theta, target, len(net.nodes), len(net.arcs), perf_counter() - t0)
     return Verdict(False, ViolatingSubset(subset, lhs, rhs, k, q), stats)
@@ -82,21 +72,15 @@ def witness_from_cut(g: Digraph, k: int, q: int, cut) -> frozenset[int]:
     """Read a violating subset off a witness-mode min cut: the state nodes
     whose right copies sit on the sink side.
 
-    The returned subset is re-verified; if the direct arithmetic ever
-    disagrees (it should not), a subset enumeration fallback runs for
-    n <= 24, else ConsistencyError is raised.
+    With infinite middle arcs that subset always violates the counting
+    condition; ConsistencyError is raised if it does not (a cut that is not
+    the source side of a witness-mode min cut for (k, q)).
     """
     subset = frozenset(j for j in range(1, g.n_state + 1) if ("mu", j) not in cut)
-    holds, _, _ = core_condition_holds(g, k, q, subset)
-    if not holds:
-        return subset
-    warnings.warn("cut-derived subset unexpectedly satisfies the counting condition; "
-                  "falling back to enumeration")
-    if g.n_state <= MAX_BRUTE_STATES:
-        violation = counting_violation(g, k, q)
-        if violation is not None:
-            return violation[0]
-    raise ConsistencyError("certificate unavailable: cut extraction failed to re-verify")
+    if core_condition_holds(g, k, q, subset)[0]:
+        raise ConsistencyError("cut-derived subset satisfies the counting condition; "
+                               "the cut is not a witness-mode min cut")
+    return subset
 
 
 def compute_kstar(pattern: SparsityPattern) -> KStarResult:
@@ -121,16 +105,9 @@ def compute_kstar(pattern: SparsityPattern) -> KStarResult:
     f, net = probe(n - 1)
     trace = [(n - 1, f.value_total, target)]
     if f.value_total < target:
-        cut = min_cut(net, f)
-        subset = frozenset(j for j in range(1, n + 1) if ("mu", j) not in cut)
-        if in_neighbor_sets(g, subset).alpha_in:
-            # A violation at (n-1, mn+1) forces an empty state in-neighborhood;
-            # fall back to the first starving singleton if the cut disagrees.
-            subset = next(
-                frozenset({i})
-                for i in range(1, n + 1)
-                if not in_neighbor_sets(g, {i}).alpha_in
-            )
+        # A violation at (n-1, mn+1) needs n|alpha_in| < |V'| <= n, so the
+        # violating subset has no state in-neighbour.
+        subset = witness_from_cut(g, n - 1, qbar, min_cut(net, f))
         return KStarResult(None, EmptyAlphaIn(subset), tuple(trace))
     lo, hi = 0, n - 1
     while lo < hi:

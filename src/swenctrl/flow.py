@@ -30,13 +30,17 @@ _INT64_MAX = (1 << 63) - 1
 MAX_LIFTED_LEFT = 1 << 22  # guard on (k+1)(m+nq)
 
 Node = str | tuple
-Arc = tuple[Node, Node]
+Arc = tuple[int, int]
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowNetwork:
-    """Immutable-after-construction capacitated digraph with provenance tags
-    pointing back at the pattern digraph that produced each arc."""
+    """Capacitated digraph over integer node ids.
+
+    nodes maps id -> name (SOURCE is id 0, SINK the last id); arcs holds
+    (tail id, head id) pairs in construction order and capacity the matching
+    capacities.  Names are read only at export and by the phi transfer maps.
+    """
 
     kind: str  # "small" | "lifted"
     n: int
@@ -46,112 +50,106 @@ class FlowNetwork:
     witness_mode: bool
     nodes: tuple[Node, ...]
     arcs: tuple[Arc, ...]
-    capacity: dict[Arc, int]
-    provenance: dict[Arc, tuple]
+    capacity: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class FlowAssignment:
-    """Per-arc flow values (exact ints or Fractions) and the total value."""
+    """Per-arc flow values (exact ints or Fractions), parallel to the
+    network's arcs, and the total value."""
 
-    values: dict[Arc, int | Fraction]
+    values: tuple[int | Fraction, ...]
     value_total: int | Fraction
+
+
+def _check_kq(k: int, q: int) -> None:
+    if k < 0:
+        raise ValueError("switch count k must be >= 0")
+    if q < 1:
+        raise ValueError("ensemble size q must be >= 1")
 
 
 def build_small_network(g: Digraph, k: int, q: int, witness_mode: bool = False) -> FlowNetwork:
     """Compact network with 2n+m+2 nodes and 2n+m+|E| arcs.
 
-    In witness mode every left-to-right capacity is replaced by a value larger
-    than the total source capacity, which leaves the max-flow value unchanged
-    (each left node is already throttled by its single source arc) but forces
-    every min cut onto the source and sink arcs, where a violating subset can
-    be read off directly.
+    Node ids: lam_i is i, nu_j is m+j, mu_j is m+n+j.  In witness mode every
+    left-to-right capacity is replaced by a value larger than the total
+    source capacity, which leaves the max-flow value unchanged (each left
+    node is already throttled by its single source arc) but forces every min
+    cut onto the source and sink arcs, where a violating subset can be read
+    off directly.
     """
-    if k < 0:
-        raise ValueError("switch count k must be >= 0")
-    if q < 1:
-        raise ValueError("ensemble size q must be >= 1")
+    _check_kq(k, q)
     n, m = g.n_state, g.n_control
     kp1 = k + 1
     big = q * kp1
     if big > _INT64_MAX:
         raise ScaleError("q*(k+1) exceeds the 64-bit capacity guard")
     inf_cap = 1 + m * kp1 + n * big  # strictly above every possible flow value
-    lam = [("lam", i) for i in range(1, m + 1)]
-    nu = [("nu", j) for j in range(1, n + 1)]
-    mu = [("mu", j) for j in range(1, n + 1)]
-    nodes = (SOURCE, *lam, *nu, *mu, SINK)
-    arcs: list[Arc] = []
-    capacity: dict[Arc, int] = {}
-    provenance: dict[Arc, tuple] = {}
-
-    def add(u, v, c, tag):
-        arc = (u, v)
-        arcs.append(arc)
-        capacity[arc] = c
-        provenance[arc] = tag
-
-    for i in range(1, m + 1):
-        add(SOURCE, ("lam", i), kp1, ("source", "control", i))
-    for j in range(1, n + 1):
-        add(SOURCE, ("nu", j), big, ("source", "state", j))
-    for i, j in sorted(g.control_edges):
-        add(("lam", i), ("mu", j), inf_cap if witness_mode else kp1, ("edge", "control", i, j))
-    for i, j in sorted(g.state_edges):
-        add(("nu", i), ("mu", j), inf_cap if witness_mode else big, ("edge", "state", i, j))
-    for j in range(1, n + 1):
-        add(("mu", j), SINK, q, ("sink", j))
-
-    if sum(capacity.values()) > _INT64_MAX:
+    sink = m + 2 * n + 1
+    nodes = (
+        SOURCE,
+        *(("lam", i) for i in range(1, m + 1)),
+        *(("nu", j) for j in range(1, n + 1)),
+        *(("mu", j) for j in range(1, n + 1)),
+        SINK,
+    )
+    control = [(i, m + n + j) for i, j in sorted(g.control_edges)]
+    state = [(m + i, m + n + j) for i, j in sorted(g.state_edges)]
+    arcs = (
+        [(0, v) for v in range(1, m + n + 1)]
+        + control
+        + state
+        + [(v, sink) for v in range(m + n + 1, sink)]
+    )
+    capacity = (
+        [kp1] * m
+        + [big] * n
+        + [inf_cap if witness_mode else kp1] * len(control)
+        + [inf_cap if witness_mode else big] * len(state)
+        + [q] * n
+    )
+    if sum(capacity) > _INT64_MAX:
         raise ScaleError("total capacity exceeds the 64-bit guard")
-    return FlowNetwork("small", n, m, k, q, witness_mode, nodes, tuple(arcs), capacity, provenance)
+    return FlowNetwork("small", n, m, k, q, witness_mode, nodes, tuple(arcs), tuple(capacity))
 
 
 def build_lifted_network(g: Digraph, k: int, q: int) -> FlowNetwork:
     """Expanded unit-capacity network: left layer of (k+1)(m+nq) nodes, right
-    layer of nq nodes, state copies wired within their own ensemble copy."""
-    if k < 0:
-        raise ValueError("switch count k must be >= 0")
-    if q < 1:
-        raise ValueError("ensemble size q must be >= 1")
+    layer of nq nodes, state copies wired within their own ensemble copy.
+
+    Node ids follow the name order: lam_{ell,i}, then nu_{ell,p,j}, then
+    mu_{p,j}, each with its last index running fastest.
+    """
+    _check_kq(k, q)
     n, m = g.n_state, g.n_control
     kp1 = k + 1
     if kp1 * (m + n * q) > MAX_LIFTED_LEFT:
         raise ScaleError(f"(k+1)(m+nq) exceeds the {MAX_LIFTED_LEFT} node guard")
-    lam = [("lam", ell, i) for ell in range(1, kp1 + 1) for i in range(1, m + 1)]
-    nu = [
-        ("nu", ell, p, j)
-        for ell in range(1, kp1 + 1)
-        for p in range(1, q + 1)
-        for j in range(1, n + 1)
-    ]
-    mu = [("mu", p, j) for p in range(1, q + 1) for j in range(1, n + 1)]
-    nodes = (SOURCE, *lam, *nu, *mu, SINK)
-    arcs: list[Arc] = []
-    capacity: dict[Arc, int] = {}
-    provenance: dict[Arc, tuple] = {}
-
-    def add(u, v, tag):
-        arc = (u, v)
-        arcs.append(arc)
-        capacity[arc] = 1
-        provenance[arc] = tag
-
-    for node in lam:
-        add(SOURCE, node, ("source", "control", node[2]))
-    for node in nu:
-        add(SOURCE, node, ("source", "state", node[3]))
+    nu0 = 1 + kp1 * m
+    mu0 = nu0 + kp1 * q * n
+    sink = mu0 + q * n
+    nodes = (
+        SOURCE,
+        *(("lam", ell, i) for ell in range(1, kp1 + 1) for i in range(1, m + 1)),
+        *(
+            ("nu", ell, p, j)
+            for ell in range(1, kp1 + 1)
+            for p in range(1, q + 1)
+            for j in range(1, n + 1)
+        ),
+        *(("mu", p, j) for p in range(1, q + 1) for j in range(1, n + 1)),
+        SINK,
+    )
+    arcs = [(0, v) for v in range(1, mu0)]
     for i, j in sorted(g.control_edges):
-        for ell in range(1, kp1 + 1):
-            for p in range(1, q + 1):
-                add(("lam", ell, i), ("mu", p, j), ("edge", "control", i, j))
+        for ell in range(kp1):
+            arcs.extend((ell * m + i, mu0 + p * n + j - 1) for p in range(q))
     for i, j in sorted(g.state_edges):
-        for ell in range(1, kp1 + 1):
-            for p in range(1, q + 1):
-                add(("nu", ell, p, i), ("mu", p, j), ("edge", "state", i, j))
-    for node in mu:
-        add(node, SINK, ("sink", node[2]))
-    return FlowNetwork("lifted", n, m, k, q, False, nodes, tuple(arcs), capacity, provenance)
+        for ell in range(kp1):
+            arcs.extend((nu0 + (ell * q + p) * n + i - 1, mu0 + p * n + j - 1) for p in range(q))
+    arcs.extend((v, sink) for v in range(mu0, sink))
+    return FlowNetwork("lifted", n, m, k, q, False, nodes, tuple(arcs), (1,) * len(arcs))
 
 
 def max_flow(net: FlowNetwork) -> FlowAssignment:
@@ -159,17 +157,18 @@ def max_flow(net: FlowNetwork) -> FlowAssignment:
 
     Identical networks yield identical assignments: arcs are explored in
     construction order and augmentation follows fixed pointer advancement.
+    Residual edge 2a is arc a, edge 2a+1 its reverse.
     """
-    index = {v: i for i, v in enumerate(net.nodes)}
     size = len(net.nodes)
-    adj: list[list[list[int]]] = [[] for _ in range(size)]  # [to, residual, rev_index]
-    arc_pos: list[tuple[int, int]] = []
-    for u, v in net.arcs:
-        ui, vi = index[u], index[v]
-        adj[ui].append([vi, net.capacity[(u, v)], len(adj[vi])])
-        adj[vi].append([ui, 0, len(adj[ui]) - 1])
-        arc_pos.append((ui, len(adj[ui]) - 1))
-    s, t = index[SOURCE], index[SINK]
+    head: list[int] = []
+    residual: list[int] = []
+    adj: list[list[int]] = [[] for _ in range(size)]
+    for (u, v), c in zip(net.arcs, net.capacity):
+        adj[u].append(len(head))
+        adj[v].append(len(head) + 1)
+        head += (v, u)
+        residual += (c, 0)
+    s, t = 0, size - 1
 
     def bfs_levels():
         level = [-1] * size
@@ -178,30 +177,31 @@ def max_flow(net: FlowNetwork) -> FlowAssignment:
         while dq:
             u = dq.popleft()
             for e in adj[u]:
-                if e[1] > 0 and level[e[0]] < 0:
-                    level[e[0]] = level[u] + 1
-                    dq.append(e[0])
+                if residual[e] > 0 and level[head[e]] < 0:
+                    level[head[e]] = level[u] + 1
+                    dq.append(head[e])
         return level if level[t] >= 0 else None
 
     while (level := bfs_levels()) is not None:
         pointer = [0] * size
-        path: list[tuple[int, list[int]]] = []  # (tail node, edge)
+        path: list[int] = []  # residual edges from s to u
         u = s
         while True:
             if u == t:
-                aug = min(e[1] for _, e in path)
-                for _, e in path:
-                    e[1] -= aug
-                    adj[e[0]][e[2]][1] += aug
+                aug = min(residual[e] for e in path)
+                for e in path:
+                    residual[e] -= aug
+                    residual[e ^ 1] += aug
                 path = []
                 u = s
                 continue
             advanced = False
-            while pointer[u] < len(adj[u]):
-                e = adj[u][pointer[u]]
-                if e[1] > 0 and level[e[0]] == level[u] + 1:
-                    path.append((u, e))
-                    u = e[0]
+            edges = adj[u]
+            while pointer[u] < len(edges):
+                e = edges[pointer[u]]
+                if residual[e] > 0 and level[head[e]] == level[u] + 1:
+                    path.append(e)
+                    u = head[e]
                     advanced = True
                     break
                 pointer[u] += 1
@@ -209,67 +209,66 @@ def max_flow(net: FlowNetwork) -> FlowAssignment:
                 continue
             if u == s:
                 break
-            tail, _ = path.pop()
-            pointer[tail] += 1
-            u = tail
+            u = head[path.pop() ^ 1]
+            pointer[u] += 1
 
-    values: dict[Arc, int] = {}
-    for arc, (ui, ei) in zip(net.arcs, arc_pos):
-        values[arc] = net.capacity[arc] - adj[ui][ei][1]
-    total = sum(values[arc] for arc in net.arcs if arc[0] == SOURCE)
-    return FlowAssignment(values, total)
+    values = tuple(c - residual[2 * a] for a, c in enumerate(net.capacity))
+    return FlowAssignment(values, _source_total(net, values))
+
+
+def _check_values(net: FlowNetwork, f: FlowAssignment) -> None:
+    if len(f.values) != len(net.arcs):
+        raise ValueError("flow assignment arcs do not match the network arcs")
+
+
+def _source_total(net: FlowNetwork, values) -> int | Fraction:
+    return sum(x for (u, _), x in zip(net.arcs, values) if u == 0)
 
 
 def verify_flow(net: FlowNetwork, f: FlowAssignment) -> bool:
     """Exact check of the capacity and conservation constraint families."""
-    if set(f.values.keys()) != set(net.arcs):
-        raise ValueError("flow assignment arcs do not match the network arcs")
-    inflow: dict[Node, int | Fraction] = {v: 0 for v in net.nodes}
-    outflow: dict[Node, int | Fraction] = {v: 0 for v in net.nodes}
-    for (u, v), x in f.values.items():
-        if x < 0 or x > net.capacity[(u, v)]:
+    _check_values(net, f)
+    balance: list[int | Fraction] = [0] * len(net.nodes)
+    for (u, v), c, x in zip(net.arcs, net.capacity, f.values):
+        if x < 0 or x > c:
             return False
-        outflow[u] = outflow[u] + x
-        inflow[v] = inflow[v] + x
-    for node in net.nodes:
-        if node in (SOURCE, SINK):
-            continue
-        if inflow[node] != outflow[node]:
-            return False
-    return True
+        balance[u] -= x
+        balance[v] += x
+    return all(b == 0 for b in balance[1:-1])
 
 
 def min_cut(net: FlowNetwork, f: FlowAssignment) -> frozenset[Node]:
-    """Source side of a minimum cut derived from a maximum flow.
+    """Source side of a minimum cut derived from a maximum flow, as node names.
 
     Returns the complement of the nodes that still reach the sink in the
     residual graph (the source-maximal min cut), so a saturated network yields
     the all-sink-arcs cut.  Raises ConsistencyError when the cut capacity does
     not equal the flow value, i.e. when f is not maximal.
     """
-    if set(f.values.keys()) != set(net.arcs):
-        raise ValueError("flow assignment arcs do not match the network arcs")
-    into: dict[Node, list[Node]] = {v: [] for v in net.nodes}  # reversed residual arcs
-    for (u, v), x in f.values.items():
-        if x < net.capacity[(u, v)]:
+    _check_values(net, f)
+    size = len(net.nodes)
+    into: list[list[int]] = [[] for _ in range(size)]  # reversed residual arcs
+    for (u, v), c, x in zip(net.arcs, net.capacity, f.values):
+        if x < c:
             into[v].append(u)
         if x > 0:
             into[u].append(v)
-    reach_t = {SINK}
-    dq = deque([SINK])
+    reach_t = [False] * size
+    reach_t[-1] = True
+    dq = deque([size - 1])
     while dq:
-        v = dq.popleft()
-        for u in into[v]:
-            if u not in reach_t:
-                reach_t.add(u)
+        for u in into[dq.popleft()]:
+            if not reach_t[u]:
+                reach_t[u] = True
                 dq.append(u)
-    cut = frozenset(v for v in net.nodes if v not in reach_t)
-    cut_capacity = sum(net.capacity[(u, v)] for u, v in net.arcs if u in cut and v not in cut)
-    if SOURCE not in cut or cut_capacity != f.value_total:
+    cut_capacity = sum(
+        c for (u, v), c in zip(net.arcs, net.capacity) if not reach_t[u] and reach_t[v]
+    )
+    if reach_t[0] or cut_capacity != f.value_total:
         raise ConsistencyError(
             f"cut capacity {cut_capacity} != flow value {f.value_total}; flow is not maximal"
         )
-    return cut
+    return frozenset(name for name, r in zip(net.nodes, reach_t) if not r)
 
 
 def phi_node(node: Node) -> Node:
@@ -279,7 +278,7 @@ def phi_node(node: Node) -> Node:
     return node
 
 
-def phi_arc(arc: Arc) -> Arc:
+def phi_arc(arc: tuple[Node, Node]) -> tuple[Node, Node]:
     return (phi_node(arc[0]), phi_node(arc[1]))
 
 
@@ -292,20 +291,28 @@ def _check_pairing(small: FlowNetwork, lifted: FlowNetwork) -> None:
         raise ValueError("flow transfer requires standard capacities, not witness mode")
 
 
+def _phi_images(small: FlowNetwork, lifted: FlowNetwork) -> list[int]:
+    """Position of phi(a) among the compact arcs, for every expanded arc a."""
+    position = {(small.nodes[u], small.nodes[v]): a for a, (u, v) in enumerate(small.arcs)}
+    images = []
+    for u, v in lifted.arcs:
+        arc = (lifted.nodes[u], lifted.nodes[v])
+        image = position.get(phi_arc(arc))
+        if image is None:
+            raise ConsistencyError(f"arc {arc} maps outside the compact network")
+        images.append(image)
+    return images
+
+
 def project_flow(f_hat: FlowAssignment, lifted: FlowNetwork, small: FlowNetwork) -> FlowAssignment:
     """Push an expanded-network flow down along phi: each compact arc receives
     the sum over its fiber.  Feasibility and value are preserved."""
     _check_pairing(small, lifted)
-    if set(f_hat.values.keys()) != set(lifted.arcs):
-        raise ValueError("flow assignment arcs do not match the expanded network")
-    out: dict[Arc, int | Fraction] = {arc: 0 for arc in small.arcs}
-    for arc in lifted.arcs:
-        image = phi_arc(arc)
-        if image not in out:
-            raise ConsistencyError(f"arc {arc} maps outside the compact network")
-        out[image] = out[image] + f_hat.values[arc]
-    total = sum(out[arc] for arc in small.arcs if arc[0] == SOURCE)
-    return FlowAssignment(out, total)
+    _check_values(lifted, f_hat)
+    out: list[int | Fraction] = [0] * len(small.arcs)
+    for image, x in zip(_phi_images(small, lifted), f_hat.values):
+        out[image] += x
+    return FlowAssignment(tuple(out), _source_total(small, out))
 
 
 def lift_flow(f: FlowAssignment, small: FlowNetwork, lifted: FlowNetwork) -> FlowAssignment:
@@ -313,15 +320,11 @@ def lift_flow(f: FlowAssignment, small: FlowNetwork, lifted: FlowNetwork) -> Flo
     an equal share f(e) / |fiber(e)| of its image's flow.  Values may be
     non-integral rationals; the flow value is preserved exactly."""
     _check_pairing(small, lifted)
-    if set(f.values.keys()) != set(small.arcs):
-        raise ValueError("flow assignment arcs do not match the compact network")
-    fiber = Counter(phi_arc(arc) for arc in lifted.arcs)
-    values: dict[Arc, Fraction] = {}
-    for arc in lifted.arcs:
-        image = phi_arc(arc)
-        values[arc] = Fraction(f.values[image]) / fiber[image]
-    total = sum(values[arc] for arc in lifted.arcs if arc[0] == SOURCE)
-    return FlowAssignment(values, total)
+    _check_values(small, f)
+    images = _phi_images(small, lifted)
+    fiber = Counter(images)
+    values = tuple(Fraction(f.values[image]) / fiber[image] for image in images)
+    return FlowAssignment(values, _source_total(lifted, values))
 
 
 def node_name(node: Node) -> str:
@@ -337,11 +340,12 @@ def _flow_json_value(x):
 
 
 def network_to_dict(net: FlowNetwork, flow: FlowAssignment | None = None) -> dict:
+    names = [node_name(v) for v in net.nodes]
     arcs = []
-    for arc in net.arcs:
-        entry = {"from": node_name(arc[0]), "to": node_name(arc[1]), "cap": net.capacity[arc]}
+    for a, ((u, v), cap) in enumerate(zip(net.arcs, net.capacity)):
+        entry = {"from": names[u], "to": names[v], "cap": cap}
         if flow is not None:
-            entry["flow"] = _flow_json_value(flow.values[arc])
+            entry["flow"] = _flow_json_value(flow.values[a])
         arcs.append(entry)
     return {
         "kind": net.kind,
@@ -350,23 +354,20 @@ def network_to_dict(net: FlowNetwork, flow: FlowAssignment | None = None) -> dic
         "k": net.k,
         "q": net.q,
         "witness_mode": net.witness_mode,
-        "nodes": [node_name(v) for v in net.nodes],
+        "nodes": names,
         "arcs": arcs,
     }
 
 
 def network_to_dot(net: FlowNetwork, flow: FlowAssignment | None = None) -> str:
     """DOT export with "cap" (or "flow/cap" after solving) edge labels."""
+    names = [node_name(v) for v in net.nodes]
     lines = ["digraph flownet {", "  rankdir=LR;"]
-    for v in net.nodes:
+    for v, name in zip(net.nodes, names):
         shape = "diamond" if isinstance(v, str) else ("square" if v[0] == "lam" else "circle")
-        lines.append(f'  "{node_name(v)}" [shape={shape}];')
-    for arc in net.arcs:
-        cap = net.capacity[arc]
-        if flow is None:
-            label = str(cap)
-        else:
-            label = f"{_flow_json_value(flow.values[arc])}/{cap}"
-        lines.append(f'  "{node_name(arc[0])}" -> "{node_name(arc[1])}" [label="{label}"];')
+        lines.append(f'  "{name}" [shape={shape}];')
+    for a, ((u, v), cap) in enumerate(zip(net.arcs, net.capacity)):
+        label = str(cap) if flow is None else f"{_flow_json_value(flow.values[a])}/{cap}"
+        lines.append(f'  "{names[u]}" -> "{names[v]}" [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

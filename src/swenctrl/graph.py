@@ -55,12 +55,6 @@ class Digraph:
             if not (1 <= j <= self.n_control and 1 <= i <= self.n_state):
                 raise ValueError(f"control edge ({j}, {i}) out of range")
 
-    def edges(self) -> frozenset[tuple[tuple[str, int], tuple[str, int]]]:
-        """All edges as ((kind, index), ('state', index)) pairs."""
-        tagged = {(("state", j), ("state", i)) for j, i in self.state_edges}
-        tagged |= {(("control", j), ("state", i)) for j, i in self.control_edges}
-        return frozenset(tagged)
-
 
 @dataclass(frozen=True)
 class NeighborSets:

@@ -9,8 +9,6 @@ would blur exactly the cases under test.
 
 from __future__ import annotations
 
-import csv
-import io
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
@@ -327,35 +325,3 @@ def oracle_agreement(
                                   used_trials, criterion, retried)
                 )
     return AgreementReport(tuple(cells), tuple(hard), tuple(misses))
-
-
-def agreement_to_dict(report: AgreementReport) -> dict:
-    return {
-        "cells": [
-            {
-                "pattern": c.pattern_id,
-                "k": c.k,
-                "q": c.q,
-                "structural": c.structural,
-                "numerical": c.numerical,
-                "successes": c.successes,
-                "trials": c.trials,
-                "criterion": c.criterion,
-                "retried": c.retried,
-            }
-            for c in report.cells
-        ],
-        "hard_disagreements": list(report.hard_disagreements),
-        "genericity_misses": list(report.genericity_misses),
-        "clean": report.clean,
-    }
-
-
-def agreement_to_csv(report: AgreementReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["pattern", "k", "q", "structural", "numerical", "successes", "trials", "criterion"])
-    for c in report.cells:
-        writer.writerow([c.pattern_id, c.k, c.q, c.structural, c.numerical,
-                         c.successes, c.trials, c.criterion])
-    return buf.getvalue()

@@ -10,11 +10,10 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ParseError, ScaleError
 
-MAX_LIFT_DIM = 1 << 20    # guard on n*q in lift_ensemble
+MAX_PATTERN_DIM = 1 << 16  # guard on n+m of a pattern; lift_ensemble checks n*q before allocating
 MAX_GENERATED_N = 1 << 12  # guard on n in random_pattern
 DEFAULT_VALUE_BOUND = 10007
 
@@ -32,6 +31,8 @@ class SparsityPattern:
             raise ValueError("state dimension n must be an integer >= 1")
         if not isinstance(self.m, int) or self.m < 0:
             raise ValueError("input count m must be an integer >= 0")
+        if self.n + self.m > MAX_PATTERN_DIM:
+            raise ScaleError(f"n + m = {self.n + self.m} exceeds the dimension guard {MAX_PATTERN_DIM}")
         object.__setattr__(self, "stars", frozenset(self.stars))
         for i, j in self.stars:
             if not (1 <= i <= self.n):
@@ -103,7 +104,7 @@ def _parse_grid(text: str) -> SparsityPattern:
 def _parse_json(text: str) -> SparsityPattern:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ParseError("top-level JSON value must be an object")
@@ -155,8 +156,8 @@ def lift_ensemble(pattern: SparsityPattern, q: int) -> SparsityPattern:
     if not isinstance(q, int) or q < 1:
         raise ValueError("ensemble size q must be an integer >= 1")
     n = pattern.n
-    if n * q > MAX_LIFT_DIM:
-        raise ScaleError(f"lifted state dimension n*q = {n * q} exceeds {MAX_LIFT_DIM}")
+    if n * q > MAX_PATTERN_DIM:
+        raise ScaleError(f"lifted state dimension n*q = {n * q} exceeds {MAX_PATTERN_DIM}")
     stars = set()
     for i, j in pattern.stars:
         for p in range(q):
@@ -252,31 +253,3 @@ def sample_instance(
                             b[i - 1][j - n - 1] = v
             blocks[(p, ell)] = (tuple(map(tuple, a)), tuple(map(tuple, b)))
     return EnsembleInstance(pattern, k, q, blocks)
-
-
-def instance_to_json(instance: EnsembleInstance) -> str:
-    """Debug export; entries are exact rationals rendered as "p/q" strings."""
-
-    def fmt(x) -> str:
-        f = Fraction(x)
-        return f"{f.numerator}/{f.denominator}"
-
-    blocks = []
-    for (p, ell) in sorted(instance.blocks):
-        a, b = instance.blocks[(p, ell)]
-        blocks.append(
-            {
-                "subsystem": p,
-                "segment": ell,
-                "A": [[fmt(x) for x in row] for row in a],
-                "B": [[fmt(x) for x in row] for row in b],
-            }
-        )
-    obj = {
-        "n": instance.pattern.n,
-        "m": instance.pattern.m,
-        "k": instance.k,
-        "q": instance.q,
-        "blocks": blocks,
-    }
-    return json.dumps(obj, sort_keys=True) + "\n"

@@ -72,15 +72,13 @@ class Verdict:
     ViolatingSubset; true verdicts carry Saturated with value n*q."""
 
     decision: bool
-    certificate: Unreachable | ViolatingSubset | Saturated | None
+    certificate: Unreachable | ViolatingSubset | Saturated
     stats: VerdictStats
 
     def __post_init__(self):
         cert = self.certificate
         if cert is None:
-            if self.decision:
-                raise ValueError("a true verdict must carry a Saturated certificate")
-            return
+            raise ValueError("a verdict must carry a certificate")
         if self.decision and not isinstance(cert, Saturated):
             raise ValueError("a true verdict must carry a Saturated certificate")
         if not self.decision and isinstance(cert, Saturated):

@@ -1,5 +1,10 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -19,6 +24,26 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
+CHILD_ADDRESS_SPACE = 1 << 30  # bytes; keeps an unguarded allocation from reaching the host
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+
+def run_cli_process(*argv):
+    """Run the CLI in a child process with a capped address space, so an
+    uncaught exception shows up as a traceback on stderr."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "swenctrl.cli", *argv],
+        capture_output=True, text=True, env=env, preexec_fn=_limit_memory, timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def load_schema(name):
@@ -141,6 +166,18 @@ def test_flowdump_witness_mode(tmp_path, capsys):
     assert caps[("lam_1", "mu_1")] == 1 + 1 * 2 + 2 * 6
 
 
+@pytest.mark.parametrize("flags, golden", [
+    ((), "flowdump_fig2a_k1_q3.json"),
+    (("--witness-mode",), "flowdump_fig2a_k1_q3_witness.json"),
+    (("--lifted",), "flowdump_fig2a_k1_q3_lifted.json"),
+], ids=["plain", "witness-mode", "lifted"])
+def test_flowdump_golden(tmp_path, capsys, flags, golden):
+    path = write_pattern(tmp_path, FIG2A)
+    code, out, _ = run_cli(capsys, "flowdump", path, "--k", "1", "--q", "3", *flags)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_dot_out_writes_pattern_digraph(tmp_path, capsys):
     path = write_pattern(tmp_path, FIG2A)
     dot_path = tmp_path / "g.dot"
@@ -181,6 +218,20 @@ def test_exit_code_brute_enumeration_guard(tmp_path, capsys):
     path = write_pattern(tmp_path, SparsityPattern(25, 0, frozenset()))
     code, _, err = run_cli(capsys, "brute", path, "--k", "0", "--q", "1")
     assert code == 3 and "flow-based" in err
+
+
+@pytest.mark.parametrize("content, expected_code", [
+    (b'{"n": 100000000, "m": 1, "stars": [[1, 100000001]]}', 3),
+    (b'{"n": 1, "m": 100000000, "stars": [[1, 2]]}', 3),
+    (b"2 1\n0 0 *\n\xff 0 *\n", 2),
+    (b'{"n": ' + b"[" * 200_000 + b"]" * 200_000 + b"}", 2),
+], ids=["oversized-n", "oversized-m", "non-utf8", "deep-nesting"])
+def test_hostile_input_exit_code_without_traceback(tmp_path, content, expected_code):
+    path = tmp_path / "hostile.pat"
+    path.write_bytes(content)
+    code, _, err = run_cli_process("check", str(path), "--k", "0", "--q", "1")
+    assert code == expected_code, err
+    assert "Traceback" not in err
 
 
 def test_false_verdict_still_exits_zero(tmp_path, capsys):

@@ -11,7 +11,7 @@ from swenctrl.decide import (
     recheck_certificate,
     witness_from_cut,
 )
-from swenctrl.errors import ScaleError
+from swenctrl.errors import ConsistencyError, ScaleError
 from swenctrl.flow import build_small_network, max_flow, min_cut
 from swenctrl.graph import core_condition_holds, kstar_brute, to_digraph
 from swenctrl.pattern import SparsityPattern, random_pattern
@@ -103,25 +103,24 @@ def test_witness_from_cut_random_always_violates():
 
 
 def test_witness_from_cut_fallback_enumeration():
-    # A bogus all-nodes "cut" yields the empty subset, which satisfies the
-    # condition; the enumeration fallback must still produce a violation.
+    # There is no enumeration fallback: a bogus all-nodes "cut" yields the
+    # empty subset, and a cut with only mu_2 on the sink side yields {2}; both
+    # satisfy the counting condition, so both raise.
     g = to_digraph(FIG2A)
     net = build_small_network(g, 1, 3, witness_mode=True)
-    bogus_cut = frozenset(net.nodes)
-    with pytest.warns(UserWarning, match="falling back"):
-        subset = witness_from_cut(g, 1, 3, bogus_cut)
-    assert not core_condition_holds(g, 1, 3, subset)[0]
+    for bogus_cut in (frozenset(net.nodes), frozenset(net.nodes) - {("mu", 2)}):
+        with pytest.raises(ConsistencyError, match="not a witness-mode min cut"):
+            witness_from_cut(g, 1, 3, bogus_cut)
 
 
 def test_witness_from_cut_unavailable_beyond_enumeration():
-    # Above the enumeration guard a failed re-verification cannot be repaired.
-    from swenctrl.errors import ConsistencyError
+    # Beyond the old enumeration size (25 states) a subset that fails to
+    # re-verify raises the same ConsistencyError.
     from swenctrl.graph import Digraph
 
     g = Digraph(25, 1, frozenset(), frozenset({(1, i) for i in range(1, 26)}))
-    with pytest.warns(UserWarning):
-        with pytest.raises(ConsistencyError, match="certificate unavailable"):
-            witness_from_cut(g, 0, 2, frozenset({"s"}) | {("mu", j) for j in range(1, 26)})
+    with pytest.raises(ConsistencyError, match="not a witness-mode min cut"):
+        witness_from_cut(g, 0, 2, frozenset({"s"}) | {("mu", j) for j in range(1, 26)})
 
 
 def test_kstar_two_cycle_regression():

@@ -1,8 +1,9 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
-from helpers import FIG2A, random_feasible_flow
+from helpers import FIG2A, named_arcs, named_capacity, named_values, random_feasible_flow
 
 from swenctrl.errors import ConsistencyError, ScaleError
 from swenctrl.flow import (
@@ -39,35 +40,37 @@ def test_small_network_fig2b_capacities():
         (("mu", 1), SINK): 3,
         (("mu", 2), SINK): 3,
     }
-    assert dict(net.capacity) == expected
+    assert named_capacity(net) == expected
     assert len(net.nodes) == 2 * 2 + 1 + 2
     assert len(net.arcs) == 2 * 2 + 1 + 3
 
 
 def test_small_network_unit_caps_at_k0_q1():
     net = build_small_network(FIG2A_G, 0, 1)
-    assert all(c == 1 for c in net.capacity.values())
+    assert all(c == 1 for c in net.capacity)
 
 
 def test_small_network_edgeless():
     g = to_digraph(SparsityPattern(2, 1, frozenset()))
     net = build_small_network(g, 1, 2)
-    assert all(arc[0] == SOURCE or arc[1] == SINK for arc in net.arcs)
+    assert all(u == SOURCE or v == SINK for u, v in named_arcs(net))
     assert max_flow(net).value_total == 0
 
 
 def test_small_network_sink_capacity_totals_nq():
     for k, q in [(0, 1), (1, 3), (2, 5)]:
         net = build_small_network(FIG2A_G, k, q)
-        assert sum(net.capacity[a] for a in net.arcs if a[1] == SINK) == FIG2A_G.n_state * q
+        caps = named_capacity(net)
+        assert sum(c for (_, v), c in caps.items() if v == SINK) == FIG2A_G.n_state * q
 
 
 def test_small_network_witness_mode_caps():
     net = build_small_network(FIG2A_G, 1, 3, witness_mode=True)
     inf_cap = 1 + 1 * 2 + 2 * 6
-    assert net.capacity[(("lam", 1), ("mu", 1))] == inf_cap
-    assert net.capacity[(("nu", 1), ("mu", 2))] == inf_cap
-    assert net.capacity[(SOURCE, ("lam", 1))] == 2
+    caps = named_capacity(net)
+    assert caps[(("lam", 1), ("mu", 1))] == inf_cap
+    assert caps[(("nu", 1), ("mu", 2))] == inf_cap
+    assert caps[(SOURCE, ("lam", 1))] == 2
 
 
 def test_small_network_guards():
@@ -85,10 +88,10 @@ def test_lifted_network_fig4_shape():
     right = [v for v in net.nodes if isinstance(v, tuple) and v[0] == "mu"]
     assert len(left) == 2 * (1 + 2 * 3) == 14
     assert len(right) == 6
-    assert all(c == 1 for c in net.capacity.values())
+    assert all(c == 1 for c in net.capacity)
     # per-layer arc fibers: control edges appear (k+1)q times, state edges
     # (k+1)q times but confined to one ensemble copy each
-    lr = [a for a in net.arcs if a[0] != SOURCE and a[1] != SINK]
+    lr = [a for a in named_arcs(net) if a[0] != SOURCE and a[1] != SINK]
     assert len(lr) == (2 + 1) * 2 * 3
     for u, v in lr:
         if u[0] == "nu":
@@ -107,9 +110,9 @@ def test_lifted_matches_small_at_k0_q1():
     mapped_nodes = {phi_node(v) for v in lifted.nodes}
     assert mapped_nodes == set(small.nodes)
     assert len(lifted.nodes) == len(small.nodes)
-    assert {phi_arc(a) for a in lifted.arcs} == set(small.arcs)
+    assert {phi_arc(a) for a in named_arcs(lifted)} == set(named_arcs(small))
     assert len(lifted.arcs) == len(small.arcs)
-    assert all(c == 1 for c in small.capacity.values())
+    assert all(c == 1 for c in small.capacity)
 
 
 def test_max_flow_fig2b_value_5():
@@ -126,11 +129,10 @@ def test_max_flow_saturates_at_k2_q3():
 def test_max_flow_zero_capacity():
     g = to_digraph(SparsityPattern(2, 1, frozenset()))
     net = build_small_network(g, 0, 1)
-    for arc in net.arcs:
-        net.capacity[arc] = 0
+    net = dataclasses.replace(net, capacity=(0,) * len(net.arcs))
     f = max_flow(net)
     assert f.value_total == 0
-    assert all(v == 0 for v in f.values.values())
+    assert all(v == 0 for v in f.values)
 
 
 def test_max_flow_deterministic():
@@ -141,24 +143,22 @@ def test_max_flow_deterministic():
 def test_verify_flow_rejects_capacity_violation():
     net = build_small_network(FIG2A_G, 1, 3)
     f = max_flow(net)
-    bad = dict(f.values)
-    arc = net.arcs[0]
-    bad[arc] = net.capacity[arc] + 1
+    bad = (net.capacity[0] + 1, *f.values[1:])
     assert not verify_flow(net, FlowAssignment(bad, f.value_total + 1))
 
 
 def test_verify_flow_rejects_conservation_violation():
     net = build_small_network(FIG2A_G, 1, 3)
     f = max_flow(net)
-    bad = dict(f.values)
-    bad[(("mu", 2), SINK)] = bad[(("mu", 2), SINK)] + 1
-    assert not verify_flow(net, FlowAssignment(bad, f.value_total))
+    bad = list(f.values)
+    bad[named_arcs(net).index((("mu", 2), SINK))] += 1
+    assert not verify_flow(net, FlowAssignment(tuple(bad), f.value_total))
 
 
 def test_verify_flow_arc_mismatch_raises():
     net = build_small_network(FIG2A_G, 1, 3)
     with pytest.raises(ValueError, match="arcs"):
-        verify_flow(net, FlowAssignment({}, 0))
+        verify_flow(net, FlowAssignment((), 0))
 
 
 def test_min_cut_fig2b_witness_mode():
@@ -166,9 +166,10 @@ def test_min_cut_fig2b_witness_mode():
     f = max_flow(net)
     cut = min_cut(net, f)
     assert cut == frozenset({SOURCE, ("nu", 1), ("nu", 2), ("mu", 2)})
-    crossing = {(u, v) for u, v in net.arcs if u in cut and v not in cut}
+    caps = named_capacity(net)
+    crossing = {(u, v) for u, v in caps if u in cut and v not in cut}
     assert crossing == {(SOURCE, ("lam", 1)), (("mu", 2), SINK)}
-    assert sum(net.capacity[a] for a in crossing) == 5
+    assert sum(caps[a] for a in crossing) == 5
 
 
 def test_min_cut_saturated_is_sink_side():
@@ -182,15 +183,14 @@ def test_min_cut_saturated_is_sink_side():
 def test_min_cut_zero_capacity_network():
     g = to_digraph(SparsityPattern(2, 1, frozenset()))
     net = build_small_network(g, 0, 1)
-    for arc in net.arcs:
-        net.capacity[arc] = 0
+    net = dataclasses.replace(net, capacity=(0,) * len(net.arcs))
     cut = min_cut(net, max_flow(net))
     assert cut == frozenset(net.nodes) - {SINK}
 
 
 def test_min_cut_rejects_non_maximal_flow():
     net = build_small_network(FIG2A_G, 1, 3)
-    zero = FlowAssignment({a: 0 for a in net.arcs}, 0)
+    zero = FlowAssignment((0,) * len(net.arcs), 0)
     with pytest.raises(ConsistencyError):
         min_cut(net, zero)
 
@@ -238,10 +238,8 @@ def test_phi_full_homomorphism_on_small_instances():
         g = to_digraph(p)
         small = build_small_network(g, 1, 2)
         lifted = build_lifted_network(g, 1, 2)
-        images = {phi_arc(a) for a in lifted.arcs}
-        assert images == set(small.arcs)
-        for arc in lifted.arcs:
-            assert phi_arc(arc) in small.capacity
+        images = {phi_arc(a) for a in named_arcs(lifted)}
+        assert images == set(named_arcs(small))
 
 
 def test_fiber_capacity_sums():
@@ -251,22 +249,22 @@ def test_fiber_capacity_sums():
 
     small = build_small_network(FIG2A_G, 1, 3)
     lifted = build_lifted_network(FIG2A_G, 1, 3)
-    fiber = Counter(phi_arc(a) for a in lifted.arcs)
-    for arc in small.arcs:
+    fiber = Counter(phi_arc(a) for a in named_arcs(lifted))
+    for arc, cap in named_capacity(small).items():
         u, _ = arc
         if isinstance(u, tuple) and u[0] == "lam":
             assert fiber[arc] == (small.k + 1) * small.q
         else:
-            assert fiber[arc] == small.capacity[arc]
+            assert fiber[arc] == cap
 
 
 def test_project_zero_flow():
     small = build_small_network(FIG2A_G, 1, 3)
     lifted = build_lifted_network(FIG2A_G, 1, 3)
-    zero = FlowAssignment({a: 0 for a in lifted.arcs}, 0)
+    zero = FlowAssignment((0,) * len(lifted.arcs), 0)
     projected = project_flow(zero, lifted, small)
     assert projected.value_total == 0
-    assert all(v == 0 for v in projected.values.values())
+    assert all(v == 0 for v in projected.values)
 
 
 def test_project_max_flow_fig4():
@@ -286,8 +284,10 @@ def test_lift_max_flow_fig2b():
     f_hat = lift_flow(f, small, lifted)
     assert f_hat.value_total == 5
     assert verify_flow(lifted, f_hat)
+    small_values = named_values(small, f)
+    lifted_values = named_values(lifted, f_hat)
     for p_copy in (1, 2, 3):
-        assert f_hat.values[(("mu", p_copy, 1), SINK)] == Fraction(f.values[(("mu", 1), SINK)], 3)
+        assert lifted_values[(("mu", p_copy, 1), SINK)] == Fraction(small_values[(("mu", 1), SINK)], 3)
 
 
 def test_transfer_requires_matching_provenance():
@@ -323,7 +323,7 @@ def test_random_feasible_transfers_preserve_value():
         assert f_up.value_total == f.value_total
         # round trip is the arcwise identity
         back = project_flow(f_up, lifted, small)
-        assert all(back.values[a] == f.values[a] for a in small.arcs)
+        assert back.values == f.values
         count += 1
     assert count == 25
 

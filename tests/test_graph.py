@@ -287,13 +287,6 @@ def test_dot_export_stable():
     )
 
 
-def test_digraph_edges_tagged_view():
-    g = to_digraph(FIG2A)
-    assert (("control", 1), ("state", 2)) in g.edges()
-    assert (("state", 1), ("state", 2)) in g.edges()
-    assert len(g.edges()) == 3
-
-
 def test_digraph_validates_ranges():
     with pytest.raises(ValueError):
         Digraph(2, 1, frozenset({(3, 1)}), frozenset())

@@ -6,8 +6,6 @@ from helpers import FIG1, FIG2A, INTEGRATOR, TWO_CYCLE
 from swenctrl.decide import check_structural
 from swenctrl.errors import ScaleError
 from swenctrl.oracle import (
-    agreement_to_csv,
-    agreement_to_dict,
     assemble_segment,
     controllability_rank,
     exact_rank,
@@ -179,11 +177,6 @@ def test_oracle_agreement_corpus():
     for cell in report.cells:
         if not cell.structural:
             assert cell.successes == 0
-    d = agreement_to_dict(report)
-    assert d["clean"] is True and len(d["cells"]) == len(report.cells)
-    csv_text = agreement_to_csv(report)
-    assert csv_text.splitlines()[0] == "pattern,k,q,structural,numerical,successes,trials,criterion"
-    assert len(csv_text.splitlines()) == len(report.cells) + 1
 
 
 def test_oracle_agreement_scale_pre():

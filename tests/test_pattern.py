@@ -4,9 +4,9 @@ from helpers import FIG1, FIG2A, INTEGRATOR
 from swenctrl.errors import ParseError, ScaleError
 from swenctrl.graph import to_digraph
 from swenctrl.pattern import (
+    MAX_PATTERN_DIM,
     EnsembleInstance,
     SparsityPattern,
-    instance_to_json,
     lift_ensemble,
     parse_pattern,
     random_pattern,
@@ -149,6 +149,14 @@ def test_lift_rejects_bad_q():
         lift_ensemble(SparsityPattern(1 << 11, 0, frozenset()), 1 << 10)
 
 
+def test_pattern_dimension_guard():
+    assert SparsityPattern(MAX_PATTERN_DIM - 1, 1, frozenset()).n == MAX_PATTERN_DIM - 1
+    with pytest.raises(ScaleError):
+        SparsityPattern(MAX_PATTERN_DIM, 1, frozenset())
+    with pytest.raises(ScaleError):
+        parse_pattern(f'{{"n": 1, "m": {MAX_PATTERN_DIM}, "stars": []}}', "json")
+
+
 @pytest.mark.parametrize("q", [1, 2, 3])
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_lift_digraph_is_q_copies(seed, q):
@@ -220,10 +228,3 @@ def test_sample_instance_integrator_forced_support():
 def test_instance_rejects_nonconforming_entries():
     with pytest.raises(ValueError, match="zero-entry"):
         EnsembleInstance(INTEGRATOR, 0, 1, {(1, 0): (((3,),), ((1,),))})
-
-
-def test_instance_to_json_rational_strings():
-    inst = sample_instance(INTEGRATOR, k=0, q=1, seed=0, value_bound=5)
-    text = instance_to_json(inst)
-    value = inst.blocks[(1, 0)][1][0][0]
-    assert f'"{value}/1"' in text and '"0/1"' in text
