@@ -2,7 +2,9 @@
 
 check_structural decides structural controllability of a pattern for a given
 (k, q) by reachability plus a single max-flow saturation test; compute_kstar
-binary-searches the minimal switch count that works for every ensemble size;
+finds the minimal switch count that works for every ensemble size by a
+warm-started ascent on one residual network, and reports the binary-search
+trace a cold probe per k would give;
 crosscheck runs the flow route against the brute-force enumeration and the
 expanded-network flow over a whole (k, q) grid.
 """
@@ -14,12 +16,21 @@ from dataclasses import dataclass
 from time import perf_counter
 
 from .errors import ConsistencyError, ScaleError
-from .flow import build_lifted_network, build_small_network, max_flow, min_cut
+from .flow import (
+    augment,
+    build_lifted_network,
+    build_small_network,
+    max_flow,
+    residual_graph,
+    residual_min_cut,
+    shift_switch_count,
+)
 from .graph import (
     Digraph,
     brute_force_check,
     core_condition_holds,
     counting_violation,
+    in_neighbor_sets,
     kstar_brute,
     reachability_check,
     to_digraph,
@@ -57,12 +68,12 @@ def check_structural(pattern: SparsityPattern, k: int, q: int) -> Verdict:
         stats = VerdictStats(None, target, None, None, perf_counter() - t0)
         return Verdict(False, Unreachable(unreachable), stats)
     net = build_small_network(g, k, q, witness_mode=True)
-    f = max_flow(net)
-    theta = f.value_total
+    res = residual_graph(net)
+    theta = augment(res)
     stats = VerdictStats(theta, target, len(net.nodes), len(net.arcs), perf_counter() - t0)
     if theta == target:
         return Verdict(True, Saturated(theta), stats)
-    subset = witness_from_cut(g, k, q, min_cut(net, f))
+    subset = witness_from_cut(g, k, q, residual_min_cut(net, res, theta))
     _, lhs, rhs = core_condition_holds(g, k, q, subset)
     stats = VerdictStats(theta, target, len(net.nodes), len(net.arcs), perf_counter() - t0)
     return Verdict(False, ViolatingSubset(subset, lhs, rhs, k, q), stats)
@@ -84,11 +95,24 @@ def witness_from_cut(g: Digraph, k: int, q: int, cut) -> frozenset[int]:
 
 
 def compute_kstar(pattern: SparsityPattern) -> KStarResult:
-    """Minimal switch count working for every ensemble size, by reachability,
-    a finiteness probe at (n-1, mn+1), and binary search over k in [0, n-1].
+    """Minimal switch count working for every ensemble size.
 
-    The probe ensemble size mn+1 is saturating: the counting condition at
-    q = mn+1 already implies it for every q.
+    At the ensemble size q = mn+1 the counting condition already implies it
+    for every q, and for k <= n-1 it reduces to (k+1)|alpha_in(V')| >= |V'|,
+    so k* = max ceil(|V'| / |alpha_in(V')|) - 1 over state subsets V'.  An
+    unreachable pattern, or one with a state that has no state in-neighbour,
+    has no finite k*; the latter keeps the single probe at (n-1, mn+1),
+    whose min cut gives the EmptyAlphaIn subset.
+
+    Otherwise one witness-mode network at q = mn+1, valid for every k <= n-1,
+    is solved at k = 0 and then ascended: while the flow is short of
+    n(mn+1), the source-maximal min cut gives a violating V', k becomes
+    ceil(|V'| / |alpha_in(V')|) - 1 (above the current k, never above k*),
+    and the source arcs are raised with the flow kept.  The trace replays the
+    binary search over [0, n-1] that probes the same network cold: probes at
+    k >= k* saturate, and each probe below k* is solved warm from the
+    residual of the largest failing k below it.  Max-flow values do not
+    depend on which maximum flow is found, so the trace is the same.
     """
     g = to_digraph(pattern)
     unreachable = reachability_check(g)
@@ -97,28 +121,46 @@ def compute_kstar(pattern: SparsityPattern) -> KStarResult:
     n, m = pattern.n, pattern.m
     qbar = m * n + 1
     target = n * qbar
-
-    def probe(k: int):
-        net = build_small_network(g, k, qbar, witness_mode=True)
-        return max_flow(net), net
-
-    f, net = probe(n - 1)
-    trace = [(n - 1, f.value_total, target)]
-    if f.value_total < target:
+    net = build_small_network(g, n - 1, qbar, witness_mode=True)
+    res = residual_graph(net)
+    if len({j for _, j in g.state_edges}) < n:
         # A violation at (n-1, mn+1) needs n|alpha_in| < |V'| <= n, so the
         # violating subset has no state in-neighbour.
-        subset = witness_from_cut(g, n - 1, qbar, min_cut(net, f))
-        return KStarResult(None, EmptyAlphaIn(subset), tuple(trace))
+        theta = augment(res)
+        subset = witness_from_cut(g, n - 1, qbar, residual_min_cut(net, res, theta))
+        return KStarResult(None, EmptyAlphaIn(subset), ((n - 1, theta, target),))
+    shift_switch_count(res, net, -(n - 1))  # down to k = 0, still at zero flow
+    k, theta = 0, augment(res)
+    failing = {}  # k -> (max-flow value, residual) for every k solved short of target
+    while theta < target:
+        failing[k] = (theta, res.copy())
+        subset = witness_from_cut(g, k, qbar, residual_min_cut(net, res, theta))
+        k_next = -(-len(subset) // len(in_neighbor_sets(g, subset).alpha_in)) - 1
+        if k_next <= k:
+            raise ConsistencyError(f"kstar ascent stalled at k={k}")
+        shift_switch_count(res, net, k_next - k)
+        theta += augment(res)
+        k = k_next
+    trace = [(n - 1, target, target)]
     lo, hi = 0, n - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        fm, _ = probe(mid)
-        trace.append((mid, fm.value_total, target))
-        if fm.value_total == target:
+        if mid >= k:
+            trace.append((mid, target, target))
             hi = mid
-        else:
-            lo = mid + 1
-    return KStarResult(lo, None, tuple(trace))
+            continue
+        if mid not in failing:
+            below = max(j for j in failing if j < mid)
+            theta_below, res_below = failing[below]
+            res_mid = res_below.copy()
+            shift_switch_count(res_mid, net, mid - below)
+            failing[mid] = (theta_below + augment(res_mid), res_mid)
+        theta_mid = failing[mid][0]
+        if theta_mid >= target:
+            raise ConsistencyError(f"probe at k={mid} saturates below k*={k}")
+        trace.append((mid, theta_mid, target))
+        lo = mid + 1
+    return KStarResult(k, None, tuple(trace))
 
 
 @dataclass(frozen=True)

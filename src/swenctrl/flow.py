@@ -10,6 +10,11 @@ Two constructions share the layout source -> left -> right -> sink:
   its k+1 (and, for state copies, q) layers, every right node into its q
   copies, and all capacities collapse to 1.
 
+Every solve runs one augmenting core (augment) on a Residual, which callers
+may keep: max_flow starts it from zero flow, and compute_kstar raises a
+compact network's switch count in place (shift_switch_count) and augments
+on.  residual_min_cut reads the source-maximal min cut off any Residual.
+
 The node-collapsing map phi sends expanded nodes onto compact ones; flows
 transfer along phi in both directions with their value preserved.
 """
@@ -27,7 +32,7 @@ SOURCE = "s"
 SINK = "t"
 
 _INT64_MAX = (1 << 63) - 1
-MAX_LIFTED_LEFT = 1 << 22  # guard on (k+1)(m+nq)
+MAX_LIFTED_ARCS = 1 << 20  # guard on the expanded network's arc count
 
 Node = str | tuple
 Arc = tuple[int, int]
@@ -73,19 +78,21 @@ def build_small_network(g: Digraph, k: int, q: int, witness_mode: bool = False) 
     """Compact network with 2n+m+2 nodes and 2n+m+|E| arcs.
 
     Node ids: lam_i is i, nu_j is m+j, mu_j is m+n+j.  In witness mode every
-    left-to-right capacity is replaced by a value larger than the total
-    source capacity, which leaves the max-flow value unchanged (each left
-    node is already throttled by its single source arc) but forces every min
-    cut onto the source and sink arcs, where a violating subset can be read
-    off directly.
+    left-to-right capacity is replaced by the total source capacity + 1,
+    which leaves the max-flow value unchanged (each left node is already
+    throttled by its single source arc) but forces every min cut onto the
+    source and sink arcs, where a violating subset can be read off directly.
+    Raises ScaleError when the total source capacity, which bounds every
+    flow value, does not fit in 63 bits.
     """
     _check_kq(k, q)
     n, m = g.n_state, g.n_control
     kp1 = k + 1
     big = q * kp1
-    if big > _INT64_MAX:
-        raise ScaleError("q*(k+1) exceeds the 64-bit capacity guard")
-    inf_cap = 1 + m * kp1 + n * big  # strictly above every possible flow value
+    source_total = m * kp1 + n * big  # bounds every flow value and every finite cut
+    if source_total >= _INT64_MAX:
+        raise ScaleError("total source capacity exceeds the 64-bit guard")
+    inf_cap = source_total + 1
     sink = m + 2 * n + 1
     nodes = (
         SOURCE,
@@ -109,8 +116,6 @@ def build_small_network(g: Digraph, k: int, q: int, witness_mode: bool = False) 
         + [inf_cap if witness_mode else big] * len(state)
         + [q] * n
     )
-    if sum(capacity) > _INT64_MAX:
-        raise ScaleError("total capacity exceeds the 64-bit guard")
     return FlowNetwork("small", n, m, k, q, witness_mode, nodes, tuple(arcs), tuple(capacity))
 
 
@@ -119,13 +124,16 @@ def build_lifted_network(g: Digraph, k: int, q: int) -> FlowNetwork:
     layer of nq nodes, state copies wired within their own ensemble copy.
 
     Node ids follow the name order: lam_{ell,i}, then nu_{ell,p,j}, then
-    mu_{p,j}, each with its last index running fastest.
+    mu_{p,j}, each with its last index running fastest.  Raises ScaleError,
+    before allocating, when the arc count (k+1)(m+nq) + (k+1)q|E| + nq
+    exceeds MAX_LIFTED_ARCS.
     """
     _check_kq(k, q)
     n, m = g.n_state, g.n_control
     kp1 = k + 1
-    if kp1 * (m + n * q) > MAX_LIFTED_LEFT:
-        raise ScaleError(f"(k+1)(m+nq) exceeds the {MAX_LIFTED_LEFT} node guard")
+    edges = len(g.control_edges) + len(g.state_edges)
+    if kp1 * (m + n * q) + kp1 * q * edges + n * q > MAX_LIFTED_ARCS:
+        raise ScaleError(f"(k+1)(m+nq+q|E|)+nq exceeds the {MAX_LIFTED_ARCS} arc guard")
     nu0 = 1 + kp1 * m
     mu0 = nu0 + kp1 * q * n
     sink = mu0 + q * n
@@ -152,23 +160,66 @@ def build_lifted_network(g: Digraph, k: int, q: int) -> FlowNetwork:
     return FlowNetwork("lifted", n, m, k, q, False, nodes, tuple(arcs), (1,) * len(arcs))
 
 
-def max_flow(net: FlowNetwork) -> FlowAssignment:
-    """Exact integral maximum flow (deterministic phase-based blocking flow).
+@dataclass(frozen=True)
+class Residual:
+    """Residual graph of a network: edge 2a is arc a, edge 2a+1 its reverse.
 
-    Identical networks yield identical assignments: arcs are explored in
-    construction order and augmentation follows fixed pointer advancement.
-    Residual edge 2a is arc a, edge 2a+1 its reverse.
+    cap[e] is the residual capacity of edge e, so cap[2a+1] is the flow on
+    arc a and cap[2a] + cap[2a+1] its capacity.  adj[u] lists the edges
+    leaving node u in construction order.  Node 0 is the source and the last
+    node the sink.  Copies share head and adj.
     """
-    size = len(net.nodes)
+
+    head: list[int]
+    adj: list[list[int]]
+    cap: list
+
+    def copy(self) -> Residual:
+        return Residual(self.head, self.adj, self.cap.copy())
+
+
+def residual_graph(net: FlowNetwork, values=()) -> Residual:
+    """Residual graph of net carrying the flow values (zero flow if empty)."""
     head: list[int] = []
-    residual: list[int] = []
-    adj: list[list[int]] = [[] for _ in range(size)]
+    cap: list = []
+    adj: list[list[int]] = [[] for _ in net.nodes]
     for (u, v), c in zip(net.arcs, net.capacity):
         adj[u].append(len(head))
         adj[v].append(len(head) + 1)
         head += (v, u)
-        residual += (c, 0)
+        cap += (c, 0)
+    for a, x in enumerate(values):
+        cap[2 * a] -= x
+        cap[2 * a + 1] = x
+    return Residual(head, adj, cap)
+
+
+def shift_switch_count(res: Residual, net: FlowNetwork, dk: int) -> None:
+    """Change the switch count of a compact network's residual res by dk,
+    keeping its flow: each lam source arc gains dk, each nu source arc q*dk.
+
+    The flow stays feasible while dk >= 0, since every other capacity is
+    fixed; witness-mode middle capacities stay above the source total only
+    up to the switch count net was built with.
+    """
+    cap = res.cap
+    for a in range(net.m):
+        cap[2 * a] += dk
+    for a in range(net.m, net.m + net.n):
+        cap[2 * a] += net.q * dk
+
+
+def augment(res: Residual) -> int:
+    """Raise the flow held in res to a maximum one by deterministic
+    phase-based blocking flow (Dinic); returns the value added.
+
+    Edges are explored in construction order and augmentation follows fixed
+    pointer advancement, so identical residuals give identical flows.
+    """
+    head, adj, residual = res.head, res.adj, res.cap
+    size = len(adj)
     s, t = 0, size - 1
+    added = 0
 
     def bfs_levels():
         level = [-1] * size
@@ -192,6 +243,7 @@ def max_flow(net: FlowNetwork) -> FlowAssignment:
                 for e in path:
                     residual[e] -= aug
                     residual[e ^ 1] += aug
+                added += aug
                 path = []
                 u = s
                 continue
@@ -211,8 +263,15 @@ def max_flow(net: FlowNetwork) -> FlowAssignment:
                 break
             u = head[path.pop() ^ 1]
             pointer[u] += 1
+    return added
 
-    values = tuple(c - residual[2 * a] for a, c in enumerate(net.capacity))
+
+def max_flow(net: FlowNetwork) -> FlowAssignment:
+    """Exact integral maximum flow from zero flow; identical networks yield
+    identical assignments."""
+    res = residual_graph(net)
+    augment(res)
+    values = tuple(res.cap[1::2])
     return FlowAssignment(values, _source_total(net, values))
 
 
@@ -237,38 +296,42 @@ def verify_flow(net: FlowNetwork, f: FlowAssignment) -> bool:
     return all(b == 0 for b in balance[1:-1])
 
 
-def min_cut(net: FlowNetwork, f: FlowAssignment) -> frozenset[Node]:
-    """Source side of a minimum cut derived from a maximum flow, as node names.
+def residual_min_cut(net: FlowNetwork, res: Residual, value) -> frozenset[Node]:
+    """Source side of the source-maximal minimum cut, as node names: every
+    node that cannot reach the sink in the residual graph res of net.
 
-    Returns the complement of the nodes that still reach the sink in the
-    residual graph (the source-maximal min cut), so a saturated network yields
-    the all-sink-arcs cut.  Raises ConsistencyError when the cut capacity does
-    not equal the flow value, i.e. when f is not maximal.
+    The set is the same for every maximum flow.  Raises ConsistencyError
+    when the cut capacity does not equal the flow value, i.e. when the flow
+    in res is not maximal or its value is not value.
     """
-    _check_values(net, f)
-    size = len(net.nodes)
-    into: list[list[int]] = [[] for _ in range(size)]  # reversed residual arcs
-    for (u, v), c, x in zip(net.arcs, net.capacity, f.values):
-        if x < c:
-            into[v].append(u)
-        if x > 0:
-            into[u].append(v)
-    reach_t = [False] * size
+    head, adj, cap = res.head, res.adj, res.cap
+    reach_t = [False] * len(adj)
     reach_t[-1] = True
-    dq = deque([size - 1])
+    dq = deque([len(adj) - 1])
     while dq:
-        for u in into[dq.popleft()]:
-            if not reach_t[u]:
+        for e in adj[dq.popleft()]:
+            u = head[e]  # e leaves the popped node; its reverse e ^ 1 enters from u
+            if not reach_t[u] and cap[e ^ 1] > 0:
                 reach_t[u] = True
                 dq.append(u)
     cut_capacity = sum(
-        c for (u, v), c in zip(net.arcs, net.capacity) if not reach_t[u] and reach_t[v]
+        cap[e] + cap[e + 1]
+        for e in range(0, len(head), 2)
+        if reach_t[head[e]] and not reach_t[head[e + 1]]
     )
-    if reach_t[0] or cut_capacity != f.value_total:
+    if reach_t[0] or cut_capacity != value:
         raise ConsistencyError(
-            f"cut capacity {cut_capacity} != flow value {f.value_total}; flow is not maximal"
+            f"cut capacity {cut_capacity} != flow value {value}; flow is not maximal"
         )
     return frozenset(name for name, r in zip(net.nodes, reach_t) if not r)
+
+
+def min_cut(net: FlowNetwork, f: FlowAssignment) -> frozenset[Node]:
+    """Source side of the source-maximal minimum cut derived from a maximum
+    flow, as node names; a saturated network yields the all-sink-arcs cut.
+    Raises ConsistencyError when f is not maximal."""
+    _check_values(net, f)
+    return residual_min_cut(net, residual_graph(net, f.values), f.value_total)
 
 
 def phi_node(node: Node) -> Node:

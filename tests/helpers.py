@@ -1,12 +1,16 @@
-"""Shared fixtures: worked-example patterns and a random feasible-flow builder."""
+"""Shared fixtures: worked-example patterns, a random feasible-flow builder,
+and the cold binary search for k* that compute_kstar must reproduce."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
-from swenctrl.flow import FlowAssignment, FlowNetwork
+from swenctrl.decide import witness_from_cut
+from swenctrl.flow import FlowAssignment, FlowNetwork, build_small_network, max_flow, min_cut
+from swenctrl.graph import reachability_check, to_digraph
 from swenctrl.pattern import SparsityPattern
+from swenctrl.results import EmptyAlphaIn, KStarResult, Unreachable
 
 # 5-state, 2-input example: a chain fed by two inputs.
 FIG1 = SparsityPattern(
@@ -22,6 +26,49 @@ TWO_CYCLE = SparsityPattern(2, 1, frozenset({(1, 2), (2, 1), (1, 3)}))
 
 # Single driftless integrator xdot = b u.
 INTEGRATOR = SparsityPattern(1, 1, frozenset({(1, 2)}))
+
+
+def hub_pattern(n: int, block: int = 8) -> SparsityPattern:
+    """States in consecutive blocks; each block's only state in-neighbour is
+    its hub, the first state of the next block, and one input feeds every
+    state.  k* = block - 1."""
+    stars = {(i, n + 1) for i in range(1, n + 1)}
+    for start in range(1, n + 1, block):
+        hub = (start + block - 1) % n + 1
+        stars.update((i, hub) for i in range(start, min(start + block, n + 1)))
+    return SparsityPattern(n, 1, frozenset(stars))
+
+
+def reference_kstar(pattern: SparsityPattern) -> KStarResult:
+    """k* by a finiteness probe at (n-1, mn+1) and a binary search over
+    k in [0, n-1], each probe a witness-mode network solved from zero flow."""
+    g = to_digraph(pattern)
+    unreachable = reachability_check(g)
+    if unreachable:
+        return KStarResult(None, Unreachable(unreachable))
+    n, m = pattern.n, pattern.m
+    qbar = m * n + 1
+    target = n * qbar
+
+    def probe(k: int):
+        net = build_small_network(g, k, qbar, witness_mode=True)
+        return max_flow(net), net
+
+    f, net = probe(n - 1)
+    trace = [(n - 1, f.value_total, target)]
+    if f.value_total < target:
+        subset = witness_from_cut(g, n - 1, qbar, min_cut(net, f))
+        return KStarResult(None, EmptyAlphaIn(subset), tuple(trace))
+    lo, hi = 0, n - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        fm, _ = probe(mid)
+        trace.append((mid, fm.value_total, target))
+        if fm.value_total == target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return KStarResult(lo, None, tuple(trace))
 
 
 def named_arcs(net: FlowNetwork) -> list[tuple]:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from helpers import FIG1, FIG2A, TWO_CYCLE
+from helpers import FIG1, FIG2A, INTEGRATOR, TWO_CYCLE, hub_pattern
 
 from swenctrl.cli import bench_pattern, fit_loglog_slope, main, run_bench
 from swenctrl.pattern import serialize_pattern
@@ -178,6 +178,33 @@ def test_flowdump_golden(tmp_path, capsys, flags, golden):
     assert out == (GOLDEN / golden).read_text()
 
 
+@pytest.mark.parametrize("pattern, golden", [
+    (FIG1, "kstar_fig1.json"),
+    (FIG2A, "kstar_fig2a.json"),
+    (TWO_CYCLE, "kstar_two_cycle.json"),
+    (INTEGRATOR, "kstar_integrator.json"),
+    (hub_pattern(64), "kstar_hub64.json"),
+], ids=["fig1", "fig2a", "two-cycle", "integrator", "hub64"])
+def test_kstar_golden(tmp_path, capsys, pattern, golden):
+    path = write_pattern(tmp_path, pattern)
+    code, out, _ = run_cli(capsys, "kstar", path)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
+def test_kstar_flow_values_near_2_pow_40(tmp_path, capsys):
+    # Witness capacities times the arc count pass 2^63; every flow value
+    # and cut stays below the total source capacity, about 2^52.
+    n, m = 4096, 61440
+    stars = [[i, i] for i in range(1, n + 1)] + [[i, n + 1] for i in range(1, n + 1)]
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"n": n, "m": m, "stars": stars}))
+    code, out, err = run_cli(capsys, "kstar", str(path))
+    assert code == 0, err
+    obj = json.loads(out)
+    assert obj["kstar"] == 0 and obj["trace"][0]["target"] == n * (m * n + 1)
+
+
 def test_dot_out_writes_pattern_digraph(tmp_path, capsys):
     path = write_pattern(tmp_path, FIG2A)
     dot_path = tmp_path / "g.dot"
@@ -220,16 +247,21 @@ def test_exit_code_brute_enumeration_guard(tmp_path, capsys):
     assert code == 3 and "flow-based" in err
 
 
-@pytest.mark.parametrize("content, expected_code", [
-    (b'{"n": 100000000, "m": 1, "stars": [[1, 100000001]]}', 3),
-    (b'{"n": 1, "m": 100000000, "stars": [[1, 2]]}', 3),
-    (b"2 1\n0 0 *\n\xff 0 *\n", 2),
-    (b'{"n": ' + b"[" * 200_000 + b"]" * 200_000 + b"}", 2),
-], ids=["oversized-n", "oversized-m", "non-utf8", "deep-nesting"])
-def test_hostile_input_exit_code_without_traceback(tmp_path, content, expected_code):
+CHECK_K0_Q1 = ("check", "--k", "0", "--q", "1")
+
+
+@pytest.mark.parametrize("content, argv, expected_code", [
+    (b'{"n": 100000000, "m": 1, "stars": [[1, 100000001]]}', CHECK_K0_Q1, 3),
+    (b'{"n": 1, "m": 100000000, "stars": [[1, 2]]}', CHECK_K0_Q1, 3),
+    (b"2 1\n0 0 *\n\xff 0 *\n", CHECK_K0_Q1, 2),
+    (b'{"n": ' + b"[" * 200_000 + b"]" * 200_000 + b"}", CHECK_K0_Q1, 2),
+    # FIG2A: 3M left nodes pass a left-layer bound, 3M middle arcs must not
+    (b"2 1\n0 0 *\n* 0 *\n", ("flowdump", "--k", "1000000", "--q", "1", "--lifted"), 3),
+], ids=["oversized-n", "oversized-m", "non-utf8", "deep-nesting", "lifted-arcs"])
+def test_hostile_input_exit_code_without_traceback(tmp_path, content, argv, expected_code):
     path = tmp_path / "hostile.pat"
     path.write_bytes(content)
-    code, _, err = run_cli_process("check", str(path), "--k", "0", "--q", "1")
+    code, _, err = run_cli_process(argv[0], str(path), *argv[1:])
     assert code == expected_code, err
     assert "Traceback" not in err
 

@@ -1,8 +1,9 @@
 import random
 
 import pytest
-from helpers import FIG1, FIG2A, INTEGRATOR, TWO_CYCLE
+from helpers import FIG1, FIG2A, INTEGRATOR, TWO_CYCLE, hub_pattern, reference_kstar
 
+import swenctrl.decide
 from swenctrl.decide import (
     check_structural,
     compute_kstar,
@@ -12,7 +13,7 @@ from swenctrl.decide import (
     witness_from_cut,
 )
 from swenctrl.errors import ConsistencyError, ScaleError
-from swenctrl.flow import build_small_network, max_flow, min_cut
+from swenctrl.flow import augment, build_small_network, max_flow, min_cut, residual_min_cut
 from swenctrl.graph import core_condition_holds, kstar_brute, to_digraph
 from swenctrl.pattern import SparsityPattern, random_pattern
 from swenctrl.results import (
@@ -164,6 +165,87 @@ def test_kstar_matches_enumeration_random():
         rng = random.Random(seed)
         p = random_pattern(rng.randint(1, 6), rng.randint(0, 3), rng.random(), seed)
         assert compute_kstar(p).value == kstar_brute(to_digraph(p)).value
+
+
+def few_in_neighbours_pattern(n, rng):
+    """One or two state in-neighbours per state, drawn mostly from the first
+    third of the states, and one input feeding every state."""
+    stars = {(i, n + 1) for i in range(1, n + 1)}
+    for i in range(1, n + 1):
+        for _ in range(rng.choice([1, 1, 1, 2])):
+            stars.add((i, rng.choice([rng.randint(1, max(1, n // 3)), rng.randint(1, n)])))
+    return SparsityPattern(n, 1, frozenset(stars))
+
+
+def test_kstar_matches_cold_search_random(monkeypatch):
+    cut_reads = []
+
+    def counted(*args):
+        cut_reads[-1] += 1
+        return residual_min_cut(*args)
+
+    monkeypatch.setattr(swenctrl.decide, "residual_min_cut", counted)
+    empty_alpha_in = failing_probes = 0
+    for seed in range(900):
+        rng = random.Random(seed)
+        if seed % 3:
+            p = random_pattern(rng.randint(1, 12), rng.randint(1, 3), rng.uniform(0.1, 0.5), seed)
+        else:
+            p = few_in_neighbours_pattern(rng.randint(2, 12), rng)
+        cut_reads.append(0)
+        r = compute_kstar(p)
+        assert r == reference_kstar(p), seed
+        empty_alpha_in += isinstance(r.witness, EmptyAlphaIn)
+        failing_probes += any(theta < target for _, theta, target in r.trace[1:])
+    assert empty_alpha_in > 30 and failing_probes > 100
+    assert sum(reads >= 2 for reads in cut_reads) > 20  # ascents of two or more steps
+
+
+def fan_pattern(n):
+    """State 1 (with a self-loop) feeds every state; k* = n - 1."""
+    return SparsityPattern(n, 1, frozenset({(i, 1) for i in range(1, n + 1)} | {(1, n + 1)}))
+
+
+def chain_pattern(n):
+    """Chain 1 -> 2 -> ... -> n with a self-loop on its input-fed head; k* = 1."""
+    return SparsityPattern(n, 1, frozenset({(1, 1), (1, n + 1)} | {(j, j - 1) for j in range(2, n + 1)}))
+
+
+@pytest.mark.parametrize("pattern, kstar", [
+    (hub_pattern(64), 7),
+    (fan_pattern(9), 8),
+    (chain_pattern(10), 1),
+], ids=["hub64", "fan9", "chain10"])
+def test_kstar_matches_cold_search_shapes(pattern, kstar):
+    r = compute_kstar(pattern)
+    assert r.value == kstar
+    assert r == reference_kstar(pattern)
+    assert any(theta < target for _, theta, target in r.trace)
+
+
+def backbone_pattern(n):
+    """Self-loops plus one input feeding every state; k* = 0."""
+    return SparsityPattern(n, 1, frozenset({(i, i) for i in range(1, n + 1)}
+                                           | {(i, n + 1) for i in range(1, n + 1)}))
+
+
+@pytest.mark.parametrize("pattern, kstar, solves", [
+    (backbone_pattern(50), 0, 1),
+    # ascent k = 0 -> 7, then the trace's failing probes k = 3, 5, 6
+    (hub_pattern(64), 7, 5),
+    # ascent k = 0 -> 7, then the trace's one failing probe k = 6
+    (hub_pattern(800), 7, 3),
+], ids=["backbone50", "hub64", "hub800"])
+def test_kstar_solve_count(monkeypatch, pattern, kstar, solves):
+    calls = []
+
+    def counted(res):
+        calls.append(1)
+        return augment(res)
+
+    monkeypatch.setattr(swenctrl.decide, "augment", counted)
+    assert compute_kstar(pattern).value == kstar
+    assert len(calls) == solves
 
 
 def test_kstar_finite_boundary():
