@@ -20,11 +20,15 @@ from . import __version__
 from .decide import check_structural, compute_kstar, crosscheck, crosscheck_to_dict
 from .errors import ParseError, ScaleError
 from .flow import (
+    augment,
     build_lifted_network,
     build_small_network,
+    compact_arcs,
+    compact_capacity,
     max_flow,
-    network_to_dict,
+    network_json,
     network_to_dot,
+    residual_arrays,
 )
 from .graph import brute_force_check, to_digraph, to_dot
 from .oracle import CRITERIA, monte_carlo_controllable
@@ -161,19 +165,19 @@ def _cmd_flowdump(args) -> int:
     else:
         net = build_small_network(g, args.k, args.q, witness_mode=args.witness_mode)
     flow = max_flow(net)
-    obj = network_to_dict(net, flow)
-    obj["value"] = flow.value_total
     if args.dot_out:
         with open(args.dot_out, "w", encoding="utf-8") as fh:
             fh.write(network_to_dot(net, flow))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+            fh.writelines(network_json(net, flow))
+            fh.write("\n")
+    elif args.output == "json":
+        sys.stdout.writelines(network_json(net, flow))
+        sys.stdout.write("\n")
     else:
-        _emit(args, obj, [
-            f"{net.kind} network: {len(net.nodes)} nodes, {len(net.arcs)} arcs, "
-            f"max flow {flow.value_total}",
-        ])
+        print(f"{net.kind} network: {len(net.nodes)} nodes, {len(net.arcs)} arcs, "
+              f"max flow {flow.value_total}")
     return 0
 
 
@@ -220,10 +224,15 @@ def run_bench(nmin: int, nmax: int, density: float, seed: int,
     rows = []
     for n in sizes:
         pattern = bench_pattern(n, density, seed + n)
-        g = to_digraph(pattern)
-        build_s = _best_time(lambda: build_small_network(g, k, q), repeats)
-        net = build_small_network(g, k, q)
-        maxflow_s = _best_time(lambda: max_flow(net), repeats)
+
+        def build():  # the witness-mode residual graph check_structural solves
+            tail, head = compact_arcs(n, pattern.m, pattern.stars)
+            cap = compact_capacity(n, pattern.m, tail, k, q, witness_mode=True)
+            return residual_arrays(pattern.m + 2 * n + 2, tail, head, cap)
+
+        build_s = _best_time(build, repeats)
+        res = build()
+        maxflow_s = _best_time(lambda: augment(res.copy()), repeats)
         check_s = _best_time(lambda: check_structural(pattern, k, q), repeats)
         kstar_s = _best_time(lambda: compute_kstar(pattern), repeats)
         rows.append({

@@ -11,29 +11,33 @@ expanded-network flow over a whole (k, q) grid.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from time import perf_counter
 
 from .errors import ConsistencyError, ScaleError
 from .flow import (
+    Residual,
     augment,
     build_lifted_network,
     build_small_network,
+    compact_arcs,
+    compact_capacity,
     max_flow,
-    residual_graph,
+    residual_arrays,
     residual_min_cut,
     shift_switch_count,
 )
 from .graph import (
     Digraph,
     brute_force_check,
-    core_condition_holds,
+    counting_sides,
     counting_violation,
     in_neighbor_sets,
     kstar_brute,
-    reachability_check,
     to_digraph,
+    unreachable_states,
 )
 from .pattern import SparsityPattern
 from .results import (
@@ -54,43 +58,80 @@ def check_structural(pattern: SparsityPattern, k: int, q: int) -> Verdict:
 
     False verdicts carry a verified certificate: the unreachable state nodes,
     or a state subset violating the counting condition, extracted from a
-    minimum cut of the witness-mode network.
+    minimum cut of the witness-mode network.  Everything runs on the compact
+    network's int arcs, built straight from the pattern's stars.
     """
     if not isinstance(k, int) or k < 0:
         raise ValueError("switch count k must be an integer >= 0")
     if not isinstance(q, int) or q < 1:
         raise ValueError("ensemble size q must be an integer >= 1")
     t0 = perf_counter()
-    g = to_digraph(pattern)
-    target = pattern.n * q
-    unreachable = reachability_check(g)
+    n, m = pattern.n, pattern.m
+    target = n * q
+    tail, head = compact_arcs(n, m, pattern.stars)
+    unreachable = _unreachable(n, m, tail, head)
     if unreachable:
         stats = VerdictStats(None, target, None, None, perf_counter() - t0)
         return Verdict(False, Unreachable(unreachable), stats)
-    net = build_small_network(g, k, q, witness_mode=True)
-    res = residual_graph(net)
+    size = m + 2 * n + 2
+    res = residual_arrays(size, tail, head, compact_capacity(n, m, tail, k, q, witness_mode=True))
     theta = augment(res)
-    stats = VerdictStats(theta, target, len(net.nodes), len(net.arcs), perf_counter() - t0)
+    stats = VerdictStats(theta, target, size, len(tail), perf_counter() - t0)
     if theta == target:
         return Verdict(True, Saturated(theta), stats)
-    subset = witness_from_cut(g, k, q, residual_min_cut(net, res, theta))
-    _, lhs, rhs = core_condition_holds(g, k, q, subset)
-    stats = VerdictStats(theta, target, len(net.nodes), len(net.arcs), perf_counter() - t0)
+    subset, alpha, beta = _sink_side_states(res, n, m, residual_min_cut(res, theta))
+    lhs, rhs = _violation(n, k, q, subset, alpha, beta)
+    stats = VerdictStats(theta, target, size, len(tail), perf_counter() - t0)
     return Verdict(False, ViolatingSubset(subset, lhs, rhs, k, q), stats)
 
 
-def witness_from_cut(g: Digraph, k: int, q: int, cut) -> frozenset[int]:
-    """Read a violating subset off a witness-mode min cut: the state nodes
-    whose right copies sit on the sink side.
+def _unreachable(n: int, m: int, tail: list[int], head: list[int]) -> frozenset[int]:
+    """reachability_check on the compact arcs of compact_arcs: the control
+    arcs' heads are the control-fed states, and the state arcs leaving nu_j
+    (contiguous, as tails are sorted) point to the states a_j points to."""
+    first = [bisect_left(tail, t) for t in range(1, m + n + 2)]  # first arc leaving node t
+    mu = m + n  # mu_i is mu + i
+    sources = [h - mu for h in head[first[0]:first[m]]]
+    out = [()] + [[h - mu for h in head[first[t - 1]:first[t]]] for t in range(m + 1, m + n + 1)]
+    return unreachable_states(n, sources, out)
 
-    With infinite middle arcs that subset always violates the counting
-    condition; ConsistencyError is raised if it does not (a cut that is not
-    the source side of a witness-mode min cut for (k, q)).
-    """
-    subset = frozenset(j for j in range(1, g.n_state + 1) if ("mu", j) not in cut)
-    if core_condition_holds(g, k, q, subset)[0]:
+
+def _sink_side_states(res: Residual, n: int, m: int, sink_side) -> tuple[frozenset[int], int, int]:
+    """The states whose right copy mu_j lies on the sink side of a cut of the
+    compact residual res, with their numbers of state and control
+    in-neighbours.  The edges leaving mu_j are the reverses of the arcs into
+    it, whose heads are its in-neighbours (lam_c is c, nu_i is m+i), and its
+    arc to the sink."""
+    mu = m + n
+    subset = frozenset(j for j in range(1, n + 1) if sink_side[mu + j])
+    left = {res.head[e] for j in subset for e in res.adj[mu + j]}
+    left.discard(len(res.adj) - 1)
+    beta = sum(1 for u in left if u <= m)
+    return subset, len(left) - beta, beta
+
+
+def _violation(n: int, k: int, q: int, subset, alpha: int, beta: int) -> tuple[int, int]:
+    """Both sides of the counting condition for a cut-derived subset, which
+    must violate it; ConsistencyError is raised if it does not (a cut that is
+    not the source side of a witness-mode min cut for (k, q))."""
+    lhs, rhs = counting_sides(n, k, q, len(subset), alpha, beta)
+    if lhs >= rhs:
         raise ConsistencyError("cut-derived subset satisfies the counting condition; "
                                "the cut is not a witness-mode min cut")
+    return lhs, rhs
+
+
+def witness_from_cut(g: Digraph, k: int, q: int, cut) -> frozenset[int]:
+    """Read a violating subset off a witness-mode min cut given by node names
+    (min_cut of build_small_network): the state nodes whose right copies sit
+    on the sink side.
+
+    With infinite middle arcs that subset always violates the counting
+    condition; ConsistencyError is raised if it does not.
+    """
+    subset = frozenset(j for j in range(1, g.n_state + 1) if ("mu", j) not in cut)
+    ns = in_neighbor_sets(g, subset)
+    _violation(g.n_state, k, q, subset, len(ns.alpha_in), len(ns.beta_in))
     return subset
 
 
@@ -114,31 +155,38 @@ def compute_kstar(pattern: SparsityPattern) -> KStarResult:
     residual of the largest failing k below it.  Max-flow values do not
     depend on which maximum flow is found, so the trace is the same.
     """
-    g = to_digraph(pattern)
-    unreachable = reachability_check(g)
+    n, m = pattern.n, pattern.m
+    tail, head = compact_arcs(n, m, pattern.stars)
+    unreachable = _unreachable(n, m, tail, head)
     if unreachable:
         return KStarResult(None, Unreachable(unreachable))
-    n, m = pattern.n, pattern.m
     qbar = m * n + 1
     target = n * qbar
-    net = build_small_network(g, n - 1, qbar, witness_mode=True)
-    res = residual_graph(net)
-    if len({j for _, j in g.state_edges}) < n:
-        # A violation at (n-1, mn+1) needs n|alpha_in| < |V'| <= n, so the
-        # violating subset has no state in-neighbour.
+    cap = compact_capacity(n, m, tail, n - 1, qbar, witness_mode=True)
+    res = residual_arrays(m + 2 * n + 2, tail, head, cap)
+
+    def violating(k: int, theta: int) -> tuple[frozenset[int], int]:
+        subset, alpha, beta = _sink_side_states(res, n, m, residual_min_cut(res, theta))
+        _violation(n, k, qbar, subset, alpha, beta)
+        return subset, alpha
+
+    state_heads = head[bisect_left(tail, m + 1):len(tail) - n]
+    if len(set(state_heads)) < n:
+        # Some state has no state in-neighbour.  A violation at (n-1, mn+1)
+        # needs n|alpha_in| < |V'| <= n, so the violating subset has none.
         theta = augment(res)
-        subset = witness_from_cut(g, n - 1, qbar, residual_min_cut(net, res, theta))
+        subset, _ = violating(n - 1, theta)
         return KStarResult(None, EmptyAlphaIn(subset), ((n - 1, theta, target),))
-    shift_switch_count(res, net, -(n - 1))  # down to k = 0, still at zero flow
+    shift_switch_count(res, n, m, qbar, -(n - 1))  # down to k = 0, still at zero flow
     k, theta = 0, augment(res)
     failing = {}  # k -> (max-flow value, residual) for every k solved short of target
     while theta < target:
         failing[k] = (theta, res.copy())
-        subset = witness_from_cut(g, k, qbar, residual_min_cut(net, res, theta))
-        k_next = -(-len(subset) // len(in_neighbor_sets(g, subset).alpha_in)) - 1
+        subset, alpha = violating(k, theta)
+        k_next = -(-len(subset) // alpha) - 1
         if k_next <= k:
             raise ConsistencyError(f"kstar ascent stalled at k={k}")
-        shift_switch_count(res, net, k_next - k)
+        shift_switch_count(res, n, m, qbar, k_next - k)
         theta += augment(res)
         k = k_next
     trace = [(n - 1, target, target)]
@@ -153,7 +201,7 @@ def compute_kstar(pattern: SparsityPattern) -> KStarResult:
             below = max(j for j in failing if j < mid)
             theta_below, res_below = failing[below]
             res_mid = res_below.copy()
-            shift_switch_count(res_mid, net, mid - below)
+            shift_switch_count(res_mid, n, m, qbar, mid - below)
             failing[mid] = (theta_below + augment(res_mid), res_mid)
         theta_mid = failing[mid][0]
         if theta_mid >= target:

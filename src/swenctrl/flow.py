@@ -10,6 +10,11 @@ Two constructions share the layout source -> left -> right -> sink:
   its k+1 (and, for state copies, q) layers, every right node into its q
   copies, and all capacities collapse to 1.
 
+The compact network's arcs are built as flat int lists straight from a
+pattern's stars (compact_arcs, compact_capacity); the decision procedures
+solve on those, and only build_small_network adds the node names, for
+export, the flow transfer maps and the referees.
+
 Every solve runs one augmenting core (augment) on a Residual, which callers
 may keep: max_flow starts it from zero flow, and compute_kstar raises a
 compact network's switch count in place (shift_switch_count) and augments
@@ -21,7 +26,10 @@ transfer along phi in both directions with their value preserved.
 
 from __future__ import annotations
 
+import json
+from bisect import bisect_left
 from collections import Counter, deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -74,26 +82,68 @@ def _check_kq(k: int, q: int) -> None:
         raise ValueError("ensemble size q must be >= 1")
 
 
-def build_small_network(g: Digraph, k: int, q: int, witness_mode: bool = False) -> FlowNetwork:
-    """Compact network with 2n+m+2 nodes and 2n+m+|E| arcs.
+def compact_arcs(n: int, m: int, stars) -> tuple[list[int], list[int]]:
+    """Tail and head ids of the compact network's arcs, in construction
+    order, for the stars (row, column) of an n x (n+m) pattern.
 
-    Node ids: lam_i is i, nu_j is m+j, mu_j is m+n+j.  In witness mode every
-    left-to-right capacity is replaced by the total source capacity + 1,
-    which leaves the max-flow value unchanged (each left node is already
-    throttled by its single source arc) but forces every min cut onto the
-    source and sink arcs, where a violating subset can be read off directly.
-    Raises ScaleError when the total source capacity, which bounds every
-    flow value, does not fit in 63 bits.
+    Node ids: the source is 0, lam_c is c, nu_j is m+j, mu_i is m+n+i and the
+    sink m+2n+1.  The arcs are: one from the source to every left node, then
+    one per star, the control arcs lam_c -> mu_i sorted by (c, i) and the
+    state arcs nu_j -> mu_i sorted by (j, i), then one from every right node
+    to the sink; the tails are therefore nondecreasing.  The star (i, j)
+    becomes the int key n*j + i - 1; sorted, the keys list the state
+    columns' stars and then the input columns' stars, each by (column, row).
+    """
+    keys = sorted([n * j + i - 1 for i, j in stars])
+    split = bisect_left(keys, n * (n + 1))  # first star in an input column
+    control, state = keys[split:], keys[:split]
+    mu = n + m + 1  # id of mu_1
+    tail = [0] * (n + m)
+    tail += [key // n - n for key in control]
+    tail += [key // n + m for key in state]
+    tail += range(mu, mu + n)
+    head = list(range(1, mu))
+    head += [key % n + mu for key in control]
+    head += [key % n + mu for key in state]
+    head += [mu + n] * n
+    return tail, head
+
+
+def compact_capacity(n: int, m: int, tail: list[int], k: int, q: int,
+                     witness_mode: bool = False) -> list[int]:
+    """Capacities k+1 / q(k+1) / q of the compact arcs whose tails compact_arcs
+    gave, in the same order.
+
+    In witness mode every left-to-right capacity is replaced by the total
+    source capacity + 1, which leaves the max-flow value unchanged (each left
+    node is already throttled by its single source arc) but forces every min
+    cut onto the source and sink arcs, where a violating subset can be read
+    off directly.  Raises ScaleError when the total source capacity, which
+    bounds every flow value, does not fit in 63 bits.
     """
     _check_kq(k, q)
-    n, m = g.n_state, g.n_control
     kp1 = k + 1
     big = q * kp1
     source_total = m * kp1 + n * big  # bounds every flow value and every finite cut
     if source_total >= _INT64_MAX:
         raise ScaleError("total source capacity exceeds the 64-bit guard")
-    inf_cap = source_total + 1
-    sink = m + 2 * n + 1
+    control = bisect_left(tail, m + 1) - m - n
+    state = len(tail) - 2 * n - m - control
+    if witness_mode:
+        middle = [source_total + 1] * (control + state)
+    else:
+        middle = [kp1] * control + [big] * state
+    return [kp1] * m + [big] * n + middle + [q] * n
+
+
+def build_small_network(g: Digraph, k: int, q: int, witness_mode: bool = False) -> FlowNetwork:
+    """Compact network with 2n+m+2 nodes and 2n+m+|E| arcs, named for export:
+    the arcs of compact_arcs with the capacities of compact_capacity."""
+    n, m = g.n_state, g.n_control
+    stars = [(i, j) for j, i in g.state_edges]
+    stars += [(i, n + j) for j, i in g.control_edges]
+    tail, head = compact_arcs(n, m, stars)
+    capacity = compact_capacity(n, m, tail, k, q, witness_mode)
     nodes = (
         SOURCE,
         *(("lam", i) for i in range(1, m + 1)),
@@ -101,22 +151,8 @@ def build_small_network(g: Digraph, k: int, q: int, witness_mode: bool = False) 
         *(("mu", j) for j in range(1, n + 1)),
         SINK,
     )
-    control = [(i, m + n + j) for i, j in sorted(g.control_edges)]
-    state = [(m + i, m + n + j) for i, j in sorted(g.state_edges)]
-    arcs = (
-        [(0, v) for v in range(1, m + n + 1)]
-        + control
-        + state
-        + [(v, sink) for v in range(m + n + 1, sink)]
-    )
-    capacity = (
-        [kp1] * m
-        + [big] * n
-        + [inf_cap if witness_mode else kp1] * len(control)
-        + [inf_cap if witness_mode else big] * len(state)
-        + [q] * n
-    )
-    return FlowNetwork("small", n, m, k, q, witness_mode, nodes, tuple(arcs), tuple(capacity))
+    return FlowNetwork("small", n, m, k, q, witness_mode, nodes, tuple(zip(tail, head)),
+                       tuple(capacity))
 
 
 def build_lifted_network(g: Digraph, k: int, q: int) -> FlowNetwork:
@@ -178,35 +214,49 @@ class Residual:
         return Residual(self.head, self.adj, self.cap.copy())
 
 
+def residual_arrays(size: int, tail, head, capacity) -> Residual:
+    """Residual graph at zero flow of the network on nodes 0..size-1 with
+    arcs tail[a] -> head[a] of the given capacities."""
+    edges = 2 * len(tail)
+    res_head = [0] * edges
+    res_head[0::2] = head
+    res_head[1::2] = tail
+    cap = [0] * edges
+    cap[0::2] = capacity
+    adj: list[list[int]] = [[] for _ in range(size)]
+    e = 0
+    for u, v in zip(tail, head):
+        adj[u].append(e)
+        adj[v].append(e + 1)
+        e += 2
+    return Residual(res_head, adj, cap)
+
+
 def residual_graph(net: FlowNetwork, values=()) -> Residual:
     """Residual graph of net carrying the flow values (zero flow if empty)."""
-    head: list[int] = []
-    cap: list = []
-    adj: list[list[int]] = [[] for _ in net.nodes]
-    for (u, v), c in zip(net.arcs, net.capacity):
-        adj[u].append(len(head))
-        adj[v].append(len(head) + 1)
-        head += (v, u)
-        cap += (c, 0)
+    res = residual_arrays(len(net.nodes), [u for u, _ in net.arcs], [v for _, v in net.arcs],
+                          net.capacity)
+    cap = res.cap
     for a, x in enumerate(values):
         cap[2 * a] -= x
         cap[2 * a + 1] = x
-    return Residual(head, adj, cap)
+    return res
 
 
-def shift_switch_count(res: Residual, net: FlowNetwork, dk: int) -> None:
-    """Change the switch count of a compact network's residual res by dk,
-    keeping its flow: each lam source arc gains dk, each nu source arc q*dk.
+def shift_switch_count(res: Residual, n: int, m: int, q: int, dk: int) -> None:
+    """Change the switch count of the residual res of an n-state, m-input
+    compact network at ensemble size q by dk, keeping its flow: each lam
+    source arc gains dk, each nu source arc q*dk.
 
     The flow stays feasible while dk >= 0, since every other capacity is
     fixed; witness-mode middle capacities stay above the source total only
-    up to the switch count net was built with.
+    up to the switch count the network was built with.
     """
     cap = res.cap
-    for a in range(net.m):
+    for a in range(m):
         cap[2 * a] += dk
-    for a in range(net.m, net.m + net.n):
-        cap[2 * a] += net.q * dk
+    for a in range(m, m + n):
+        cap[2 * a] += q * dk
 
 
 def augment(res: Residual) -> int:
@@ -296,11 +346,11 @@ def verify_flow(net: FlowNetwork, f: FlowAssignment) -> bool:
     return all(b == 0 for b in balance[1:-1])
 
 
-def residual_min_cut(net: FlowNetwork, res: Residual, value) -> frozenset[Node]:
-    """Source side of the source-maximal minimum cut, as node names: every
-    node that cannot reach the sink in the residual graph res of net.
+def residual_min_cut(res: Residual, value) -> list[bool]:
+    """Sink side of the source-maximal minimum cut in the residual graph res:
+    entry v is True when node v can reach the sink.
 
-    The set is the same for every maximum flow.  Raises ConsistencyError
+    The cut is the same for every maximum flow.  Raises ConsistencyError
     when the cut capacity does not equal the flow value, i.e. when the flow
     in res is not maximal or its value is not value.
     """
@@ -323,7 +373,7 @@ def residual_min_cut(net: FlowNetwork, res: Residual, value) -> frozenset[Node]:
         raise ConsistencyError(
             f"cut capacity {cut_capacity} != flow value {value}; flow is not maximal"
         )
-    return frozenset(name for name, r in zip(net.nodes, reach_t) if not r)
+    return reach_t
 
 
 def min_cut(net: FlowNetwork, f: FlowAssignment) -> frozenset[Node]:
@@ -331,7 +381,8 @@ def min_cut(net: FlowNetwork, f: FlowAssignment) -> frozenset[Node]:
     flow, as node names; a saturated network yields the all-sink-arcs cut.
     Raises ConsistencyError when f is not maximal."""
     _check_values(net, f)
-    return residual_min_cut(net, residual_graph(net, f.values), f.value_total)
+    sink_side = residual_min_cut(residual_graph(net, f.values), f.value_total)
+    return frozenset(name for name, t in zip(net.nodes, sink_side) if not t)
 
 
 def phi_node(node: Node) -> Node:
@@ -420,6 +471,34 @@ def network_to_dict(net: FlowNetwork, flow: FlowAssignment | None = None) -> dic
         "nodes": names,
         "arcs": arcs,
     }
+
+
+def _flow_json_text(x) -> str:
+    value = _flow_json_value(x)
+    return f'"{value}"' if isinstance(value, str) else str(value)
+
+
+def network_json(net: FlowNetwork, flow: FlowAssignment) -> Iterator[str]:
+    """The text json.dumps(obj, indent=2, sort_keys=True) gives for obj =
+    network_to_dict(net, flow) plus the flow value under "value", in pieces
+    of at most one arc or node, so that a dump never holds the text or the
+    dicts of all arcs at once.  (A network has at least one node and arc, so
+    no array prints as [].)"""
+    names = [json.dumps(node_name(v)) for v in net.nodes]
+    yield '{\n  "arcs": ['
+    sep = "\n"
+    for (u, v), cap, x in zip(net.arcs, net.capacity, flow.values):
+        yield (f'{sep}    {{\n      "cap": {cap},\n      "flow": {_flow_json_text(x)},\n'
+               f'      "from": {names[u]},\n      "to": {names[v]}\n    }}')
+        sep = ",\n"
+    yield (f'\n  ],\n  "k": {net.k},\n  "kind": {json.dumps(net.kind)},\n  "m": {net.m},\n'
+           f'  "n": {net.n},\n  "nodes": [')
+    sep = "\n"
+    for name in names:
+        yield f"{sep}    {name}"
+        sep = ",\n"
+    yield (f'\n  ],\n  "q": {net.q},\n  "value": {_flow_json_text(flow.value_total)},\n'
+           f'  "witness_mode": {json.dumps(net.witness_mode)}\n}}')
 
 
 def network_to_dot(net: FlowNetwork, flow: FlowAssignment | None = None) -> str:

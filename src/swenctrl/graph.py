@@ -80,39 +80,56 @@ def in_neighbor_sets(g: Digraph, subset) -> NeighborSets:
     return NeighborSets(alpha, beta)
 
 
+def unreachable_states(n: int, sources, out) -> frozenset[int]:
+    """States among 1..n that no directed path from the states in sources
+    reaches, where out[j] lists the states that a_j points to."""
+    seen = [False] * (n + 1)
+    queue = deque()
+    for i in sources:
+        if not seen[i]:
+            seen[i] = True
+            queue.append(i)
+    while queue:
+        for v in out[queue.popleft()]:
+            if not seen[v]:
+                seen[v] = True
+                queue.append(v)
+    return frozenset(i for i in range(1, n + 1) if not seen[i])
+
+
 def reachability_check(g: Digraph) -> frozenset[int]:
     """Return the state nodes with no directed path from any control node
     (empty means every state node is reachable)."""
-    out: dict[int, list[int]] = {j: [] for j in range(1, g.n_state + 1)}
+    out: list[list[int]] = [[] for _ in range(g.n_state + 1)]
     for j, i in g.state_edges:
         out[j].append(i)
-    seen = {i for _, i in g.control_edges}
-    queue = deque(sorted(seen))
-    while queue:
-        u = queue.popleft()
-        for v in out[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return frozenset(range(1, g.n_state + 1)) - seen
+    return unreachable_states(g.n_state, (i for _, i in g.control_edges), out)
 
 
-def _check_kq(g: Digraph, k: int, q: int) -> None:
+def _check_kq(n: int, k: int, q: int) -> None:
     if not isinstance(k, int) or k < 0:
         raise ValueError("switch count k must be an integer >= 0")
     if not isinstance(q, int) or q < 1:
         raise ValueError("ensemble size q must be an integer >= 1")
-    if k + 1 > _KQ_LIMIT or q > _KQ_LIMIT or (k + 1) * q * max(g.n_state, 1) > _INT64_MAX:
+    if k + 1 > _KQ_LIMIT or q > _KQ_LIMIT or (k + 1) * q * max(n, 1) > _INT64_MAX:
         raise ScaleError("(k+1)*q*n exceeds the 64-bit capacity guard")
+
+
+def counting_sides(n: int, k: int, q: int, size: int, alpha: int, beta: int) -> tuple[int, int]:
+    """Both sides (k+1)beta + (k+1)q alpha and q size of the counting
+    condition for a subset of size of the n states with alpha state and beta
+    control in-neighbours."""
+    _check_kq(n, k, q)
+    return (k + 1) * beta + (k + 1) * q * alpha, q * size
 
 
 def core_condition_holds(g: Digraph, k: int, q: int, subset) -> tuple[bool, int, int]:
     """Evaluate (k+1)|beta_in| + (k+1)q|alpha_in| >= q|subset| for one subset;
     returns (holds, lhs, rhs)."""
-    _check_kq(g, k, q)
+    _check_kq(g.n_state, k, q)
     ns = in_neighbor_sets(g, subset)
-    lhs = (k + 1) * len(ns.beta_in) + (k + 1) * q * len(ns.alpha_in)
-    rhs = q * len(frozenset(subset))
+    lhs, rhs = counting_sides(g.n_state, k, q, len(frozenset(subset)), len(ns.alpha_in),
+                              len(ns.beta_in))
     return lhs >= rhs, lhs, rhs
 
 
@@ -164,7 +181,7 @@ def counting_violation(g: Digraph, k: int, q: int) -> tuple[frozenset[int], int,
     Returns (subset, lhs, rhs) for the violation with the smallest rhs-lhs gap
     (ties: smallest bitmask), or None when every subset satisfies it.
     """
-    _check_kq(g, k, q)
+    _check_kq(g.n_state, k, q)
     if g.n_state > MAX_BRUTE_STATES:
         raise ScaleError(
             f"n = {g.n_state} exceeds the 2^{MAX_BRUTE_STATES} enumeration guard; "
@@ -190,7 +207,7 @@ def brute_force_check(g: Digraph, k: int, q: int) -> Verdict:
     """Exhaustive verification: reachability plus the counting condition over
     all 2^n subsets.  Guarded at n <= 24."""
     t0 = perf_counter()
-    _check_kq(g, k, q)
+    _check_kq(g.n_state, k, q)
     if g.n_state > MAX_BRUTE_STATES:
         raise ScaleError(
             f"n = {g.n_state} exceeds the 2^{MAX_BRUTE_STATES} enumeration guard; "

@@ -60,9 +60,13 @@ def parse_pattern(text: str, fmt: str = "grid") -> SparsityPattern:
     raise ValueError(f"unknown pattern format {fmt!r} (expected 'grid' or 'json')")
 
 
+_GRID_TOKENS = frozenset(("0", "*"))
+
+
 def _parse_grid(text: str) -> SparsityPattern:
     n = m = None
-    rows: list[list[str]] = []
+    rows = 0
+    stars: list[tuple[int, int]] = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -80,25 +84,25 @@ def _parse_grid(text: str) -> SparsityPattern:
             if m < 0:
                 raise ParseError(f"line {ln}: input count m must be >= 0")
             continue
-        if len(rows) == n:
+        if rows == n:
             raise ParseError(f"line {ln}: expected exactly {n} pattern rows, found an extra row")
         if len(toks) != n + m:
             raise ParseError(f"line {ln}: expected {n + m} tokens, got {len(toks)}")
-        for col, tok in enumerate(toks, start=1):
-            if tok not in ("0", "*"):
-                raise ParseError(f"line {ln}, column {col}: unknown token {tok!r}")
-        rows.append(toks)
+        if not _GRID_TOKENS.issuperset(toks):
+            for col, tok in enumerate(toks, start=1):
+                if tok not in _GRID_TOKENS:
+                    raise ParseError(f"line {ln}, column {col}: unknown token {tok!r}")
+        rows += 1
+        cells = "".join(toks)  # one character per column
+        col = cells.find("*")
+        while col >= 0:
+            stars.append((rows, col + 1))
+            col = cells.find("*", col + 1)
     if n is None:
         raise ParseError("missing header line 'n m'")
-    if len(rows) != n:
-        raise ParseError(f"expected {n} pattern rows, got {len(rows)}")
-    stars = frozenset(
-        (i, j)
-        for i, row in enumerate(rows, start=1)
-        for j, tok in enumerate(row, start=1)
-        if tok == "*"
-    )
-    return SparsityPattern(n, m, stars)
+    if rows != n:
+        raise ParseError(f"expected {n} pattern rows, got {rows}")
+    return SparsityPattern(n, m, frozenset(stars))
 
 
 def _parse_json(text: str) -> SparsityPattern:

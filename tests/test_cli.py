@@ -31,17 +31,17 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 CHILD_ADDRESS_SPACE = 1 << 30  # bytes; keeps an unguarded allocation from reaching the host
 
 
-def _limit_memory():
-    resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
-
-
-def run_cli_process(*argv):
+def run_cli_process(*argv, address_space=CHILD_ADDRESS_SPACE, stdout=subprocess.PIPE):
     """Run the CLI in a child process with a capped address space, so an
     uncaught exception shows up as a traceback on stderr."""
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-m", "swenctrl.cli", *argv],
-        capture_output=True, text=True, env=env, preexec_fn=_limit_memory, timeout=60,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, preexec_fn=limit_memory,
+        timeout=60,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -248,20 +248,27 @@ def test_exit_code_brute_enumeration_guard(tmp_path, capsys):
 
 
 CHECK_K0_Q1 = ("check", "--k", "0", "--q", "1")
+FIG2A_GRID = b"2 1\n0 0 *\n* 0 *\n"
 
 
-@pytest.mark.parametrize("content, argv, expected_code", [
-    (b'{"n": 100000000, "m": 1, "stars": [[1, 100000001]]}', CHECK_K0_Q1, 3),
-    (b'{"n": 1, "m": 100000000, "stars": [[1, 2]]}', CHECK_K0_Q1, 3),
-    (b"2 1\n0 0 *\n\xff 0 *\n", CHECK_K0_Q1, 2),
-    (b'{"n": ' + b"[" * 200_000 + b"]" * 200_000 + b"}", CHECK_K0_Q1, 2),
+@pytest.mark.parametrize("content, argv, expected_code, address_space", [
+    (b'{"n": 100000000, "m": 1, "stars": [[1, 100000001]]}', CHECK_K0_Q1, 3, CHILD_ADDRESS_SPACE),
+    (b'{"n": 1, "m": 100000000, "stars": [[1, 2]]}', CHECK_K0_Q1, 3, CHILD_ADDRESS_SPACE),
+    (b"2 1\n0 0 *\n\xff 0 *\n", CHECK_K0_Q1, 2, CHILD_ADDRESS_SPACE),
+    (b'{"n": ' + b"[" * 200_000 + b"]" * 200_000 + b"}", CHECK_K0_Q1, 2, CHILD_ADDRESS_SPACE),
     # FIG2A: 3M left nodes pass a left-layer bound, 3M middle arcs must not
-    (b"2 1\n0 0 *\n* 0 *\n", ("flowdump", "--k", "1000000", "--q", "1", "--lifted"), 3),
-], ids=["oversized-n", "oversized-m", "non-utf8", "deep-nesting", "lifted-arcs"])
-def test_hostile_input_exit_code_without_traceback(tmp_path, content, argv, expected_code):
+    (FIG2A_GRID, ("flowdump", "--k", "1000000", "--q", "1", "--lifted"), 3, CHILD_ADDRESS_SPACE),
+    # 300k lifted arcs: solving fits in 160 MiB, but the JSON dump of all
+    # arcs as dicts and one string needed more than 384 MiB
+    (FIG2A_GRID, ("flowdump", "--k", "50000", "--q", "1", "--lifted"), 0, 256 << 20),
+], ids=["oversized-n", "oversized-m", "non-utf8", "deep-nesting", "lifted-arcs",
+        "flowdump-json-lifted"])
+def test_hostile_input_exit_code_without_traceback(tmp_path, content, argv, expected_code,
+                                                   address_space):
     path = tmp_path / "hostile.pat"
     path.write_bytes(content)
-    code, _, err = run_cli_process(argv[0], str(path), *argv[1:])
+    code, _, err = run_cli_process(argv[0], str(path), *argv[1:], address_space=address_space,
+                                   stdout=subprocess.DEVNULL)
     assert code == expected_code, err
     assert "Traceback" not in err
 

@@ -4,6 +4,7 @@ import pytest
 from helpers import FIG1, FIG2A, INTEGRATOR, TWO_CYCLE, hub_pattern, reference_kstar
 
 import swenctrl.decide
+import swenctrl.graph
 from swenctrl.decide import (
     check_structural,
     compute_kstar,
@@ -14,7 +15,7 @@ from swenctrl.decide import (
 )
 from swenctrl.errors import ConsistencyError, ScaleError
 from swenctrl.flow import augment, build_small_network, max_flow, min_cut, residual_min_cut
-from swenctrl.graph import core_condition_holds, kstar_brute, to_digraph
+from swenctrl.graph import brute_force_check, core_condition_holds, kstar_brute, to_digraph
 from swenctrl.pattern import SparsityPattern, random_pattern
 from swenctrl.results import (
     EmptyAlphaIn,
@@ -356,3 +357,29 @@ def test_verdict_json_shape():
             "q": 3,
         },
     }
+
+
+def test_check_and_kstar_never_build_the_named_network(monkeypatch):
+    patterns = [FIG1, FIG2A, TWO_CYCLE, INTEGRATOR, hub_pattern(64)]
+    for seed in range(40):
+        rng = random.Random(seed)
+        patterns.append(random_pattern(rng.randint(1, 8), rng.randint(0, 3), rng.random(), seed))
+    grid = [(k, q) for k in range(3) for q in (1, 2, 3)]
+
+    def answers(p):
+        verdicts = [check_structural(p, k, q) for k, q in grid]
+        return [(v.decision, v.certificate) for v in verdicts], compute_kstar(p)
+
+    expected = [answers(p) for p in patterns]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the decision path built the named network")
+
+    for name in ("to_digraph", "build_small_network", "in_neighbor_sets"):
+        monkeypatch.setattr(swenctrl.decide, name, forbidden)
+    for p, before in zip(patterns, expected):
+        assert answers(p) == before
+    for p in patterns[5:]:  # the random ones, against the referees
+        g = swenctrl.graph.to_digraph(p)
+        assert [d for d, _ in answers(p)[0]] == [brute_force_check(g, k, q).decision for k, q in grid]
+        assert compute_kstar(p).value == kstar_brute(g).value

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 from fractions import Fraction
 
@@ -12,14 +13,19 @@ from swenctrl.flow import (
     FlowAssignment,
     build_lifted_network,
     build_small_network,
+    compact_arcs,
+    compact_capacity,
     lift_flow,
     max_flow,
     min_cut,
+    network_json,
     network_to_dict,
     network_to_dot,
     phi_arc,
     phi_node,
     project_flow,
+    residual_arrays,
+    residual_graph,
     verify_flow,
 )
 from swenctrl.graph import to_digraph
@@ -343,3 +349,58 @@ def test_network_to_dict_and_dot():
     obj2 = network_to_dict(lifted, f_up)
     fractional = [a["flow"] for a in obj2["arcs"] if isinstance(a["flow"], str)]
     assert fractional, "lifted flows carry non-integral rationals"
+
+
+def tuple_sorted_arcs(g):
+    """The compact network's arcs in the construction order, by sorting the
+    edge tuples: source arcs, control arcs by (input, state), state arcs by
+    (tail, head), sink arcs."""
+    n, m = g.n_state, g.n_control
+    sink = m + 2 * n + 1
+    return (
+        [(0, v) for v in range(1, m + n + 1)]
+        + [(i, m + n + j) for i, j in sorted(g.control_edges)]
+        + [(m + i, m + n + j) for i, j in sorted(g.state_edges)]
+        + [(v, sink) for v in range(m + n + 1, sink)]
+    )
+
+
+def test_one_arc_order_named_and_int_core():
+    for seed in range(300):
+        rng = random.Random(seed)
+        p = random_pattern(rng.randint(1, 12), rng.randint(0, 3), rng.random(), seed)
+        g = to_digraph(p)
+        tail, head = compact_arcs(p.n, p.m, p.stars)
+        assert list(zip(tail, head)) == tuple_sorted_arcs(g), seed
+        for k in range(3):
+            for q in (1, 2, 5):
+                for witness_mode in (False, True):
+                    named = residual_graph(build_small_network(g, k, q, witness_mode))
+                    cap = compact_capacity(p.n, p.m, tail, k, q, witness_mode)
+                    core = residual_arrays(p.m + 2 * p.n + 2, tail, head, cap)
+                    assert (named.head, named.adj, named.cap) == (core.head, core.adj, core.cap)
+
+
+def test_network_json_matches_json_dumps():
+    def reference(net, f):
+        obj = network_to_dict(net, f)
+        v = f.value_total
+        obj["value"] = v.numerator if v.denominator == 1 else str(v)
+        return json.dumps(obj, indent=2, sort_keys=True)
+
+    nets = []
+    for seed in range(20):
+        rng = random.Random(seed)
+        g = to_digraph(random_pattern(rng.randint(1, 5), rng.randint(0, 2), rng.random(), seed))
+        k, q = rng.randint(0, 2), rng.randint(1, 3)
+        small = build_small_network(g, k, q)
+        f = max_flow(small)
+        lifted = build_lifted_network(g, k, q)
+        nets += [(small, f), (build_small_network(g, k, q, True), None),
+                 (lifted, max_flow(lifted)), (lifted, lift_flow(f, small, lifted))]
+    fractional = 0
+    for net, f in nets:
+        f = f or max_flow(net)
+        fractional += any(isinstance(x, Fraction) and x.denominator > 1 for x in f.values)
+        assert "".join(network_json(net, f)) == reference(net, f)
+    assert fractional

@@ -1,5 +1,9 @@
+import json
+
 import pytest
 from helpers import FIG1, FIG2A, INTEGRATOR
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swenctrl.errors import ParseError, ScaleError
 from swenctrl.graph import to_digraph
@@ -228,3 +232,82 @@ def test_sample_instance_integrator_forced_support():
 def test_instance_rejects_nonconforming_entries():
     with pytest.raises(ValueError, match="zero-entry"):
         EnsembleInstance(INTEGRATOR, 0, 1, {(1, 0): (((3,),), ((1,),))})
+
+
+VALID_TOKENS = st.sampled_from(["0", "*"])
+BAD_VALUES = st.one_of(st.integers(-2, 0), st.sampled_from([MAX_PATTERN_DIM, 10**20]),
+                       st.booleans(), st.floats(), st.text(max_size=2), st.none())
+
+
+@st.composite
+def grid_texts(draw):
+    """Valid grid text, or valid text with one defect: a bad header, a row
+    too many or too few, a token too many or an unknown token; blank and
+    comment lines in between."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(0, 3))
+    rows = [draw(st.lists(VALID_TOKENS, min_size=n + m, max_size=n + m)) for _ in range(n)]
+    header = f"{n} {m}"
+    defect = draw(st.sampled_from(["none", "none", "header", "extra row", "missing row",
+                                   "extra token", "unknown token"]))
+    row = draw(st.integers(0, n - 1))
+    if defect == "header":
+        header = draw(st.one_of(st.sampled_from([f"{n}", f"0 {m}", f"{n} -1", f"{n} {m} 1"]),
+                                st.text(max_size=6)))
+    elif defect == "extra row":
+        rows.append(rows[row])
+    elif defect == "missing row":
+        del rows[row]
+    elif defect == "extra token":
+        rows[row].append("0")
+    elif defect == "unknown token" and n + m:
+        rows[row][draw(st.integers(0, n + m - 1))] = draw(st.sampled_from(["1", "x", "00", "**"]))
+    lines = [header]
+    for tokens in rows:
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", "# comment", "   "])))
+        lines.append(" ".join(tokens))
+    return "\n".join(lines)
+
+
+@st.composite
+def json_texts(draw):
+    """Valid JSON pattern text, or valid text with one key missing or one
+    value of a wrong type or range, or an arbitrary JSON value."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(0, 3))
+    star = st.tuples(st.integers(1, n), st.integers(1, n + m)).map(list)
+    obj = {"n": n, "m": m, "stars": draw(st.lists(star, max_size=12))}
+    defect = draw(st.sampled_from(["none", "none", "n", "m", "stars", "entry", "missing key",
+                                   "other value"]))
+    if defect in ("n", "m", "stars"):
+        obj[defect] = draw(BAD_VALUES)
+    elif defect == "entry":
+        obj["stars"].append(draw(st.lists(st.one_of(st.integers(-1, 9), BAD_VALUES), max_size=3)))
+    elif defect == "missing key":
+        del obj[draw(st.sampled_from(["n", "m", "stars"]))]
+    elif defect == "other value":
+        obj = draw(st.recursive(
+            st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4)),
+            lambda inner: st.one_of(st.lists(inner, max_size=3),
+                                    st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+            max_leaves=8,
+        ))
+    return json.dumps(obj)
+
+
+def _parse_or_reject(text, fmt):
+    try:
+        return parse_pattern(text, fmt)
+    except (ParseError, ScaleError):
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(grid_texts(), json_texts(), st.text(max_size=40)))
+def test_fuzzed_text_parses_or_raises_parse_or_scale_error(text):
+    for fmt in ("grid", "json"):
+        p = _parse_or_reject(text, fmt)
+        if p is None:
+            continue
+        assert parse_pattern(serialize_pattern(p, "json"), "json") == p
+        if p.n * (p.n + p.m) <= 10_000:
+            assert parse_pattern(serialize_pattern(p, "grid"), "grid") == p
