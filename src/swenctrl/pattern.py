@@ -15,6 +15,7 @@ from .errors import ParseError, ScaleError
 
 MAX_PATTERN_DIM = 1 << 16  # guard on n+m of a pattern; lift_ensemble checks n*q before allocating
 MAX_GENERATED_N = 1 << 12  # guard on n in random_pattern
+MAX_SAMPLE_CELLS = 1 << 18  # guard on the matrix entries sample_instance allocates
 DEFAULT_VALUE_BOUND = 10007
 
 
@@ -240,20 +241,24 @@ def sample_instance(
         raise ValueError("ensemble size q must be >= 1")
     if value_bound < 2:
         raise ValueError("value_bound must be >= 2")
-    rng = random.Random(seed)
     n, m = pattern.n, pattern.m
+    cells = q * (k + 1) * n * (n + m)
+    if cells > MAX_SAMPLE_CELLS:
+        raise ScaleError(
+            f"q*(k+1)*n*(n+m) = {cells} matrix entries exceed the sampling guard {MAX_SAMPLE_CELLS}"
+        )
+    rng = random.Random(seed)
+    stars = sorted(pattern.stars)  # row-major, the order of the draws
     blocks = {}
     for p in range(1, q + 1):
         for ell in range(k + 1):
             a = [[0] * n for _ in range(n)]
             b = [[0] * m for _ in range(n)]
-            for i in range(1, n + 1):
-                for j in range(1, n + m + 1):
-                    if (i, j) in pattern.stars:
-                        v = rng.randint(1, value_bound)
-                        if j <= n:
-                            a[i - 1][j - 1] = v
-                        else:
-                            b[i - 1][j - n - 1] = v
+            for i, j in stars:
+                v = rng.randint(1, value_bound)
+                if j <= n:
+                    a[i - 1][j - 1] = v
+                else:
+                    b[i - 1][j - n - 1] = v
             blocks[(p, ell)] = (tuple(map(tuple, a)), tuple(map(tuple, b)))
     return EnsembleInstance(pattern, k, q, blocks)

@@ -1,5 +1,7 @@
 """Shared fixtures: worked-example patterns, a random feasible-flow builder,
-and the cold binary search for k* that compute_kstar must reproduce."""
+the cold binary search for k* that compute_kstar must reproduce, and the
+literal references for the numerical referee (Bareiss rank over every power
+column, sampling by a scan of every pattern cell)."""
 
 from __future__ import annotations
 
@@ -9,7 +11,8 @@ from fractions import Fraction
 from swenctrl.decide import witness_from_cut
 from swenctrl.flow import FlowAssignment, FlowNetwork, build_small_network, max_flow, min_cut
 from swenctrl.graph import reachability_check, to_digraph
-from swenctrl.pattern import SparsityPattern
+from swenctrl.oracle import assemble_segment
+from swenctrl.pattern import DEFAULT_VALUE_BOUND, EnsembleInstance, SparsityPattern
 from swenctrl.results import EmptyAlphaIn, KStarResult, Unreachable
 
 # 5-state, 2-input example: a chain fed by two inputs.
@@ -112,3 +115,76 @@ def random_feasible_flow(net: FlowNetwork, seed: int, rounds: int = 30) -> FlowA
             values[a] += push
     total = sum(x for (u, _), x in zip(net.arcs, values) if u == 0)
     return FlowAssignment(tuple(values), total)
+
+
+def exact_rank(vectors) -> int:
+    """Rank of the span of integer vectors by fraction-free (Bareiss)
+    elimination; exact, no tolerance."""
+    rows = [list(v) for v in vectors if any(v)]
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    rank = 0
+    prev = 1
+    for c in range(ncols):
+        piv = None
+        for r in range(rank, len(rows)):
+            if rows[r][c] != 0:
+                piv = r
+                break
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        pivot_row = rows[rank]
+        p = pivot_row[c]
+        for r in range(rank + 1, len(rows)):
+            row = rows[r]
+            f = row[c]
+            for j in range(c + 1, ncols):
+                row[j] = (p * row[j] - f * pivot_row[j]) // prev
+            row[c] = 0
+        prev = p
+        rank += 1
+        if rank == min(len(rows), ncols):
+            break
+    return rank
+
+
+def literal_mode_span_rank(instance: EnsembleInstance, include_d0: bool) -> int:
+    """mode_span rank from its definition: exact_rank of every column of
+    A[ell]^d B[ell] over all segments ell, for d in 0..qn (1..qn without
+    include_d0), the range controllability_rank reports as d_range_used."""
+    dim = instance.pattern.n * instance.q
+    vectors = []
+    for ell in range(instance.k + 1):
+        a, b = assemble_segment(instance, ell)
+        nonzeros = [[(j, x) for j, x in enumerate(row) if x] for row in a]
+        powers = [[[b[r][c] for r in range(dim)] for c in range(instance.pattern.m)]]
+        for _ in range(dim):
+            powers.append([[sum(x * v[j] for j, x in row) for row in nonzeros] for v in powers[-1]])
+        for cols in powers[0 if include_d0 else 1:]:
+            vectors.extend(cols)
+    return exact_rank(vectors)
+
+
+def sample_blocks_by_scan(pattern: SparsityPattern, k: int, q: int, seed: int,
+                          value_bound: int = DEFAULT_VALUE_BOUND) -> dict:
+    """The blocks sample_instance must draw, by a row-major scan of all
+    n(n+m) cells of every (subsystem, segment) block."""
+    rng = random.Random(seed)
+    n, m = pattern.n, pattern.m
+    blocks = {}
+    for p in range(1, q + 1):
+        for ell in range(k + 1):
+            a = [[0] * n for _ in range(n)]
+            b = [[0] * m for _ in range(n)]
+            for i in range(1, n + 1):
+                for j in range(1, n + m + 1):
+                    if (i, j) in pattern.stars:
+                        v = rng.randint(1, value_bound)
+                        if j <= n:
+                            a[i - 1][j - 1] = v
+                        else:
+                            b[i - 1][j - n - 1] = v
+            blocks[(p, ell)] = (tuple(map(tuple, a)), tuple(map(tuple, b)))
+    return blocks

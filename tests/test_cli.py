@@ -261,8 +261,12 @@ FIG2A_GRID = b"2 1\n0 0 *\n* 0 *\n"
     # 300k lifted arcs: solving fits in 160 MiB, but the JSON dump of all
     # arcs as dicts and one string needed more than 384 MiB
     (FIG2A_GRID, ("flowdump", "--k", "50000", "--q", "1", "--lifted"), 0, 256 << 20),
+    # q*n = 20 passes the oracle's rank guard, but 2*10^8 segment blocks
+    # must be refused before they are sampled
+    (serialize_pattern(hub_pattern(10)).encode(),
+     ("oracle", "--k", "100000000", "--q", "2", "--seed", "1", "--trials", "1"), 3, 256 << 20),
 ], ids=["oversized-n", "oversized-m", "non-utf8", "deep-nesting", "lifted-arcs",
-        "flowdump-json-lifted"])
+        "flowdump-json-lifted", "oracle-huge-k"])
 def test_hostile_input_exit_code_without_traceback(tmp_path, content, argv, expected_code,
                                                    address_space):
     path = tmp_path / "hostile.pat"

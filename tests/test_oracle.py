@@ -1,19 +1,23 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
-from helpers import FIG1, FIG2A, INTEGRATOR, TWO_CYCLE
+from helpers import FIG1, FIG2A, INTEGRATOR, TWO_CYCLE, exact_rank, literal_mode_span_rank
 
+from swenctrl import oracle
 from swenctrl.decide import check_structural
 from swenctrl.errors import ScaleError
 from swenctrl.oracle import (
     assemble_segment,
     controllability_rank,
-    exact_rank,
     monte_carlo_controllable,
     oracle_agreement,
     reach_subspace,
 )
 from swenctrl.pattern import SparsityPattern, random_pattern, sample_instance
+
+GOLDEN_RANKS = Path(__file__).parent / "golden" / "oracle_ranks.json"
 
 
 def test_exact_rank_basics():
@@ -99,6 +103,69 @@ def test_rank_monotone_in_d_range():
         prev_rank = rank
         cols0 = [[sum(a0[i][j] * v[j] for j in range(dim)) for i in range(dim)] for v in cols0]
         cols1 = [[sum(a1[i][j] * v[j] for j in range(dim)) for i in range(dim)] for v in cols1]
+
+
+def test_mode_span_matches_literal_rank():
+    # The Krylov span must give the rank of every literal power column, full
+    # or deficient; small value bounds make coincidental deficiency common.
+    rng = random.Random(5)
+    deficient = 0
+    for t in range(600):
+        n = rng.randint(1, 8)
+        m = rng.randint(0, 3)
+        density = 0.0 if t % 25 == 0 else rng.random()
+        pattern = random_pattern(n, m, density, rng.randrange(1 << 30))
+        k = rng.randint(0, 2)
+        q = rng.randint(1, 32 // n)
+        inst = sample_instance(pattern, k, q, seed=rng.randrange(1 << 30),
+                               value_bound=rng.choice((2, 3, 10007)))
+        reports = {d0: controllability_rank(inst, include_d0=d0) for d0 in (True, False)}
+        for include_d0, report in reports.items():
+            assert report.d_range_used == (0 if include_d0 else 1, n * q)
+            assert report.rank == literal_mode_span_rank(inst, include_d0), (t, include_d0)
+            assert report.controllable == (report.rank == n * q)
+        deficient += not reports[True].controllable
+    assert deficient >= 200
+
+
+def test_oracle_ranks_match_golden():
+    # Ranks of both criteria, with and without d = 0, over 200 seeded
+    # instances; the mode_span ranks were computed by Bareiss elimination of
+    # every literal power column.
+    cases = json.loads(GOLDEN_RANKS.read_text())["cases"]
+    assert len(cases) == 200
+    for case in cases:
+        pattern = SparsityPattern(case["n"], case["m"], frozenset(map(tuple, case["stars"])))
+        inst = sample_instance(pattern, case["k"], case["q"], seed=case["seed"],
+                               value_bound=case["value_bound"])
+        for key, expected in case["ranks"].items():
+            criterion, d0 = key.split("/")
+            report = controllability_rank(inst, criterion=criterion, include_d0=d0 == "d0")
+            assert [report.rank, report.controllable] == expected, (case["name"], key)
+
+
+def test_mode_span_products_per_segment(monkeypatch):
+    # Deflation multiplies each new basis row once: at most qn products per
+    # segment, where the literal power range needs m * qn.
+    per_segment = []
+    assemble, matvec = oracle.assemble_segment, oracle._matvec
+
+    def counting_assemble(instance, ell):
+        per_segment.append(0)
+        return assemble(instance, ell)
+
+    def counting_matvec(*args):
+        per_segment[-1] += 1
+        return matvec(*args)
+
+    monkeypatch.setattr(oracle, "assemble_segment", counting_assemble)
+    monkeypatch.setattr(oracle, "_matvec", counting_matvec)
+    k, q = 1, 3
+    qn = FIG1.n * q
+    for seed in range(5):
+        per_segment.clear()
+        oracle.controllability_rank(sample_instance(FIG1, k, q, seed=seed))
+        assert per_segment and max(per_segment) <= qn, per_segment
 
 
 def test_reach_subspace_fixpoint_invariant():

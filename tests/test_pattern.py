@@ -1,7 +1,8 @@
 import json
+import random
 
 import pytest
-from helpers import FIG1, FIG2A, INTEGRATOR
+from helpers import FIG1, FIG2A, INTEGRATOR, sample_blocks_by_scan
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -211,6 +212,19 @@ def test_sample_instance_support_and_determinism():
                 assert (a[i][j] != 0) == ((i + 1, j + 1) in FIG2A.stars)
             for c in range(m):
                 assert (b[i][c] != 0) == ((i + 1, n + c + 1) in FIG2A.stars)
+
+
+def test_sample_instance_matches_cell_scan():
+    # Walking the sorted stars draws the same values, in the same order, as
+    # scanning every cell row-major.
+    rng = random.Random(12)
+    for _ in range(200):
+        n, m = rng.randint(1, 8), rng.randint(0, 3)
+        pattern = random_pattern(n, m, rng.random(), rng.randrange(1 << 30))
+        k, q, seed = rng.randint(0, 2), rng.randint(1, 3), rng.randrange(1 << 30)
+        value_bound = rng.choice((2, 3, 10007))
+        inst = sample_instance(pattern, k, q, seed, value_bound)
+        assert inst.blocks == sample_blocks_by_scan(pattern, k, q, seed, value_bound)
 
 
 def test_sample_instance_empty_pattern():
