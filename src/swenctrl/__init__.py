@@ -29,14 +29,12 @@ from .flow import (
     verify_flow,
 )
 from .graph import (
-    Digraph,
     NeighborSets,
     brute_force_check,
     core_condition_holds,
     in_neighbor_sets,
     kstar_brute,
     reachability_check,
-    to_digraph,
 )
 from .oracle import (
     RankReport,
@@ -58,7 +56,6 @@ from .results import KStarResult, Verdict
 __all__ = [
     "ConsistencyError",
     "CrosscheckReport",
-    "Digraph",
     "EnsembleInstance",
     "FlowAssignment",
     "FlowNetwork",
@@ -93,7 +90,6 @@ __all__ = [
     "recheck_certificate",
     "sample_instance",
     "serialize_pattern",
-    "to_digraph",
     "verify_flow",
     "witness_from_cut",
 ]

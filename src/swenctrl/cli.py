@@ -30,7 +30,7 @@ from .flow import (
     network_to_dot,
     residual_arrays,
 )
-from .graph import brute_force_check, to_digraph, to_dot
+from .graph import brute_force_check, to_dot
 from .oracle import CRITERIA, monte_carlo_controllable
 from .pattern import DEFAULT_VALUE_BOUND, SparsityPattern, parse_pattern, random_pattern
 from .results import kstar_to_dict, verdict_to_dict
@@ -66,62 +66,52 @@ def _emit(args, obj: dict, text_lines) -> None:
             print(line)
 
 
-def _require_seed_in_ci(args) -> None:
-    if os.environ.get(CI_ENV_VAR) and args.seed is None:
-        raise _UsageError(f"--seed is required when {CI_ENV_VAR} is set")
-
-
 def _seed_or_default(args) -> int:
     return 0 if args.seed is None else args.seed
 
 
-def _cmd_check(args) -> int:
+def _run_on_pattern(args) -> int:
+    """Load the pattern, let the subcommand compute its answer, then write
+    --dot-out and print.  The file is written only once the answer exists,
+    so a command that fails writes none."""
     pattern = _load_pattern(args.pattern)
-    verdict = check_structural(pattern, args.k, args.q)
+    obj, text_lines = args.answer(args, pattern)
     if args.dot_out:
         with open(args.dot_out, "w", encoding="utf-8") as fh:
-            fh.write(to_dot(to_digraph(pattern)))
+            fh.write(to_dot(pattern))
+    _emit(args, obj, text_lines)
+    return 0
+
+
+def _check(args, pattern: SparsityPattern):
+    verdict = check_structural(pattern, args.k, args.q)
     obj = verdict_to_dict(verdict)
-    _emit(args, obj, [
+    return obj, [
         f"decision: {verdict.decision}",
         f"theta: {verdict.stats.theta}  target: {verdict.stats.target}",
         f"certificate: {obj['certificate']}",
-    ])
-    return 0
+    ]
 
 
-def _cmd_brute(args) -> int:
-    pattern = _load_pattern(args.pattern)
-    verdict = brute_force_check(to_digraph(pattern), args.k, args.q)
-    if args.dot_out:
-        with open(args.dot_out, "w", encoding="utf-8") as fh:
-            fh.write(to_dot(to_digraph(pattern)))
+def _brute(args, pattern: SparsityPattern):
+    verdict = brute_force_check(pattern, args.k, args.q)
     obj = verdict_to_dict(verdict)
-    _emit(args, obj, [
+    return obj, [
         f"decision: {verdict.decision}",
         f"certificate: {obj['certificate']}",
-    ])
-    return 0
+    ]
 
 
-def _cmd_kstar(args) -> int:
-    pattern = _load_pattern(args.pattern)
-    result = compute_kstar(pattern)
-    if args.dot_out:
-        with open(args.dot_out, "w", encoding="utf-8") as fh:
-            fh.write(to_dot(to_digraph(pattern)))
-    obj = kstar_to_dict(result)
-    _emit(args, obj, [
+def _kstar(args, pattern: SparsityPattern):
+    obj = kstar_to_dict(compute_kstar(pattern))
+    return obj, [
         f"kstar: {obj['kstar']}",
         f"witness: {obj['witness']}",
         f"trace: {obj['trace']}",
-    ])
-    return 0
+    ]
 
 
-def _cmd_oracle(args) -> int:
-    _require_seed_in_ci(args)
-    pattern = _load_pattern(args.pattern)
+def _oracle(args, pattern: SparsityPattern):
     seed = _seed_or_default(args)
     controllable, successes = monte_carlo_controllable(
         pattern, args.k, args.q, args.trials, seed,
@@ -140,30 +130,25 @@ def _cmd_oracle(args) -> int:
         "value_bound": args.value_bound,
         "seed": seed,
     }
-    _emit(args, obj, [
+    return obj, [
         f"controllable: {controllable} ({successes}/{args.trials} full-rank samples)",
-    ])
-    return 0
+    ]
 
 
-def _cmd_crosscheck(args) -> int:
-    pattern = _load_pattern(args.pattern)
+def _crosscheck(args, pattern: SparsityPattern):
     report = crosscheck(pattern, args.kmax, args.qmax)
-    obj = crosscheck_to_dict(report)
-    _emit(args, obj, [
+    return crosscheck_to_dict(report), [
         f"cells: {len(report.cells)}  agree: {report.agree}",
         *report.disagreements,
-    ])
-    return 0
+    ]
 
 
 def _cmd_flowdump(args) -> int:
     pattern = _load_pattern(args.pattern)
-    g = to_digraph(pattern)
     if args.lifted:
-        net = build_lifted_network(g, args.k, args.q)
+        net = build_lifted_network(pattern, args.k, args.q)
     else:
-        net = build_small_network(g, args.k, args.q, witness_mode=args.witness_mode)
+        net = build_small_network(pattern, args.k, args.q, witness_mode=args.witness_mode)
     flow = max_flow(net)
     if args.dot_out:
         with open(args.dot_out, "w", encoding="utf-8") as fh:
@@ -260,7 +245,6 @@ def run_bench(nmin: int, nmax: int, density: float, seed: int,
 
 
 def _cmd_bench(args) -> int:
-    _require_seed_in_ci(args)
     if args.nmin < 1 or args.nmax < args.nmin:
         raise _UsageError("require 1 <= nmin <= nmax")
     result = run_bench(args.nmin, args.nmax, args.density, _seed_or_default(args),
@@ -277,11 +261,16 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _add_common(parser, pattern_arg: bool = True) -> None:
-    if pattern_arg:
-        parser.add_argument("pattern", help="pattern file (grid or JSON; JSON detected by a leading '{')")
+def _add_pattern_command(sub, name: str, help: str, answer) -> _Parser:
+    """A subcommand that answers one question about a pattern file:
+    answer(args, pattern) returns the JSON object and the text lines that
+    _run_on_pattern prints."""
+    parser = sub.add_parser(name, help=help)
+    parser.add_argument("pattern", help="pattern file (grid or JSON; JSON detected by a leading '{')")
     parser.add_argument("--output", choices=("json", "text"), default="json")
     parser.add_argument("--dot-out", default=None, help="write the pattern digraph as DOT")
+    parser.set_defaults(func=_run_on_pattern, answer=answer)
+    return parser
 
 
 def build_parser() -> _Parser:
@@ -289,24 +278,18 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("check", help="decide structural controllability for (k, q)")
-    _add_common(p)
+    p = _add_pattern_command(sub, "check", "decide structural controllability for (k, q)", _check)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("brute", help="force the subset-enumeration path (n <= 24)")
-    _add_common(p)
+    p = _add_pattern_command(sub, "brute", "force the subset-enumeration path (n <= 24)", _brute)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.set_defaults(func=_cmd_brute)
 
-    p = sub.add_parser("kstar", help="minimal switch count working for every ensemble size")
-    _add_common(p)
-    p.set_defaults(func=_cmd_kstar)
+    _add_pattern_command(sub, "kstar", "minimal switch count working for every ensemble size",
+                         _kstar)
 
-    p = sub.add_parser("oracle", help="random-realization controllability referee")
-    _add_common(p)
+    p = _add_pattern_command(sub, "oracle", "random-realization controllability referee", _oracle)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--trials", type=int, default=10)
@@ -315,13 +298,11 @@ def build_parser() -> _Parser:
     p.add_argument("--criterion", choices=CRITERIA, default="mode_span")
     p.add_argument("--include-d0", action=argparse.BooleanOptionalAction, default=True,
                    help="include the zeroth matrix power (disable for the literal 1..qn range)")
-    p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("crosscheck", help="flow vs. brute-force agreement over a (k, q) grid")
-    _add_common(p)
+    p = _add_pattern_command(sub, "crosscheck", "flow vs. brute-force agreement over a (k, q) grid",
+                             _crosscheck)
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--qmax", type=int, required=True)
-    p.set_defaults(func=_cmd_crosscheck)
 
     p = sub.add_parser("flowdump", help="emit a flow network (JSON and/or DOT), solved")
     p.add_argument("pattern")
@@ -352,6 +333,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if os.environ.get(CI_ENV_VAR) and getattr(args, "seed", 0) is None:
+            raise _UsageError(f"--seed is required when {CI_ENV_VAR} is set")
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -14,7 +14,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from time import perf_counter
 
 from .errors import ConsistencyError, ScaleError
 from .flow import (
@@ -24,20 +23,18 @@ from .flow import (
     build_small_network,
     compact_arcs,
     compact_capacity,
+    compact_unreachable,
     max_flow,
     residual_arrays,
     residual_min_cut,
     shift_switch_count,
 )
 from .graph import (
-    Digraph,
     brute_force_check,
     counting_sides,
     counting_violation,
     in_neighbor_sets,
     kstar_brute,
-    to_digraph,
-    unreachable_states,
 )
 from .pattern import SparsityPattern
 from .results import (
@@ -51,6 +48,9 @@ from .results import (
 )
 
 MAX_CROSSCHECK_STATES = 10
+# Each cell runs a check, two subset enumerations and two max-flows, the
+# expanded one growing with k*q; the grid's size is checked before any runs.
+MAX_CROSSCHECK_CELLS = 1 << 10
 
 
 def check_structural(pattern: SparsityPattern, k: int, q: int) -> Verdict:
@@ -65,35 +65,21 @@ def check_structural(pattern: SparsityPattern, k: int, q: int) -> Verdict:
         raise ValueError("switch count k must be an integer >= 0")
     if not isinstance(q, int) or q < 1:
         raise ValueError("ensemble size q must be an integer >= 1")
-    t0 = perf_counter()
     n, m = pattern.n, pattern.m
     target = n * q
     tail, head = compact_arcs(n, m, pattern.stars)
-    unreachable = _unreachable(n, m, tail, head)
+    unreachable = compact_unreachable(n, m, tail, head)
     if unreachable:
-        stats = VerdictStats(None, target, None, None, perf_counter() - t0)
-        return Verdict(False, Unreachable(unreachable), stats)
-    size = m + 2 * n + 2
-    res = residual_arrays(size, tail, head, compact_capacity(n, m, tail, k, q, witness_mode=True))
+        return Verdict(False, Unreachable(unreachable), VerdictStats(None, target))
+    res = residual_arrays(m + 2 * n + 2, tail, head,
+                          compact_capacity(n, m, tail, k, q, witness_mode=True))
     theta = augment(res)
-    stats = VerdictStats(theta, target, size, len(tail), perf_counter() - t0)
+    stats = VerdictStats(theta, target)
     if theta == target:
         return Verdict(True, Saturated(theta), stats)
     subset, alpha, beta = _sink_side_states(res, n, m, residual_min_cut(res, theta))
     lhs, rhs = _violation(n, k, q, subset, alpha, beta)
-    stats = VerdictStats(theta, target, size, len(tail), perf_counter() - t0)
     return Verdict(False, ViolatingSubset(subset, lhs, rhs, k, q), stats)
-
-
-def _unreachable(n: int, m: int, tail: list[int], head: list[int]) -> frozenset[int]:
-    """reachability_check on the compact arcs of compact_arcs: the control
-    arcs' heads are the control-fed states, and the state arcs leaving nu_j
-    (contiguous, as tails are sorted) point to the states a_j points to."""
-    first = [bisect_left(tail, t) for t in range(1, m + n + 2)]  # first arc leaving node t
-    mu = m + n  # mu_i is mu + i
-    sources = [h - mu for h in head[first[0]:first[m]]]
-    out = [()] + [[h - mu for h in head[first[t - 1]:first[t]]] for t in range(m + 1, m + n + 1)]
-    return unreachable_states(n, sources, out)
 
 
 def _sink_side_states(res: Residual, n: int, m: int, sink_side) -> tuple[frozenset[int], int, int]:
@@ -121,7 +107,7 @@ def _violation(n: int, k: int, q: int, subset, alpha: int, beta: int) -> tuple[i
     return lhs, rhs
 
 
-def witness_from_cut(g: Digraph, k: int, q: int, cut) -> frozenset[int]:
+def witness_from_cut(pattern: SparsityPattern, k: int, q: int, cut) -> frozenset[int]:
     """Read a violating subset off a witness-mode min cut given by node names
     (min_cut of build_small_network): the state nodes whose right copies sit
     on the sink side.
@@ -129,9 +115,9 @@ def witness_from_cut(g: Digraph, k: int, q: int, cut) -> frozenset[int]:
     With infinite middle arcs that subset always violates the counting
     condition; ConsistencyError is raised if it does not.
     """
-    subset = frozenset(j for j in range(1, g.n_state + 1) if ("mu", j) not in cut)
-    ns = in_neighbor_sets(g, subset)
-    _violation(g.n_state, k, q, subset, len(ns.alpha_in), len(ns.beta_in))
+    subset = frozenset(j for j in range(1, pattern.n + 1) if ("mu", j) not in cut)
+    ns = in_neighbor_sets(pattern, subset)
+    _violation(pattern.n, k, q, subset, len(ns.alpha_in), len(ns.beta_in))
     return subset
 
 
@@ -157,7 +143,7 @@ def compute_kstar(pattern: SparsityPattern) -> KStarResult:
     """
     n, m = pattern.n, pattern.m
     tail, head = compact_arcs(n, m, pattern.stars)
-    unreachable = _unreachable(n, m, tail, head)
+    unreachable = compact_unreachable(n, m, tail, head)
     if unreachable:
         return KStarResult(None, Unreachable(unreachable))
     qbar = m * n + 1
@@ -248,19 +234,21 @@ def crosscheck(pattern: SparsityPattern, k_max: int, q_max: int) -> CrosscheckRe
         raise ScaleError(f"crosscheck requires n <= {MAX_CROSSCHECK_STATES}")
     if k_max < 0 or q_max < 1:
         raise ValueError("k_max must be >= 0 and q_max >= 1")
-    g = to_digraph(pattern)
+    if (k_max + 1) * q_max > MAX_CROSSCHECK_CELLS:
+        raise ScaleError(f"(k_max+1)*q_max = {(k_max + 1) * q_max} grid cells exceed the "
+                         f"guard {MAX_CROSSCHECK_CELLS}")
     cells = []
     disagreements = []
     for k in range(k_max + 1):
         for q in range(1, q_max + 1):
             flow_verdict = check_structural(pattern, k, q)
-            brute_verdict = brute_force_check(g, k, q)
-            theta = max_flow(build_small_network(g, k, q)).value_total
+            brute_verdict = brute_force_check(pattern, k, q)
+            theta = max_flow(build_small_network(pattern, k, q)).value_total
             try:
-                theta_hat = max_flow(build_lifted_network(g, k, q)).value_total
+                theta_hat = max_flow(build_lifted_network(pattern, k, q)).value_total
             except ScaleError:
                 theta_hat = None
-            counting_ok = counting_violation(g, k, q) is None
+            counting_ok = counting_violation(pattern, k, q) is None
             agree = flow_verdict.decision == brute_verdict.decision
             if not agree:
                 disagreements.append(
@@ -281,7 +269,7 @@ def crosscheck(pattern: SparsityPattern, k_max: int, q_max: int) -> CrosscheckRe
                                theta, theta_hat, counting_ok, agree)
             )
     ks_search = compute_kstar(pattern)
-    ks_enum = kstar_brute(g)
+    ks_enum = kstar_brute(pattern)
     kstar_agree = ks_search.value == ks_enum.value
     if not kstar_agree:
         disagreements.append(

@@ -10,10 +10,12 @@ Two constructions share the layout source -> left -> right -> sink:
   its k+1 (and, for state copies, q) layers, every right node into its q
   copies, and all capacities collapse to 1.
 
-The compact network's arcs are built as flat int lists straight from a
-pattern's stars (compact_arcs, compact_capacity); the decision procedures
-solve on those, and only build_small_network adds the node names, for
-export, the flow transfer maps and the referees.
+Both are built from the flat int arcs that compact_arcs reads straight off
+a pattern's stars: the decision procedures solve on those arcs with the
+capacities of compact_capacity, and compact_unreachable runs the
+reachability search on them.  build_small_network only adds the node names,
+for export, the flow transfer maps and the referees; build_lifted_network
+expands every compact middle arc, in order, into its layer copies.
 
 Every solve runs one augmenting core (augment) on a Residual, which callers
 may keep: max_flow starts it from zero flow, and compute_kstar raises a
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError, ScaleError
-from .graph import Digraph
+from .pattern import SparsityPattern
 
 SOURCE = "s"
 SINK = "t"
@@ -109,6 +111,28 @@ def compact_arcs(n: int, m: int, stars) -> tuple[list[int], list[int]]:
     return tail, head
 
 
+def compact_unreachable(n: int, m: int, tail: list[int], head: list[int]) -> frozenset[int]:
+    """States among 1..n that no directed path from an input reaches, read
+    off the arcs compact_arcs gave: the heads of the control arcs are the
+    input-fed states, and the state arcs leaving nu_j (contiguous, as the
+    tails are sorted) point to the states a_j points to."""
+    first = [bisect_left(tail, t) for t in range(1, m + n + 2)]  # first arc leaving node t
+    mu = m + n  # mu_i is mu + i
+    seen = [False] * (n + 1)
+    queue = deque()
+    for h in head[first[0]:first[m]]:
+        if not seen[h - mu]:
+            seen[h - mu] = True
+            queue.append(h - mu)
+    while queue:
+        j = queue.popleft()
+        for h in head[first[m + j - 1]:first[m + j]]:  # the arcs leaving nu_j
+            if not seen[h - mu]:
+                seen[h - mu] = True
+                queue.append(h - mu)
+    return frozenset(i for i in range(1, n + 1) if not seen[i])
+
+
 def compact_capacity(n: int, m: int, tail: list[int], k: int, q: int,
                      witness_mode: bool = False) -> list[int]:
     """Capacities k+1 / q(k+1) / q of the compact arcs whose tails compact_arcs
@@ -136,13 +160,12 @@ def compact_capacity(n: int, m: int, tail: list[int], k: int, q: int,
     return [kp1] * m + [big] * n + middle + [q] * n
 
 
-def build_small_network(g: Digraph, k: int, q: int, witness_mode: bool = False) -> FlowNetwork:
+def build_small_network(pattern: SparsityPattern, k: int, q: int,
+                        witness_mode: bool = False) -> FlowNetwork:
     """Compact network with 2n+m+2 nodes and 2n+m+|E| arcs, named for export:
     the arcs of compact_arcs with the capacities of compact_capacity."""
-    n, m = g.n_state, g.n_control
-    stars = [(i, j) for j, i in g.state_edges]
-    stars += [(i, n + j) for j, i in g.control_edges]
-    tail, head = compact_arcs(n, m, stars)
+    n, m = pattern.n, pattern.m
+    tail, head = compact_arcs(n, m, pattern.stars)
     capacity = compact_capacity(n, m, tail, k, q, witness_mode)
     nodes = (
         SOURCE,
@@ -155,20 +178,20 @@ def build_small_network(g: Digraph, k: int, q: int, witness_mode: bool = False) 
                        tuple(capacity))
 
 
-def build_lifted_network(g: Digraph, k: int, q: int) -> FlowNetwork:
+def build_lifted_network(pattern: SparsityPattern, k: int, q: int) -> FlowNetwork:
     """Expanded unit-capacity network: left layer of (k+1)(m+nq) nodes, right
     layer of nq nodes, state copies wired within their own ensemble copy.
 
     Node ids follow the name order: lam_{ell,i}, then nu_{ell,p,j}, then
-    mu_{p,j}, each with its last index running fastest.  Raises ScaleError,
-    before allocating, when the arc count (k+1)(m+nq) + (k+1)q|E| + nq
-    exceeds MAX_LIFTED_ARCS.
+    mu_{p,j}, each with its last index running fastest.  The middle arcs
+    expand the compact middle arcs in their order, each over its layers ell
+    and then its ensemble copies p.  Raises ScaleError, before allocating,
+    when the arc count (k+1)(m+nq) + (k+1)q|E| + nq exceeds MAX_LIFTED_ARCS.
     """
     _check_kq(k, q)
-    n, m = g.n_state, g.n_control
+    n, m = pattern.n, pattern.m
     kp1 = k + 1
-    edges = len(g.control_edges) + len(g.state_edges)
-    if kp1 * (m + n * q) + kp1 * q * edges + n * q > MAX_LIFTED_ARCS:
+    if kp1 * (m + n * q) + kp1 * q * len(pattern.stars) + n * q > MAX_LIFTED_ARCS:
         raise ScaleError(f"(k+1)(m+nq+q|E|)+nq exceeds the {MAX_LIFTED_ARCS} arc guard")
     nu0 = 1 + kp1 * m
     mu0 = nu0 + kp1 * q * n
@@ -185,13 +208,17 @@ def build_lifted_network(g: Digraph, k: int, q: int) -> FlowNetwork:
         *(("mu", p, j) for p in range(1, q + 1) for j in range(1, n + 1)),
         SINK,
     )
+    tail, head = compact_arcs(n, m, pattern.stars)
+    middle = slice(m + n, len(tail) - n)
     arcs = [(0, v) for v in range(1, mu0)]
-    for i, j in sorted(g.control_edges):
+    for u, v in zip(tail[middle], head[middle]):
+        right = mu0 + v - (m + n + 1)  # mu_{1,i}; mu_{p+1,i} is right + p*n
         for ell in range(kp1):
-            arcs.extend((ell * m + i, mu0 + p * n + j - 1) for p in range(q))
-    for i, j in sorted(g.state_edges):
-        for ell in range(kp1):
-            arcs.extend((nu0 + (ell * q + p) * n + i - 1, mu0 + p * n + j - 1) for p in range(q))
+            if u <= m:  # lam_u, copied to lam_{ell+1,u}
+                arcs.extend((ell * m + u, right + p * n) for p in range(q))
+            else:  # nu_{u-m}, copied to nu_{ell+1,p+1,u-m}
+                arcs.extend((nu0 + (ell * q + p) * n + u - m - 1, right + p * n)
+                            for p in range(q))
     arcs.extend((v, sink) for v in range(mu0, sink))
     return FlowNetwork("lifted", n, m, k, q, False, nodes, tuple(arcs), (1,) * len(arcs))
 

@@ -1,17 +1,17 @@
-"""Digraph view of a sparsity pattern and brute-force evaluation of the
-weighted Hall-type counting conditions.
+"""Brute-force evaluation of the weighted Hall-type counting conditions,
+reachability and DOT export, read straight off a sparsity pattern's stars.
 
-State node a_i stands for state coordinate i, control node b_j for input
-channel j; an edge points from influencer to influenced entry.
+The pattern is the digraph: state node a_i stands for state coordinate i and
+control node b_j for input channel j, and the star (i, j) is the edge from
+the node of column j (a_j for j <= n, b_{j-n} above) to a_i.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from time import perf_counter
 
 from .errors import ScaleError
+from .flow import compact_arcs, compact_unreachable
 from .pattern import SparsityPattern
 from .results import (
     ArgmaxSubset,
@@ -31,79 +31,36 @@ _DP_STATES = 20  # below this, subset unions are tabulated instead of recomputed
 
 
 @dataclass(frozen=True)
-class Digraph:
-    """Bipartite-role digraph: every edge ends at a state node.
-
-    state_edges holds (j, i) for edges a_j -> a_i; control_edges holds (j, i)
-    for edges b_j -> a_i.
-    """
-
-    n_state: int
-    n_control: int
-    state_edges: frozenset[tuple[int, int]]
-    control_edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        if self.n_state < 0 or self.n_control < 0:
-            raise ValueError("node counts must be non-negative")
-        object.__setattr__(self, "state_edges", frozenset(self.state_edges))
-        object.__setattr__(self, "control_edges", frozenset(self.control_edges))
-        for j, i in self.state_edges:
-            if not (1 <= j <= self.n_state and 1 <= i <= self.n_state):
-                raise ValueError(f"state edge ({j}, {i}) out of range")
-        for j, i in self.control_edges:
-            if not (1 <= j <= self.n_control and 1 <= i <= self.n_state):
-                raise ValueError(f"control edge ({j}, {i}) out of range")
-
-
-@dataclass(frozen=True)
 class NeighborSets:
     alpha_in: frozenset[int]
     beta_in: frozenset[int]
 
 
-def to_digraph(pattern: SparsityPattern) -> Digraph:
-    """Edge a_j -> a_i per state-block star (i, j); edge b_j -> a_i per
-    input-block star (i, j+n)."""
-    state = frozenset((j, i) for i, j in pattern.a_stars)
-    control = frozenset((j, i) for i, j in pattern.b_stars)
-    return Digraph(pattern.n, pattern.m, state, control)
+def to_digraph(pattern: SparsityPattern) -> SparsityPattern:
+    """The pattern itself, which every function here takes as its digraph.
+    Kept only because the benchmark still calls it, until a change to the
+    benchmark drops the call."""
+    return pattern
 
 
-def in_neighbor_sets(g: Digraph, subset) -> NeighborSets:
+def in_neighbor_sets(pattern: SparsityPattern, subset) -> NeighborSets:
+    """State and control in-neighbours (alpha_in, beta_in) of a state subset;
+    control node b_j is j."""
+    n = pattern.n
     members = frozenset(subset)
     for i in members:
-        if not (1 <= i <= g.n_state):
-            raise ValueError(f"state index {i} out of range 1..{g.n_state}")
-    alpha = frozenset(j for j, i in g.state_edges if i in members)
-    beta = frozenset(j for j, i in g.control_edges if i in members)
+        if not (1 <= i <= n):
+            raise ValueError(f"state index {i} out of range 1..{n}")
+    alpha = frozenset(j for i, j in pattern.stars if i in members and j <= n)
+    beta = frozenset(j - n for i, j in pattern.stars if i in members and j > n)
     return NeighborSets(alpha, beta)
 
 
-def unreachable_states(n: int, sources, out) -> frozenset[int]:
-    """States among 1..n that no directed path from the states in sources
-    reaches, where out[j] lists the states that a_j points to."""
-    seen = [False] * (n + 1)
-    queue = deque()
-    for i in sources:
-        if not seen[i]:
-            seen[i] = True
-            queue.append(i)
-    while queue:
-        for v in out[queue.popleft()]:
-            if not seen[v]:
-                seen[v] = True
-                queue.append(v)
-    return frozenset(i for i in range(1, n + 1) if not seen[i])
-
-
-def reachability_check(g: Digraph) -> frozenset[int]:
+def reachability_check(pattern: SparsityPattern) -> frozenset[int]:
     """Return the state nodes with no directed path from any control node
     (empty means every state node is reachable)."""
-    out: list[list[int]] = [[] for _ in range(g.n_state + 1)]
-    for j, i in g.state_edges:
-        out[j].append(i)
-    return unreachable_states(g.n_state, (i for _, i in g.control_edges), out)
+    n, m = pattern.n, pattern.m
+    return compact_unreachable(n, m, *compact_arcs(n, m, pattern.stars))
 
 
 def _check_kq(n: int, k: int, q: int) -> None:
@@ -123,31 +80,40 @@ def counting_sides(n: int, k: int, q: int, size: int, alpha: int, beta: int) -> 
     return (k + 1) * beta + (k + 1) * q * alpha, q * size
 
 
-def core_condition_holds(g: Digraph, k: int, q: int, subset) -> tuple[bool, int, int]:
+def core_condition_holds(pattern: SparsityPattern, k: int, q: int, subset) -> tuple[bool, int, int]:
     """Evaluate (k+1)|beta_in| + (k+1)q|alpha_in| >= q|subset| for one subset;
     returns (holds, lhs, rhs)."""
-    _check_kq(g.n_state, k, q)
-    ns = in_neighbor_sets(g, subset)
-    lhs, rhs = counting_sides(g.n_state, k, q, len(frozenset(subset)), len(ns.alpha_in),
+    _check_kq(pattern.n, k, q)
+    ns = in_neighbor_sets(pattern, subset)
+    lhs, rhs = counting_sides(pattern.n, k, q, len(frozenset(subset)), len(ns.alpha_in),
                               len(ns.beta_in))
     return lhs >= rhs, lhs, rhs
 
 
-def _in_masks(g: Digraph) -> tuple[list[int], list[int]]:
-    amask = [0] * (g.n_state + 1)
-    bmask = [0] * (g.n_state + 1)
-    for j, i in g.state_edges:
-        amask[i] |= 1 << (j - 1)
-    for j, i in g.control_edges:
-        bmask[i] |= 1 << (j - 1)
-    return amask, bmask
+def _subset_unions(pattern: SparsityPattern):
+    """Iterator of (subset_mask, alpha_in_mask, beta_in_mask) for every
+    nonempty subset of state nodes, in ascending mask order.
+
+    Raises ScaleError, before anything is enumerated, when n exceeds the
+    MAX_BRUTE_STATES enumeration guard.
+    """
+    n = pattern.n
+    if n > MAX_BRUTE_STATES:
+        raise ScaleError(
+            f"n = {n} exceeds the 2^{MAX_BRUTE_STATES} enumeration guard; "
+            "use the flow-based check"
+        )
+    amask = [0] * (n + 1)
+    bmask = [0] * (n + 1)
+    for i, j in pattern.stars:
+        if j <= n:
+            amask[i] |= 1 << (j - 1)
+        else:
+            bmask[i] |= 1 << (j - n - 1)
+    return _enumerate_unions(n, amask, bmask)
 
 
-def _iter_subset_unions(g: Digraph):
-    """Yield (subset_mask, alpha_in_mask, beta_in_mask) for every nonempty
-    subset of state nodes, in ascending mask order."""
-    n = g.n_state
-    amask, bmask = _in_masks(g)
+def _enumerate_unions(n: int, amask: list[int], bmask: list[int]):
     if n <= _DP_STATES:
         atab = [0] * (1 << n)
         btab = [0] * (1 << n)
@@ -175,22 +141,11 @@ def _mask_to_set(mask: int) -> frozenset[int]:
     return frozenset(i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1)
 
 
-def counting_violation(g: Digraph, k: int, q: int) -> tuple[frozenset[int], int, int] | None:
-    """Exhaustively search for a subset violating the counting condition.
-
-    Returns (subset, lhs, rhs) for the violation with the smallest rhs-lhs gap
-    (ties: smallest bitmask), or None when every subset satisfies it.
-    """
-    _check_kq(g.n_state, k, q)
-    if g.n_state > MAX_BRUTE_STATES:
-        raise ScaleError(
-            f"n = {g.n_state} exceeds the 2^{MAX_BRUTE_STATES} enumeration guard; "
-            "use the flow-based check"
-        )
+def _least_violation(unions, k: int, q: int) -> tuple[frozenset[int], int, int] | None:
     kp1 = k + 1
     kq = kp1 * q
     best = None
-    for s, a, b in _iter_subset_unions(g):
+    for s, a, b in unions:
         lhs = kp1 * b.bit_count() + kq * a.bit_count()
         rhs = q * s.bit_count()
         if lhs < rhs:
@@ -203,46 +158,44 @@ def counting_violation(g: Digraph, k: int, q: int) -> tuple[frozenset[int], int,
     return _mask_to_set(s), lhs, rhs
 
 
-def brute_force_check(g: Digraph, k: int, q: int) -> Verdict:
+def counting_violation(pattern: SparsityPattern, k: int,
+                       q: int) -> tuple[frozenset[int], int, int] | None:
+    """Exhaustively search for a subset violating the counting condition.
+
+    Returns (subset, lhs, rhs) for the violation with the smallest rhs-lhs gap
+    (ties: smallest bitmask), or None when every subset satisfies it.
+    """
+    _check_kq(pattern.n, k, q)
+    return _least_violation(_subset_unions(pattern), k, q)
+
+
+def brute_force_check(pattern: SparsityPattern, k: int, q: int) -> Verdict:
     """Exhaustive verification: reachability plus the counting condition over
     all 2^n subsets.  Guarded at n <= 24."""
-    t0 = perf_counter()
-    _check_kq(g.n_state, k, q)
-    if g.n_state > MAX_BRUTE_STATES:
-        raise ScaleError(
-            f"n = {g.n_state} exceeds the 2^{MAX_BRUTE_STATES} enumeration guard; "
-            "use the flow-based check"
-        )
-    target = g.n_state * q
-
-    def stats():
-        return VerdictStats(None, target, None, None, perf_counter() - t0)
-
-    unreachable = reachability_check(g)
+    _check_kq(pattern.n, k, q)
+    unions = _subset_unions(pattern)
+    stats = VerdictStats(None, pattern.n * q)
+    unreachable = reachability_check(pattern)
     if unreachable:
-        return Verdict(False, Unreachable(unreachable), stats())
-    violation = counting_violation(g, k, q)
+        return Verdict(False, Unreachable(unreachable), stats)
+    violation = _least_violation(unions, k, q)
     if violation is not None:
         subset, lhs, rhs = violation
-        return Verdict(False, ViolatingSubset(subset, lhs, rhs, k, q), stats())
-    return Verdict(True, Saturated(target), stats())
+        return Verdict(False, ViolatingSubset(subset, lhs, rhs, k, q), stats)
+    return Verdict(True, Saturated(stats.target), stats)
 
 
-def kstar_brute(g: Digraph) -> KStarResult:
+def kstar_brute(pattern: SparsityPattern) -> KStarResult:
     """Minimal switch count by subset enumeration:
     max over nonempty subsets of ceil(|V'| / |alpha_in(V')|) - 1, infinite when
     reachability fails or some subset has no state in-neighbor."""
-    if g.n_state > MAX_BRUTE_STATES:
-        raise ScaleError(
-            f"n = {g.n_state} exceeds the 2^{MAX_BRUTE_STATES} enumeration guard; "
-            "use the flow-based search"
-        )
-    unreachable = reachability_check(g)
+    unions = _subset_unions(pattern)
+    unreachable = reachability_check(pattern)
     if unreachable:
         return KStarResult(None, Unreachable(unreachable))
     best_val = -1
     best_mask = 0
-    for s, a, _ in _iter_subset_unions(g):
+    for s, a, _ in unions:
         if a == 0:
             return KStarResult(None, EmptyAlphaIn(_mask_to_set(s)))
         cs = s.bit_count()
@@ -254,17 +207,18 @@ def kstar_brute(g: Digraph) -> KStarResult:
     return KStarResult(best_val, ArgmaxSubset(_mask_to_set(best_mask)))
 
 
-def to_dot(g: Digraph) -> str:
+def to_dot(pattern: SparsityPattern) -> str:
     """DOT export: circles a1..an for states, squares b1..bm for controls;
     stable ordering for diff-able output."""
+    n = pattern.n
     lines = ["digraph pattern {", "  rankdir=LR;"]
-    for j in range(1, g.n_control + 1):
+    for j in range(1, pattern.m + 1):
         lines.append(f"  b{j} [shape=square];")
-    for i in range(1, g.n_state + 1):
+    for i in range(1, n + 1):
         lines.append(f"  a{i} [shape=circle];")
-    for j, i in sorted(g.control_edges):
+    for j, i in sorted((j - n, i) for i, j in pattern.stars if j > n):
         lines.append(f"  b{j} -> a{i};")
-    for j, i in sorted(g.state_edges):
+    for j, i in sorted((j, i) for i, j in pattern.stars if j <= n):
         lines.append(f"  a{j} -> a{i};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -18,6 +18,9 @@ from .errors import ScaleError
 from .pattern import DEFAULT_VALUE_BOUND, EnsembleInstance, SparsityPattern, sample_instance
 
 MAX_ORACLE_DIM = 64  # guard on q*n for the exact-arithmetic rank
+# Guard on the samples one referee call draws, checked before the first; it
+# admits oracle_agreement's retry at 4x trials for up to 1024 trials.
+MAX_ORACLE_TRIALS = 1 << 12
 
 CRITERIA = ("mode_span", "sequential_subspace")
 
@@ -208,6 +211,8 @@ def monte_carlo_controllable(
     uncontrollability forces rank deficiency in every sample."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if trials > MAX_ORACLE_TRIALS:
+        raise ScaleError(f"trials = {trials} exceeds the guard {MAX_ORACLE_TRIALS}")
     if q * pattern.n > MAX_ORACLE_DIM:
         raise ScaleError(f"q*n = {q * pattern.n} exceeds the guard {MAX_ORACLE_DIM}")
     successes = 0
@@ -260,6 +265,9 @@ def oracle_agreement(
     logged as a genericity miss, never silently dropped.
     """
     corpus = list(corpus)
+    if 4 * trials > MAX_ORACLE_TRIALS:
+        raise ScaleError(f"4*trials = {4 * trials} (the retry) exceeds the guard "
+                         f"{MAX_ORACLE_TRIALS}")
     for _, pat in corpus:
         if q_max * pat.n > MAX_ORACLE_DIM:
             raise ScaleError(

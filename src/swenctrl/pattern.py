@@ -1,8 +1,10 @@
 """Sparsity patterns and their realizations.
 
 A pattern is a star/zero template over an n x (n+m) matrix: columns 1..n form
-the state block, columns n+1..n+m the input block.  Everything downstream
-(digraphs, flow networks, decisions, numerical referees) is derived from it.
+the state block, columns n+1..n+m the input block.  Read as a digraph, the
+star (i, j) is an edge into state i from state j or from input j-n.
+Everything downstream (flow networks, decisions, numerical referees) works on
+its stars, whose ranges the SparsityPattern constructor checks.
 """
 
 from __future__ import annotations
@@ -40,16 +42,6 @@ class SparsityPattern:
                 raise ValueError(f"star row index {i} out of range 1..{self.n}")
             if not (1 <= j <= self.n + self.m):
                 raise ValueError(f"star column index {j} out of range 1..{self.n + self.m}")
-
-    @property
-    def a_stars(self) -> frozenset[tuple[int, int]]:
-        """Stars in the state block (column <= n)."""
-        return frozenset((i, j) for i, j in self.stars if j <= self.n)
-
-    @property
-    def b_stars(self) -> frozenset[tuple[int, int]]:
-        """Stars in the input block, as (row, input index) with input index in 1..m."""
-        return frozenset((i, j - self.n) for i, j in self.stars if j > self.n)
 
 
 def parse_pattern(text: str, fmt: str = "grid") -> SparsityPattern:

@@ -61,9 +61,6 @@ class ArgmaxSubset:
 class VerdictStats:
     theta: int | None
     target: int
-    nodes: int | None
-    arcs: int | None
-    elapsed_s: float
 
 
 @dataclass(frozen=True)
@@ -140,8 +137,7 @@ def certificate_from_dict(d: dict | None):
 
 
 def verdict_to_dict(verdict: Verdict) -> dict:
-    """JSON view of a verdict.  Volatile stats (timings, sizes) are omitted so
-    identical inputs serialize byte-identically."""
+    """JSON view of a verdict."""
     return {
         "decision": verdict.decision,
         "theta": verdict.stats.theta,

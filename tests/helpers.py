@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from swenctrl.decide import witness_from_cut
 from swenctrl.flow import FlowAssignment, FlowNetwork, build_small_network, max_flow, min_cut
-from swenctrl.graph import reachability_check, to_digraph
+from swenctrl.graph import reachability_check
 from swenctrl.oracle import assemble_segment
 from swenctrl.pattern import DEFAULT_VALUE_BOUND, EnsembleInstance, SparsityPattern
 from swenctrl.results import EmptyAlphaIn, KStarResult, Unreachable
@@ -45,8 +45,7 @@ def hub_pattern(n: int, block: int = 8) -> SparsityPattern:
 def reference_kstar(pattern: SparsityPattern) -> KStarResult:
     """k* by a finiteness probe at (n-1, mn+1) and a binary search over
     k in [0, n-1], each probe a witness-mode network solved from zero flow."""
-    g = to_digraph(pattern)
-    unreachable = reachability_check(g)
+    unreachable = reachability_check(pattern)
     if unreachable:
         return KStarResult(None, Unreachable(unreachable))
     n, m = pattern.n, pattern.m
@@ -54,13 +53,13 @@ def reference_kstar(pattern: SparsityPattern) -> KStarResult:
     target = n * qbar
 
     def probe(k: int):
-        net = build_small_network(g, k, qbar, witness_mode=True)
+        net = build_small_network(pattern, k, qbar, witness_mode=True)
         return max_flow(net), net
 
     f, net = probe(n - 1)
     trace = [(n - 1, f.value_total, target)]
     if f.value_total < target:
-        subset = witness_from_cut(g, n - 1, qbar, min_cut(net, f))
+        subset = witness_from_cut(pattern, n - 1, qbar, min_cut(net, f))
         return KStarResult(None, EmptyAlphaIn(subset), tuple(trace))
     lo, hi = 0, n - 1
     while lo < hi:

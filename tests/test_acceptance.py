@@ -20,7 +20,7 @@ from swenctrl.flow import (
     project_flow,
     verify_flow,
 )
-from swenctrl.graph import brute_force_check, kstar_brute, reachability_check, to_digraph
+from swenctrl.graph import brute_force_check, kstar_brute, reachability_check
 from swenctrl.oracle import monte_carlo_controllable, oracle_agreement
 from swenctrl.pattern import random_pattern
 from swenctrl.results import EmptyAlphaIn, ViolatingSubset
@@ -51,12 +51,11 @@ def test_criterion_1_flow_equals_counting():
     cells = 0
     disagreements = []
     for pattern in patterns:
-        g = to_digraph(pattern)
         for k in range(5):
             for q in range(1, 6):
                 cells += 1
                 flow_decision = check_structural(pattern, k, q).decision
-                brute_decision = brute_force_check(g, k, q).decision
+                brute_decision = brute_force_check(pattern, k, q).decision
                 if flow_decision != brute_decision:
                     disagreements.append((sorted(pattern.stars), k, q))
     elapsed = perf_counter() - t0
@@ -74,11 +73,10 @@ def test_criterion_2_expanded_network_value():
     assert len(patterns) >= 50
     mismatches = []
     for pattern in patterns:
-        g = to_digraph(pattern)
         for k in (0, 1, 2):
             for q in (1, 2, 3):
-                theta = max_flow(build_small_network(g, k, q)).value_total
-                theta_hat = max_flow(build_lifted_network(g, k, q)).value_total
+                theta = max_flow(build_small_network(pattern, k, q)).value_total
+                theta_hat = max_flow(build_lifted_network(pattern, k, q)).value_total
                 if theta != theta_hat:
                     mismatches.append((sorted(pattern.stars), k, q, theta, theta_hat))
     elapsed = perf_counter() - t0
@@ -95,10 +93,9 @@ def test_criterion_3_flow_transfer():
     while down < 200 or up < 200:
         seed = rng.randint(0, 10**9)
         pattern = random_pattern(rng.randint(1, 3), rng.randint(0, 2), rng.random(), seed)
-        g = to_digraph(pattern)
         k, q = rng.randint(0, 2), rng.randint(1, 3)
-        small = build_small_network(g, k, q)
-        lifted = build_lifted_network(g, k, q)
+        small = build_small_network(pattern, k, q)
+        lifted = build_lifted_network(pattern, k, q)
         if down < 200:
             f_hat = random_feasible_flow(lifted, seed)
             assert verify_flow(lifted, f_hat)
@@ -123,9 +120,8 @@ def test_criterion_4_minimal_switch_count():
     boundary_failures = []
     finite = 0
     for pattern in patterns:
-        g = to_digraph(pattern)
         searched = compute_kstar(pattern)
-        enumerated = kstar_brute(g)
+        enumerated = kstar_brute(pattern)
         if searched.value != enumerated.value:
             mismatches.append((sorted(pattern.stars), searched.value, enumerated.value))
             continue
@@ -134,11 +130,11 @@ def test_criterion_4_minimal_switch_count():
         finite += 1
         qbar = pattern.m * pattern.n + 1
         target = pattern.n * qbar
-        at = max_flow(build_small_network(g, searched.value, qbar)).value_total
+        at = max_flow(build_small_network(pattern, searched.value, qbar)).value_total
         if at != target:
             boundary_failures.append((sorted(pattern.stars), "at", searched.value))
         if searched.value >= 1:
-            below = max_flow(build_small_network(g, searched.value - 1, qbar)).value_total
+            below = max_flow(build_small_network(pattern, searched.value - 1, qbar)).value_total
             if below >= target:
                 boundary_failures.append((sorted(pattern.stars), "below", searched.value))
     two_cycle = compute_kstar(TWO_CYCLE)
@@ -155,9 +151,8 @@ def test_criterion_4_minimal_switch_count():
 def test_criterion_5_worked_examples():
     failures = []
 
-    g2a = to_digraph(FIG2A)
-    theta13 = max_flow(build_small_network(g2a, 1, 3)).value_total
-    theta23 = max_flow(build_small_network(g2a, 2, 3)).value_total
+    theta13 = max_flow(build_small_network(FIG2A, 1, 3)).value_total
+    theta23 = max_flow(build_small_network(FIG2A, 2, 3)).value_total
     if theta13 != 5:
         failures.append(f"theta(1,3)={theta13}")
     if theta23 != 6:
@@ -169,7 +164,7 @@ def test_criterion_5_worked_examples():
     if not isinstance(v13.certificate, ViolatingSubset) or v13.certificate.subset != frozenset({1}):
         failures.append(f"witness {v13.certificate}")
 
-    if reachability_check(to_digraph(FIG1)) != frozenset():
+    if reachability_check(FIG1) != frozenset():
         failures.append("fig1 reachability")
     if not check_structural(FIG1, 0, 1).decision:
         failures.append("fig1 (0,1)")

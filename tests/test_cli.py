@@ -213,6 +213,29 @@ def test_dot_out_writes_pattern_digraph(tmp_path, capsys):
     assert "b1 -> a1;" in dot_path.read_text()
 
 
+def test_dot_out_same_for_every_pattern_subcommand(tmp_path, capsys):
+    path = write_pattern(tmp_path, FIG1)
+    runs = {
+        "check": ("check", "--k", "0", "--q", "1"),
+        "brute": ("brute", "--k", "0", "--q", "1"),
+        "kstar": ("kstar",),
+        "oracle": ("oracle", "--k", "0", "--q", "1", "--trials", "1", "--seed", "1"),
+        "crosscheck": ("crosscheck", "--kmax", "0", "--qmax", "1"),
+    }
+    written = {}
+    for name, (command, *rest) in runs.items():
+        dot_path = tmp_path / f"{name}.dot"
+        code, _, err = run_cli(capsys, command, path, *rest, "--dot-out", str(dot_path))
+        assert code == 0, err
+        written[name] = dot_path.read_bytes()
+    assert all(dot == written["check"] for dot in written.values())
+    # A command that fails writes no file.
+    dot_path = tmp_path / "failed.dot"
+    code, _, _ = run_cli(capsys, "crosscheck", path, "--kmax", "100000000", "--qmax", "2",
+                         "--dot-out", str(dot_path))
+    assert code == 3 and not dot_path.exists()
+
+
 def test_exit_code_usage_error(tmp_path, capsys):
     path = write_pattern(tmp_path, FIG2A)
     code, _, err = run_cli(capsys, "check", path, "--q", "3")
@@ -265,8 +288,13 @@ FIG2A_GRID = b"2 1\n0 0 *\n* 0 *\n"
     # must be refused before they are sampled
     (serialize_pattern(hub_pattern(10)).encode(),
      ("oracle", "--k", "100000000", "--q", "2", "--seed", "1", "--trials", "1"), 3, 256 << 20),
+    # 2*10^8 grid cells, and 10^9 samples of a 2-state pattern, each refused
+    # before the first cell or sample
+    (FIG2A_GRID, ("crosscheck", "--kmax", "100000000", "--qmax", "2"), 3, CHILD_ADDRESS_SPACE),
+    (FIG2A_GRID, ("oracle", "--k", "0", "--q", "1", "--seed", "1", "--trials", "1000000000"), 3,
+     CHILD_ADDRESS_SPACE),
 ], ids=["oversized-n", "oversized-m", "non-utf8", "deep-nesting", "lifted-arcs",
-        "flowdump-json-lifted", "oracle-huge-k"])
+        "flowdump-json-lifted", "oracle-huge-k", "crosscheck-huge-grid", "oracle-huge-trials"])
 def test_hostile_input_exit_code_without_traceback(tmp_path, content, argv, expected_code,
                                                    address_space):
     path = tmp_path / "hostile.pat"
@@ -319,7 +347,7 @@ def test_certificate_reverifies_from_json(tmp_path, capsys):
     verdict = Verdict(
         obj["decision"],
         certificate_from_dict(obj["certificate"]),
-        VerdictStats(obj["theta"], obj["target"], None, None, 0.0),
+        VerdictStats(obj["theta"], obj["target"]),
     )
     assert recheck_certificate(pattern, verdict)
 

@@ -4,7 +4,6 @@ import pytest
 from helpers import FIG1, FIG2A, INTEGRATOR, TWO_CYCLE, hub_pattern, reference_kstar
 
 import swenctrl.decide
-import swenctrl.graph
 from swenctrl.decide import (
     check_structural,
     compute_kstar,
@@ -15,7 +14,7 @@ from swenctrl.decide import (
 )
 from swenctrl.errors import ConsistencyError, ScaleError
 from swenctrl.flow import augment, build_small_network, max_flow, min_cut, residual_min_cut
-from swenctrl.graph import brute_force_check, core_condition_holds, kstar_brute, to_digraph
+from swenctrl.graph import brute_force_check, core_condition_holds, kstar_brute
 from swenctrl.pattern import SparsityPattern, random_pattern
 from swenctrl.results import (
     EmptyAlphaIn,
@@ -68,7 +67,7 @@ def test_check_fig1_classical_case():
 def reach_ok(p):
     from swenctrl.graph import reachability_check
 
-    return not reachability_check(to_digraph(p))
+    return not reachability_check(p)
 
 
 def test_check_rejects_bad_kq():
@@ -79,14 +78,13 @@ def test_check_rejects_bad_kq():
 
 
 def test_witness_from_cut_examples():
-    g = to_digraph(FIG2A)
     for k, q, expected in [(1, 3, frozenset({1})), (0, 2, frozenset({1}))]:
-        net = build_small_network(g, k, q, witness_mode=True)
+        net = build_small_network(FIG2A, k, q, witness_mode=True)
         f = max_flow(net)
-        assert f.value_total < g.n_state * q
-        subset = witness_from_cut(g, k, q, min_cut(net, f))
+        assert f.value_total < FIG2A.n * q
+        subset = witness_from_cut(FIG2A, k, q, min_cut(net, f))
         assert subset == expected
-        holds, lhs, rhs = core_condition_holds(g, k, q, subset)
+        holds, lhs, rhs = core_condition_holds(FIG2A, k, q, subset)
         assert not holds
 
 
@@ -94,35 +92,31 @@ def test_witness_from_cut_random_always_violates():
     for seed in range(60):
         rng = random.Random(seed)
         p = random_pattern(rng.randint(1, 6), rng.randint(0, 3), rng.random(), seed)
-        g = to_digraph(p)
         k, q = rng.randint(0, 3), rng.randint(1, 5)
-        net = build_small_network(g, k, q, witness_mode=True)
+        net = build_small_network(p, k, q, witness_mode=True)
         f = max_flow(net)
-        if f.value_total == g.n_state * q:
+        if f.value_total == p.n * q:
             continue
-        subset = witness_from_cut(g, k, q, min_cut(net, f))
-        assert not core_condition_holds(g, k, q, subset)[0]
+        subset = witness_from_cut(p, k, q, min_cut(net, f))
+        assert not core_condition_holds(p, k, q, subset)[0]
 
 
 def test_witness_from_cut_fallback_enumeration():
     # There is no enumeration fallback: a bogus all-nodes "cut" yields the
     # empty subset, and a cut with only mu_2 on the sink side yields {2}; both
     # satisfy the counting condition, so both raise.
-    g = to_digraph(FIG2A)
-    net = build_small_network(g, 1, 3, witness_mode=True)
+    net = build_small_network(FIG2A, 1, 3, witness_mode=True)
     for bogus_cut in (frozenset(net.nodes), frozenset(net.nodes) - {("mu", 2)}):
         with pytest.raises(ConsistencyError, match="not a witness-mode min cut"):
-            witness_from_cut(g, 1, 3, bogus_cut)
+            witness_from_cut(FIG2A, 1, 3, bogus_cut)
 
 
 def test_witness_from_cut_unavailable_beyond_enumeration():
     # Beyond the old enumeration size (25 states) a subset that fails to
     # re-verify raises the same ConsistencyError.
-    from swenctrl.graph import Digraph
-
-    g = Digraph(25, 1, frozenset(), frozenset({(1, i) for i in range(1, 26)}))
+    p = SparsityPattern(25, 1, frozenset({(i, 26) for i in range(1, 26)}))
     with pytest.raises(ConsistencyError, match="not a witness-mode min cut"):
-        witness_from_cut(g, 0, 2, frozenset({"s"}) | {("mu", j) for j in range(1, 26)})
+        witness_from_cut(p, 0, 2, frozenset({"s"}) | {("mu", j) for j in range(1, 26)})
 
 
 def test_kstar_two_cycle_regression():
@@ -157,15 +151,14 @@ def test_kstar_trace_probes_saturating_q():
     r = compute_kstar(p)
     assert all(target == p.n * qbar for _, _, target in r.trace)
     for k, theta, target in r.trace:
-        g = to_digraph(p)
-        assert theta == max_flow(build_small_network(g, k, qbar)).value_total
+        assert theta == max_flow(build_small_network(p, k, qbar)).value_total
 
 
 def test_kstar_matches_enumeration_random():
     for seed in range(80):
         rng = random.Random(seed)
         p = random_pattern(rng.randint(1, 6), rng.randint(0, 3), rng.random(), seed)
-        assert compute_kstar(p).value == kstar_brute(to_digraph(p)).value
+        assert compute_kstar(p).value == kstar_brute(p).value
 
 
 def few_in_neighbours_pattern(n, rng):
@@ -258,12 +251,11 @@ def test_kstar_finite_boundary():
         if r.is_infinite:
             continue
         found += 1
-        g = to_digraph(p)
         qbar = p.m * p.n + 1
         target = p.n * qbar
-        assert max_flow(build_small_network(g, r.value, qbar)).value_total == target
+        assert max_flow(build_small_network(p, r.value, qbar)).value_total == target
         if r.value >= 1:
-            assert max_flow(build_small_network(g, r.value - 1, qbar)).value_total < target
+            assert max_flow(build_small_network(p, r.value - 1, qbar)).value_total < target
     assert found > 5
 
 
@@ -315,6 +307,22 @@ def test_crosscheck_random_patterns():
 def test_crosscheck_guard():
     with pytest.raises(ScaleError):
         crosscheck(SparsityPattern(11, 0, frozenset()), 1, 1)
+
+
+def test_crosscheck_grid_guard_before_any_cell(monkeypatch):
+    class Started(Exception):
+        pass
+
+    def started(*args):
+        raise Started
+
+    monkeypatch.setattr(swenctrl.decide, "check_structural", started)
+    cells = swenctrl.decide.MAX_CROSSCHECK_CELLS
+    with pytest.raises(Started):  # the largest grid passes the guard
+        crosscheck(FIG2A, cells - 1, 1)
+    for k_max, q_max in [(cells, 1), (0, cells + 1), (100_000_000, 2)]:
+        with pytest.raises(ScaleError, match="grid cells"):
+            crosscheck(FIG2A, k_max, q_max)
 
 
 def test_recheck_violating_subset():
@@ -375,11 +383,10 @@ def test_check_and_kstar_never_build_the_named_network(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the decision path built the named network")
 
-    for name in ("to_digraph", "build_small_network", "in_neighbor_sets"):
+    for name in ("build_small_network", "in_neighbor_sets"):
         monkeypatch.setattr(swenctrl.decide, name, forbidden)
     for p, before in zip(patterns, expected):
         assert answers(p) == before
     for p in patterns[5:]:  # the random ones, against the referees
-        g = swenctrl.graph.to_digraph(p)
-        assert [d for d, _ in answers(p)[0]] == [brute_force_check(g, k, q).decision for k, q in grid]
-        assert compute_kstar(p).value == kstar_brute(g).value
+        assert [d for d, _ in answers(p)[0]] == [brute_force_check(p, k, q).decision for k, q in grid]
+        assert compute_kstar(p).value == kstar_brute(p).value

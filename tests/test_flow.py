@@ -28,14 +28,11 @@ from swenctrl.flow import (
     residual_graph,
     verify_flow,
 )
-from swenctrl.graph import to_digraph
 from swenctrl.pattern import SparsityPattern, random_pattern
-
-FIG2A_G = to_digraph(FIG2A)
 
 
 def test_small_network_fig2b_capacities():
-    net = build_small_network(FIG2A_G, 1, 3)
+    net = build_small_network(FIG2A, 1, 3)
     expected = {
         (SOURCE, ("lam", 1)): 2,
         (SOURCE, ("nu", 1)): 6,
@@ -52,26 +49,26 @@ def test_small_network_fig2b_capacities():
 
 
 def test_small_network_unit_caps_at_k0_q1():
-    net = build_small_network(FIG2A_G, 0, 1)
+    net = build_small_network(FIG2A, 0, 1)
     assert all(c == 1 for c in net.capacity)
 
 
 def test_small_network_edgeless():
-    g = to_digraph(SparsityPattern(2, 1, frozenset()))
-    net = build_small_network(g, 1, 2)
+    p = SparsityPattern(2, 1, frozenset())
+    net = build_small_network(p, 1, 2)
     assert all(u == SOURCE or v == SINK for u, v in named_arcs(net))
     assert max_flow(net).value_total == 0
 
 
 def test_small_network_sink_capacity_totals_nq():
     for k, q in [(0, 1), (1, 3), (2, 5)]:
-        net = build_small_network(FIG2A_G, k, q)
+        net = build_small_network(FIG2A, k, q)
         caps = named_capacity(net)
-        assert sum(c for (_, v), c in caps.items() if v == SINK) == FIG2A_G.n_state * q
+        assert sum(c for (_, v), c in caps.items() if v == SINK) == FIG2A.n * q
 
 
 def test_small_network_witness_mode_caps():
-    net = build_small_network(FIG2A_G, 1, 3, witness_mode=True)
+    net = build_small_network(FIG2A, 1, 3, witness_mode=True)
     inf_cap = 1 + 1 * 2 + 2 * 6
     caps = named_capacity(net)
     assert caps[(("lam", 1), ("mu", 1))] == inf_cap
@@ -81,15 +78,15 @@ def test_small_network_witness_mode_caps():
 
 def test_small_network_guards():
     with pytest.raises(ScaleError):
-        build_small_network(FIG2A_G, (1 << 40), 1 << 40)
+        build_small_network(FIG2A, (1 << 40), 1 << 40)
     with pytest.raises(ValueError):
-        build_small_network(FIG2A_G, -1, 1)
+        build_small_network(FIG2A, -1, 1)
     with pytest.raises(ValueError):
-        build_small_network(FIG2A_G, 0, 0)
+        build_small_network(FIG2A, 0, 0)
 
 
 def test_lifted_network_fig4_shape():
-    net = build_lifted_network(FIG2A_G, 1, 3)
+    net = build_lifted_network(FIG2A, 1, 3)
     left = [v for v in net.nodes if isinstance(v, tuple) and v[0] in ("lam", "nu")]
     right = [v for v in net.nodes if isinstance(v, tuple) and v[0] == "mu"]
     assert len(left) == 2 * (1 + 2 * 3) == 14
@@ -105,14 +102,14 @@ def test_lifted_network_fig4_shape():
 
 
 def test_lifted_network_guard():
-    g = to_digraph(SparsityPattern(64, 0, frozenset()))
+    p = SparsityPattern(64, 0, frozenset())
     with pytest.raises(ScaleError):
-        build_lifted_network(g, 4095, 4096)
+        build_lifted_network(p, 4095, 4096)
 
 
 def test_lifted_matches_small_at_k0_q1():
-    small = build_small_network(FIG2A_G, 0, 1)
-    lifted = build_lifted_network(FIG2A_G, 0, 1)
+    small = build_small_network(FIG2A, 0, 1)
+    lifted = build_lifted_network(FIG2A, 0, 1)
     mapped_nodes = {phi_node(v) for v in lifted.nodes}
     assert mapped_nodes == set(small.nodes)
     assert len(lifted.nodes) == len(small.nodes)
@@ -122,19 +119,19 @@ def test_lifted_matches_small_at_k0_q1():
 
 
 def test_max_flow_fig2b_value_5():
-    f = max_flow(build_small_network(FIG2A_G, 1, 3))
+    f = max_flow(build_small_network(FIG2A, 1, 3))
     assert f.value_total == 5
-    assert verify_flow(build_small_network(FIG2A_G, 1, 3), f)
+    assert verify_flow(build_small_network(FIG2A, 1, 3), f)
 
 
 def test_max_flow_saturates_at_k2_q3():
-    f = max_flow(build_small_network(FIG2A_G, 2, 3))
-    assert f.value_total == 6 == FIG2A_G.n_state * 3
+    f = max_flow(build_small_network(FIG2A, 2, 3))
+    assert f.value_total == 6 == FIG2A.n * 3
 
 
 def test_max_flow_zero_capacity():
-    g = to_digraph(SparsityPattern(2, 1, frozenset()))
-    net = build_small_network(g, 0, 1)
+    p = SparsityPattern(2, 1, frozenset())
+    net = build_small_network(p, 0, 1)
     net = dataclasses.replace(net, capacity=(0,) * len(net.arcs))
     f = max_flow(net)
     assert f.value_total == 0
@@ -142,19 +139,19 @@ def test_max_flow_zero_capacity():
 
 
 def test_max_flow_deterministic():
-    net = build_small_network(FIG2A_G, 1, 3)
+    net = build_small_network(FIG2A, 1, 3)
     assert max_flow(net) == max_flow(net)
 
 
 def test_verify_flow_rejects_capacity_violation():
-    net = build_small_network(FIG2A_G, 1, 3)
+    net = build_small_network(FIG2A, 1, 3)
     f = max_flow(net)
     bad = (net.capacity[0] + 1, *f.values[1:])
     assert not verify_flow(net, FlowAssignment(bad, f.value_total + 1))
 
 
 def test_verify_flow_rejects_conservation_violation():
-    net = build_small_network(FIG2A_G, 1, 3)
+    net = build_small_network(FIG2A, 1, 3)
     f = max_flow(net)
     bad = list(f.values)
     bad[named_arcs(net).index((("mu", 2), SINK))] += 1
@@ -162,13 +159,13 @@ def test_verify_flow_rejects_conservation_violation():
 
 
 def test_verify_flow_arc_mismatch_raises():
-    net = build_small_network(FIG2A_G, 1, 3)
+    net = build_small_network(FIG2A, 1, 3)
     with pytest.raises(ValueError, match="arcs"):
         verify_flow(net, FlowAssignment((), 0))
 
 
 def test_min_cut_fig2b_witness_mode():
-    net = build_small_network(FIG2A_G, 1, 3, witness_mode=True)
+    net = build_small_network(FIG2A, 1, 3, witness_mode=True)
     f = max_flow(net)
     cut = min_cut(net, f)
     assert cut == frozenset({SOURCE, ("nu", 1), ("nu", 2), ("mu", 2)})
@@ -179,7 +176,7 @@ def test_min_cut_fig2b_witness_mode():
 
 
 def test_min_cut_saturated_is_sink_side():
-    net = build_small_network(FIG2A_G, 2, 3)
+    net = build_small_network(FIG2A, 2, 3)
     f = max_flow(net)
     assert f.value_total == 6
     cut = min_cut(net, f)
@@ -187,15 +184,15 @@ def test_min_cut_saturated_is_sink_side():
 
 
 def test_min_cut_zero_capacity_network():
-    g = to_digraph(SparsityPattern(2, 1, frozenset()))
-    net = build_small_network(g, 0, 1)
+    p = SparsityPattern(2, 1, frozenset())
+    net = build_small_network(p, 0, 1)
     net = dataclasses.replace(net, capacity=(0,) * len(net.arcs))
     cut = min_cut(net, max_flow(net))
     assert cut == frozenset(net.nodes) - {SINK}
 
 
 def test_min_cut_rejects_non_maximal_flow():
-    net = build_small_network(FIG2A_G, 1, 3)
+    net = build_small_network(FIG2A, 1, 3)
     zero = FlowAssignment((0,) * len(net.arcs), 0)
     with pytest.raises(ConsistencyError):
         min_cut(net, zero)
@@ -205,12 +202,11 @@ def test_min_cut_duality_over_random_networks():
     for seed in range(40):
         rng = random.Random(seed)
         p = random_pattern(rng.randint(1, 5), rng.randint(0, 3), rng.random(), seed)
-        g = to_digraph(p)
         k, q = rng.randint(0, 3), rng.randint(1, 4)
-        net = build_small_network(g, k, q, witness_mode=bool(seed % 2))
+        net = build_small_network(p, k, q, witness_mode=bool(seed % 2))
         f = max_flow(net)
         cut = min_cut(net, f)  # raises on duality violation
-        assert f.value_total <= g.n_state * q
+        assert f.value_total <= p.n * q
         assert verify_flow(net, f)
 
 
@@ -218,10 +214,9 @@ def test_witness_mode_value_invariance():
     for seed in range(30):
         rng = random.Random(seed)
         p = random_pattern(rng.randint(1, 5), rng.randint(0, 2), rng.random(), seed)
-        g = to_digraph(p)
         k, q = rng.randint(0, 3), rng.randint(1, 4)
-        plain = max_flow(build_small_network(g, k, q)).value_total
-        witness = max_flow(build_small_network(g, k, q, witness_mode=True)).value_total
+        plain = max_flow(build_small_network(p, k, q)).value_total
+        witness = max_flow(build_small_network(p, k, q, witness_mode=True)).value_total
         assert plain == witness
 
 
@@ -229,11 +224,10 @@ def test_theta_equals_theta_hat_small_grid():
     for seed in range(20):
         rng = random.Random(seed)
         p = random_pattern(rng.randint(1, 4), rng.randint(0, 2), rng.random(), seed)
-        g = to_digraph(p)
         for k in (0, 1, 2):
             for q in (1, 2, 3):
-                theta = max_flow(build_small_network(g, k, q)).value_total
-                theta_hat = max_flow(build_lifted_network(g, k, q)).value_total
+                theta = max_flow(build_small_network(p, k, q)).value_total
+                theta_hat = max_flow(build_lifted_network(p, k, q)).value_total
                 assert theta == theta_hat
 
 
@@ -241,9 +235,8 @@ def test_phi_full_homomorphism_on_small_instances():
     for seed in range(15):
         rng = random.Random(seed)
         p = random_pattern(rng.randint(1, 3), rng.randint(0, 2), rng.random(), seed)
-        g = to_digraph(p)
-        small = build_small_network(g, 1, 2)
-        lifted = build_lifted_network(g, 1, 2)
+        small = build_small_network(p, 1, 2)
+        lifted = build_lifted_network(p, 1, 2)
         images = {phi_arc(a) for a in named_arcs(lifted)}
         assert images == set(named_arcs(small))
 
@@ -253,8 +246,8 @@ def test_fiber_capacity_sums():
     # but the control-to-state arcs, whose compact cap is k+1 < (k+1)q.
     from collections import Counter
 
-    small = build_small_network(FIG2A_G, 1, 3)
-    lifted = build_lifted_network(FIG2A_G, 1, 3)
+    small = build_small_network(FIG2A, 1, 3)
+    lifted = build_lifted_network(FIG2A, 1, 3)
     fiber = Counter(phi_arc(a) for a in named_arcs(lifted))
     for arc, cap in named_capacity(small).items():
         u, _ = arc
@@ -265,8 +258,8 @@ def test_fiber_capacity_sums():
 
 
 def test_project_zero_flow():
-    small = build_small_network(FIG2A_G, 1, 3)
-    lifted = build_lifted_network(FIG2A_G, 1, 3)
+    small = build_small_network(FIG2A, 1, 3)
+    lifted = build_lifted_network(FIG2A, 1, 3)
     zero = FlowAssignment((0,) * len(lifted.arcs), 0)
     projected = project_flow(zero, lifted, small)
     assert projected.value_total == 0
@@ -274,8 +267,8 @@ def test_project_zero_flow():
 
 
 def test_project_max_flow_fig4():
-    small = build_small_network(FIG2A_G, 1, 3)
-    lifted = build_lifted_network(FIG2A_G, 1, 3)
+    small = build_small_network(FIG2A, 1, 3)
+    lifted = build_lifted_network(FIG2A, 1, 3)
     f_hat = max_flow(lifted)
     assert f_hat.value_total == 5
     projected = project_flow(f_hat, lifted, small)
@@ -284,8 +277,8 @@ def test_project_max_flow_fig4():
 
 
 def test_lift_max_flow_fig2b():
-    small = build_small_network(FIG2A_G, 1, 3)
-    lifted = build_lifted_network(FIG2A_G, 1, 3)
+    small = build_small_network(FIG2A, 1, 3)
+    lifted = build_lifted_network(FIG2A, 1, 3)
     f = max_flow(small)
     f_hat = lift_flow(f, small, lifted)
     assert f_hat.value_total == 5
@@ -297,13 +290,13 @@ def test_lift_max_flow_fig2b():
 
 
 def test_transfer_requires_matching_provenance():
-    small = build_small_network(FIG2A_G, 1, 3)
-    other = build_lifted_network(FIG2A_G, 2, 3)
+    small = build_small_network(FIG2A, 1, 3)
+    other = build_lifted_network(FIG2A, 2, 3)
     f = max_flow(small)
     with pytest.raises(ValueError, match="same"):
         lift_flow(f, small, other)
-    witness = build_small_network(FIG2A_G, 1, 3, witness_mode=True)
-    lifted = build_lifted_network(FIG2A_G, 1, 3)
+    witness = build_small_network(FIG2A, 1, 3, witness_mode=True)
+    lifted = build_lifted_network(FIG2A, 1, 3)
     with pytest.raises(ValueError, match="witness"):
         lift_flow(max_flow(witness), witness, lifted)
 
@@ -313,10 +306,9 @@ def test_random_feasible_transfers_preserve_value():
     for seed in range(25):
         rng = random.Random(seed)
         p = random_pattern(rng.randint(1, 3), rng.randint(0, 2), rng.random(), seed)
-        g = to_digraph(p)
         k, q = rng.randint(0, 2), rng.randint(1, 3)
-        small = build_small_network(g, k, q)
-        lifted = build_lifted_network(g, k, q)
+        small = build_small_network(p, k, q)
+        lifted = build_lifted_network(p, k, q)
         f_hat = random_feasible_flow(lifted, seed)
         assert verify_flow(lifted, f_hat)
         projected = project_flow(f_hat, lifted, small)
@@ -335,7 +327,7 @@ def test_random_feasible_transfers_preserve_value():
 
 
 def test_network_to_dict_and_dot():
-    net = build_small_network(FIG2A_G, 1, 3)
+    net = build_small_network(FIG2A, 1, 3)
     f = max_flow(net)
     obj = network_to_dict(net, f)
     assert obj["kind"] == "small" and len(obj["arcs"]) == len(net.arcs)
@@ -344,23 +336,23 @@ def test_network_to_dict_and_dot():
     assert sum(sink_flows) == 5
     dot = network_to_dot(net, f)
     assert dot.startswith("digraph flownet {") and '"s" -> "lam_1" [label="2/2"]' in dot
-    lifted = build_lifted_network(FIG2A_G, 1, 3)
+    lifted = build_lifted_network(FIG2A, 1, 3)
     f_up = lift_flow(f, net, lifted)
     obj2 = network_to_dict(lifted, f_up)
     fractional = [a["flow"] for a in obj2["arcs"] if isinstance(a["flow"], str)]
     assert fractional, "lifted flows carry non-integral rationals"
 
 
-def tuple_sorted_arcs(g):
+def tuple_sorted_arcs(p):
     """The compact network's arcs in the construction order, by sorting the
     edge tuples: source arcs, control arcs by (input, state), state arcs by
     (tail, head), sink arcs."""
-    n, m = g.n_state, g.n_control
+    n, m = p.n, p.m
     sink = m + 2 * n + 1
     return (
         [(0, v) for v in range(1, m + n + 1)]
-        + [(i, m + n + j) for i, j in sorted(g.control_edges)]
-        + [(m + i, m + n + j) for i, j in sorted(g.state_edges)]
+        + [(j - n, m + n + i) for i, j in sorted(p.stars, key=lambda s: (s[1], s[0])) if j > n]
+        + [(m + j, m + n + i) for i, j in sorted(p.stars, key=lambda s: (s[1], s[0])) if j <= n]
         + [(v, sink) for v in range(m + n + 1, sink)]
     )
 
@@ -369,16 +361,43 @@ def test_one_arc_order_named_and_int_core():
     for seed in range(300):
         rng = random.Random(seed)
         p = random_pattern(rng.randint(1, 12), rng.randint(0, 3), rng.random(), seed)
-        g = to_digraph(p)
         tail, head = compact_arcs(p.n, p.m, p.stars)
-        assert list(zip(tail, head)) == tuple_sorted_arcs(g), seed
+        assert list(zip(tail, head)) == tuple_sorted_arcs(p), seed
         for k in range(3):
             for q in (1, 2, 5):
                 for witness_mode in (False, True):
-                    named = residual_graph(build_small_network(g, k, q, witness_mode))
+                    named = residual_graph(build_small_network(p, k, q, witness_mode))
                     cap = compact_capacity(p.n, p.m, tail, k, q, witness_mode)
                     core = residual_arrays(p.m + 2 * p.n + 2, tail, head, cap)
                     assert (named.head, named.adj, named.cap) == (core.head, core.adj, core.cap)
+
+
+def tuple_sorted_lifted_arcs(p, k, q):
+    """The expanded network's arcs by sorting the edge tuples: source arcs,
+    then every copy (layer ell, ensemble copy r) of each control edge by
+    (input, state) and of each state edge by (tail, head), then sink arcs."""
+    n, m, kp1 = p.n, p.m, k + 1
+    nu0 = 1 + kp1 * m
+    mu0 = nu0 + kp1 * q * n
+    sink = mu0 + q * n
+    control = sorted((j - n, i) for i, j in p.stars if j > n)
+    state = sorted((j, i) for i, j in p.stars if j <= n)
+    return (
+        [(0, v) for v in range(1, mu0)]
+        + [(ell * m + c, mu0 + r * n + i - 1)
+           for c, i in control for ell in range(kp1) for r in range(q)]
+        + [(nu0 + (ell * q + r) * n + j - 1, mu0 + r * n + i - 1)
+           for j, i in state for ell in range(kp1) for r in range(q)]
+        + [(v, sink) for v in range(mu0, sink)]
+    )
+
+
+def test_lifted_arcs_expand_the_compact_arcs_in_order():
+    for seed in range(100):
+        rng = random.Random(seed)
+        p = random_pattern(rng.randint(1, 8), rng.randint(0, 3), rng.random(), seed)
+        for k, q in [(0, 1), (1, 3), (2, 2)]:
+            assert list(build_lifted_network(p, k, q).arcs) == tuple_sorted_lifted_arcs(p, k, q), seed
 
 
 def test_network_json_matches_json_dumps():
@@ -391,12 +410,12 @@ def test_network_json_matches_json_dumps():
     nets = []
     for seed in range(20):
         rng = random.Random(seed)
-        g = to_digraph(random_pattern(rng.randint(1, 5), rng.randint(0, 2), rng.random(), seed))
+        p = random_pattern(rng.randint(1, 5), rng.randint(0, 2), rng.random(), seed)
         k, q = rng.randint(0, 2), rng.randint(1, 3)
-        small = build_small_network(g, k, q)
+        small = build_small_network(p, k, q)
         f = max_flow(small)
-        lifted = build_lifted_network(g, k, q)
-        nets += [(small, f), (build_small_network(g, k, q, True), None),
+        lifted = build_lifted_network(p, k, q)
+        nets += [(small, f), (build_small_network(p, k, q, True), None),
                  (lifted, max_flow(lifted)), (lifted, lift_flow(f, small, lifted))]
     fractional = 0
     for net, f in nets:

@@ -251,6 +251,27 @@ def test_oracle_agreement_scale_pre():
         oracle_agreement([("fig1", FIG1)], 1, 13, trials=1, seed=0)
 
 
+def test_trials_guard_before_any_trial(monkeypatch):
+    class Started(Exception):
+        pass
+
+    def started(*args, **kwargs):
+        raise Started
+
+    monkeypatch.setattr(oracle, "sample_instance", started)
+    monkeypatch.setattr(oracle, "check_structural", started)
+    most = oracle.MAX_ORACLE_TRIALS
+    with pytest.raises(Started):
+        monte_carlo_controllable(FIG2A, 0, 1, trials=most, seed=0)
+    with pytest.raises(ScaleError, match="trials"):
+        monte_carlo_controllable(FIG2A, 0, 1, trials=most + 1, seed=0)
+    # oracle_agreement may retry a cell at 4x trials, so its ceiling is a quarter
+    with pytest.raises(Started):
+        oracle_agreement([("fig2a", FIG2A)], 0, 1, trials=most // 4, seed=0)
+    with pytest.raises(ScaleError, match="trials"):
+        oracle_agreement([("fig2a", FIG2A)], 0, 1, trials=most // 4 + 1, seed=0)
+
+
 def test_random_patterns_necessity_direction():
     rng = random.Random(8)
     for seed in range(12):

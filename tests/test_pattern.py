@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swenctrl.errors import ParseError, ScaleError
-from swenctrl.graph import to_digraph
 from swenctrl.pattern import (
     MAX_PATTERN_DIM,
     EnsembleInstance,
@@ -169,17 +168,16 @@ def test_lift_digraph_is_q_copies(seed, q):
 
     rng = random.Random(seed)
     p = random_pattern(rng.randint(1, 4), rng.randint(0, 2), 0.5, seed)
-    g = to_digraph(p)
-    lifted = to_digraph(lift_ensemble(p, q))
+    lifted = lift_ensemble(p, q)
+    n = p.n
     expected_state = frozenset(
-        (copy * p.n + j, copy * p.n + i) for j, i in g.state_edges for copy in range(q)
+        (copy * n + i, copy * n + j) for i, j in p.stars if j <= n for copy in range(q)
     )
     expected_control = frozenset(
-        (c, copy * p.n + i) for c, i in g.control_edges for copy in range(q)
+        (copy * n + i, n * q + j - n) for i, j in p.stars if j > n for copy in range(q)
     )
-    assert lifted.state_edges == expected_state
-    assert lifted.control_edges == expected_control
-    assert lifted.n_state == p.n * q and lifted.n_control == p.m
+    assert lifted.stars == expected_state | expected_control
+    assert lifted.n == n * q and lifted.m == p.m
 
 
 def test_random_pattern_density_extremes():
