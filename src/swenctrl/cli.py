@@ -32,7 +32,13 @@ from .flow import (
 )
 from .graph import brute_force_check, to_dot
 from .oracle import CRITERIA, monte_carlo_controllable
-from .pattern import DEFAULT_VALUE_BOUND, SparsityPattern, parse_pattern, random_pattern
+from .pattern import (
+    DEFAULT_VALUE_BOUND,
+    MAX_GENERATED_N,
+    SparsityPattern,
+    parse_pattern,
+    random_pattern,
+)
 from .results import kstar_to_dict, verdict_to_dict
 
 CI_ENV_VAR = "SWENCTRL_CI"
@@ -201,11 +207,15 @@ def fit_loglog_slope(ns, times) -> float:
 
 def run_bench(nmin: int, nmax: int, density: float, seed: int,
               repeats: int = 3, k: int = 1, q: int = 3) -> dict:
+    """Time rows n = nmin, 2 nmin, ... up to nmax; raises ScaleError before
+    any row when the largest exceeds MAX_GENERATED_N."""
     sizes = []
     n = nmin
     while n <= nmax:
         sizes.append(n)
         n *= 2
+    if sizes and sizes[-1] > MAX_GENERATED_N:
+        raise ScaleError(f"bench row n = {sizes[-1]} exceeds the guard {MAX_GENERATED_N}")
     rows = []
     for n in sizes:
         pattern = bench_pattern(n, density, seed + n)

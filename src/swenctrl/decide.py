@@ -2,9 +2,10 @@
 
 check_structural decides structural controllability of a pattern for a given
 (k, q) by reachability plus a single max-flow saturation test; compute_kstar
-finds the minimal switch count that works for every ensemble size by a
-warm-started ascent on one residual network, and reports the binary-search
-trace a cold probe per k would give;
+reads an infinite minimal switch count off the pattern, with no flow, and
+finds a finite one, valid for every ensemble size, by a warm-started ascent
+on one residual network, reporting the binary-search trace a cold probe per
+k would give;
 crosscheck runs the flow route against the brute-force enumeration and the
 expanded-network flow over a whole (k, q) grid.
 """
@@ -21,6 +22,7 @@ from .flow import (
     augment,
     build_lifted_network,
     build_small_network,
+    check_kq,
     compact_arcs,
     compact_capacity,
     compact_unreachable,
@@ -61,11 +63,8 @@ def check_structural(pattern: SparsityPattern, k: int, q: int) -> Verdict:
     minimum cut of the witness-mode network.  Everything runs on the compact
     network's int arcs, built straight from the pattern's stars.
     """
-    if not isinstance(k, int) or k < 0:
-        raise ValueError("switch count k must be an integer >= 0")
-    if not isinstance(q, int) or q < 1:
-        raise ValueError("ensemble size q must be an integer >= 1")
     n, m = pattern.n, pattern.m
+    check_kq(n, m, k, q)
     target = n * q
     tail, head = compact_arcs(n, m, pattern.stars)
     unreachable = compact_unreachable(n, m, tail, head)
@@ -78,7 +77,7 @@ def check_structural(pattern: SparsityPattern, k: int, q: int) -> Verdict:
     if theta == target:
         return Verdict(True, Saturated(theta), stats)
     subset, alpha, beta = _sink_side_states(res, n, m, residual_min_cut(res, theta))
-    lhs, rhs = _violation(n, k, q, subset, alpha, beta)
+    lhs, rhs = _violation(k, q, subset, alpha, beta)
     return Verdict(False, ViolatingSubset(subset, lhs, rhs, k, q), stats)
 
 
@@ -96,11 +95,11 @@ def _sink_side_states(res: Residual, n: int, m: int, sink_side) -> tuple[frozens
     return subset, len(left) - beta, beta
 
 
-def _violation(n: int, k: int, q: int, subset, alpha: int, beta: int) -> tuple[int, int]:
+def _violation(k: int, q: int, subset, alpha: int, beta: int) -> tuple[int, int]:
     """Both sides of the counting condition for a cut-derived subset, which
     must violate it; ConsistencyError is raised if it does not (a cut that is
     not the source side of a witness-mode min cut for (k, q))."""
-    lhs, rhs = counting_sides(n, k, q, len(subset), alpha, beta)
+    lhs, rhs = counting_sides(k, q, len(subset), alpha, beta)
     if lhs >= rhs:
         raise ConsistencyError("cut-derived subset satisfies the counting condition; "
                                "the cut is not a witness-mode min cut")
@@ -117,7 +116,7 @@ def witness_from_cut(pattern: SparsityPattern, k: int, q: int, cut) -> frozenset
     """
     subset = frozenset(j for j in range(1, pattern.n + 1) if ("mu", j) not in cut)
     ns = in_neighbor_sets(pattern, subset)
-    _violation(pattern.n, k, q, subset, len(ns.alpha_in), len(ns.beta_in))
+    _violation(k, q, subset, len(ns.alpha_in), len(ns.beta_in))
     return subset
 
 
@@ -128,8 +127,15 @@ def compute_kstar(pattern: SparsityPattern) -> KStarResult:
     for every q, and for k <= n-1 it reduces to (k+1)|alpha_in(V')| >= |V'|,
     so k* = max ceil(|V'| / |alpha_in(V')|) - 1 over state subsets V'.  An
     unreachable pattern, or one with a state that has no state in-neighbour,
-    has no finite k*; the latter keeps the single probe at (n-1, mn+1),
-    whose min cut gives the EmptyAlphaIn subset.
+    has no finite k*.  The latter is answered from the pattern, with no flow.
+    Let Z be the states with no state in-neighbour and qbar = mn+1.  In the
+    witness-mode network at (n-1, qbar), a finite cut with sink-side states
+    V' costs qbar(n-|V'|) + n|beta_in(V')| + n qbar|alpha_in(V')|.  Any V'
+    with alpha_in(V') nonempty costs at least n qbar, the cost of V' = {};
+    for V' within Z, adding a state of Z changes the cost by at most
+    -qbar + nm = -1.  So Z is the unique minimiser: the sink side of the
+    source-maximal min cut, hence the EmptyAlphaIn witness, and its cost is
+    the max-flow value (max-flow/min-cut), the one trace entry.
 
     Otherwise one witness-mode network at q = mn+1, valid for every k <= n-1,
     is solved at k = 0 and then ascended: while the flow is short of
@@ -148,27 +154,25 @@ def compute_kstar(pattern: SparsityPattern) -> KStarResult:
         return KStarResult(None, Unreachable(unreachable))
     qbar = m * n + 1
     target = n * qbar
+    mu = m + n  # mu_i is mu + i
+    state_arcs = bisect_left(tail, m + 1)  # the control arcs run from m + n to here
+    fed = set(head[state_arcs:len(tail) - n])
+    unfed = frozenset(i for i in range(1, n + 1) if mu + i not in fed)
+    if unfed:
+        inputs = {c for c, h in zip(tail[m + n:state_arcs], head[m + n:state_arcs])
+                  if h - mu in unfed}
+        _violation(n - 1, qbar, unfed, 0, len(inputs))
+        theta = qbar * (n - len(unfed)) + n * len(inputs)
+        return KStarResult(None, EmptyAlphaIn(unfed), ((n - 1, theta, target),))
     cap = compact_capacity(n, m, tail, n - 1, qbar, witness_mode=True)
     res = residual_arrays(m + 2 * n + 2, tail, head, cap)
-
-    def violating(k: int, theta: int) -> tuple[frozenset[int], int]:
-        subset, alpha, beta = _sink_side_states(res, n, m, residual_min_cut(res, theta))
-        _violation(n, k, qbar, subset, alpha, beta)
-        return subset, alpha
-
-    state_heads = head[bisect_left(tail, m + 1):len(tail) - n]
-    if len(set(state_heads)) < n:
-        # Some state has no state in-neighbour.  A violation at (n-1, mn+1)
-        # needs n|alpha_in| < |V'| <= n, so the violating subset has none.
-        theta = augment(res)
-        subset, _ = violating(n - 1, theta)
-        return KStarResult(None, EmptyAlphaIn(subset), ((n - 1, theta, target),))
     shift_switch_count(res, n, m, qbar, -(n - 1))  # down to k = 0, still at zero flow
     k, theta = 0, augment(res)
     failing = {}  # k -> (max-flow value, residual) for every k solved short of target
     while theta < target:
         failing[k] = (theta, res.copy())
-        subset, alpha = violating(k, theta)
+        subset, alpha, beta = _sink_side_states(res, n, m, residual_min_cut(res, theta))
+        _violation(k, qbar, subset, alpha, beta)
         k_next = -(-len(subset) // alpha) - 1
         if k_next <= k:
             raise ConsistencyError(f"kstar ascent stalled at k={k}")

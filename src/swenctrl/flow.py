@@ -77,11 +77,17 @@ class FlowAssignment:
     value_total: int | Fraction
 
 
-def _check_kq(k: int, q: int) -> None:
-    if k < 0:
-        raise ValueError("switch count k must be >= 0")
-    if q < 1:
-        raise ValueError("ensemble size q must be >= 1")
+def check_kq(n: int, m: int, k: int, q: int) -> None:
+    """The one guard on (k, q) for an n-state, m-input pattern, checked before
+    any work: ValueError unless k >= 0 and q >= 1 are ints, ScaleError unless
+    the total source capacity (k+1)(m+nq), which bounds every flow value and
+    cut and both sides of the counting condition, fits in 63 bits."""
+    if not isinstance(k, int) or k < 0:
+        raise ValueError("switch count k must be an integer >= 0")
+    if not isinstance(q, int) or q < 1:
+        raise ValueError("ensemble size q must be an integer >= 1")
+    if (k + 1) * (m + n * q) >= _INT64_MAX:
+        raise ScaleError("total source capacity (k+1)(m+nq) exceeds the 64-bit guard")
 
 
 def compact_arcs(n: int, m: int, stars) -> tuple[list[int], list[int]]:
@@ -142,19 +148,15 @@ def compact_capacity(n: int, m: int, tail: list[int], k: int, q: int,
     source capacity + 1, which leaves the max-flow value unchanged (each left
     node is already throttled by its single source arc) but forces every min
     cut onto the source and sink arcs, where a violating subset can be read
-    off directly.  Raises ScaleError when the total source capacity, which
-    bounds every flow value, does not fit in 63 bits.
+    off directly.  (k, q) pass check_kq first.
     """
-    _check_kq(k, q)
+    check_kq(n, m, k, q)
     kp1 = k + 1
     big = q * kp1
-    source_total = m * kp1 + n * big  # bounds every flow value and every finite cut
-    if source_total >= _INT64_MAX:
-        raise ScaleError("total source capacity exceeds the 64-bit guard")
     control = bisect_left(tail, m + 1) - m - n
     state = len(tail) - 2 * n - m - control
     if witness_mode:
-        middle = [source_total + 1] * (control + state)
+        middle = [m * kp1 + n * big + 1] * (control + state)
     else:
         middle = [kp1] * control + [big] * state
     return [kp1] * m + [big] * n + middle + [q] * n
@@ -186,10 +188,11 @@ def build_lifted_network(pattern: SparsityPattern, k: int, q: int) -> FlowNetwor
     mu_{p,j}, each with its last index running fastest.  The middle arcs
     expand the compact middle arcs in their order, each over its layers ell
     and then its ensemble copies p.  Raises ScaleError, before allocating,
-    when the arc count (k+1)(m+nq) + (k+1)q|E| + nq exceeds MAX_LIFTED_ARCS.
+    when (k, q) fail check_kq or the arc count (k+1)(m+nq) + (k+1)q|E| + nq
+    exceeds MAX_LIFTED_ARCS.
     """
-    _check_kq(k, q)
     n, m = pattern.n, pattern.m
+    check_kq(n, m, k, q)
     kp1 = k + 1
     if kp1 * (m + n * q) + kp1 * q * len(pattern.stars) + n * q > MAX_LIFTED_ARCS:
         raise ScaleError(f"(k+1)(m+nq+q|E|)+nq exceeds the {MAX_LIFTED_ARCS} arc guard")

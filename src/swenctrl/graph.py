@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ScaleError
-from .flow import compact_arcs, compact_unreachable
+from .flow import check_kq, compact_arcs, compact_unreachable
 from .pattern import SparsityPattern
 from .results import (
     ArgmaxSubset,
@@ -25,9 +25,6 @@ from .results import (
 )
 
 MAX_BRUTE_STATES = 24  # 2^n subset enumeration guard
-_KQ_LIMIT = 1 << 31
-_INT64_MAX = (1 << 63) - 1
-_DP_STATES = 20  # below this, subset unions are tabulated instead of recomputed
 
 
 @dataclass(frozen=True)
@@ -63,36 +60,28 @@ def reachability_check(pattern: SparsityPattern) -> frozenset[int]:
     return compact_unreachable(n, m, *compact_arcs(n, m, pattern.stars))
 
 
-def _check_kq(n: int, k: int, q: int) -> None:
-    if not isinstance(k, int) or k < 0:
-        raise ValueError("switch count k must be an integer >= 0")
-    if not isinstance(q, int) or q < 1:
-        raise ValueError("ensemble size q must be an integer >= 1")
-    if k + 1 > _KQ_LIMIT or q > _KQ_LIMIT or (k + 1) * q * max(n, 1) > _INT64_MAX:
-        raise ScaleError("(k+1)*q*n exceeds the 64-bit capacity guard")
-
-
-def counting_sides(n: int, k: int, q: int, size: int, alpha: int, beta: int) -> tuple[int, int]:
+def counting_sides(k: int, q: int, size: int, alpha: int, beta: int) -> tuple[int, int]:
     """Both sides (k+1)beta + (k+1)q alpha and q size of the counting
-    condition for a subset of size of the n states with alpha state and beta
-    control in-neighbours."""
-    _check_kq(n, k, q)
+    condition for a subset of size states with alpha state and beta control
+    in-neighbours."""
     return (k + 1) * beta + (k + 1) * q * alpha, q * size
 
 
 def core_condition_holds(pattern: SparsityPattern, k: int, q: int, subset) -> tuple[bool, int, int]:
     """Evaluate (k+1)|beta_in| + (k+1)q|alpha_in| >= q|subset| for one subset;
     returns (holds, lhs, rhs)."""
-    _check_kq(pattern.n, k, q)
+    check_kq(pattern.n, pattern.m, k, q)
     ns = in_neighbor_sets(pattern, subset)
-    lhs, rhs = counting_sides(pattern.n, k, q, len(frozenset(subset)), len(ns.alpha_in),
+    lhs, rhs = counting_sides(k, q, len(frozenset(subset)), len(ns.alpha_in),
                               len(ns.beta_in))
     return lhs >= rhs, lhs, rhs
 
 
 def _subset_unions(pattern: SparsityPattern):
     """Iterator of (subset_mask, alpha_in_mask, beta_in_mask) for every
-    nonempty subset of state nodes, in ascending mask order.
+    nonempty subset of state nodes, in ascending mask order: the unions of
+    the low n//2 states and of the others are tabulated apart (at most 2^12
+    entries each) and joined.
 
     Raises ScaleError, before anything is enumerated, when n exceeds the
     MAX_BRUTE_STATES enumeration guard.
@@ -110,31 +99,23 @@ def _subset_unions(pattern: SparsityPattern):
             amask[i] |= 1 << (j - 1)
         else:
             bmask[i] |= 1 << (j - n - 1)
-    return _enumerate_unions(n, amask, bmask)
+    h = n // 2
+    low = _union_table(amask[1:h + 1], bmask[1:h + 1])
+    high = _union_table(amask[h + 1:], bmask[h + 1:])
+    return ((hi << h | lo, a_hi | a, b_hi | b)
+            for hi, a_hi, b_hi in high for lo, a, b in (low[1:] if hi == 0 else low))
 
 
-def _enumerate_unions(n: int, amask: list[int], bmask: list[int]):
-    if n <= _DP_STATES:
-        atab = [0] * (1 << n)
-        btab = [0] * (1 << n)
-        for s in range(1, 1 << n):
-            low = (s & -s).bit_length()
-            rest = s & (s - 1)
-            a = atab[rest] | amask[low]
-            b = btab[rest] | bmask[low]
-            atab[s] = a
-            btab[s] = b
-            yield s, a, b
-    else:
-        for s in range(1, 1 << n):
-            a = b = 0
-            t = s
-            while t:
-                low = (t & -t).bit_length()
-                a |= amask[low]
-                b |= bmask[low]
-                t &= t - 1
-            yield s, a, b
+def _union_table(amask: list[int], bmask: list[int]) -> list[tuple[int, int, int]]:
+    """(s, alpha_in, beta_in) for every subset mask s of the states whose
+    in-neighbour masks are listed, bit i standing for amask[i], bmask[i]:
+    each subset adds its lowest state to the subset without it."""
+    table = [(0, 0, 0)]
+    for s in range(1, 1 << len(amask)):
+        low = (s & -s).bit_length() - 1
+        _, a, b = table[s & (s - 1)]
+        table.append((s, a | amask[low], b | bmask[low]))
+    return table
 
 
 def _mask_to_set(mask: int) -> frozenset[int]:
@@ -165,14 +146,14 @@ def counting_violation(pattern: SparsityPattern, k: int,
     Returns (subset, lhs, rhs) for the violation with the smallest rhs-lhs gap
     (ties: smallest bitmask), or None when every subset satisfies it.
     """
-    _check_kq(pattern.n, k, q)
+    check_kq(pattern.n, pattern.m, k, q)
     return _least_violation(_subset_unions(pattern), k, q)
 
 
 def brute_force_check(pattern: SparsityPattern, k: int, q: int) -> Verdict:
     """Exhaustive verification: reachability plus the counting condition over
     all 2^n subsets.  Guarded at n <= 24."""
-    _check_kq(pattern.n, k, q)
+    check_kq(pattern.n, pattern.m, k, q)
     unions = _subset_unions(pattern)
     stats = VerdictStats(None, pattern.n * q)
     unreachable = reachability_check(pattern)

@@ -1,17 +1,22 @@
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import pytest
 from helpers import FIG1, FIG2A, INTEGRATOR, TWO_CYCLE, hub_pattern
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import swenctrl.cli
 from swenctrl.cli import bench_pattern, fit_loglog_slope, main, run_bench
-from swenctrl.pattern import serialize_pattern
+from swenctrl.pattern import SparsityPattern, serialize_pattern
 
 
 def write_pattern(tmp_path, pattern, name="p.pat", fmt="grid"):
@@ -263,11 +268,24 @@ def test_exit_code_scale_error(tmp_path, capsys):
 
 
 def test_exit_code_brute_enumeration_guard(tmp_path, capsys):
-    from swenctrl.pattern import SparsityPattern
-
     path = write_pattern(tmp_path, SparsityPattern(25, 0, frozenset()))
     code, _, err = run_cli(capsys, "brute", path, "--k", "0", "--q", "1")
     assert code == 3 and "flow-based" in err
+
+
+DENSE_2X1 = SparsityPattern(2, 1, frozenset((i, j) for i in (1, 2) for j in (1, 2, 3)))
+INT64_MAX = (1 << 63) - 1
+
+
+@pytest.mark.parametrize("q", [1, 2, 2**31 + 1, 2**62])
+@pytest.mark.parametrize("k", [0, 1, 2**31 - 1, 2**31, 2**62, 2**63])
+@pytest.mark.parametrize("pattern", [FIG2A, DENSE_2X1], ids=["fig2a", "dense2x1"])
+def test_check_and_brute_share_one_kq_guard(tmp_path, capsys, pattern, k, q):
+    path = write_pattern(tmp_path, pattern)
+    codes = {cmd: run_cli(capsys, cmd, path, "--k", str(k), "--q", str(q))[0]
+             for cmd in ("check", "brute")}
+    expected = 3 if (k + 1) * (pattern.m + pattern.n * q) >= INT64_MAX else 0
+    assert codes == {"check": expected, "brute": expected}
 
 
 CHECK_K0_Q1 = ("check", "--k", "0", "--q", "1")
@@ -303,6 +321,76 @@ def test_hostile_input_exit_code_without_traceback(tmp_path, content, argv, expe
                                    stdout=subprocess.DEVNULL)
     assert code == expected_code, err
     assert "Traceback" not in err
+
+
+FUZZ_PATTERNS = {
+    "fig1": FIG1,
+    "fig2a": FIG2A,
+    "dense2x1": DENSE_2X1,
+    "unreachable": SparsityPattern(2, 1, frozenset({(1, 2), (2, 1)})),
+}
+# Each guard value, one below and one above it: crosscheck cells, trials and
+# bench rows, the oracle's q*n, 2^31, and the 64-bit source-capacity guard.
+GUARDS = (1 << 10, 1 << 12, 64, 1 << 31, INT64_MAX)
+BOUNDARY = sorted({g + d for g in GUARDS for d in (-1, 0, 1)} | {-(1 << 63), -1, 0, 1, 1 << 63})
+CLI_INTS = st.one_of(st.sampled_from(BOUNDARY), st.integers(-2, 6))
+NUMERIC_OPTIONS = {
+    "check": ("k", "q"),
+    "brute": ("k", "q"),
+    "kstar": (),
+    "oracle": ("k", "q", "trials"),
+    "crosscheck": ("kmax", "qmax"),
+    "flowdump": ("k", "q"),
+    "bench": ("nmin", "nmax", "k", "q"),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("fuzz")
+    return {name: write_pattern(folder, p, f"{name}.pat") for name, p in FUZZ_PATTERNS.items()}
+
+
+def _large_work(cmd, name, flags, v):
+    """Draws that pass every guard and still take long; kept out of the fuzz."""
+    p = FUZZ_PATTERNS.get(name)
+    if cmd == "oracle":
+        k, q, trials = v["k"], v["q"], v["trials"]
+        return (k >= 0 and q >= 1 and 1 <= trials <= 1 << 12 and q * p.n <= 64
+                and q * (k + 1) * p.n * (p.n + p.m) <= 1 << 18
+                and (trials * (k + 1) > 16 or q * p.n > 12))
+    if cmd == "crosscheck":
+        return v["kmax"] >= 0 and v["qmax"] >= 1 and 16 < (v["kmax"] + 1) * v["qmax"] <= 1 << 10
+    if cmd == "flowdump" and "--lifted" in flags:
+        return v["k"] >= 0 and v["q"] >= 1 and 64 < (v["k"] + 1) * v["q"] <= 1 << 20
+    if cmd == "bench" and 1 <= v["nmin"] <= v["nmax"]:
+        top = v["nmin"]
+        while 2 * top <= v["nmax"]:
+            top *= 2
+        return 64 < top <= 1 << 12
+    return False
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_fuzzed_cli_arguments_exit_0_to_3(fuzz_files, data):
+    cmd = data.draw(st.sampled_from(sorted(NUMERIC_OPTIONS)))
+    v = {opt: data.draw(CLI_INTS, label=opt) for opt in NUMERIC_OPTIONS[cmd]}
+    if cmd == "bench":
+        name, argv = None, ["bench", "--repeats", "1", "--seed", "0"]
+    else:
+        name = data.draw(st.sampled_from(sorted(FUZZ_PATTERNS)), label="pattern")
+        argv = [cmd, fuzz_files[name]]
+    flags = []
+    if cmd == "oracle":
+        flags = ["--seed", "0"]
+    elif cmd == "flowdump":
+        flags = data.draw(st.sampled_from([[], ["--lifted"], ["--witness-mode"]]), label="flags")
+    assume(not _large_work(cmd, name, flags, v))
+    argv += flags + [arg for opt, x in v.items() for arg in (f"--{opt}", str(x))]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
 
 
 def test_false_verdict_still_exits_zero(tmp_path, capsys):
@@ -371,6 +459,21 @@ def test_run_bench_tiny():
         for col in ("build_s", "maxflow_s", "check_s", "kstar_s"):
             assert row[col] >= 0
     assert set(result["slopes"]) == {"build", "maxflow", "check", "kstar"}
+
+
+def test_bench_size_guard_before_any_row(capsys, monkeypatch):
+    sizes = []
+
+    def tiny(n, density, seed):
+        sizes.append(n)
+        return FIG2A
+
+    monkeypatch.setattr(swenctrl.cli, "bench_pattern", tiny)
+    code, out, err = run_cli(capsys, "bench", "--nmin", "4096", "--nmax", "8192",
+                             "--density", "0", "--seed", "0", "--repeats", "1")
+    assert code == 3 and out == "" and "8192" in err and sizes == []
+    run_bench(50, 5000, 0.0, 0, repeats=1)  # the rows stop at 3200
+    assert sizes == [50, 100, 200, 400, 800, 1600, 3200]
 
 
 def test_bench_cli_text(capsys):

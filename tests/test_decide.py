@@ -195,6 +195,43 @@ def test_kstar_matches_cold_search_random(monkeypatch):
     assert sum(reads >= 2 for reads in cut_reads) > 20  # ascents of two or more steps
 
 
+def empty_block_pattern(n, m, rng, sparse_fail):
+    """A random block of states with no state in-neighbour.  Sparse-fail
+    shapes, like the benchmark's, add self-loops outside the block and one
+    input feeding every state, so they stay reachable."""
+    block = set(rng.sample(range(1, n + 1), rng.randint(1, max(1, n // 4))))
+    stars = set()
+    density = 0.05 if sparse_fail else rng.uniform(0.1, 0.5)
+    if sparse_fail:
+        stars |= {(i, i) for i in range(1, n + 1) if i not in block}
+        stars |= {(i, n + 1) for i in range(1, n + 1)}
+    stars |= {(i, j) for i in range(1, n + 1) for j in range(1, n + m + 1)
+              if rng.random() < density and (i not in block or j > n)}
+    return SparsityPattern(n, m, frozenset(stars))
+
+
+def test_kstar_infinite_needs_no_flow(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("compute_kstar solved a flow for an infinite k*")
+
+    for name in ("residual_arrays", "augment", "residual_min_cut"):
+        monkeypatch.setattr(swenctrl.decide, name, forbidden)
+    patterns = [FIG1, FIG2A]
+    for seed in range(150):
+        rng = random.Random(seed)
+        if seed % 3:
+            patterns.append(empty_block_pattern(rng.randint(1, 14), rng.randint(1, 3), rng, False))
+        else:
+            n = rng.randint(20, 60)
+            patterns.append(empty_block_pattern(n, max(1, n // 10), rng, True))
+    empty_alpha_in = 0
+    for p in patterns:
+        r = compute_kstar(p)
+        assert r == reference_kstar(p)
+        empty_alpha_in += isinstance(r.witness, EmptyAlphaIn)
+    assert empty_alpha_in > 80
+
+
 def fan_pattern(n):
     """State 1 (with a self-loop) feeds every state; k* = n - 1."""
     return SparsityPattern(n, 1, frozenset({(i, 1) for i in range(1, n + 1)} | {(1, n + 1)}))

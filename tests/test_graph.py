@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from swenctrl.errors import ScaleError
 from swenctrl.graph import (
+    _subset_unions,
     NeighborSets,
     brute_force_check,
     core_condition_holds,
@@ -94,7 +95,7 @@ def test_core_condition_guards():
     with pytest.raises(ValueError):
         core_condition_holds(FIG2A, 0, 0, set())
     with pytest.raises(ScaleError):
-        core_condition_holds(FIG2A, 1 << 32, 1, set())
+        core_condition_holds(FIG2A, 1 << 62, 1, set())
 
 
 def test_brute_force_fig2a_grid():
@@ -137,6 +138,19 @@ def test_brute_force_scale_guard():
         kstar_brute(p)
     with pytest.raises(ScaleError, match="flow-based"):
         counting_violation(p, 0, 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 13])
+def test_subset_unions_in_ascending_mask_order(n):
+    p = random_pattern(n, 2, 0.3, seed=n)
+    expected = []
+    for s in range(1, 1 << n):
+        subset = {i + 1 for i in range(n) if s >> i & 1}
+        cols = {j for i, j in p.stars if i in subset}
+        a = sum(1 << (j - 1) for j in cols if j <= n)
+        b = sum(1 << (j - n - 1) for j in cols if j > n)
+        expected.append((s, a, b))
+    assert list(_subset_unions(p)) == expected
 
 
 def test_kstar_brute_examples():
