@@ -17,10 +17,9 @@ import sys
 from time import perf_counter
 
 from . import __version__
-from .decide import check_structural, compute_kstar, crosscheck, crosscheck_to_dict
+from .decide import _solve, check_structural, compute_kstar, crosscheck, crosscheck_to_dict
 from .errors import ParseError, ScaleError
 from .flow import (
-    augment,
     build_lifted_network,
     build_small_network,
     compact_arcs,
@@ -227,7 +226,7 @@ def run_bench(nmin: int, nmax: int, density: float, seed: int,
 
         build_s = _best_time(build, repeats)
         res = build()
-        maxflow_s = _best_time(lambda: augment(res.copy()), repeats)
+        maxflow_s = _best_time(lambda: _solve(res.copy(), n, pattern.m, 0, n * q), repeats)
         check_s = _best_time(lambda: check_structural(pattern, k, q), repeats)
         kstar_s = _best_time(lambda: compute_kstar(pattern), repeats)
         rows.append({
@@ -257,6 +256,8 @@ def run_bench(nmin: int, nmax: int, density: float, seed: int,
 def _cmd_bench(args) -> int:
     if args.nmin < 1 or args.nmax < args.nmin:
         raise _UsageError("require 1 <= nmin <= nmax")
+    if args.repeats < 1:
+        raise _UsageError("require repeats >= 1")
     result = run_bench(args.nmin, args.nmax, args.density, _seed_or_default(args),
                        repeats=args.repeats, k=args.k, q=args.q)
     if args.output == "json":

@@ -27,6 +27,7 @@ from .flow import (
     compact_capacity,
     compact_unreachable,
     max_flow,
+    push_direct,
     residual_arrays,
     residual_min_cut,
     shift_switch_count,
@@ -61,7 +62,12 @@ def check_structural(pattern: SparsityPattern, k: int, q: int) -> Verdict:
     False verdicts carry a verified certificate: the unreachable state nodes,
     or a state subset violating the counting condition, extracted from a
     minimum cut of the witness-mode network.  Everything runs on the compact
-    network's int arcs, built straight from the pattern's stars.
+    network's int arcs, built straight from the pattern's stars.  The flow
+    is found by pushing the direct paths s -> left -> mu_i -> t and then
+    augmenting while short of saturation; which maximum flow that gives does
+    not matter, since every maximum flow has the same value theta and the
+    nodes that reach the sink in its residual graph, the sink side of the
+    source-maximal min cut, are the same for all of them.
     """
     n, m = pattern.n, pattern.m
     check_kq(n, m, k, q)
@@ -72,13 +78,23 @@ def check_structural(pattern: SparsityPattern, k: int, q: int) -> Verdict:
         return Verdict(False, Unreachable(unreachable), VerdictStats(None, target))
     res = residual_arrays(m + 2 * n + 2, tail, head,
                           compact_capacity(n, m, tail, k, q, witness_mode=True))
-    theta = augment(res)
+    theta = _solve(res, n, m, 0, target)
     stats = VerdictStats(theta, target)
     if theta == target:
         return Verdict(True, Saturated(theta), stats)
     subset, alpha, beta = _sink_side_states(res, n, m, residual_min_cut(res, theta))
     lhs, rhs = _violation(k, q, subset, alpha, beta)
     return Verdict(False, ViolatingSubset(subset, lhs, rhs, k, q), stats)
+
+
+def _solve(res: Residual, n: int, m: int, theta: int, target: int) -> int:
+    """Raise the flow of value theta held in the compact residual res to a
+    maximum one and return its value: push the direct paths, then augment
+    only while the value is short of target (saturation)."""
+    theta += push_direct(res, n, m)
+    if theta < target:
+        theta += augment(res)
+    return theta
 
 
 def _sink_side_states(res: Residual, n: int, m: int, sink_side) -> tuple[frozenset[int], int, int]:
@@ -144,8 +160,11 @@ def compute_kstar(pattern: SparsityPattern) -> KStarResult:
     and the source arcs are raised with the flow kept.  The trace replays the
     binary search over [0, n-1] that probes the same network cold: probes at
     k >= k* saturate, and each probe below k* is solved warm from the
-    residual of the largest failing k below it.  Max-flow values do not
-    depend on which maximum flow is found, so the trace is the same.
+    residual of the largest failing k below it.  Each solve pushes the
+    direct paths and then augments while short of n(mn+1), so the flows
+    differ from a cold Dinic solve's; but max-flow values, and the
+    source-maximal min cut that picks each next k, are the same for every
+    maximum flow, so the ascent, k* and the trace are too.
     """
     n, m = pattern.n, pattern.m
     tail, head = compact_arcs(n, m, pattern.stars)
@@ -167,7 +186,7 @@ def compute_kstar(pattern: SparsityPattern) -> KStarResult:
     cap = compact_capacity(n, m, tail, n - 1, qbar, witness_mode=True)
     res = residual_arrays(m + 2 * n + 2, tail, head, cap)
     shift_switch_count(res, n, m, qbar, -(n - 1))  # down to k = 0, still at zero flow
-    k, theta = 0, augment(res)
+    k, theta = 0, _solve(res, n, m, 0, target)
     failing = {}  # k -> (max-flow value, residual) for every k solved short of target
     while theta < target:
         failing[k] = (theta, res.copy())
@@ -177,7 +196,7 @@ def compute_kstar(pattern: SparsityPattern) -> KStarResult:
         if k_next <= k:
             raise ConsistencyError(f"kstar ascent stalled at k={k}")
         shift_switch_count(res, n, m, qbar, k_next - k)
-        theta += augment(res)
+        theta = _solve(res, n, m, theta, target)
         k = k_next
     trace = [(n - 1, target, target)]
     lo, hi = 0, n - 1
@@ -192,7 +211,7 @@ def compute_kstar(pattern: SparsityPattern) -> KStarResult:
             theta_below, res_below = failing[below]
             res_mid = res_below.copy()
             shift_switch_count(res_mid, n, m, qbar, mid - below)
-            failing[mid] = (theta_below + augment(res_mid), res_mid)
+            failing[mid] = (_solve(res_mid, n, m, theta_below, target), res_mid)
         theta_mid = failing[mid][0]
         if theta_mid >= target:
             raise ConsistencyError(f"probe at k={mid} saturates below k*={k}")

@@ -17,10 +17,13 @@ reachability search on them.  build_small_network only adds the node names,
 for export, the flow transfer maps and the referees; build_lifted_network
 expands every compact middle arc, in order, into its layer copies.
 
-Every solve runs one augmenting core (augment) on a Residual, which callers
-may keep: max_flow starts it from zero flow, and compute_kstar raises a
-compact network's switch count in place (shift_switch_count) and augments
-on.  residual_min_cut reads the source-maximal min cut off any Residual.
+Every maximum flow comes from one augmenting core (augment, Dinic) on a
+Residual, which callers may keep: max_flow starts it from zero flow.  The
+decision procedures first push the direct paths s -> left -> mu_i -> t of
+the compact network (push_direct), which often saturate it, and augment
+only while short of saturation; compute_kstar raises a compact network's
+switch count in place (shift_switch_count) and solves on.
+residual_min_cut reads the source-maximal min cut off any Residual.
 
 The node-collapsing map phi sends expanded nodes onto compact ones; flows
 transfer along phi in both directions with their value preserved.
@@ -289,6 +292,44 @@ def shift_switch_count(res: Residual, n: int, m: int, q: int, dk: int) -> None:
         cap[2 * a] += q * dk
 
 
+def push_direct(res: Residual, n: int, m: int) -> int:
+    """Push flow along the direct paths s -> u -> mu_i -> t of the residual
+    res of an n-state, m-input compact network, which may already carry
+    flow; returns the value added.
+
+    Each left node u = 1..m+n in id order walks its forward edges in
+    construction order, pushing the least residual of its source arc, the
+    edge and mu_i's sink arc, until its source arc is empty.  The result is
+    a feasible flow, not necessarily a maximum one.
+    """
+    head, adj, cap = res.head, res.adj, res.cap
+    sink_edge = len(head) - 2 * (m + 2 * n + 1)  # + 2v is the edge of mu node v's sink arc
+    added = 0
+    for u in range(1, m + n + 1):
+        src = 2 * u - 2
+        supply = cap[src]
+        if not supply:
+            continue
+        for e in adj[u][1:]:  # adj[u][0] is the reverse of u's source arc
+            out = sink_edge + 2 * head[e]
+            if not cap[out]:  # most edges, once the sink arcs fill
+                continue
+            x = min(supply, cap[e], cap[out])
+            if x:
+                cap[e] -= x
+                cap[e + 1] += x
+                cap[out] -= x
+                cap[out + 1] += x
+                supply -= x
+                if not supply:
+                    break
+        x = cap[src] - supply
+        cap[src] = supply
+        cap[src + 1] += x
+        added += x
+    return added
+
+
 def augment(res: Residual) -> int:
     """Raise the flow held in res to a maximum one by deterministic
     phase-based blocking flow (Dinic); returns the value added.
@@ -347,8 +388,8 @@ def augment(res: Residual) -> int:
 
 
 def max_flow(net: FlowNetwork) -> FlowAssignment:
-    """Exact integral maximum flow from zero flow; identical networks yield
-    identical assignments."""
+    """Exact integral maximum flow from zero flow by augment alone;
+    identical networks yield identical assignments."""
     res = residual_graph(net)
     augment(res)
     values = tuple(res.cap[1::2])

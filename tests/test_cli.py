@@ -476,6 +476,13 @@ def test_bench_size_guard_before_any_row(capsys, monkeypatch):
     assert sizes == [50, 100, 200, 400, 800, 1600, 3200]
 
 
+@pytest.mark.parametrize("repeats", ["0", "-1"])
+def test_bench_repeats_below_one_is_usage_error(capsys, repeats):
+    code, out, err = run_cli(capsys, "bench", "--nmin", "4", "--nmax", "8",
+                             "--repeats", repeats, "--seed", "0")
+    assert code == 1 and out == "" and "repeats" in err
+
+
 def test_bench_cli_text(capsys):
     code, out, _ = run_cli(
         capsys, "bench", "--nmin", "6", "--nmax", "6", "--repeats", "1",

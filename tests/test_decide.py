@@ -214,7 +214,7 @@ def test_kstar_infinite_needs_no_flow(monkeypatch):
     def forbidden(*args):
         raise AssertionError("compute_kstar solved a flow for an infinite k*")
 
-    for name in ("residual_arrays", "augment", "residual_min_cut"):
+    for name in ("residual_arrays", "push_direct", "augment", "residual_min_cut"):
         monkeypatch.setattr(swenctrl.decide, name, forbidden)
     patterns = [FIG1, FIG2A]
     for seed in range(150):
@@ -260,23 +260,58 @@ def backbone_pattern(n):
                                            | {(i, n + 1) for i in range(1, n + 1)}))
 
 
-@pytest.mark.parametrize("pattern, kstar, solves", [
-    (backbone_pattern(50), 0, 1),
+@pytest.mark.parametrize("pattern, kstar, solves, dinic", [
+    # the direct paths saturate every solve at k >= k*, so Dinic runs only
+    # on the solves short of saturation
+    (backbone_pattern(50), 0, 1, 0),
     # ascent k = 0 -> 7, then the trace's failing probes k = 3, 5, 6
-    (hub_pattern(64), 7, 5),
+    (hub_pattern(64), 7, 5, 4),
     # ascent k = 0 -> 7, then the trace's one failing probe k = 6
-    (hub_pattern(800), 7, 3),
+    (hub_pattern(800), 7, 3, 2),
 ], ids=["backbone50", "hub64", "hub800"])
-def test_kstar_solve_count(monkeypatch, pattern, kstar, solves):
-    calls = []
+def test_kstar_solve_count(monkeypatch, pattern, kstar, solves, dinic):
+    calls = {"solve": 0, "augment": 0}
 
-    def counted(res):
-        calls.append(1)
-        return augment(res)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
 
-    monkeypatch.setattr(swenctrl.decide, "augment", counted)
+    monkeypatch.setattr(swenctrl.decide, "_solve", counted("solve", swenctrl.decide._solve))
+    monkeypatch.setattr(swenctrl.decide, "augment", counted("augment", augment))
     assert compute_kstar(pattern).value == kstar
-    assert len(calls) == solves
+    assert calls == {"solve": solves, "augment": dinic}
+
+
+def test_backbone_saturates_without_augment(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("augment ran on a backbone pattern")
+
+    monkeypatch.setattr(swenctrl.decide, "augment", forbidden)
+    p = backbone_pattern(200)
+    for k, q in ((0, 1), (1, 3), (2, 7)):
+        v = check_structural(p, k, q)
+        assert v.decision and v.stats.theta == p.n * q
+    assert compute_kstar(p).value == 0
+
+
+def test_direct_pass_keeps_theta_and_kstar():
+    """check_structural's theta is the cold max-flow value of the
+    witness-mode network, and compute_kstar the cold binary search's."""
+    solved = finite = 0
+    for seed in range(500):
+        rng = random.Random(seed)
+        p = random_pattern(rng.randint(1, 12), rng.randint(0, 3), rng.random(), seed)
+        k, q = rng.randint(0, 2), rng.choice((1, 2, 3, 7))
+        theta = check_structural(p, k, q).stats.theta
+        if theta is not None:  # None: unreachable, answered before any flow
+            assert theta == max_flow(build_small_network(p, k, q, witness_mode=True)).value_total
+            solved += 1
+        r = compute_kstar(p)
+        assert r == reference_kstar(p)
+        finite += r.value is not None
+    assert solved > 200 and finite > 200
 
 
 def test_kstar_finite_boundary():

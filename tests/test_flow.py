@@ -24,8 +24,10 @@ from swenctrl.flow import (
     phi_arc,
     phi_node,
     project_flow,
+    push_direct,
     residual_arrays,
     residual_graph,
+    shift_switch_count,
     verify_flow,
 )
 from swenctrl.pattern import SparsityPattern, random_pattern
@@ -208,6 +210,43 @@ def test_min_cut_duality_over_random_networks():
         cut = min_cut(net, f)  # raises on duality violation
         assert f.value_total <= p.n * q
         assert verify_flow(net, f)
+
+
+def _flow_of(res, net):
+    values = tuple(res.cap[1::2])
+    return FlowAssignment(values, sum(values[:net.m + net.n]))
+
+
+def test_push_direct_feasible_fresh_and_after_shift():
+    """The direct pass leaves a feasible flow of the value it reports, both
+    from zero flow and, as in the kstar ascent, after the switch count of a
+    residual that already carries flow is raised."""
+    for seed in range(500):
+        rng = random.Random(seed)
+        p = random_pattern(rng.randint(1, 12), rng.randint(0, 3), rng.random(), seed)
+        n, m = p.n, p.m
+        k, dk, q = rng.randint(0, 2), rng.randint(1, 3), rng.choice((1, 2, 3, 7))
+        witness = bool(seed % 4)
+        net = build_small_network(p, k, q, witness_mode=witness)
+        res = residual_graph(net)
+        added = push_direct(res, n, m)
+        f = _flow_of(res, net)
+        assert verify_flow(net, f)
+        assert added == f.value_total <= max_flow(net).value_total
+        if not witness:
+            continue
+        # built at k + dk and shifted down, so the middle arcs stay above
+        # the source total after the shift back up
+        top = build_small_network(p, k + dk, q, witness_mode=True)
+        res = residual_graph(top)
+        shift_switch_count(res, n, m, q, -dk)
+        first = push_direct(res, n, m)
+        assert verify_flow(net, _flow_of(res, net))
+        shift_switch_count(res, n, m, q, dk)
+        second = push_direct(res, n, m)
+        f = _flow_of(res, top)
+        assert verify_flow(top, f)
+        assert first + second == f.value_total <= max_flow(top).value_total
 
 
 def test_witness_mode_value_invariance():
