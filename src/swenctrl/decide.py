@@ -67,7 +67,8 @@ def check_structural(pattern: SparsityPattern, k: int, q: int) -> Verdict:
     augmenting while short of saturation; which maximum flow that gives does
     not matter, since every maximum flow has the same value theta and the
     nodes that reach the sink in its residual graph, the sink side of the
-    source-maximal min cut, are the same for all of them.
+    source-maximal min cut, are the same for all of them.  augment's last
+    search labels those nodes, so the cut costs no further search.
     """
     n, m = pattern.n, pattern.m
     check_kq(n, m, k, q)
@@ -78,23 +79,27 @@ def check_structural(pattern: SparsityPattern, k: int, q: int) -> Verdict:
         return Verdict(False, Unreachable(unreachable), VerdictStats(None, target))
     res = residual_arrays(m + 2 * n + 2, tail, head,
                           compact_capacity(n, m, tail, k, q, witness_mode=True))
-    theta = _solve(res, n, m, 0, target)
+    theta, label = _solve(res, n, m, 0, target)
     stats = VerdictStats(theta, target)
     if theta == target:
         return Verdict(True, Saturated(theta), stats)
-    subset, alpha, beta = _sink_side_states(res, n, m, residual_min_cut(res, theta))
+    subset, alpha, beta = _sink_side_states(res, n, m, residual_min_cut(res, label, theta))
     lhs, rhs = _violation(k, q, subset, alpha, beta)
     return Verdict(False, ViolatingSubset(subset, lhs, rhs, k, q), stats)
 
 
-def _solve(res: Residual, n: int, m: int, theta: int, target: int) -> int:
+def _solve(res: Residual, n: int, m: int, theta: int, bound: int) -> tuple[int, list[int] | None]:
     """Raise the flow of value theta held in the compact residual res to a
-    maximum one and return its value: push the direct paths, then augment
-    only while the value is short of target (saturation)."""
+    maximum one, given a bound no flow can exceed (the target, or the
+    capacity of a known cut): push the direct paths, then augment only while
+    the value is short of bound.  Returns the value and, when augment ran,
+    the labels of its last search (the sink side of the source-maximal min
+    cut), else None; a flow that reaches bound is maximum by weak duality."""
     theta += push_direct(res, n, m)
-    if theta < target:
-        theta += augment(res)
-    return theta
+    if theta >= bound:
+        return theta, None
+    added, label = augment(res)
+    return theta + added, label
 
 
 def _sink_side_states(res: Residual, n: int, m: int, sink_side) -> tuple[frozenset[int], int, int]:
@@ -160,11 +165,18 @@ def compute_kstar(pattern: SparsityPattern) -> KStarResult:
     and the source arcs are raised with the flow kept.  The trace replays the
     binary search over [0, n-1] that probes the same network cold: probes at
     k >= k* saturate, and each probe below k* is solved warm from the
-    residual of the largest failing k below it.  Each solve pushes the
-    direct paths and then augments while short of n(mn+1), so the flows
-    differ from a cold Dinic solve's; but max-flow values, and the
-    source-maximal min cut that picks each next k, are the same for every
-    maximum flow, so the ascent, k* and the trace are too.
+    residual of the largest failing k below it, whose min cut bounds the
+    probe: its sink side is V' and alpha_in(V'), beta_in(V') (the middle
+    arcs force it), so only its source arcs change with k, and at the
+    probe's k it costs theta_below + (k - below)(|beta_in(V')| +
+    (mn+1)|alpha_in(V')|).  Each solve pushes the direct paths and then
+    augments while short of n(mn+1) and of that capacity; a flow that
+    reaches a cut's capacity is maximum (weak duality), and that cut is
+    then the next probe's bound.  The flows differ from a cold Dinic
+    solve's; but max-flow values, and the source-maximal min cut that picks
+    each next k, are the same for every maximum flow, so the ascent, k* and
+    the trace are too.  In the ascent the cut just read costs at least
+    n(mn+1) at the next k, by the choice of that k, so it bounds nothing.
     """
     n, m = pattern.n, pattern.m
     tail, head = compact_arcs(n, m, pattern.stars)
@@ -186,17 +198,20 @@ def compute_kstar(pattern: SparsityPattern) -> KStarResult:
     cap = compact_capacity(n, m, tail, n - 1, qbar, witness_mode=True)
     res = residual_arrays(m + 2 * n + 2, tail, head, cap)
     shift_switch_count(res, n, m, qbar, -(n - 1))  # down to k = 0, still at zero flow
-    k, theta = 0, _solve(res, n, m, 0, target)
-    failing = {}  # k -> (max-flow value, residual) for every k solved short of target
+    k, (theta, label) = 0, _solve(res, n, m, 0, target)
+    # k -> (max-flow value, residual, growth of a min cut's capacity per unit
+    # of k) for every k solved short of target
+    failing = {}
     while theta < target:
-        failing[k] = (theta, res.copy())
-        subset, alpha, beta = _sink_side_states(res, n, m, residual_min_cut(res, theta))
+        subset, alpha, beta = _sink_side_states(res, n, m, residual_min_cut(res, label, theta))
         _violation(k, qbar, subset, alpha, beta)
+        failing[k] = (theta, res.copy(), beta + qbar * alpha)
         k_next = -(-len(subset) // alpha) - 1
         if k_next <= k:
             raise ConsistencyError(f"kstar ascent stalled at k={k}")
         shift_switch_count(res, n, m, qbar, k_next - k)
-        theta = _solve(res, n, m, theta, target)
+        # the cut just read costs at least target at k_next, so it bounds nothing
+        theta, label = _solve(res, n, m, theta, target)
         k = k_next
     trace = [(n - 1, target, target)]
     lo, hi = 0, n - 1
@@ -208,10 +223,16 @@ def compute_kstar(pattern: SparsityPattern) -> KStarResult:
             continue
         if mid not in failing:
             below = max(j for j in failing if j < mid)
-            theta_below, res_below = failing[below]
+            theta_below, res_below, slope = failing[below]
             res_mid = res_below.copy()
             shift_switch_count(res_mid, n, m, qbar, mid - below)
-            failing[mid] = (_solve(res_mid, n, m, theta_below, target), res_mid)
+            cut = theta_below + (mid - below) * slope  # below's min cut, priced at mid
+            theta_mid, label = _solve(res_mid, n, m, theta_below, min(target, cut))
+            if label is not None and theta_mid < target:  # augment's last search: a new min cut
+                _, alpha, beta = _sink_side_states(res_mid, n, m,
+                                                   residual_min_cut(res_mid, label, theta_mid))
+                slope = beta + qbar * alpha
+            failing[mid] = (theta_mid, res_mid, slope)
         theta_mid = failing[mid][0]
         if theta_mid >= target:
             raise ConsistencyError(f"probe at k={mid} saturates below k*={k}")

@@ -17,13 +17,17 @@ reachability search on them.  build_small_network only adds the node names,
 for export, the flow transfer maps and the referees; build_lifted_network
 expands every compact middle arc, in order, into its layer copies.
 
-Every maximum flow comes from one augmenting core (augment, Dinic) on a
-Residual, which callers may keep: max_flow starts it from zero flow.  The
-decision procedures first push the direct paths s -> left -> mu_i -> t of
-the compact network (push_direct), which often saturate it, and augment
-only while short of saturation; compute_kstar raises a compact network's
-switch count in place (shift_switch_count) and solves on.
-residual_min_cut reads the source-maximal min cut off any Residual.
+Every maximum flow comes from one augmenting core (augment, Dinic with
+levels by residual distance to the sink) on a Residual, which callers may
+keep: max_flow starts it from zero flow.  The decision procedures first
+push the direct paths s -> left -> mu_i -> t of the compact network
+(push_direct), which often saturate it, and augment only while short of
+saturation or of a known cut's capacity; compute_kstar raises a compact
+network's switch count in place (shift_switch_count) and solves on.
+augment's last search, which fails, labels the sink side of the
+source-maximal min cut; residual_min_cut checks that cut's capacity
+against the flow value, and min_cut reads the cut of a given flow off one
+augment call.
 
 The node-collapsing map phi sends expanded nodes onto compact ones; flows
 transfer along phi in both directions with their value preserved.
@@ -330,31 +334,46 @@ def push_direct(res: Residual, n: int, m: int) -> int:
     return added
 
 
-def augment(res: Residual) -> int:
+def augment(res: Residual) -> tuple[int, list[int]]:
     """Raise the flow held in res to a maximum one by deterministic
-    phase-based blocking flow (Dinic); returns the value added.
+    phase-based blocking flow (Dinic); returns the value added and the labels
+    of the last search.
 
-    Edges are explored in construction order and augmentation follows fixed
-    pointer advancement, so identical residuals give identical flows.
+    Each phase labels the nodes by their residual distance to the sink: a
+    search from the sink over the reverse residual edges, stopped as soon as
+    the source is labelled.  A depth-first search from the source then
+    follows the edges that lower that distance by one, in construction
+    order with fixed pointer advancement, so identical residuals give
+    identical flows (the same as labelling by distance from the source,
+    since both admit exactly the edges on shortest source-sink paths).
+
+    The last search never labels the source, so it labels exactly the nodes
+    that reach the sink: label[v] is 1 + the residual distance from v to the
+    sink, and 0 when v cannot reach it.  Those nodes are the sink side of
+    the source-maximal minimum cut, the same for every maximum flow.
     """
     head, adj, residual = res.head, res.adj, res.cap
     size = len(adj)
     s, t = 0, size - 1
     added = 0
 
-    def bfs_levels():
-        level = [-1] * size
-        level[s] = 0
-        dq = deque([s])
+    def bfs_labels():
+        label = [0] * size
+        label[t] = 1
+        dq = deque([t])
         while dq:
-            u = dq.popleft()
-            for e in adj[u]:
-                if residual[e] > 0 and level[head[e]] < 0:
-                    level[head[e]] = level[u] + 1
-                    dq.append(head[e])
-        return level if level[t] >= 0 else None
+            v = dq.popleft()
+            d = label[v] + 1
+            for e in adj[v]:
+                u = head[e]  # e leaves v; its reverse e ^ 1 enters v from u
+                if not label[u] and residual[e ^ 1] > 0:
+                    label[u] = d
+                    if u == s:
+                        return label
+                    dq.append(u)
+        return label
 
-    while (level := bfs_levels()) is not None:
+    while (label := bfs_labels())[s]:
         pointer = [0] * size
         path: list[int] = []  # residual edges from s to u
         u = s
@@ -370,9 +389,10 @@ def augment(res: Residual) -> int:
                 continue
             advanced = False
             edges = adj[u]
+            d = label[u] - 1  # >= 1, as only the sink has label 1
             while pointer[u] < len(edges):
                 e = edges[pointer[u]]
-                if residual[e] > 0 and level[head[e]] == level[u] + 1:
+                if residual[e] > 0 and label[head[e]] == d:
                     path.append(e)
                     u = head[e]
                     advanced = True
@@ -384,7 +404,7 @@ def augment(res: Residual) -> int:
                 break
             u = head[path.pop() ^ 1]
             pointer[u] += 1
-    return added
+    return added, label
 
 
 def max_flow(net: FlowNetwork) -> FlowAssignment:
@@ -417,42 +437,44 @@ def verify_flow(net: FlowNetwork, f: FlowAssignment) -> bool:
     return all(b == 0 for b in balance[1:-1])
 
 
-def residual_min_cut(res: Residual, value) -> list[bool]:
-    """Sink side of the source-maximal minimum cut in the residual graph res:
-    entry v is True when node v can reach the sink.
+def residual_min_cut(res: Residual, label: list[int], value) -> list[int]:
+    """Check that the nodes labelled by augment's last search on res, the
+    sink side of the source-maximal minimum cut, cut off value, and return
+    the labels.
 
-    The cut is the same for every maximum flow.  Raises ConsistencyError
-    when the cut capacity does not equal the flow value, i.e. when the flow
-    in res is not maximal or its value is not value.
+    Only the edges of the sink-side nodes are read: the cut capacity sums
+    the arcs entering the sink side from unlabelled nodes.  Raises
+    ConsistencyError when it does not equal value, i.e. when value is not
+    the value of the flow in res.
     """
     head, adj, cap = res.head, res.adj, res.cap
-    reach_t = [False] * len(adj)
-    reach_t[-1] = True
-    dq = deque([len(adj) - 1])
-    while dq:
-        for e in adj[dq.popleft()]:
-            u = head[e]  # e leaves the popped node; its reverse e ^ 1 enters from u
-            if not reach_t[u] and cap[e ^ 1] > 0:
-                reach_t[u] = True
-                dq.append(u)
-    cut_capacity = sum(
-        cap[e] + cap[e + 1]
-        for e in range(0, len(head), 2)
-        if reach_t[head[e]] and not reach_t[head[e + 1]]
-    )
-    if reach_t[0] or cut_capacity != value:
+    cut_capacity = 0
+    for v, reached in enumerate(label):
+        if reached:
+            for e in adj[v]:
+                if e & 1 and not label[head[e]]:  # e is the reverse of an arc into v
+                    cut_capacity += cap[e] + cap[e ^ 1]
+    if cut_capacity != value:
         raise ConsistencyError(
             f"cut capacity {cut_capacity} != flow value {value}; flow is not maximal"
         )
-    return reach_t
+    return label
 
 
 def min_cut(net: FlowNetwork, f: FlowAssignment) -> frozenset[Node]:
     """Source side of the source-maximal minimum cut derived from a maximum
     flow, as node names; a saturated network yields the all-sink-arcs cut.
-    Raises ConsistencyError when f is not maximal."""
+
+    The sink side is read off augment's one, failing, search on the residual
+    of f.  Raises ConsistencyError when f is not maximal: augment then adds
+    a nonzero value, or the cut capacity differs from f.value_total.
+    """
     _check_values(net, f)
-    sink_side = residual_min_cut(residual_graph(net, f.values), f.value_total)
+    res = residual_graph(net, f.values)
+    added, label = augment(res)
+    if added:
+        raise ConsistencyError(f"augmenting adds {added} to the flow; flow is not maximal")
+    sink_side = residual_min_cut(res, label, f.value_total)
     return frozenset(name for name, t in zip(net.nodes, sink_side) if not t)
 
 

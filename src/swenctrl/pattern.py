@@ -19,6 +19,10 @@ MAX_PATTERN_DIM = 1 << 16  # guard on n+m of a pattern; lift_ensemble checks n*q
 MAX_GENERATED_N = 1 << 12  # guard on n in random_pattern
 MAX_SAMPLE_CELLS = 1 << 18  # guard on the matrix entries sample_instance allocates
 DEFAULT_VALUE_BOUND = 10007
+# Guard on the sampled entries: the exact rank's integers grow with their
+# bits, and one trial at the rank guard (dense n = 8, m = 2, k = 0, q = 8)
+# took 1.9 s at the default and 8.8 s at 2^32 on a 2-core Xeon.
+MAX_VALUE_BOUND = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -226,13 +230,18 @@ def sample_instance(
     value_bound: int = DEFAULT_VALUE_BOUND,
 ) -> EnsembleInstance:
     """Draw every star entry uniformly from 1..value_bound, deterministically
-    under `seed`; zero entries stay exactly zero."""
+    under `seed`; zero entries stay exactly zero.  Raises ScaleError, before
+    any draw, when value_bound exceeds MAX_VALUE_BOUND or the entries exceed
+    MAX_SAMPLE_CELLS."""
     if k < 0:
         raise ValueError("switch count k must be >= 0")
     if q < 1:
         raise ValueError("ensemble size q must be >= 1")
     if value_bound < 2:
         raise ValueError("value_bound must be >= 2")
+    if value_bound > MAX_VALUE_BOUND:
+        raise ScaleError(f"value_bound of {value_bound.bit_length()} bits exceeds the guard "
+                         f"2^{MAX_VALUE_BOUND.bit_length() - 1}")
     n, m = pattern.n, pattern.m
     cells = q * (k + 1) * n * (n + m)
     if cells > MAX_SAMPLE_CELLS:

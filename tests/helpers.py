@@ -1,15 +1,25 @@
 """Shared fixtures: worked-example patterns, a random feasible-flow builder,
-the cold binary search for k* that compute_kstar must reproduce, and the
-literal references for the numerical referee (Bareiss rank over every power
-column, sampling by a scan of every pattern cell)."""
+the cold binary search for k* that compute_kstar must reproduce, Dinic with
+levels by distance from the source and the sink-side search that augment
+must reproduce, and the literal references for the numerical referee
+(Bareiss rank over every power column, sampling by a scan of every pattern
+cell)."""
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction
 
 from swenctrl.decide import witness_from_cut
-from swenctrl.flow import FlowAssignment, FlowNetwork, build_small_network, max_flow, min_cut
+from swenctrl.flow import (
+    FlowAssignment,
+    FlowNetwork,
+    Residual,
+    build_small_network,
+    max_flow,
+    min_cut,
+)
 from swenctrl.graph import reachability_check
 from swenctrl.oracle import assemble_segment
 from swenctrl.pattern import DEFAULT_VALUE_BOUND, EnsembleInstance, SparsityPattern
@@ -71,6 +81,77 @@ def reference_kstar(pattern: SparsityPattern) -> KStarResult:
         else:
             lo = mid + 1
     return KStarResult(lo, None, tuple(trace))
+
+
+def reference_augment(res: Residual) -> int:
+    """Dinic with levels by distance from the source: a full search from the
+    source per phase, then a depth-first search along the edges that raise
+    the level by one, in construction order with fixed pointer advancement.
+    Raises the flow in res to a maximum one; returns the value added."""
+    head, adj, residual = res.head, res.adj, res.cap
+    size = len(adj)
+    s, t = 0, size - 1
+    added = 0
+
+    def bfs_levels():
+        level = [-1] * size
+        level[s] = 0
+        dq = deque([s])
+        while dq:
+            u = dq.popleft()
+            for e in adj[u]:
+                if residual[e] > 0 and level[head[e]] < 0:
+                    level[head[e]] = level[u] + 1
+                    dq.append(head[e])
+        return level if level[t] >= 0 else None
+
+    while (level := bfs_levels()) is not None:
+        pointer = [0] * size
+        path: list[int] = []
+        u = s
+        while True:
+            if u == t:
+                aug = min(residual[e] for e in path)
+                for e in path:
+                    residual[e] -= aug
+                    residual[e ^ 1] += aug
+                added += aug
+                path = []
+                u = s
+                continue
+            advanced = False
+            edges = adj[u]
+            while pointer[u] < len(edges):
+                e = edges[pointer[u]]
+                if residual[e] > 0 and level[head[e]] == level[u] + 1:
+                    path.append(e)
+                    u = head[e]
+                    advanced = True
+                    break
+                pointer[u] += 1
+            if advanced:
+                continue
+            if u == s:
+                break
+            u = head[path.pop() ^ 1]
+            pointer[u] += 1
+    return added
+
+
+def reference_sink_side(res: Residual) -> list[bool]:
+    """The nodes that reach the sink in res, by a full search from the sink
+    over the reverse residual edges."""
+    head, adj, cap = res.head, res.adj, res.cap
+    reach = [False] * len(adj)
+    reach[-1] = True
+    dq = deque([len(adj) - 1])
+    while dq:
+        for e in adj[dq.popleft()]:
+            u = head[e]
+            if not reach[u] and cap[e ^ 1] > 0:
+                reach[u] = True
+                dq.append(u)
+    return reach
 
 
 def named_arcs(net: FlowNetwork) -> list[tuple]:

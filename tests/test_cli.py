@@ -274,6 +274,7 @@ def test_exit_code_brute_enumeration_guard(tmp_path, capsys):
 
 
 DENSE_2X1 = SparsityPattern(2, 1, frozenset((i, j) for i in (1, 2) for j in (1, 2, 3)))
+DENSE_8X2 = SparsityPattern(8, 2, frozenset((i, j) for i in range(1, 9) for j in range(1, 11)))
 INT64_MAX = (1 << 63) - 1
 
 
@@ -311,8 +312,14 @@ FIG2A_GRID = b"2 1\n0 0 *\n* 0 *\n"
     (FIG2A_GRID, ("crosscheck", "--kmax", "100000000", "--qmax", "2"), 3, CHILD_ADDRESS_SPACE),
     (FIG2A_GRID, ("oracle", "--k", "0", "--q", "1", "--seed", "1", "--trials", "1000000000"), 3,
      CHILD_ADDRESS_SPACE),
+    # a 4001-digit value bound at the oracle's rank guard (qn = 64): one
+    # unguarded trial on this dense pattern ran for more than a minute
+    (serialize_pattern(DENSE_8X2).encode(),
+     ("oracle", "--k", "0", "--q", "8", "--seed", "1", "--trials", "1",
+      "--value-bound", str(10**4000)), 3, CHILD_ADDRESS_SPACE),
 ], ids=["oversized-n", "oversized-m", "non-utf8", "deep-nesting", "lifted-arcs",
-        "flowdump-json-lifted", "oracle-huge-k", "crosscheck-huge-grid", "oracle-huge-trials"])
+        "flowdump-json-lifted", "oracle-huge-k", "crosscheck-huge-grid", "oracle-huge-trials",
+        "value-bound-huge"])
 def test_hostile_input_exit_code_without_traceback(tmp_path, content, argv, expected_code,
                                                    address_space):
     path = tmp_path / "hostile.pat"

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from helpers import FIG1, FIG2A, INTEGRATOR, TWO_CYCLE, hub_pattern, reference_kstar
@@ -172,13 +173,26 @@ def few_in_neighbours_pattern(n, rng):
 
 
 def test_kstar_matches_cold_search_random(monkeypatch):
-    cut_reads = []
+    """compute_kstar equals the cold search, with multi-step ascents, and the
+    min cut a failing probe inherits from the k below it settles many probes
+    (the flow reaches that cut's capacity, short of the target, without
+    augment)."""
+    cut_reads = []  # per pattern: residual -> cuts read off it; the ascent reads one residual
+    settled = 0
 
-    def counted(*args):
-        cut_reads[-1] += 1
-        return residual_min_cut(*args)
+    def counted_cut(res, *args):
+        cut_reads[-1][id(res)] += 1
+        return residual_min_cut(res, *args)
 
-    monkeypatch.setattr(swenctrl.decide, "residual_min_cut", counted)
+    def counted_solve(res, n, m, theta, bound):
+        nonlocal settled
+        theta, label = solve(res, n, m, theta, bound)
+        settled += label is None and theta < n * (m * n + 1)
+        return theta, label
+
+    solve = swenctrl.decide._solve
+    monkeypatch.setattr(swenctrl.decide, "residual_min_cut", counted_cut)
+    monkeypatch.setattr(swenctrl.decide, "_solve", counted_solve)
     empty_alpha_in = failing_probes = 0
     for seed in range(900):
         rng = random.Random(seed)
@@ -186,13 +200,15 @@ def test_kstar_matches_cold_search_random(monkeypatch):
             p = random_pattern(rng.randint(1, 12), rng.randint(1, 3), rng.uniform(0.1, 0.5), seed)
         else:
             p = few_in_neighbours_pattern(rng.randint(2, 12), rng)
-        cut_reads.append(0)
+        cut_reads.append(Counter())
         r = compute_kstar(p)
         assert r == reference_kstar(p), seed
         empty_alpha_in += isinstance(r.witness, EmptyAlphaIn)
         failing_probes += any(theta < target for _, theta, target in r.trace[1:])
     assert empty_alpha_in > 30 and failing_probes > 100
-    assert sum(reads >= 2 for reads in cut_reads) > 20  # ascents of two or more steps
+    # ascents of two or more steps
+    assert sum(max(reads.values(), default=0) >= 2 for reads in cut_reads) > 20
+    assert settled > 20
 
 
 def empty_block_pattern(n, m, rng, sparse_fail):
@@ -262,12 +278,15 @@ def backbone_pattern(n):
 
 @pytest.mark.parametrize("pattern, kstar, solves, dinic", [
     # the direct paths saturate every solve at k >= k*, so Dinic runs only
-    # on the solves short of saturation
+    # on the solves short of saturation and of an inherited cut's capacity
     (backbone_pattern(50), 0, 1, 0),
-    # ascent k = 0 -> 7, then the trace's failing probes k = 3, 5, 6
-    (hub_pattern(64), 7, 5, 4),
-    # ascent k = 0 -> 7, then the trace's one failing probe k = 6
-    (hub_pattern(800), 7, 3, 2),
+    # ascent k = 0 -> 7, then the trace's failing probes k = 3, 5, 6; only
+    # the k = 0 solve runs Dinic, as the direct paths reach the capacity of
+    # the k = 0 min cut at k = 3, 5 and 6
+    (hub_pattern(64), 7, 5, 1),
+    # ascent k = 0 -> 7, then the trace's one failing probe k = 6, settled
+    # by the k = 0 min cut
+    (hub_pattern(800), 7, 3, 1),
 ], ids=["backbone50", "hub64", "hub800"])
 def test_kstar_solve_count(monkeypatch, pattern, kstar, solves, dinic):
     calls = {"solve": 0, "augment": 0}

@@ -4,13 +4,22 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import FIG2A, named_arcs, named_capacity, named_values, random_feasible_flow
+from helpers import (
+    FIG2A,
+    named_arcs,
+    named_capacity,
+    named_values,
+    random_feasible_flow,
+    reference_augment,
+    reference_sink_side,
+)
 
 from swenctrl.errors import ConsistencyError, ScaleError
 from swenctrl.flow import (
     SINK,
     SOURCE,
     FlowAssignment,
+    augment,
     build_lifted_network,
     build_small_network,
     compact_arcs,
@@ -210,6 +219,80 @@ def test_min_cut_duality_over_random_networks():
         cut = min_cut(net, f)  # raises on duality violation
         assert f.value_total <= p.n * q
         assert verify_flow(net, f)
+
+
+def test_min_cut_rejects_direct_pass_and_wrong_value():
+    """A nonzero flow short of the maximum is refused, and so is a maximum
+    flow reported with the wrong value."""
+    refused = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        p = random_pattern(rng.randint(1, 8), rng.randint(0, 3), rng.random(), seed)
+        net = build_small_network(p, rng.randint(0, 2), rng.choice((1, 2, 3)), bool(seed % 2))
+        res = residual_graph(net)
+        direct = push_direct(res, p.n, p.m)
+        f = _flow_of(res, net)
+        if 0 < direct < max_flow(net).value_total:
+            with pytest.raises(ConsistencyError, match="not maximal"):
+                min_cut(net, f)
+            refused += 1
+        best = max_flow(net)
+        with pytest.raises(ConsistencyError, match="not maximal"):
+            min_cut(net, FlowAssignment(best.values, best.value_total + 1))
+    assert refused > 10
+
+
+def _seeded_residuals():
+    """Residuals of compact plain and witness networks from zero flow, after
+    the direct pass, and after a switch-count shift of a solved residual
+    (as in the kstar ascent), and of lifted networks from zero flow."""
+    for seed in range(300):
+        rng = random.Random(seed)
+        p = random_pattern(rng.randint(1, 10), rng.randint(0, 3), rng.random(), seed)
+        n, m = p.n, p.m
+        k, dk, q = rng.randint(0, 2), rng.randint(1, 3), rng.choice((1, 2, 3, 7))
+        for witness in (False, True):
+            net = build_small_network(p, k, q, witness_mode=witness)
+            yield residual_graph(net)
+            res = residual_graph(net)
+            push_direct(res, n, m)
+            yield res
+        res = residual_graph(build_small_network(p, k + dk, q, witness_mode=True))
+        shift_switch_count(res, n, m, q, -dk)
+        push_direct(res, n, m)
+        reference_augment(res)
+        shift_switch_count(res, n, m, q, dk)
+        yield res.copy()
+        push_direct(res, n, m)
+        yield res
+        if seed % 3 == 0 and (k + 1) * q * (len(p.stars) + n) <= 400:
+            yield residual_graph(build_lifted_network(p, k, q))
+
+
+def test_augment_matches_source_level_dinic():
+    """Labelling by distance to the sink gives the flows of labelling by
+    distance from the source, and the last search's labels are the nodes
+    that reach the sink."""
+    count = positive = 0
+    for res in _seeded_residuals():
+        ref = res.copy()
+        added, label = augment(res)
+        assert added == reference_augment(ref)
+        assert res.cap == ref.cap
+        assert [bool(x) for x in label] == reference_sink_side(res)
+        assert not label[0] and label[-1] == 1
+        count += 1
+        positive += added > 0
+    assert count > 1500 and positive > 600
+
+
+def test_augment_on_maximal_flow_adds_nothing():
+    for res in _seeded_residuals():
+        augment(res)
+        cap = res.cap.copy()
+        added, label = augment(res)
+        assert added == 0 and res.cap == cap
+        assert [bool(x) for x in label] == reference_sink_side(res)
 
 
 def _flow_of(res, net):

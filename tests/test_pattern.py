@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from swenctrl.errors import ParseError, ScaleError
 from swenctrl.pattern import (
     MAX_PATTERN_DIM,
+    MAX_VALUE_BOUND,
     EnsembleInstance,
     SparsityPattern,
     lift_ensemble,
@@ -239,6 +240,13 @@ def test_sample_instance_integrator_forced_support():
     for a, b in inst.blocks.values():
         assert a == ((0,),)
         assert 1 <= b[0][0] <= 9
+
+
+def test_sample_instance_value_bound_guard():
+    assert sample_instance(INTEGRATOR, 0, 1, seed=0, value_bound=MAX_VALUE_BOUND).blocks
+    for bound in (MAX_VALUE_BOUND + 1, 1 << 64, 10**4000):
+        with pytest.raises(ScaleError, match="value_bound"):
+            sample_instance(INTEGRATOR, 0, 1, seed=0, value_bound=bound)
 
 
 def test_instance_rejects_nonconforming_entries():
