@@ -12,7 +12,6 @@ expanded-network flow over a whole (k, q) grid.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 
@@ -25,6 +24,7 @@ from .flow import (
     check_kq,
     compact_arcs,
     compact_capacity,
+    compact_offsets,
     compact_unreachable,
     max_flow,
     push_direct,
@@ -74,12 +74,13 @@ def check_structural(pattern: SparsityPattern, k: int, q: int) -> Verdict:
     check_kq(n, m, k, q)
     target = n * q
     tail, head = compact_arcs(n, m, pattern.stars)
-    unreachable = compact_unreachable(n, m, tail, head)
+    first = compact_offsets(n, m, tail)
+    unreachable = compact_unreachable(n, m, first, head)
     if unreachable:
         return Verdict(False, Unreachable(unreachable), VerdictStats(None, target))
     res = residual_arrays(m + 2 * n + 2, tail, head,
                           compact_capacity(n, m, tail, k, q, witness_mode=True))
-    theta, label = _solve(res, n, m, 0, target)
+    theta, label = _solve(res, n, m, first, 0, target)
     stats = VerdictStats(theta, target)
     if theta == target:
         return Verdict(True, Saturated(theta), stats)
@@ -88,14 +89,17 @@ def check_structural(pattern: SparsityPattern, k: int, q: int) -> Verdict:
     return Verdict(False, ViolatingSubset(subset, lhs, rhs, k, q), stats)
 
 
-def _solve(res: Residual, n: int, m: int, theta: int, bound: int) -> tuple[int, list[int] | None]:
-    """Raise the flow of value theta held in the compact residual res to a
-    maximum one, given a bound no flow can exceed (the target, or the
-    capacity of a known cut): push the direct paths, then augment only while
-    the value is short of bound.  Returns the value and, when augment ran,
-    the labels of its last search (the sink side of the source-maximal min
-    cut), else None; a flow that reaches bound is maximum by weak duality."""
-    theta += push_direct(res, n, m)
+def _solve(res: Residual, n: int, m: int, first: list[int], theta: int,
+           bound: int) -> tuple[int, list[int] | None]:
+    """Raise the flow of value theta held in the compact residual res, whose
+    arcs have the compact_offsets first, to a maximum one, given a bound no
+    flow can exceed (the target, or the capacity of a known cut): push the
+    direct paths, then augment only while the value is short of bound, so a
+    solve the direct paths saturate never builds res.adj.  Returns the value
+    and, when augment ran, the labels of its last search (the sink side of
+    the source-maximal min cut), else None; a flow that reaches bound is
+    maximum by weak duality."""
+    theta += push_direct(res, n, m, first)
     if theta >= bound:
         return theta, None
     added, label = augment(res)
@@ -109,9 +113,10 @@ def _sink_side_states(res: Residual, n: int, m: int, sink_side) -> tuple[frozens
     it, whose heads are its in-neighbours (lam_c is c, nu_i is m+i), and its
     arc to the sink."""
     mu = m + n
+    head, adj = res.head, res.adj
     subset = frozenset(j for j in range(1, n + 1) if sink_side[mu + j])
-    left = {res.head[e] for j in subset for e in res.adj[mu + j]}
-    left.discard(len(res.adj) - 1)
+    left = {head[e] for j in subset for e in adj[mu + j]}
+    left.discard(res.size - 1)
     beta = sum(1 for u in left if u <= m)
     return subset, len(left) - beta, beta
 
@@ -180,14 +185,15 @@ def compute_kstar(pattern: SparsityPattern) -> KStarResult:
     """
     n, m = pattern.n, pattern.m
     tail, head = compact_arcs(n, m, pattern.stars)
-    unreachable = compact_unreachable(n, m, tail, head)
+    first = compact_offsets(n, m, tail)
+    unreachable = compact_unreachable(n, m, first, head)
     if unreachable:
         return KStarResult(None, Unreachable(unreachable))
     qbar = m * n + 1
     target = n * qbar
     mu = m + n  # mu_i is mu + i
-    state_arcs = bisect_left(tail, m + 1)  # the control arcs run from m + n to here
-    fed = set(head[state_arcs:len(tail) - n])
+    state_arcs = first[m + 1]  # the control arcs run from first[1] = m + n to here
+    fed = set(head[state_arcs:first[mu + 1]])
     unfed = frozenset(i for i in range(1, n + 1) if mu + i not in fed)
     if unfed:
         inputs = {c for c, h in zip(tail[m + n:state_arcs], head[m + n:state_arcs])
@@ -198,7 +204,7 @@ def compute_kstar(pattern: SparsityPattern) -> KStarResult:
     cap = compact_capacity(n, m, tail, n - 1, qbar, witness_mode=True)
     res = residual_arrays(m + 2 * n + 2, tail, head, cap)
     shift_switch_count(res, n, m, qbar, -(n - 1))  # down to k = 0, still at zero flow
-    k, (theta, label) = 0, _solve(res, n, m, 0, target)
+    k, (theta, label) = 0, _solve(res, n, m, first, 0, target)
     # k -> (max-flow value, residual, growth of a min cut's capacity per unit
     # of k) for every k solved short of target
     failing = {}
@@ -211,7 +217,7 @@ def compute_kstar(pattern: SparsityPattern) -> KStarResult:
             raise ConsistencyError(f"kstar ascent stalled at k={k}")
         shift_switch_count(res, n, m, qbar, k_next - k)
         # the cut just read costs at least target at k_next, so it bounds nothing
-        theta, label = _solve(res, n, m, theta, target)
+        theta, label = _solve(res, n, m, first, theta, target)
         k = k_next
     trace = [(n - 1, target, target)]
     lo, hi = 0, n - 1
@@ -227,7 +233,7 @@ def compute_kstar(pattern: SparsityPattern) -> KStarResult:
             res_mid = res_below.copy()
             shift_switch_count(res_mid, n, m, qbar, mid - below)
             cut = theta_below + (mid - below) * slope  # below's min cut, priced at mid
-            theta_mid, label = _solve(res_mid, n, m, theta_below, min(target, cut))
+            theta_mid, label = _solve(res_mid, n, m, first, theta_below, min(target, cut))
             if label is not None and theta_mid < target:  # augment's last search: a new min cut
                 _, alpha, beta = _sink_side_states(res_mid, n, m,
                                                    residual_min_cut(res_mid, label, theta_mid))

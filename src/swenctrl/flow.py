@@ -11,19 +11,23 @@ Two constructions share the layout source -> left -> right -> sink:
   copies, and all capacities collapse to 1.
 
 Both are built from the flat int arcs that compact_arcs reads straight off
-a pattern's stars: the decision procedures solve on those arcs with the
-capacities of compact_capacity, and compact_unreachable runs the
-reachability search on them.  build_small_network only adds the node names,
-for export, the flow transfer maps and the referees; build_lifted_network
+a pattern's stars, bucketed by column: the decision procedures solve on
+those arcs with the capacities of compact_capacity, and compact_unreachable
+runs the reachability search on them through compact_offsets, the first
+arc leaving each node.  build_small_network only adds the node names, for
+export, the flow transfer maps and the referees; build_lifted_network
 expands every compact middle arc, in order, into its layer copies.
 
 Every maximum flow comes from one augmenting core (augment, Dinic with
 levels by residual distance to the sink) on a Residual, which callers may
-keep: max_flow starts it from zero flow.  The decision procedures first
-push the direct paths s -> left -> mu_i -> t of the compact network
-(push_direct), which often saturate it, and augment only while short of
-saturation or of a known cut's capacity; compute_kstar raises a compact
-network's switch count in place (shift_switch_count) and solves on.
+keep: max_flow starts it from zero flow.  residual_arrays fills only a
+Residual's head and cap lists; its adjacency lists are built on first read.
+The decision procedures first push the direct paths s -> left -> mu_i -> t
+of the compact network (push_direct, over each left node's contiguous arc
+range, with no adjacency lists), which often saturate it, and augment only
+while short of saturation or of a known cut's capacity; compute_kstar
+raises a compact network's switch count in place (shift_switch_count) and
+solves on.
 augment's last search, which fails, labels the sink side of the
 source-maximal min cut; residual_min_cut checks that cut's capacity
 against the flow value, and min_cut reads the cut of a given flow off one
@@ -39,7 +43,7 @@ import json
 from bisect import bisect_left
 from collections import Counter, deque
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ConsistencyError, ScaleError
@@ -105,41 +109,49 @@ def compact_arcs(n: int, m: int, stars) -> tuple[list[int], list[int]]:
     sink m+2n+1.  The arcs are: one from the source to every left node, then
     one per star, the control arcs lam_c -> mu_i sorted by (c, i) and the
     state arcs nu_j -> mu_i sorted by (j, i), then one from every right node
-    to the sink; the tails are therefore nondecreasing.  The star (i, j)
-    becomes the int key n*j + i - 1; sorted, the keys list the state
-    columns' stars and then the input columns' stars, each by (column, row).
+    to the sink; the tails are therefore nondecreasing.  One pass drops each
+    star's mu id into its column's bucket; each bucket is sorted on its own
+    and the buckets are joined in left-node order, input columns first.
     """
-    keys = sorted([n * j + i - 1 for i, j in stars])
-    split = bisect_left(keys, n * (n + 1))  # first star in an input column
-    control, state = keys[split:], keys[:split]
-    mu = n + m + 1  # id of mu_1
-    tail = [0] * (n + m)
-    tail += [key // n - n for key in control]
-    tail += [key // n + m for key in state]
-    tail += range(mu, mu + n)
-    head = list(range(1, mu))
-    head += [key % n + mu for key in control]
-    head += [key % n + mu for key in state]
-    head += [mu + n] * n
+    mu = n + m  # mu_i is mu + i
+    columns: list[list[int]] = [[] for _ in range(n + m + 1)]
+    for i, j in stars:
+        columns[j].append(mu + i)
+    tail = [0] * mu
+    head = list(range(1, mu + 1))
+    for u, column in enumerate(columns[n + 1:] + columns[1:n + 1], 1):  # lam_1.., nu_1..
+        if column:
+            column.sort()
+            tail += [u] * len(column)
+            head += column
+    tail += range(mu + 1, mu + n + 1)
+    head += [mu + n + 1] * n
     return tail, head
 
 
-def compact_unreachable(n: int, m: int, tail: list[int], head: list[int]) -> frozenset[int]:
+def compact_offsets(n: int, m: int, tail: list[int]) -> list[int]:
+    """first[u], the position of the first arc leaving node u among the
+    compact arcs whose tails compact_arcs gave, for u = 0..m+n+1.  As the
+    tails never decrease, the middle arcs leaving left node u are the arcs
+    first[u] .. first[u+1]-1, and first[m+n+1] is the first sink arc."""
+    return [bisect_left(tail, u) for u in range(m + n + 2)]
+
+
+def compact_unreachable(n: int, m: int, first: list[int], head: list[int]) -> frozenset[int]:
     """States among 1..n that no directed path from an input reaches, read
-    off the arcs compact_arcs gave: the heads of the control arcs are the
-    input-fed states, and the state arcs leaving nu_j (contiguous, as the
-    tails are sorted) point to the states a_j points to."""
-    first = [bisect_left(tail, t) for t in range(1, m + n + 2)]  # first arc leaving node t
+    off the arcs compact_arcs gave, with their compact_offsets: the heads of
+    the control arcs are the input-fed states, and the state arcs leaving
+    nu_j point to the states a_j points to."""
     mu = m + n  # mu_i is mu + i
     seen = [False] * (n + 1)
     queue = deque()
-    for h in head[first[0]:first[m]]:
+    for h in head[first[1]:first[m + 1]]:
         if not seen[h - mu]:
             seen[h - mu] = True
             queue.append(h - mu)
     while queue:
         j = queue.popleft()
-        for h in head[first[m + j - 1]:first[m + j]]:  # the arcs leaving nu_j
+        for h in head[first[m + j]:first[m + j + 1]]:  # the arcs leaving nu_j
             if not seen[h - mu]:
                 seen[h - mu] = True
                 queue.append(h - mu)
@@ -235,38 +247,55 @@ def build_lifted_network(pattern: SparsityPattern, k: int, q: int) -> FlowNetwor
 
 @dataclass(frozen=True)
 class Residual:
-    """Residual graph of a network: edge 2a is arc a, edge 2a+1 its reverse.
+    """Residual graph of a network on nodes 0..size-1: edge 2a is arc a,
+    edge 2a+1 its reverse.
 
+    head[e] is the node edge e enters, so head[e ^ 1] is the node it leaves.
     cap[e] is the residual capacity of edge e, so cap[2a+1] is the flow on
     arc a and cap[2a] + cap[2a+1] its capacity.  adj[u] lists the edges
-    leaving node u in construction order.  Node 0 is the source and the last
-    node the sink.  Copies share head and adj.
+    leaving node u in construction order; it is built from head on first
+    read, at most once, and shared by copies, which also share head.  Node 0
+    is the source and node size-1 the sink.
     """
 
+    size: int
     head: list[int]
-    adj: list[list[int]]
     cap: list
+    _adj: list = field(default_factory=list, repr=False, compare=False)  # [adj] once read
+
+    @property
+    def adj(self) -> list[list[int]]:
+        if not self._adj:
+            self._adj.append(_adjacency(self.size, self.head))
+        return self._adj[0]
 
     def copy(self) -> Residual:
-        return Residual(self.head, self.adj, self.cap.copy())
+        return Residual(self.size, self.head, self.cap.copy(), self._adj)
+
+
+def _adjacency(size: int, head: list[int]) -> list[list[int]]:
+    """The edges leaving each of the nodes 0..size-1, in construction order."""
+    adj: list[list[int]] = [[] for _ in range(size)]
+    e = 0
+    ends = iter(head)
+    for v, u in zip(ends, ends):  # arc e // 2 runs u -> v
+        adj[u].append(e)
+        adj[v].append(e + 1)
+        e += 2
+    return adj
 
 
 def residual_arrays(size: int, tail, head, capacity) -> Residual:
     """Residual graph at zero flow of the network on nodes 0..size-1 with
-    arcs tail[a] -> head[a] of the given capacities."""
+    arcs tail[a] -> head[a] of the given capacities.  Only head and cap are
+    filled here; adj waits for its first read."""
     edges = 2 * len(tail)
     res_head = [0] * edges
     res_head[0::2] = head
     res_head[1::2] = tail
     cap = [0] * edges
     cap[0::2] = capacity
-    adj: list[list[int]] = [[] for _ in range(size)]
-    e = 0
-    for u, v in zip(tail, head):
-        adj[u].append(e)
-        adj[v].append(e + 1)
-        e += 2
-    return Residual(res_head, adj, cap)
+    return Residual(size, res_head, cap)
 
 
 def residual_graph(net: FlowNetwork, values=()) -> Residual:
@@ -296,25 +325,28 @@ def shift_switch_count(res: Residual, n: int, m: int, q: int, dk: int) -> None:
         cap[2 * a] += q * dk
 
 
-def push_direct(res: Residual, n: int, m: int) -> int:
+def push_direct(res: Residual, n: int, m: int, first: list[int]) -> int:
     """Push flow along the direct paths s -> u -> mu_i -> t of the residual
     res of an n-state, m-input compact network, which may already carry
-    flow; returns the value added.
+    flow, given the compact_offsets first of its arcs; returns the value
+    added.
 
-    Each left node u = 1..m+n in id order walks its forward edges in
-    construction order, pushing the least residual of its source arc, the
-    edge and mu_i's sink arc, until its source arc is empty.  The result is
-    a feasible flow, not necessarily a maximum one.
+    Each left node u = 1..m+n in id order walks its forward edges, those of
+    its arcs first[u] .. first[u+1]-1, in construction order, pushing the
+    least residual of its source arc, the edge and mu_i's sink arc, until
+    its source arc is empty.  The result is a feasible flow, not necessarily
+    a maximum one.  Only head and cap are read, so adj is never built.
     """
-    head, adj, cap = res.head, res.adj, res.cap
+    head, cap = res.head, res.cap
     sink_edge = len(head) - 2 * (m + 2 * n + 1)  # + 2v is the edge of mu node v's sink arc
     added = 0
     for u in range(1, m + n + 1):
         src = 2 * u - 2
         supply = cap[src]
-        if not supply:
+        lo, hi = 2 * first[u], 2 * first[u + 1]
+        if not supply or lo == hi:
             continue
-        for e in adj[u][1:]:  # adj[u][0] is the reverse of u's source arc
+        for e in range(lo, hi, 2):
             out = sink_edge + 2 * head[e]
             if not cap[out]:  # most edges, once the sink arcs fill
                 continue
@@ -353,7 +385,7 @@ def augment(res: Residual) -> tuple[int, list[int]]:
     the source-maximal minimum cut, the same for every maximum flow.
     """
     head, adj, residual = res.head, res.adj, res.cap
-    size = len(adj)
+    size = res.size
     s, t = 0, size - 1
     added = 0
 

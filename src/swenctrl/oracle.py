@@ -15,14 +15,18 @@ from math import gcd
 
 from .decide import check_structural
 from .errors import ScaleError
-from .pattern import DEFAULT_VALUE_BOUND, EnsembleInstance, SparsityPattern, sample_instance
+from .pattern import (
+    CRITERIA,
+    DEFAULT_VALUE_BOUND,
+    EnsembleInstance,
+    SparsityPattern,
+    sample_instance,
+)
 
 MAX_ORACLE_DIM = 64  # guard on q*n for the exact-arithmetic rank
 # Guard on the samples one referee call draws, checked before the first; it
 # admits oracle_agreement's retry at 4x trials for up to 1024 trials.
 MAX_ORACLE_TRIALS = 1 << 12
-
-CRITERIA = ("mode_span", "sequential_subspace")
 
 Matrix = tuple[tuple[int, ...], ...]
 

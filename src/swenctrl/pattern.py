@@ -23,6 +23,9 @@ DEFAULT_VALUE_BOUND = 10007
 # bits, and one trial at the rank guard (dense n = 8, m = 2, k = 0, q = 8)
 # took 1.9 s at the default and 8.8 s at 2^32 on a 2-core Xeon.
 MAX_VALUE_BOUND = 1 << 32
+# The referee's rank criteria (oracle.controllability_rank); kept here so the
+# CLI can offer them without importing the referee.
+CRITERIA = ("mode_span", "sequential_subspace")
 
 
 @dataclass(frozen=True)

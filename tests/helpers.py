@@ -1,9 +1,10 @@
 """Shared fixtures: worked-example patterns, a random feasible-flow builder,
-the cold binary search for k* that compute_kstar must reproduce, Dinic with
-levels by distance from the source and the sink-side search that augment
-must reproduce, and the literal references for the numerical referee
-(Bareiss rank over every power column, sampling by a scan of every pattern
-cell)."""
+the cold binary search for k* that compute_kstar must reproduce, the
+per-arc residual construction that residual_arrays must reproduce, Dinic
+with levels by distance from the source and the sink-side search that
+augment must reproduce, and the literal references for the numerical
+referee (Bareiss rank over every power column, sampling by a scan of every
+pattern cell)."""
 
 from __future__ import annotations
 
@@ -81,6 +82,19 @@ def reference_kstar(pattern: SparsityPattern) -> KStarResult:
         else:
             lo = mid + 1
     return KStarResult(lo, None, tuple(trace))
+
+
+def reference_residual(size: int, tail, head, capacity) -> tuple[list, list, list]:
+    """head, adj and cap of the zero-flow residual graph, built arc by arc:
+    edge 2a is arc a, appended to its tail's list, and edge 2a+1 its
+    reverse, appended to its head's list."""
+    res_head, adj, cap = [], [[] for _ in range(size)], []
+    for a, (u, v, c) in enumerate(zip(tail, head, capacity)):
+        res_head += [v, u]
+        cap += [c, 0]
+        adj[u].append(2 * a)
+        adj[v].append(2 * a + 1)
+    return res_head, adj, cap
 
 
 def reference_augment(res: Residual) -> int:

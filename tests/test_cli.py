@@ -350,6 +350,13 @@ NUMERIC_OPTIONS = {
     "flowdump": ("k", "q"),
     "bench": ("nmin", "nmax", "k", "q"),
 }
+# Options drawn at their own boundaries: bench's repeats (>= 1) and density
+# (in [0, 1]), and the oracle's value bound (2 .. MAX_VALUE_BOUND = 2^32).
+EDGE_OPTIONS = {
+    "bench": {"repeats": st.sampled_from((-1, 0, 1, 2)),
+              "density": st.sampled_from((-0.1, 0.0, 0.05, 1.0, 1.5))},
+    "oracle": {"value-bound": st.sampled_from((1, 2, 10007, 1 << 32, (1 << 32) + 1))},
+}
 
 
 @pytest.fixture(scope="module")
@@ -364,17 +371,18 @@ def _large_work(cmd, name, flags, v):
     if cmd == "oracle":
         k, q, trials = v["k"], v["q"], v["trials"]
         return (k >= 0 and q >= 1 and 1 <= trials <= 1 << 12 and q * p.n <= 64
+                and 2 <= v["value-bound"] <= 1 << 32
                 and q * (k + 1) * p.n * (p.n + p.m) <= 1 << 18
                 and (trials * (k + 1) > 16 or q * p.n > 12))
     if cmd == "crosscheck":
         return v["kmax"] >= 0 and v["qmax"] >= 1 and 16 < (v["kmax"] + 1) * v["qmax"] <= 1 << 10
     if cmd == "flowdump" and "--lifted" in flags:
         return v["k"] >= 0 and v["q"] >= 1 and 64 < (v["k"] + 1) * v["q"] <= 1 << 20
-    if cmd == "bench" and 1 <= v["nmin"] <= v["nmax"]:
+    if cmd == "bench" and 1 <= v["nmin"] <= v["nmax"] and v["repeats"] >= 1:
         top = v["nmin"]
         while 2 * top <= v["nmax"]:
             top *= 2
-        return 64 < top <= 1 << 12
+        return 0 <= v["density"] <= 1 and 64 < top * v["repeats"] and top <= 1 << 12
     return False
 
 
@@ -383,8 +391,9 @@ def _large_work(cmd, name, flags, v):
 def test_fuzzed_cli_arguments_exit_0_to_3(fuzz_files, data):
     cmd = data.draw(st.sampled_from(sorted(NUMERIC_OPTIONS)))
     v = {opt: data.draw(CLI_INTS, label=opt) for opt in NUMERIC_OPTIONS[cmd]}
+    v.update((opt, data.draw(edge, label=opt)) for opt, edge in EDGE_OPTIONS.get(cmd, {}).items())
     if cmd == "bench":
-        name, argv = None, ["bench", "--repeats", "1", "--seed", "0"]
+        name, argv = None, ["bench", "--seed", "0"]
     else:
         name = data.draw(st.sampled_from(sorted(FUZZ_PATTERNS)), label="pattern")
         argv = [cmd, fuzz_files[name]]
@@ -398,6 +407,19 @@ def test_fuzzed_cli_arguments_exit_0_to_3(fuzz_files, data):
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 1, 2, 3)
+
+
+def test_cli_import_leaves_the_oracle_unloaded():
+    """Only the oracle subcommand needs the numerical referee, so importing
+    the CLI does not load it."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, swenctrl.cli; print(sorted(sys.modules))"],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    loaded = proc.stdout
+    assert "'swenctrl.cli'" in loaded and "'swenctrl.decide'" in loaded
+    assert "'swenctrl.oracle'" not in loaded
 
 
 def test_false_verdict_still_exits_zero(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 from helpers import FIG1, FIG2A, INTEGRATOR, TWO_CYCLE, hub_pattern, reference_kstar
 
 import swenctrl.decide
+import swenctrl.flow
 from swenctrl.decide import (
     check_structural,
     compute_kstar,
@@ -184,9 +185,9 @@ def test_kstar_matches_cold_search_random(monkeypatch):
         cut_reads[-1][id(res)] += 1
         return residual_min_cut(res, *args)
 
-    def counted_solve(res, n, m, theta, bound):
+    def counted_solve(res, n, m, first, theta, bound):
         nonlocal settled
-        theta, label = solve(res, n, m, theta, bound)
+        theta, label = solve(res, n, m, first, theta, bound)
         settled += label is None and theta < n * (m * n + 1)
         return theta, label
 
@@ -313,6 +314,29 @@ def test_backbone_saturates_without_augment(monkeypatch):
         v = check_structural(p, k, q)
         assert v.decision and v.stats.theta == p.n * q
     assert compute_kstar(p).value == 0
+
+
+def test_adjacency_built_only_when_dinic_runs(monkeypatch):
+    """A solve the direct paths saturate never builds the residual's adj;
+    a failing check builds it once, for augment and the cut, and kstar's
+    warm probes share the one adj of the ascent's residual."""
+    builds = []
+
+    def counted(size, head):
+        builds.append(size)
+        return adjacency(size, head)
+
+    adjacency = swenctrl.flow._adjacency
+    monkeypatch.setattr(swenctrl.flow, "_adjacency", counted)
+    backbone, hub = backbone_pattern(200), hub_pattern(64)
+    assert check_structural(backbone, 1, 3).decision
+    assert compute_kstar(backbone).value == 0
+    assert check_structural(hub, 7, 65).decision
+    assert not builds
+    assert not check_structural(hub, 6, 65).decision
+    assert len(builds) == 1
+    assert compute_kstar(hub).value == 7
+    assert len(builds) == 2
 
 
 def test_direct_pass_keeps_theta_and_kstar():

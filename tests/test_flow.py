@@ -11,9 +11,11 @@ from helpers import (
     named_values,
     random_feasible_flow,
     reference_augment,
+    reference_residual,
     reference_sink_side,
 )
 
+import swenctrl.flow
 from swenctrl.errors import ConsistencyError, ScaleError
 from swenctrl.flow import (
     SINK,
@@ -24,6 +26,7 @@ from swenctrl.flow import (
     build_small_network,
     compact_arcs,
     compact_capacity,
+    compact_offsets,
     lift_flow,
     max_flow,
     min_cut,
@@ -221,6 +224,11 @@ def test_min_cut_duality_over_random_networks():
         assert verify_flow(net, f)
 
 
+def _offsets(p):
+    """compact_offsets of p's compact arcs, as push_direct takes them."""
+    return compact_offsets(p.n, p.m, compact_arcs(p.n, p.m, p.stars)[0])
+
+
 def test_min_cut_rejects_direct_pass_and_wrong_value():
     """A nonzero flow short of the maximum is refused, and so is a maximum
     flow reported with the wrong value."""
@@ -230,7 +238,7 @@ def test_min_cut_rejects_direct_pass_and_wrong_value():
         p = random_pattern(rng.randint(1, 8), rng.randint(0, 3), rng.random(), seed)
         net = build_small_network(p, rng.randint(0, 2), rng.choice((1, 2, 3)), bool(seed % 2))
         res = residual_graph(net)
-        direct = push_direct(res, p.n, p.m)
+        direct = push_direct(res, p.n, p.m, _offsets(p))
         f = _flow_of(res, net)
         if 0 < direct < max_flow(net).value_total:
             with pytest.raises(ConsistencyError, match="not maximal"):
@@ -249,21 +257,21 @@ def _seeded_residuals():
     for seed in range(300):
         rng = random.Random(seed)
         p = random_pattern(rng.randint(1, 10), rng.randint(0, 3), rng.random(), seed)
-        n, m = p.n, p.m
+        n, m, offsets = p.n, p.m, _offsets(p)
         k, dk, q = rng.randint(0, 2), rng.randint(1, 3), rng.choice((1, 2, 3, 7))
         for witness in (False, True):
             net = build_small_network(p, k, q, witness_mode=witness)
             yield residual_graph(net)
             res = residual_graph(net)
-            push_direct(res, n, m)
+            push_direct(res, n, m, offsets)
             yield res
         res = residual_graph(build_small_network(p, k + dk, q, witness_mode=True))
         shift_switch_count(res, n, m, q, -dk)
-        push_direct(res, n, m)
+        push_direct(res, n, m, offsets)
         reference_augment(res)
         shift_switch_count(res, n, m, q, dk)
         yield res.copy()
-        push_direct(res, n, m)
+        push_direct(res, n, m, offsets)
         yield res
         if seed % 3 == 0 and (k + 1) * q * (len(p.stars) + n) <= 400:
             yield residual_graph(build_lifted_network(p, k, q))
@@ -307,12 +315,12 @@ def test_push_direct_feasible_fresh_and_after_shift():
     for seed in range(500):
         rng = random.Random(seed)
         p = random_pattern(rng.randint(1, 12), rng.randint(0, 3), rng.random(), seed)
-        n, m = p.n, p.m
+        n, m, offsets = p.n, p.m, _offsets(p)
         k, dk, q = rng.randint(0, 2), rng.randint(1, 3), rng.choice((1, 2, 3, 7))
         witness = bool(seed % 4)
         net = build_small_network(p, k, q, witness_mode=witness)
         res = residual_graph(net)
-        added = push_direct(res, n, m)
+        added = push_direct(res, n, m, offsets)
         f = _flow_of(res, net)
         assert verify_flow(net, f)
         assert added == f.value_total <= max_flow(net).value_total
@@ -323,10 +331,10 @@ def test_push_direct_feasible_fresh_and_after_shift():
         top = build_small_network(p, k + dk, q, witness_mode=True)
         res = residual_graph(top)
         shift_switch_count(res, n, m, q, -dk)
-        first = push_direct(res, n, m)
+        first = push_direct(res, n, m, offsets)
         assert verify_flow(net, _flow_of(res, net))
         shift_switch_count(res, n, m, q, dk)
-        second = push_direct(res, n, m)
+        second = push_direct(res, n, m, offsets)
         f = _flow_of(res, top)
         assert verify_flow(top, f)
         assert first + second == f.value_total <= max_flow(top).value_total
@@ -479,12 +487,32 @@ def tuple_sorted_arcs(p):
     )
 
 
-def test_one_arc_order_named_and_int_core():
+EDGE_SHAPES = {
+    "m0": SparsityPattern(4, 0, frozenset({(1, 2), (2, 1), (3, 3), (4, 1), (4, 4)})),
+    "m0-edgeless": SparsityPattern(3, 0, frozenset()),
+    "n1": SparsityPattern(1, 3, frozenset({(1, 1), (1, 3), (1, 4)})),
+    "n1-edgeless": SparsityPattern(1, 2, frozenset()),
+    # columns 2, 4 and 6 (input 1) hold no star
+    "empty-columns": SparsityPattern(5, 2, frozenset({(5, 1), (1, 1), (3, 3), (2, 5), (4, 7)})),
+    "input-column-full": SparsityPattern(
+        6, 2, frozenset({(i, 8) for i in range(1, 7)} | {(2, 1), (6, 5)})),
+    "full": SparsityPattern(5, 3, frozenset((i, j) for i in range(1, 6) for j in range(1, 9))),
+}
+
+
+def _arc_order_patterns():
+    yield from EDGE_SHAPES.values()
     for seed in range(300):
         rng = random.Random(seed)
-        p = random_pattern(rng.randint(1, 12), rng.randint(0, 3), rng.random(), seed)
+        yield random_pattern(rng.randint(1, 12), rng.randint(0, 3), rng.random(), seed)
+
+
+def test_one_arc_order_named_and_int_core():
+    for p in _arc_order_patterns():
         tail, head = compact_arcs(p.n, p.m, p.stars)
-        assert list(zip(tail, head)) == tuple_sorted_arcs(p), seed
+        assert list(zip(tail, head)) == tuple_sorted_arcs(p), p
+        assert compact_offsets(p.n, p.m, tail) == [
+            next((a for a, t in enumerate(tail) if t >= u), len(tail)) for u in range(p.m + p.n + 2)]
         for k in range(3):
             for q in (1, 2, 5):
                 for witness_mode in (False, True):
@@ -492,6 +520,47 @@ def test_one_arc_order_named_and_int_core():
                     cap = compact_capacity(p.n, p.m, tail, k, q, witness_mode)
                     core = residual_arrays(p.m + 2 * p.n + 2, tail, head, cap)
                     assert (named.head, named.adj, named.cap) == (core.head, core.adj, core.cap)
+
+
+def _residual_networks():
+    for p in EDGE_SHAPES.values():
+        yield build_small_network(p, 1, 2)
+    for seed in range(150):
+        rng = random.Random(seed)
+        p = random_pattern(rng.randint(1, 8), rng.randint(0, 3), rng.random(), seed)
+        k, q = rng.randint(0, 2), rng.choice((1, 2, 3))
+        yield build_small_network(p, k, q, witness_mode=bool(seed % 2))
+        if seed % 3 == 0:
+            yield build_lifted_network(p, k, q)
+
+
+def test_residual_arrays_match_per_arc_construction():
+    """The slice-filled head and cap, and the adj built on first read, are
+    those of the per-arc construction, on compact and lifted networks."""
+    lifted = 0
+    for net in _residual_networks():
+        tail, head = [u for u, _ in net.arcs], [v for _, v in net.arcs]
+        expected = reference_residual(len(net.nodes), tail, head, net.capacity)
+        for res in (residual_arrays(len(net.nodes), tail, head, net.capacity), residual_graph(net)):
+            assert (res.head, res.adj, res.cap) == expected
+        lifted += net.kind == "lifted"
+    assert lifted > 40
+
+
+def test_adjacency_built_once_and_shared_by_copies(monkeypatch):
+    builds = []
+
+    def counted(size, head):
+        builds.append(size)
+        return adjacency(size, head)
+
+    adjacency = swenctrl.flow._adjacency
+    monkeypatch.setattr(swenctrl.flow, "_adjacency", counted)
+    res = residual_graph(build_small_network(FIG2A, 1, 3))
+    early = res.copy()
+    assert not builds
+    assert res.adj is early.adj is res.copy().adj
+    assert builds == [len(res.adj)]
 
 
 def tuple_sorted_lifted_arcs(p, k, q):
