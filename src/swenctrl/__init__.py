@@ -14,8 +14,8 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "decide": ("CrosscheckReport", "check_structural", "compute_kstar", "crosscheck",
-               "recheck_certificate", "witness_from_cut"),
+    "core": ("check_structural", "compute_kstar"),
+    "decide": ("CrosscheckReport", "crosscheck", "recheck_certificate", "witness_from_cut"),
     "errors": ("ConsistencyError", "ParseError", "ScaleError"),
     "flow": ("FlowAssignment", "FlowNetwork", "build_lifted_network", "build_small_network",
              "lift_flow", "max_flow", "min_cut", "project_flow", "verify_flow"),

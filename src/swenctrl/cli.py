@@ -16,21 +16,19 @@ import os
 import sys
 from time import perf_counter
 
+# check and kstar need only the decision core; every other subcommand
+# imports its modules (flow, graph, decide, oracle) inside its handler.
 from . import __version__
-from .decide import _solve, check_structural, compute_kstar, crosscheck, crosscheck_to_dict
-from .errors import ParseError, ScaleError
-from .flow import (
-    build_lifted_network,
-    build_small_network,
+from .core import (
+    _solve,
+    check_structural,
     compact_arcs,
     compact_capacity,
     compact_offsets,
-    max_flow,
-    network_json,
-    network_to_dot,
+    compute_kstar,
     residual_arrays,
 )
-from .graph import brute_force_check, to_dot
+from .errors import ParseError, ScaleError
 from .pattern import (
     CRITERIA,
     DEFAULT_VALUE_BOUND,
@@ -83,6 +81,8 @@ def _run_on_pattern(args) -> int:
     pattern = _load_pattern(args.pattern)
     obj, text_lines = args.answer(args, pattern)
     if args.dot_out:
+        from .graph import to_dot
+
         with open(args.dot_out, "w", encoding="utf-8") as fh:
             fh.write(to_dot(pattern))
     _emit(args, obj, text_lines)
@@ -100,6 +100,8 @@ def _check(args, pattern: SparsityPattern):
 
 
 def _brute(args, pattern: SparsityPattern):
+    from .graph import brute_force_check
+
     verdict = brute_force_check(pattern, args.k, args.q)
     obj = verdict_to_dict(verdict)
     return obj, [
@@ -118,7 +120,7 @@ def _kstar(args, pattern: SparsityPattern):
 
 
 def _oracle(args, pattern: SparsityPattern):
-    from .oracle import monte_carlo_controllable  # only this subcommand needs the referee
+    from .oracle import monte_carlo_controllable
 
     seed = _seed_or_default(args)
     controllable, successes = monte_carlo_controllable(
@@ -144,6 +146,8 @@ def _oracle(args, pattern: SparsityPattern):
 
 
 def _crosscheck(args, pattern: SparsityPattern):
+    from .decide import crosscheck, crosscheck_to_dict
+
     report = crosscheck(pattern, args.kmax, args.qmax)
     return crosscheck_to_dict(report), [
         f"cells: {len(report.cells)}  agree: {report.agree}",
@@ -152,6 +156,14 @@ def _crosscheck(args, pattern: SparsityPattern):
 
 
 def _cmd_flowdump(args) -> int:
+    from .flow import (
+        build_lifted_network,
+        build_small_network,
+        max_flow,
+        network_json,
+        network_to_dot,
+    )
+
     pattern = _load_pattern(args.pattern)
     if args.lifted:
         net = build_lifted_network(pattern, args.k, args.q)
@@ -223,7 +235,7 @@ def run_bench(nmin: int, nmax: int, density: float, seed: int,
         pattern = bench_pattern(n, density, seed + n)
 
         def build():  # what check_structural builds before it solves
-            tail, head = compact_arcs(n, pattern.m, pattern.stars)
+            tail, head = compact_arcs(n, pattern.m, pattern.rows)
             first = compact_offsets(n, pattern.m, tail)
             cap = compact_capacity(n, pattern.m, tail, k, q, witness_mode=True)
             return residual_arrays(pattern.m + 2 * n + 2, tail, head, cap), first

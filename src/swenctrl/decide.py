@@ -1,13 +1,12 @@
-"""Top-level decision procedures.
+"""Cross-checks and certificates around the decision core.
 
-check_structural decides structural controllability of a pattern for a given
-(k, q) by reachability plus a single max-flow saturation test; compute_kstar
-reads an infinite minimal switch count off the pattern, with no flow, and
-finds a finite one, valid for every ensemble size, by a warm-started ascent
-on one residual network, reporting the binary-search trace a cold probe per
-k would give;
-crosscheck runs the flow route against the brute-force enumeration and the
-expanded-network flow over a whole (k, q) grid.
+check_structural and compute_kstar live in core, which imports nothing of
+this module; they are imported here so that their names still resolve
+from swenctrl.decide.  crosscheck runs the flow route against the
+brute-force enumeration and the expanded-network flow over a whole (k, q)
+grid; witness_from_cut reads a violating subset off a named min cut, and
+recheck_certificate verifies a verdict's certificate from the pattern
+alone.
 """
 
 from __future__ import annotations
@@ -15,121 +14,17 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import ConsistencyError, ScaleError
-from .flow import (
-    Residual,
-    augment,
-    build_lifted_network,
-    build_small_network,
-    check_kq,
-    compact_arcs,
-    compact_capacity,
-    compact_offsets,
-    compact_unreachable,
-    max_flow,
-    push_direct,
-    residual_arrays,
-    residual_min_cut,
-    shift_switch_count,
-)
-from .graph import (
-    brute_force_check,
-    counting_sides,
-    counting_violation,
-    in_neighbor_sets,
-    kstar_brute,
-)
+from .core import _violation, check_structural, compute_kstar
+from .errors import ScaleError
+from .flow import build_lifted_network, build_small_network, max_flow
+from .graph import brute_force_check, counting_violation, in_neighbor_sets, kstar_brute
 from .pattern import SparsityPattern
-from .results import (
-    EmptyAlphaIn,
-    KStarResult,
-    Saturated,
-    Unreachable,
-    Verdict,
-    VerdictStats,
-    ViolatingSubset,
-)
+from .results import Saturated, Unreachable, Verdict, ViolatingSubset
 
 MAX_CROSSCHECK_STATES = 10
 # Each cell runs a check, two subset enumerations and two max-flows, the
 # expanded one growing with k*q; the grid's size is checked before any runs.
 MAX_CROSSCHECK_CELLS = 1 << 10
-
-
-def check_structural(pattern: SparsityPattern, k: int, q: int) -> Verdict:
-    """Decide structural controllability for (k, q).
-
-    False verdicts carry a verified certificate: the unreachable state nodes,
-    or a state subset violating the counting condition, extracted from a
-    minimum cut of the witness-mode network.  Everything runs on the compact
-    network's int arcs, built straight from the pattern's stars.  The flow
-    is found by pushing the direct paths s -> left -> mu_i -> t and then
-    augmenting while short of saturation; which maximum flow that gives does
-    not matter, since every maximum flow has the same value theta and the
-    nodes that reach the sink in its residual graph, the sink side of the
-    source-maximal min cut, are the same for all of them.  augment's last
-    search labels those nodes, so the cut costs no further search.
-    """
-    n, m = pattern.n, pattern.m
-    check_kq(n, m, k, q)
-    target = n * q
-    tail, head = compact_arcs(n, m, pattern.stars)
-    first = compact_offsets(n, m, tail)
-    unreachable = compact_unreachable(n, m, first, head)
-    if unreachable:
-        return Verdict(False, Unreachable(unreachable), VerdictStats(None, target))
-    res = residual_arrays(m + 2 * n + 2, tail, head,
-                          compact_capacity(n, m, tail, k, q, witness_mode=True))
-    theta, label = _solve(res, n, m, first, 0, target)
-    stats = VerdictStats(theta, target)
-    if theta == target:
-        return Verdict(True, Saturated(theta), stats)
-    subset, alpha, beta = _sink_side_states(res, n, m, residual_min_cut(res, label, theta))
-    lhs, rhs = _violation(k, q, subset, alpha, beta)
-    return Verdict(False, ViolatingSubset(subset, lhs, rhs, k, q), stats)
-
-
-def _solve(res: Residual, n: int, m: int, first: list[int], theta: int,
-           bound: int) -> tuple[int, list[int] | None]:
-    """Raise the flow of value theta held in the compact residual res, whose
-    arcs have the compact_offsets first, to a maximum one, given a bound no
-    flow can exceed (the target, or the capacity of a known cut): push the
-    direct paths, then augment only while the value is short of bound, so a
-    solve the direct paths saturate never builds res.adj.  Returns the value
-    and, when augment ran, the labels of its last search (the sink side of
-    the source-maximal min cut), else None; a flow that reaches bound is
-    maximum by weak duality."""
-    theta += push_direct(res, n, m, first)
-    if theta >= bound:
-        return theta, None
-    added, label = augment(res)
-    return theta + added, label
-
-
-def _sink_side_states(res: Residual, n: int, m: int, sink_side) -> tuple[frozenset[int], int, int]:
-    """The states whose right copy mu_j lies on the sink side of a cut of the
-    compact residual res, with their numbers of state and control
-    in-neighbours.  The edges leaving mu_j are the reverses of the arcs into
-    it, whose heads are its in-neighbours (lam_c is c, nu_i is m+i), and its
-    arc to the sink."""
-    mu = m + n
-    head, adj = res.head, res.adj
-    subset = frozenset(j for j in range(1, n + 1) if sink_side[mu + j])
-    left = {head[e] for j in subset for e in adj[mu + j]}
-    left.discard(res.size - 1)
-    beta = sum(1 for u in left if u <= m)
-    return subset, len(left) - beta, beta
-
-
-def _violation(k: int, q: int, subset, alpha: int, beta: int) -> tuple[int, int]:
-    """Both sides of the counting condition for a cut-derived subset, which
-    must violate it; ConsistencyError is raised if it does not (a cut that is
-    not the source side of a witness-mode min cut for (k, q))."""
-    lhs, rhs = counting_sides(k, q, len(subset), alpha, beta)
-    if lhs >= rhs:
-        raise ConsistencyError("cut-derived subset satisfies the counting condition; "
-                               "the cut is not a witness-mode min cut")
-    return lhs, rhs
 
 
 def witness_from_cut(pattern: SparsityPattern, k: int, q: int, cut) -> frozenset[int]:
@@ -144,107 +39,6 @@ def witness_from_cut(pattern: SparsityPattern, k: int, q: int, cut) -> frozenset
     ns = in_neighbor_sets(pattern, subset)
     _violation(k, q, subset, len(ns.alpha_in), len(ns.beta_in))
     return subset
-
-
-def compute_kstar(pattern: SparsityPattern) -> KStarResult:
-    """Minimal switch count working for every ensemble size.
-
-    At the ensemble size q = mn+1 the counting condition already implies it
-    for every q, and for k <= n-1 it reduces to (k+1)|alpha_in(V')| >= |V'|,
-    so k* = max ceil(|V'| / |alpha_in(V')|) - 1 over state subsets V'.  An
-    unreachable pattern, or one with a state that has no state in-neighbour,
-    has no finite k*.  The latter is answered from the pattern, with no flow.
-    Let Z be the states with no state in-neighbour and qbar = mn+1.  In the
-    witness-mode network at (n-1, qbar), a finite cut with sink-side states
-    V' costs qbar(n-|V'|) + n|beta_in(V')| + n qbar|alpha_in(V')|.  Any V'
-    with alpha_in(V') nonempty costs at least n qbar, the cost of V' = {};
-    for V' within Z, adding a state of Z changes the cost by at most
-    -qbar + nm = -1.  So Z is the unique minimiser: the sink side of the
-    source-maximal min cut, hence the EmptyAlphaIn witness, and its cost is
-    the max-flow value (max-flow/min-cut), the one trace entry.
-
-    Otherwise one witness-mode network at q = mn+1, valid for every k <= n-1,
-    is solved at k = 0 and then ascended: while the flow is short of
-    n(mn+1), the source-maximal min cut gives a violating V', k becomes
-    ceil(|V'| / |alpha_in(V')|) - 1 (above the current k, never above k*),
-    and the source arcs are raised with the flow kept.  The trace replays the
-    binary search over [0, n-1] that probes the same network cold: probes at
-    k >= k* saturate, and each probe below k* is solved warm from the
-    residual of the largest failing k below it, whose min cut bounds the
-    probe: its sink side is V' and alpha_in(V'), beta_in(V') (the middle
-    arcs force it), so only its source arcs change with k, and at the
-    probe's k it costs theta_below + (k - below)(|beta_in(V')| +
-    (mn+1)|alpha_in(V')|).  Each solve pushes the direct paths and then
-    augments while short of n(mn+1) and of that capacity; a flow that
-    reaches a cut's capacity is maximum (weak duality), and that cut is
-    then the next probe's bound.  The flows differ from a cold Dinic
-    solve's; but max-flow values, and the source-maximal min cut that picks
-    each next k, are the same for every maximum flow, so the ascent, k* and
-    the trace are too.  In the ascent the cut just read costs at least
-    n(mn+1) at the next k, by the choice of that k, so it bounds nothing.
-    """
-    n, m = pattern.n, pattern.m
-    tail, head = compact_arcs(n, m, pattern.stars)
-    first = compact_offsets(n, m, tail)
-    unreachable = compact_unreachable(n, m, first, head)
-    if unreachable:
-        return KStarResult(None, Unreachable(unreachable))
-    qbar = m * n + 1
-    target = n * qbar
-    mu = m + n  # mu_i is mu + i
-    state_arcs = first[m + 1]  # the control arcs run from first[1] = m + n to here
-    fed = set(head[state_arcs:first[mu + 1]])
-    unfed = frozenset(i for i in range(1, n + 1) if mu + i not in fed)
-    if unfed:
-        inputs = {c for c, h in zip(tail[m + n:state_arcs], head[m + n:state_arcs])
-                  if h - mu in unfed}
-        _violation(n - 1, qbar, unfed, 0, len(inputs))
-        theta = qbar * (n - len(unfed)) + n * len(inputs)
-        return KStarResult(None, EmptyAlphaIn(unfed), ((n - 1, theta, target),))
-    cap = compact_capacity(n, m, tail, n - 1, qbar, witness_mode=True)
-    res = residual_arrays(m + 2 * n + 2, tail, head, cap)
-    shift_switch_count(res, n, m, qbar, -(n - 1))  # down to k = 0, still at zero flow
-    k, (theta, label) = 0, _solve(res, n, m, first, 0, target)
-    # k -> (max-flow value, residual, growth of a min cut's capacity per unit
-    # of k) for every k solved short of target
-    failing = {}
-    while theta < target:
-        subset, alpha, beta = _sink_side_states(res, n, m, residual_min_cut(res, label, theta))
-        _violation(k, qbar, subset, alpha, beta)
-        failing[k] = (theta, res.copy(), beta + qbar * alpha)
-        k_next = -(-len(subset) // alpha) - 1
-        if k_next <= k:
-            raise ConsistencyError(f"kstar ascent stalled at k={k}")
-        shift_switch_count(res, n, m, qbar, k_next - k)
-        # the cut just read costs at least target at k_next, so it bounds nothing
-        theta, label = _solve(res, n, m, first, theta, target)
-        k = k_next
-    trace = [(n - 1, target, target)]
-    lo, hi = 0, n - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid >= k:
-            trace.append((mid, target, target))
-            hi = mid
-            continue
-        if mid not in failing:
-            below = max(j for j in failing if j < mid)
-            theta_below, res_below, slope = failing[below]
-            res_mid = res_below.copy()
-            shift_switch_count(res_mid, n, m, qbar, mid - below)
-            cut = theta_below + (mid - below) * slope  # below's min cut, priced at mid
-            theta_mid, label = _solve(res_mid, n, m, first, theta_below, min(target, cut))
-            if label is not None and theta_mid < target:  # augment's last search: a new min cut
-                _, alpha, beta = _sink_side_states(res_mid, n, m,
-                                                   residual_min_cut(res_mid, label, theta_mid))
-                slope = beta + qbar * alpha
-            failing[mid] = (theta_mid, res_mid, slope)
-        theta_mid = failing[mid][0]
-        if theta_mid >= target:
-            raise ConsistencyError(f"probe at k={mid} saturates below k*={k}")
-        trace.append((mid, theta_mid, target))
-        lo = mid + 1
-    return KStarResult(k, None, tuple(trace))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ScaleError
-from .flow import check_kq, compact_arcs, compact_offsets, compact_unreachable
+from .core import check_kq, compact_arcs, compact_offsets, compact_unreachable, counting_sides
 from .pattern import SparsityPattern
 from .results import (
     ArgmaxSubset,
@@ -57,15 +57,8 @@ def reachability_check(pattern: SparsityPattern) -> frozenset[int]:
     """Return the state nodes with no directed path from any control node
     (empty means every state node is reachable)."""
     n, m = pattern.n, pattern.m
-    tail, head = compact_arcs(n, m, pattern.stars)
+    tail, head = compact_arcs(n, m, pattern.rows)
     return compact_unreachable(n, m, compact_offsets(n, m, tail), head)
-
-
-def counting_sides(k: int, q: int, size: int, alpha: int, beta: int) -> tuple[int, int]:
-    """Both sides (k+1)beta + (k+1)q alpha and q size of the counting
-    condition for a subset of size states with alpha state and beta control
-    in-neighbours."""
-    return (k + 1) * beta + (k + 1) * q * alpha, q * size
 
 
 def core_condition_holds(pattern: SparsityPattern, k: int, q: int, subset) -> tuple[bool, int, int]:

@@ -13,7 +13,7 @@ import zlib
 from dataclasses import dataclass
 from math import gcd
 
-from .decide import check_structural
+from .core import check_structural
 from .errors import ScaleError
 from .pattern import (
     CRITERIA,

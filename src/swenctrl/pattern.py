@@ -2,16 +2,18 @@
 
 A pattern is a star/zero template over an n x (n+m) matrix: columns 1..n form
 the state block, columns n+1..n+m the input block.  Read as a digraph, the
-star (i, j) is an edge into state i from state j or from input j-n.
-Everything downstream (flow networks, decisions, numerical referees) works on
-its stars, whose ranges the SparsityPattern constructor checks.
+star (i, j) is an edge into state i from state j or from input j-n.  A
+SparsityPattern keeps its rows, for each state the sorted tuple of its star
+columns, which the parsers hand over as they read them and the decision
+core reads directly; its stars, the (row, column) pairs, are a frozenset
+derived on first read, for the referees and the public API.
 """
 
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ParseError, ScaleError
 
@@ -28,27 +30,71 @@ MAX_VALUE_BOUND = 1 << 32
 CRITERIA = ("mode_span", "sequential_subspace")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SparsityPattern:
-    """Star positions of an n x (n+m) template, 1-based (row, column) pairs."""
+    """Star positions of an n x (n+m) template.
+
+    SparsityPattern(n, m, stars) takes the stars as 1-based (row, column)
+    pairs.  rows[i-1] is the sorted tuple of the columns of row i's stars;
+    equality and hashing follow (n, m, rows), and stars is their frozenset
+    of (row, column) pairs, built on first read and kept.
+    """
 
     n: int
     m: int
-    stars: frozenset[tuple[int, int]]
+    rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError("state dimension n must be an integer >= 1")
-        if not isinstance(self.m, int) or self.m < 0:
-            raise ValueError("input count m must be an integer >= 0")
-        if self.n + self.m > MAX_PATTERN_DIM:
-            raise ScaleError(f"n + m = {self.n + self.m} exceeds the dimension guard {MAX_PATTERN_DIM}")
-        object.__setattr__(self, "stars", frozenset(self.stars))
-        for i, j in self.stars:
-            if not (1 <= i <= self.n):
-                raise ValueError(f"star row index {i} out of range 1..{self.n}")
-            if not (1 <= j <= self.n + self.m):
-                raise ValueError(f"star column index {j} out of range 1..{self.n + self.m}")
+    def __init__(self, n: int, m: int, stars):
+        _check_dims(n, m)
+        stars = frozenset(stars)
+        for i, j in stars:
+            if not (1 <= i <= n):
+                raise ValueError(f"star row index {i} out of range 1..{n}")
+            if not (1 <= j <= n + m):
+                raise ValueError(f"star column index {j} out of range 1..{n + m}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "rows", _rows_of(n, stars))
+        self.__dict__["stars"] = stars  # where the cached_property keeps it
+
+    @classmethod
+    def from_rows(cls, n: int, m: int, rows: tuple[tuple[int, ...], ...]) -> SparsityPattern:
+        """The pattern whose row i holds the star columns rows[i-1], each row a
+        tuple sorted ascending without repeats, as the parsers read them.
+        The range checks run per row, on its first and last column."""
+        _check_dims(n, m)
+        if len(rows) != n:
+            raise ValueError(f"expected {n} rows, got {len(rows)}")
+        for row in rows:
+            if row and not (1 <= row[0] and row[-1] <= n + m):
+                bad = row[0] if row[0] < 1 else row[-1]
+                raise ValueError(f"star column index {bad} out of range 1..{n + m}")
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "rows", rows)
+        return self
+
+    @cached_property
+    def stars(self) -> frozenset[tuple[int, int]]:
+        return frozenset((i, j) for i, row in enumerate(self.rows, 1) for j in row)
+
+
+def _rows_of(n: int, stars) -> tuple[tuple[int, ...], ...]:
+    """The rows of an n-row pattern with the given stars, all in range."""
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for i, j in sorted(stars):
+        rows[i - 1].append(j)
+    return tuple(map(tuple, rows))
+
+
+def _check_dims(n, m) -> None:
+    if not isinstance(n, int) or n < 1:
+        raise ValueError("state dimension n must be an integer >= 1")
+    if not isinstance(m, int) or m < 0:
+        raise ValueError("input count m must be an integer >= 0")
+    if n + m > MAX_PATTERN_DIM:
+        raise ScaleError(f"n + m = {n + m} exceeds the dimension guard {MAX_PATTERN_DIM}")
 
 
 def parse_pattern(text: str, fmt: str = "grid") -> SparsityPattern:
@@ -65,14 +111,13 @@ _GRID_TOKENS = frozenset(("0", "*"))
 
 def _parse_grid(text: str) -> SparsityPattern:
     n = m = None
-    rows = 0
-    stars: list[tuple[int, int]] = []
+    rows: list[tuple[int, ...]] = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        toks = line.split()
         if n is None:
+            toks = line.split()
             if len(toks) != 2:
                 raise ParseError(f"line {ln}: header must be 'n m', got {len(toks)} token(s)")
             try:
@@ -83,26 +128,34 @@ def _parse_grid(text: str) -> SparsityPattern:
                 raise ParseError(f"line {ln}: state dimension n must be >= 1")
             if m < 0:
                 raise ParseError(f"line {ln}: input count m must be >= 0")
+            width = n + m
             continue
-        if rows == n:
+        if len(rows) == n:
             raise ParseError(f"line {ln}: expected exactly {n} pattern rows, found an extra row")
-        if len(toks) != n + m:
-            raise ParseError(f"line {ln}: expected {n + m} tokens, got {len(toks)}")
-        if not _GRID_TOKENS.issuperset(toks):
-            for col, tok in enumerate(toks, start=1):
-                if tok not in _GRID_TOKENS:
-                    raise ParseError(f"line {ln}, column {col}: unknown token {tok!r}")
-        rows += 1
-        cells = "".join(toks)  # one character per column
+        # A row written with single spaces holds its tokens at the even
+        # positions; any other row is split, and its errors reported.
+        cells = line[::2]
+        if not (len(line) == 2 * width - 1 and cells.count("0") + cells.count("*") == width
+                and line.count(" ") == width - 1):
+            toks = line.split()
+            if len(toks) != width:
+                raise ParseError(f"line {ln}: expected {width} tokens, got {len(toks)}")
+            if not _GRID_TOKENS.issuperset(toks):
+                for col, tok in enumerate(toks, start=1):
+                    if tok not in _GRID_TOKENS:
+                        raise ParseError(f"line {ln}, column {col}: unknown token {tok!r}")
+            cells = "".join(toks)  # one character per column
+        row = []
         col = cells.find("*")
         while col >= 0:
-            stars.append((rows, col + 1))
+            row.append(col + 1)
             col = cells.find("*", col + 1)
+        rows.append(tuple(row))
     if n is None:
         raise ParseError("missing header line 'n m'")
-    if rows != n:
-        raise ParseError(f"expected {n} pattern rows, got {rows}")
-    return SparsityPattern(n, m, frozenset(stars))
+    if len(rows) != n:
+        raise ParseError(f"expected {n} pattern rows, got {len(rows)}")
+    return SparsityPattern.from_rows(n, m, tuple(rows))
 
 
 def _parse_json(text: str) -> SparsityPattern:
@@ -137,19 +190,23 @@ def _parse_json(text: str) -> SparsityPattern:
         if not 1 <= j <= n + m:
             raise ParseError(f"stars[{idx}]: column index {j} out of range 1..{n + m}")
         stars.add((i, j))
-    return SparsityPattern(n, m, frozenset(stars))
+    _check_dims(n, m)  # before the n rows are allocated
+    return SparsityPattern.from_rows(n, m, _rows_of(n, stars))
 
 
 def serialize_pattern(pattern: SparsityPattern, fmt: str = "grid") -> str:
     """Canonical text form; parse_pattern(serialize_pattern(p, f), f) == p."""
     if fmt == "grid":
         lines = [f"{pattern.n} {pattern.m}"]
-        for i in range(1, pattern.n + 1):
-            row = ["*" if (i, j) in pattern.stars else "0" for j in range(1, pattern.n + pattern.m + 1)]
-            lines.append(" ".join(row))
+        for row in pattern.rows:
+            cells = ["0"] * (pattern.n + pattern.m)
+            for j in row:
+                cells[j - 1] = "*"
+            lines.append(" ".join(cells))
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        obj = {"n": pattern.n, "m": pattern.m, "stars": [list(s) for s in sorted(pattern.stars)]}
+        stars = [[i, j] for i, row in enumerate(pattern.rows, 1) for j in row]
+        obj = {"n": pattern.n, "m": pattern.m, "stars": stars}
         return json.dumps(obj, sort_keys=True) + "\n"
     raise ValueError(f"unknown pattern format {fmt!r} (expected 'grid' or 'json')")
 
@@ -182,11 +239,12 @@ def random_pattern(n: int, m: int, density, seed: int) -> SparsityPattern:
     d = float(density)
     if not 0.0 <= d <= 1.0:
         raise ValueError("density must lie in [0, 1]")
+    import random  # only the generators need it
+
     rng = random.Random(seed)
-    stars = frozenset(
-        (i, j) for i in range(1, n + 1) for j in range(1, n + m + 1) if rng.random() < d
-    )
-    return SparsityPattern(n, m, stars)
+    columns = range(1, n + m + 1)
+    rows = tuple(tuple(j for j in columns if rng.random() < d) for _ in range(n))
+    return SparsityPattern.from_rows(n, m, rows)
 
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -251,8 +309,11 @@ def sample_instance(
         raise ScaleError(
             f"q*(k+1)*n*(n+m) = {cells} matrix entries exceed the sampling guard {MAX_SAMPLE_CELLS}"
         )
+    import random  # only the generators need it
+
     rng = random.Random(seed)
-    stars = sorted(pattern.stars)  # row-major, the order of the draws
+    # row-major, the order of the draws
+    stars = [(i, j) for i, row in enumerate(pattern.rows, 1) for j in row]
     blocks = {}
     for p in range(1, q + 1):
         for ell in range(k + 1):

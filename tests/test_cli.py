@@ -317,9 +317,14 @@ FIG2A_GRID = b"2 1\n0 0 *\n* 0 *\n"
     (serialize_pattern(DENSE_8X2).encode(),
      ("oracle", "--k", "0", "--q", "8", "--seed", "1", "--trials", "1",
       "--value-bound", str(10**4000)), 3, CHILD_ADDRESS_SPACE),
+    # a grid header far past the dimension guard, with no row or one short
+    # row: rejected by the row checks, with nothing sized by the header
+    (b"1 999999999999\n", CHECK_K0_Q1, 2, CHILD_ADDRESS_SPACE),
+    (b"1 999999999999\n0 *\n", CHECK_K0_Q1, 2, CHILD_ADDRESS_SPACE),
+    (b"999999999999 1\n0 *\n", ("kstar",), 2, CHILD_ADDRESS_SPACE),
 ], ids=["oversized-n", "oversized-m", "non-utf8", "deep-nesting", "lifted-arcs",
         "flowdump-json-lifted", "oracle-huge-k", "crosscheck-huge-grid", "oracle-huge-trials",
-        "value-bound-huge"])
+        "value-bound-huge", "huge-header", "huge-header-row", "huge-header-n"])
 def test_hostile_input_exit_code_without_traceback(tmp_path, content, argv, expected_code,
                                                    address_space):
     path = tmp_path / "hostile.pat"
@@ -328,6 +333,19 @@ def test_hostile_input_exit_code_without_traceback(tmp_path, content, argv, expe
                                    stdout=subprocess.DEVNULL)
     assert code == expected_code, err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("content, message", [
+    ("1 999999999999\n", "expected 1 pattern rows, got 0"),
+    ("1 999999999999\n0 *\n", "line 2: expected 1000000000000 tokens, got 2"),
+    ("999999999999 1\n0 *\n", "line 2: expected 1000000000000 tokens, got 2"),
+])
+def test_huge_grid_header_is_a_parse_error(tmp_path, capsys, content, message):
+    path = tmp_path / "huge.pat"
+    path.write_text(content)
+    for argv in (CHECK_K0_Q1, ("kstar",)):
+        code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out, err) == (2, "", f"parse error: {message}\n")
 
 
 FUZZ_PATTERNS = {
@@ -409,17 +427,49 @@ def test_fuzzed_cli_arguments_exit_0_to_3(fuzz_files, data):
     assert code in (0, 1, 2, 3)
 
 
+def _child_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+
+
 def test_cli_import_leaves_the_oracle_unloaded():
-    """Only the oracle subcommand needs the numerical referee, so importing
-    the CLI does not load it."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    """Importing the CLI loads the decision core, and neither the numerical
+    referee nor the modules only the other subcommands need."""
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, swenctrl.cli; print(sorted(sys.modules))"],
-        capture_output=True, text=True, env=env, timeout=60, check=True,
+        capture_output=True, text=True, env=_child_env(), timeout=60, check=True,
     )
     loaded = proc.stdout
-    assert "'swenctrl.cli'" in loaded and "'swenctrl.decide'" in loaded
-    assert "'swenctrl.oracle'" not in loaded
+    assert "'swenctrl.cli'" in loaded and "'swenctrl.core'" in loaded
+    for module in ("swenctrl.decide", "swenctrl.oracle"):
+        assert f"'{module}'" not in loaded
+
+
+# Runs check and kstar in one process and prints what they loaded.
+CHECK_PATH_CHILD = """import io, sys
+from contextlib import redirect_stdout
+from swenctrl.cli import main
+with redirect_stdout(io.StringIO()) as out:
+    codes = [main(["check", sys.argv[1], "--k", "1", "--q", "3"]),
+             main(["check", sys.argv[1], "--k", "0", "--q", "9"]),
+             main(["kstar", sys.argv[1]])]
+print(codes, out.getvalue().count("decision"), out.getvalue().count("kstar"))
+print(sorted(sys.modules))
+"""
+
+
+@pytest.mark.parametrize("fmt", ["grid", "json"])
+def test_check_and_kstar_load_only_the_decision_core(tmp_path, fmt):
+    """check (one verdict true, one false, read off a min cut) and kstar run
+    on the core alone: no named network, fractions, referee or cross-check."""
+    path = write_pattern(tmp_path, hub_pattern(16), fmt=fmt)
+    proc = subprocess.run([sys.executable, "-c", CHECK_PATH_CHILD, path], capture_output=True,
+                          text=True, env=_child_env(), timeout=60, check=True)
+    ran, loaded = proc.stdout.splitlines()
+    assert ran == "[0, 0, 0] 2 1"
+    assert "'swenctrl.core'" in loaded
+    for module in ("fractions", "swenctrl.flow", "swenctrl.graph", "swenctrl.decide",
+                   "swenctrl.oracle"):
+        assert f"'{module}'" not in loaded, module
 
 
 def test_false_verdict_still_exits_zero(tmp_path, capsys):

@@ -4,8 +4,11 @@ from collections import Counter
 import pytest
 from helpers import FIG1, FIG2A, INTEGRATOR, TWO_CYCLE, hub_pattern, reference_kstar
 
+import swenctrl.core
 import swenctrl.decide
 import swenctrl.flow
+import swenctrl.graph
+from swenctrl.core import augment, residual_min_cut
 from swenctrl.decide import (
     check_structural,
     compute_kstar,
@@ -15,7 +18,7 @@ from swenctrl.decide import (
     witness_from_cut,
 )
 from swenctrl.errors import ConsistencyError, ScaleError
-from swenctrl.flow import augment, build_small_network, max_flow, min_cut, residual_min_cut
+from swenctrl.flow import build_small_network, max_flow, min_cut
 from swenctrl.graph import brute_force_check, core_condition_holds, kstar_brute
 from swenctrl.pattern import SparsityPattern, random_pattern
 from swenctrl.results import (
@@ -191,9 +194,9 @@ def test_kstar_matches_cold_search_random(monkeypatch):
         settled += label is None and theta < n * (m * n + 1)
         return theta, label
 
-    solve = swenctrl.decide._solve
-    monkeypatch.setattr(swenctrl.decide, "residual_min_cut", counted_cut)
-    monkeypatch.setattr(swenctrl.decide, "_solve", counted_solve)
+    solve = swenctrl.core._solve
+    monkeypatch.setattr(swenctrl.core, "residual_min_cut", counted_cut)
+    monkeypatch.setattr(swenctrl.core, "_solve", counted_solve)
     empty_alpha_in = failing_probes = 0
     for seed in range(900):
         rng = random.Random(seed)
@@ -227,12 +230,18 @@ def empty_block_pattern(n, m, rng, sparse_fail):
     return SparsityPattern(n, m, frozenset(stars))
 
 
+class Forbidden(AssertionError):
+    pass
+
+
 def test_kstar_infinite_needs_no_flow(monkeypatch):
     def forbidden(*args):
-        raise AssertionError("compute_kstar solved a flow for an infinite k*")
+        raise Forbidden("compute_kstar solved a flow for an infinite k*")
 
     for name in ("residual_arrays", "push_direct", "augment", "residual_min_cut"):
-        monkeypatch.setattr(swenctrl.decide, name, forbidden)
+        monkeypatch.setattr(swenctrl.core, name, forbidden)
+    with pytest.raises(Forbidden):  # the patches reach a finite k*'s solve
+        compute_kstar(hub_pattern(64))
     patterns = [FIG1, FIG2A]
     for seed in range(150):
         rng = random.Random(seed)
@@ -298,17 +307,19 @@ def test_kstar_solve_count(monkeypatch, pattern, kstar, solves, dinic):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(swenctrl.decide, "_solve", counted("solve", swenctrl.decide._solve))
-    monkeypatch.setattr(swenctrl.decide, "augment", counted("augment", augment))
+    monkeypatch.setattr(swenctrl.core, "_solve", counted("solve", swenctrl.core._solve))
+    monkeypatch.setattr(swenctrl.core, "augment", counted("augment", augment))
     assert compute_kstar(pattern).value == kstar
     assert calls == {"solve": solves, "augment": dinic}
 
 
 def test_backbone_saturates_without_augment(monkeypatch):
     def forbidden(*args):
-        raise AssertionError("augment ran on a backbone pattern")
+        raise Forbidden("augment ran on a backbone pattern")
 
-    monkeypatch.setattr(swenctrl.decide, "augment", forbidden)
+    monkeypatch.setattr(swenctrl.core, "augment", forbidden)
+    with pytest.raises(Forbidden):  # the patch reaches a failing hub check's solve
+        check_structural(hub_pattern(64), 6, 65)
     p = backbone_pattern(200)
     for k, q in ((0, 1), (1, 3), (2, 7)):
         v = check_structural(p, k, q)
@@ -326,8 +337,8 @@ def test_adjacency_built_only_when_dinic_runs(monkeypatch):
         builds.append(size)
         return adjacency(size, head)
 
-    adjacency = swenctrl.flow._adjacency
-    monkeypatch.setattr(swenctrl.flow, "_adjacency", counted)
+    adjacency = swenctrl.core._adjacency
+    monkeypatch.setattr(swenctrl.core, "_adjacency", counted)
     backbone, hub = backbone_pattern(200), hub_pattern(64)
     assert check_structural(backbone, 1, 3).decision
     assert compute_kstar(backbone).value == 0
@@ -496,10 +507,16 @@ def test_check_and_kstar_never_build_the_named_network(monkeypatch):
     expected = [answers(p) for p in patterns]
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("the decision path built the named network")
+        raise Forbidden("the decision path built the named network")
 
-    for name in ("build_small_network", "in_neighbor_sets"):
-        monkeypatch.setattr(swenctrl.decide, name, forbidden)
+    # The classes every named network and neighbour-set count is built of,
+    # patched where their builders read them.
+    monkeypatch.setattr(swenctrl.flow, "FlowNetwork", forbidden)
+    monkeypatch.setattr(swenctrl.graph, "NeighborSets", forbidden)
+    with pytest.raises(Forbidden):
+        build_small_network(FIG2A, 1, 3)
+    with pytest.raises(Forbidden):
+        witness_from_cut(FIG2A, 1, 3, frozenset())
     for p, before in zip(patterns, expected):
         assert answers(p) == before
     for p in patterns[5:]:  # the random ones, against the referees

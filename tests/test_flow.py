@@ -15,18 +15,24 @@ from helpers import (
     reference_sink_side,
 )
 
-import swenctrl.flow
+import swenctrl.core
+from swenctrl.core import (
+    augment,
+    compact_arcs,
+    compact_capacity,
+    compact_offsets,
+    compact_unreachable,
+    push_direct,
+    residual_arrays,
+    shift_switch_count,
+)
 from swenctrl.errors import ConsistencyError, ScaleError
 from swenctrl.flow import (
     SINK,
     SOURCE,
     FlowAssignment,
-    augment,
     build_lifted_network,
     build_small_network,
-    compact_arcs,
-    compact_capacity,
-    compact_offsets,
     lift_flow,
     max_flow,
     min_cut,
@@ -36,10 +42,7 @@ from swenctrl.flow import (
     phi_arc,
     phi_node,
     project_flow,
-    push_direct,
-    residual_arrays,
     residual_graph,
-    shift_switch_count,
     verify_flow,
 )
 from swenctrl.pattern import SparsityPattern, random_pattern
@@ -226,7 +229,7 @@ def test_min_cut_duality_over_random_networks():
 
 def _offsets(p):
     """compact_offsets of p's compact arcs, as push_direct takes them."""
-    return compact_offsets(p.n, p.m, compact_arcs(p.n, p.m, p.stars)[0])
+    return compact_offsets(p.n, p.m, compact_arcs(p.n, p.m, p.rows)[0])
 
 
 def test_min_cut_rejects_direct_pass_and_wrong_value():
@@ -509,7 +512,7 @@ def _arc_order_patterns():
 
 def test_one_arc_order_named_and_int_core():
     for p in _arc_order_patterns():
-        tail, head = compact_arcs(p.n, p.m, p.stars)
+        tail, head = compact_arcs(p.n, p.m, p.rows)
         assert list(zip(tail, head)) == tuple_sorted_arcs(p), p
         assert compact_offsets(p.n, p.m, tail) == [
             next((a for a, t in enumerate(tail) if t >= u), len(tail)) for u in range(p.m + p.n + 2)]
@@ -520,6 +523,57 @@ def test_one_arc_order_named_and_int_core():
                     cap = compact_capacity(p.n, p.m, tail, k, q, witness_mode)
                     core = residual_arrays(p.m + 2 * p.n + 2, tail, head, cap)
                     assert (named.head, named.adj, named.cap) == (core.head, core.adj, core.cap)
+
+
+def unreachable_by_scan(p):
+    """The states no input reaches, by a plain search over the stars."""
+    out = {j: [] for j in range(1, p.n + 1)}
+    seen = set()
+    for i, j in p.stars:
+        if j <= p.n:
+            out[j].append(i)
+        else:
+            seen.add(i)
+    frontier = list(seen)
+    while frontier:
+        for i in out[frontier.pop()]:
+            if i not in seen:
+                seen.add(i)
+                frontier.append(i)
+    return frozenset(range(1, p.n + 1)) - seen
+
+
+def _unreachable(p):
+    tail, head = compact_arcs(p.n, p.m, p.rows)
+    return compact_unreachable(p.n, p.m, compact_offsets(p.n, p.m, tail), head)
+
+
+def chain(n, fed=1):
+    """States 1 -> 2 -> ... -> n, with input 1 feeding state `fed`."""
+    return SparsityPattern(n, 1, frozenset({(fed, n + 1)} | {(j, j - 1) for j in range(2, n + 1)}))
+
+
+def test_compact_unreachable_shapes():
+    """Inputs feeding every state (the search stops before it starts), a
+    long chain the search walks to its end, and unreachable blocks."""
+    n = 300
+    broadcast = SparsityPattern(n, 2, frozenset({(i, n + 1 + i % 2) for i in range(1, n + 1)}
+                                                | {(i, n - i + 1) for i in range(1, n + 1)}))
+    cases = {
+        "broadcast": (broadcast, frozenset()),
+        "chain": (chain(n), frozenset()),
+        "chain-fed-midway": (chain(n, 101), frozenset(range(1, 101))),
+        "cycle-of-chain": (SparsityPattern(n, 1, chain(n, 200).stars | {(1, n)}), frozenset()),
+        # states 1..40 feed only each other: unreachable from the input
+        "unreachable-block": (SparsityPattern(n, 1, frozenset(
+            {(i, n + 1) for i in range(41, n + 1)} | {(i, i % 40 + 1) for i in range(1, 41)}
+            | {(i, j) for i in range(41, 60) for j in range(1, 41)})), frozenset(range(1, 41))),
+        "no-inputs": (SparsityPattern(3, 0, frozenset({(1, 2), (2, 3)})), frozenset({1, 2, 3})),
+    }
+    for name, (p, expected) in cases.items():
+        assert _unreachable(p) == unreachable_by_scan(p) == expected, name
+    for p in _arc_order_patterns():
+        assert _unreachable(p) == unreachable_by_scan(p), p
 
 
 def _residual_networks():
@@ -554,8 +608,8 @@ def test_adjacency_built_once_and_shared_by_copies(monkeypatch):
         builds.append(size)
         return adjacency(size, head)
 
-    adjacency = swenctrl.flow._adjacency
-    monkeypatch.setattr(swenctrl.flow, "_adjacency", counted)
+    adjacency = swenctrl.core._adjacency
+    monkeypatch.setattr(swenctrl.core, "_adjacency", counted)
     res = residual_graph(build_small_network(FIG2A, 1, 3))
     early = res.copy()
     assert not builds

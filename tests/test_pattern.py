@@ -259,19 +259,26 @@ BAD_VALUES = st.one_of(st.integers(-2, 0), st.sampled_from([MAX_PATTERN_DIM, 10*
                        st.booleans(), st.floats(), st.text(max_size=2), st.none())
 
 
+SEPARATORS = st.sampled_from([" ", "  ", "\t", " \t", "   "])
+EDGE_SPACE = st.sampled_from(["", "", " ", "\t", "  "])
+
+
 @st.composite
-def grid_texts(draw):
-    """Valid grid text, or valid text with one defect: a bad header, a row
-    too many or too few, a token too many or an unknown token; blank and
-    comment lines in between."""
+def grid_renderings(draw):
+    """Two renderings of one grid text, valid or with one defect (a bad
+    header, a row too many or too few, a token too many or an unknown
+    token), with blank and comment lines in between: one with single spaces
+    and newlines, one with drawn separators (runs of spaces, tabs), leading
+    and trailing whitespace, and newline or CRLF line ends."""
     n, m = draw(st.integers(1, 5)), draw(st.integers(0, 3))
     rows = [draw(st.lists(VALID_TOKENS, min_size=n + m, max_size=n + m)) for _ in range(n)]
-    header = f"{n} {m}"
+    header = [str(n), str(m)]
     defect = draw(st.sampled_from(["none", "none", "header", "extra row", "missing row",
                                    "extra token", "unknown token"]))
     row = draw(st.integers(0, n - 1))
     if defect == "header":
-        header = draw(st.one_of(st.sampled_from([f"{n}", f"0 {m}", f"{n} -1", f"{n} {m} 1"]),
+        header = draw(st.one_of(st.sampled_from([[f"{n}"], ["0", f"{m}"], [f"{n}", "-1"],
+                                                 [f"{n}", f"{m}", "1"]]),
                                 st.text(max_size=6)))
     elif defect == "extra row":
         rows.append(rows[row])
@@ -285,8 +292,21 @@ def grid_texts(draw):
     for tokens in rows:
         if draw(st.integers(0, 4)) == 0:
             lines.append(draw(st.sampled_from(["", "# comment", "   "])))
-        lines.append(" ".join(tokens))
-    return "\n".join(lines)
+        lines.append(tokens)
+    single, drawn = [], []
+    for line in lines:
+        if isinstance(line, str):  # free text, the same in both
+            single.append(line)
+            drawn.append(line)
+            continue
+        single.append(" ".join(line))
+        text = line[0] + "".join(draw(SEPARATORS) + tok for tok in line[1:]) if line else ""
+        drawn.append(draw(EDGE_SPACE) + text + draw(EDGE_SPACE))
+    return "\n".join(single), draw(st.sampled_from(["\n", "\r\n"])).join(drawn)
+
+
+def grid_texts():
+    return grid_renderings().map(lambda texts: texts[1])
 
 
 @st.composite
@@ -331,3 +351,88 @@ def test_fuzzed_text_parses_or_raises_parse_or_scale_error(text):
         assert parse_pattern(serialize_pattern(p, "json"), "json") == p
         if p.n * (p.n + p.m) <= 10_000:
             assert parse_pattern(serialize_pattern(p, "grid"), "grid") == p
+
+
+def _outcome(text):
+    try:
+        return parse_pattern(text)
+    except (ParseError, ScaleError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_renderings())
+def test_grid_separators_do_not_change_the_parse(texts):
+    """Rows written with single spaces are read without splitting, others
+    are split: both give the same pattern, or the same error."""
+    single, drawn = texts
+    assert _outcome(drawn) == _outcome(single)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("1 0\n*\n", SparsityPattern(1, 0, {(1, 1)})),
+    ("1 0\n0\n", SparsityPattern(1, 0, ())),
+    ("1 0\n x\t\n", "line 2, column 1: unknown token 'x'"),
+    ("1 0\n**\n", "line 2, column 1: unknown token '**'"),
+    ("1 0\n00\n", "line 2, column 1: unknown token '00'"),
+    ("1 0\n0 *\n", "line 2: expected 1 tokens, got 2"),
+    # 2w-1 characters, but a separator that is not a space
+    ("1 2\n0*0 *\n", "line 2: expected 3 tokens, got 2"),
+    ("1 2\n00 **\n", "line 2: expected 3 tokens, got 2"),
+    ("1 2\n0 *1*\n", "line 2: expected 3 tokens, got 2"),
+    ("1 2\n0\t* *\n", SparsityPattern(1, 2, {(1, 2), (1, 3)})),
+    ("1 2\n0 1 *\n", "line 2, column 2: unknown token '1'"),
+    ("1 2\r\n  * 0  *\t\r\n", SparsityPattern(1, 2, {(1, 1), (1, 3)})),
+    ("1 999999999999\n", "expected 1 pattern rows, got 0"),
+    ("1 999999999999\n0 *\n", "line 2: expected 1000000000000 tokens, got 2"),
+])
+def test_grid_edge_rows(text, expected):
+    if isinstance(expected, SparsityPattern):
+        assert parse_pattern(text) == expected
+    else:
+        assert _outcome(text) == ("ParseError", expected)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_rows_and_stars_agree(seed):
+    """SparsityPattern(n, m, stars) and the parsed pattern are equal and hash
+    alike; rows holds sorted tuples, and stars gives back the star set."""
+    rng = random.Random(seed)
+    n, m = rng.randint(1, 9), rng.randint(0, 3)
+    stars = {(rng.randint(1, n), rng.randint(1, n + m)) for _ in range(rng.randint(0, 3 * n))}
+    built = SparsityPattern(n, m, list(stars) + list(stars))  # repeats collapse
+    assert built.stars == frozenset(stars)
+    assert all(type(row) is tuple and list(row) == sorted(set(row)) for row in built.rows)
+    assert type(built.rows) is tuple and len(built.rows) == n
+    assert built.rows == tuple(tuple(sorted(j for i, j in stars if i == r)) for r in range(1, n + 1))
+    for fmt in ("grid", "json"):
+        parsed = parse_pattern(serialize_pattern(built, fmt), fmt)
+        assert parsed == built and hash(parsed) == hash(built)
+        assert all(type(row) is tuple for row in parsed.rows) and type(parsed.rows) is tuple
+        assert parsed.stars == frozenset(stars)
+        assert SparsityPattern(n, m, parsed.stars) == parsed
+        assert SparsityPattern.from_rows(n, m, parsed.rows) == parsed
+    assert len({built, parse_pattern(serialize_pattern(built))}) == 1
+    assert built != SparsityPattern(n, m + 1, stars)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: SparsityPattern(0, 1, ()), ValueError, "state dimension n must be an integer >= 1"),
+    (lambda: SparsityPattern(2, -1, ()), ValueError, "input count m must be an integer >= 0"),
+    (lambda: SparsityPattern(2, 1, {(3, 1)}), ValueError, "star row index 3 out of range 1..2"),
+    (lambda: SparsityPattern(2, 1, {(1, 4)}), ValueError,
+     "star column index 4 out of range 1..3"),
+    (lambda: SparsityPattern(2, 1, {(1, 0)}), ValueError,
+     "star column index 0 out of range 1..3"),
+    (lambda: SparsityPattern.from_rows(2, 1, ((1,),)), ValueError, "expected 2 rows, got 1"),
+    (lambda: SparsityPattern.from_rows(2, 1, ((1,), (2, 4))), ValueError,
+     "star column index 4 out of range 1..3"),
+    (lambda: SparsityPattern.from_rows(2, 1, ((0, 1), ())), ValueError,
+     "star column index 0 out of range 1..3"),
+    (lambda: SparsityPattern.from_rows(1, MAX_PATTERN_DIM, ((),)), ScaleError,
+     f"n + m = {MAX_PATTERN_DIM + 1} exceeds the dimension guard {MAX_PATTERN_DIM}"),
+])
+def test_pattern_constructor_checks(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message

@@ -63,3 +63,19 @@ def test_benchmark_call_shapes_on_fig1():
     assert reachability_check(g) == frozenset()
     r, search = kstar_brute(g), compute_kstar(FIG1)
     assert (r.value, r.witness) == (search.value, search.witness)
+
+
+def test_core_imports_only_errors_and_results():
+    """The decision core, all that check and kstar load besides the pattern
+    and the CLI, imports nothing of the package but errors and results."""
+    core = Path(__file__).resolve().parents[1] / "src" / "swenctrl" / "core.py"
+    imported = set()
+    for node in ast.walk(ast.parse(core.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:  # from .x import y, or from . import y
+                imported.add(node.module or ".")
+            elif (node.module or "").split(".")[0] == "swenctrl":
+                imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names if a.name.split(".")[0] == "swenctrl")
+    assert imported == {"errors", "results"}
