@@ -305,22 +305,24 @@ def _add_pattern_command(sub, name: str, help: str, answer) -> _Parser:
     return parser
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="swenctrl", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
+def _add_check(sub) -> None:
     p = _add_pattern_command(sub, "check", "decide structural controllability for (k, q)", _check)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
 
+
+def _add_brute(sub) -> None:
     p = _add_pattern_command(sub, "brute", "force the subset-enumeration path (n <= 24)", _brute)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
 
+
+def _add_kstar(sub) -> None:
     _add_pattern_command(sub, "kstar", "minimal switch count working for every ensemble size",
                          _kstar)
 
+
+def _add_oracle(sub) -> None:
     p = _add_pattern_command(sub, "oracle", "random-realization controllability referee", _oracle)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
@@ -331,11 +333,15 @@ def build_parser() -> _Parser:
     p.add_argument("--include-d0", action=argparse.BooleanOptionalAction, default=True,
                    help="include the zeroth matrix power (disable for the literal 1..qn range)")
 
+
+def _add_crosscheck(sub) -> None:
     p = _add_pattern_command(sub, "crosscheck", "flow vs. brute-force agreement over a (k, q) grid",
                              _crosscheck)
     p.add_argument("--kmax", type=int, required=True)
     p.add_argument("--qmax", type=int, required=True)
 
+
+def _add_flowdump(sub) -> None:
     p = sub.add_parser("flowdump", help="emit a flow network (JSON and/or DOT), solved")
     p.add_argument("pattern")
     p.add_argument("--k", type=int, required=True)
@@ -347,6 +353,8 @@ def build_parser() -> _Parser:
     p.add_argument("--output", choices=("json", "text"), default="json")
     p.set_defaults(func=_cmd_flowdump)
 
+
+def _add_bench(sub) -> None:
     p = sub.add_parser("bench", help="timing rows and fitted log-log slopes")
     p.add_argument("--nmin", type=int, default=50)
     p.add_argument("--nmax", type=int, default=400)
@@ -358,11 +366,37 @@ def build_parser() -> _Parser:
     p.add_argument("--output", choices=("json", "text"), default="json")
     p.set_defaults(func=_cmd_bench)
 
+
+# In the order the top-level help lists them.
+_SUBCOMMANDS = {
+    "check": _add_check,
+    "brute": _add_brute,
+    "kstar": _add_kstar,
+    "oracle": _add_oracle,
+    "crosscheck": _add_crosscheck,
+    "flowdump": _add_flowdump,
+    "bench": _add_bench,
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The CLI's parser.  Given the name of a subcommand, it holds only that
+    subcommand's parser, which parses that command's arguments, help and
+    errors exactly as the full parser does; otherwise it holds all seven."""
+    parser = _Parser(prog="swenctrl", description=__doc__)
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    if command in _SUBCOMMANDS:
+        _SUBCOMMANDS[command](sub)
+    else:
+        for add in _SUBCOMMANDS.values():
+            add(sub)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         if os.environ.get(CI_ENV_VAR) and getattr(args, "seed", 0) is None:

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field
 
 from .errors import ConsistencyError, ScaleError
 from .results import (
     EmptyAlphaIn,
+    FrozenValue,
     KStarResult,
     Saturated,
     Unreachable,
@@ -141,8 +141,7 @@ def compact_capacity(n: int, m: int, tail: list[int], k: int, q: int,
     return [kp1] * m + [big] * n + middle + [q] * n
 
 
-@dataclass(frozen=True)
-class Residual:
+class Residual(FrozenValue):
     """Residual graph of a network on nodes 0..size-1: edge 2a is arc a,
     edge 2a+1 its reverse.
 
@@ -154,10 +153,14 @@ class Residual:
     is the source and node size-1 the sink.
     """
 
-    size: int
-    head: list[int]
-    cap: list
-    _adj: list = field(default_factory=list, repr=False, compare=False)  # [adj] once read
+    _fields = ("size", "head", "cap")
+    __slots__ = (*_fields, "_adj")  # _adj: [adj] once read, shared by copies
+
+    def __init__(self, size: int, head: list[int], cap: list, _adj: list | None = None):
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "cap", cap)
+        object.__setattr__(self, "_adj", [] if _adj is None else _adj)
 
     @property
     def adj(self) -> list[list[int]]:

@@ -12,14 +12,13 @@ alone.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .core import _violation, check_structural, compute_kstar
 from .errors import ScaleError
 from .flow import build_lifted_network, build_small_network, max_flow
 from .graph import brute_force_check, counting_violation, in_neighbor_sets, kstar_brute
 from .pattern import SparsityPattern
-from .results import Saturated, Unreachable, Verdict, ViolatingSubset
+from .results import FrozenValue, Saturated, Unreachable, Verdict, ViolatingSubset
 
 MAX_CROSSCHECK_STATES = 10
 # Each cell runs a check, two subset enumerations and two max-flows, the
@@ -41,29 +40,38 @@ def witness_from_cut(pattern: SparsityPattern, k: int, q: int, cut) -> frozenset
     return subset
 
 
-@dataclass(frozen=True)
-class CrosscheckCell:
-    k: int
-    q: int
-    structural: bool
-    brute: bool
-    theta: int
-    theta_hat: int | None
-    counting_ok: bool
-    agree: bool
+class CrosscheckCell(FrozenValue):
+    __slots__ = _fields = ("k", "q", "structural", "brute", "theta", "theta_hat", "counting_ok",
+                           "agree")
+
+    def __init__(self, k: int, q: int, structural: bool, brute: bool, theta: int,
+                 theta_hat: int | None, counting_ok: bool, agree: bool):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "structural", structural)
+        object.__setattr__(self, "brute", brute)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "theta_hat", theta_hat)
+        object.__setattr__(self, "counting_ok", counting_ok)
+        object.__setattr__(self, "agree", agree)
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
-    n: int
-    m: int
-    k_max: int
-    q_max: int
-    cells: tuple[CrosscheckCell, ...]
-    kstar_search: int | None
-    kstar_enumerated: int | None
-    kstar_agree: bool
-    disagreements: tuple[str, ...]
+class CrosscheckReport(FrozenValue):
+    __slots__ = _fields = ("n", "m", "k_max", "q_max", "cells", "kstar_search", "kstar_enumerated",
+                           "kstar_agree", "disagreements")
+
+    def __init__(self, n: int, m: int, k_max: int, q_max: int, cells: tuple[CrosscheckCell, ...],
+                 kstar_search: int | None, kstar_enumerated: int | None, kstar_agree: bool,
+                 disagreements: tuple[str, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "k_max", k_max)
+        object.__setattr__(self, "q_max", q_max)
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "kstar_search", kstar_search)
+        object.__setattr__(self, "kstar_enumerated", kstar_enumerated)
+        object.__setattr__(self, "kstar_agree", kstar_agree)
+        object.__setattr__(self, "disagreements", disagreements)
 
     @property
     def agree(self) -> bool:
@@ -157,16 +165,19 @@ def crosscheck_to_dict(report: CrosscheckReport) -> dict:
 
 def recheck_certificate(pattern: SparsityPattern, verdict: Verdict) -> bool:
     """Independent certificate verification from the pattern alone: plain BFS
-    and integer arithmetic over the star positions, no flow solver."""
+    and integer arithmetic over the star positions, no flow solver.  It reads
+    the pattern's rows, a violating subset only its own states' rows, and
+    never builds the stars."""
     cert = verdict.certificate
     if isinstance(cert, ViolatingSubset):
         if verdict.decision:
             return False
         subset = cert.subset
-        if not subset or not all(1 <= i <= pattern.n for i in subset):
+        if not subset or not all(isinstance(i, int) and 1 <= i <= pattern.n for i in subset):
             return False
-        alpha_in = {j for i, j in pattern.stars if i in subset and j <= pattern.n}
-        beta_in = {j for i, j in pattern.stars if i in subset and j > pattern.n}
+        in_neighbours = {j for i in subset for j in pattern.rows[i - 1]}
+        alpha_in = {j for j in in_neighbours if j <= pattern.n}
+        beta_in = in_neighbours - alpha_in
         lhs = (cert.k + 1) * len(beta_in) + (cert.k + 1) * cert.q * len(alpha_in)
         rhs = cert.q * len(subset)
         return lhs == cert.lhs and rhs == cert.rhs and lhs < rhs
@@ -175,11 +186,12 @@ def recheck_certificate(pattern: SparsityPattern, verdict: Verdict) -> bool:
             return False
         out: dict[int, list[int]] = {j: [] for j in range(1, pattern.n + 1)}
         seen = set()
-        for i, j in pattern.stars:
-            if j <= pattern.n:
-                out[j].append(i)
-            else:
-                seen.add(i)
+        for i, row in enumerate(pattern.rows, 1):
+            for j in row:
+                if j <= pattern.n:
+                    out[j].append(i)
+                else:
+                    seen.add(i)
         queue = deque(sorted(seen))
         while queue:
             u = queue.popleft()

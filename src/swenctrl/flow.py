@@ -34,7 +34,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
@@ -48,6 +47,7 @@ from .core import (
 )
 from .errors import ConsistencyError, ScaleError
 from .pattern import SparsityPattern
+from .results import FrozenValue
 
 SOURCE = "s"
 SINK = "t"
@@ -58,8 +58,7 @@ Node = str | tuple
 Arc = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class FlowNetwork:
+class FlowNetwork(FrozenValue):
     """Capacitated digraph over integer node ids.
 
     nodes maps id -> name (SOURCE is id 0, SINK the last id); arcs holds
@@ -67,24 +66,30 @@ class FlowNetwork:
     capacities.  Names are read only at export and by the phi transfer maps.
     """
 
-    kind: str  # "small" | "lifted"
-    n: int
-    m: int
-    k: int
-    q: int
-    witness_mode: bool
-    nodes: tuple[Node, ...]
-    arcs: tuple[Arc, ...]
-    capacity: tuple[int, ...]
+    __slots__ = _fields = ("kind", "n", "m", "k", "q", "witness_mode", "nodes", "arcs", "capacity")
+
+    def __init__(self, kind: str, n: int, m: int, k: int, q: int, witness_mode: bool,
+                 nodes: tuple[Node, ...], arcs: tuple[Arc, ...], capacity: tuple[int, ...]):
+        object.__setattr__(self, "kind", kind)  # "small" | "lifted"
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "witness_mode", witness_mode)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "arcs", arcs)
+        object.__setattr__(self, "capacity", capacity)
 
 
-@dataclass(frozen=True)
-class FlowAssignment:
+class FlowAssignment(FrozenValue):
     """Per-arc flow values (exact ints or Fractions), parallel to the
     network's arcs, and the total value."""
 
-    values: tuple[int | Fraction, ...]
-    value_total: int | Fraction
+    __slots__ = _fields = ("values", "value_total")
+
+    def __init__(self, values: tuple[int | Fraction, ...], value_total: int | Fraction):
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "value_total", value_total)
 
 
 def build_small_network(pattern: SparsityPattern, k: int, q: int,

@@ -8,14 +8,13 @@ the node of column j (a_j for j <= n, b_{j-n} above) to a_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ScaleError
 from .core import check_kq, compact_arcs, compact_offsets, compact_unreachable, counting_sides
 from .pattern import SparsityPattern
 from .results import (
     ArgmaxSubset,
     EmptyAlphaIn,
+    FrozenValue,
     KStarResult,
     Saturated,
     Unreachable,
@@ -27,10 +26,12 @@ from .results import (
 MAX_BRUTE_STATES = 24  # 2^n subset enumeration guard
 
 
-@dataclass(frozen=True)
-class NeighborSets:
-    alpha_in: frozenset[int]
-    beta_in: frozenset[int]
+class NeighborSets(FrozenValue):
+    __slots__ = _fields = ("alpha_in", "beta_in")
+
+    def __init__(self, alpha_in: frozenset[int], beta_in: frozenset[int]):
+        object.__setattr__(self, "alpha_in", alpha_in)
+        object.__setattr__(self, "beta_in", beta_in)
 
 
 def to_digraph(pattern: SparsityPattern) -> SparsityPattern:

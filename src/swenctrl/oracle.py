@@ -10,7 +10,6 @@ generic-rank claims and a tolerance would blur exactly the cases under test.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
 from math import gcd
 
 from .core import check_structural
@@ -22,6 +21,7 @@ from .pattern import (
     SparsityPattern,
     sample_instance,
 )
+from .results import FrozenValue
 
 MAX_ORACLE_DIM = 64  # guard on q*n for the exact-arithmetic rank
 # Guard on the samples one referee call draws, checked before the first; it
@@ -31,13 +31,16 @@ MAX_ORACLE_TRIALS = 1 << 12
 Matrix = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class RankReport:
-    rank: int
-    full_dim: int
-    controllable: bool
-    criterion: str
-    d_range_used: tuple[int, int]
+class RankReport(FrozenValue):
+    __slots__ = _fields = ("rank", "full_dim", "controllable", "criterion", "d_range_used")
+
+    def __init__(self, rank: int, full_dim: int, controllable: bool, criterion: str,
+                 d_range_used: tuple[int, int]):
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "full_dim", full_dim)
+        object.__setattr__(self, "controllable", controllable)
+        object.__setattr__(self, "criterion", criterion)
+        object.__setattr__(self, "d_range_used", d_range_used)
 
 
 def assemble_segment(instance: EnsembleInstance, ell: int) -> tuple[Matrix, Matrix]:
@@ -228,24 +231,31 @@ def monte_carlo_controllable(
     return successes > 0, successes
 
 
-@dataclass(frozen=True)
-class AgreementCell:
-    pattern_id: str
-    k: int
-    q: int
-    structural: bool
-    numerical: bool
-    successes: int
-    trials: int
-    criterion: str
-    retried: bool
+class AgreementCell(FrozenValue):
+    __slots__ = _fields = ("pattern_id", "k", "q", "structural", "numerical", "successes", "trials",
+                           "criterion", "retried")
+
+    def __init__(self, pattern_id: str, k: int, q: int, structural: bool, numerical: bool,
+                 successes: int, trials: int, criterion: str, retried: bool):
+        object.__setattr__(self, "pattern_id", pattern_id)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "structural", structural)
+        object.__setattr__(self, "numerical", numerical)
+        object.__setattr__(self, "successes", successes)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "criterion", criterion)
+        object.__setattr__(self, "retried", retried)
 
 
-@dataclass(frozen=True)
-class AgreementReport:
-    cells: tuple[AgreementCell, ...]
-    hard_disagreements: tuple[str, ...]
-    genericity_misses: tuple[str, ...]
+class AgreementReport(FrozenValue):
+    __slots__ = _fields = ("cells", "hard_disagreements", "genericity_misses")
+
+    def __init__(self, cells: tuple[AgreementCell, ...], hard_disagreements: tuple[str, ...],
+                 genericity_misses: tuple[str, ...]):
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "hard_disagreements", hard_disagreements)
+        object.__setattr__(self, "genericity_misses", genericity_misses)
 
     @property
     def clean(self) -> bool:

@@ -12,10 +12,10 @@ derived on first read, for the referees and the public API.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ParseError, ScaleError
+from .results import FrozenValue
 
 MAX_PATTERN_DIM = 1 << 16  # guard on n+m of a pattern; lift_ensemble checks n*q before allocating
 MAX_GENERATED_N = 1 << 12  # guard on n in random_pattern
@@ -30,8 +30,7 @@ MAX_VALUE_BOUND = 1 << 32
 CRITERIA = ("mode_span", "sequential_subspace")
 
 
-@dataclass(frozen=True, init=False)
-class SparsityPattern:
+class SparsityPattern(FrozenValue):
     """Star positions of an n x (n+m) template.
 
     SparsityPattern(n, m, stars) takes the stars as 1-based (row, column)
@@ -40,9 +39,8 @@ class SparsityPattern:
     of (row, column) pairs, built on first read and kept.
     """
 
-    n: int
-    m: int
-    rows: tuple[tuple[int, ...], ...]
+    _fields = ("n", "m", "rows")
+    __slots__ = (*_fields, "__dict__")  # the cached stars live in __dict__
 
     def __init__(self, n: int, m: int, stars):
         _check_dims(n, m)
@@ -78,6 +76,9 @@ class SparsityPattern:
     @cached_property
     def stars(self) -> frozenset[tuple[int, int]]:
         return frozenset((i, j) for i, row in enumerate(self.rows, 1) for j in row)
+
+    def __reduce__(self):
+        return type(self).from_rows, (self.n, self.m, self.rows)
 
 
 def _rows_of(n: int, stars) -> tuple[tuple[int, ...], ...]:
@@ -250,37 +251,38 @@ def random_pattern(n: int, m: int, density, seed: int) -> SparsityPattern:
 Matrix = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class EnsembleInstance:
+class EnsembleInstance(FrozenValue):
     """Concrete integer matrices conforming to a pattern: one (A, B) block pair
     per subsystem p in 1..q and switching segment ell in 0..k."""
 
-    pattern: SparsityPattern
-    k: int
-    q: int
-    blocks: dict[tuple[int, int], tuple[Matrix, Matrix]]
+    __slots__ = _fields = ("pattern", "k", "q", "blocks")
 
-    def __post_init__(self):
-        if self.k < 0:
+    def __init__(self, pattern: SparsityPattern, k: int, q: int,
+                 blocks: dict[tuple[int, int], tuple[Matrix, Matrix]]):
+        if k < 0:
             raise ValueError("switch count k must be >= 0")
-        if self.q < 1:
+        if q < 1:
             raise ValueError("ensemble size q must be >= 1")
-        n, m = self.pattern.n, self.pattern.m
-        expected = {(p, ell) for p in range(1, self.q + 1) for ell in range(self.k + 1)}
-        if set(self.blocks) != expected:
+        n, m = pattern.n, pattern.m
+        expected = {(p, ell) for p in range(1, q + 1) for ell in range(k + 1)}
+        if set(blocks) != expected:
             raise ValueError("blocks must carry exactly one (A, B) pair per (subsystem, segment)")
-        for (p, ell), (a, b) in self.blocks.items():
+        for (p, ell), (a, b) in blocks.items():
             if len(a) != n or any(len(row) != n for row in a):
                 raise ValueError(f"block A[{p},{ell}] is not {n}x{n}")
             if len(b) != n or any(len(row) != m for row in b):
                 raise ValueError(f"block B[{p},{ell}] is not {n}x{m}")
             for i in range(n):
                 for j in range(n):
-                    if a[i][j] != 0 and (i + 1, j + 1) not in self.pattern.stars:
+                    if a[i][j] != 0 and (i + 1, j + 1) not in pattern.stars:
                         raise ValueError(f"A[{p},{ell}] nonzero at zero-entry ({i + 1}, {j + 1})")
                 for c in range(m):
-                    if b[i][c] != 0 and (i + 1, n + c + 1) not in self.pattern.stars:
+                    if b[i][c] != 0 and (i + 1, n + c + 1) not in pattern.stars:
                         raise ValueError(f"B[{p},{ell}] nonzero at zero-entry ({i + 1}, {n + c + 1})")
+        object.__setattr__(self, "pattern", pattern)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "blocks", blocks)
 
 
 def sample_instance(

@@ -2,94 +2,136 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 
 
-@dataclass(frozen=True)
-class Unreachable:
+class FrozenValue:
+    """Base of the package's immutable value classes.
+
+    A subclass lists its fields, in order, in _fields (usually also its
+    __slots__) and sets each one in its own __init__ with object.__setattr__.
+    Equality holds between instances of the same class with equal fields;
+    the hash, the keyword repr and the copy and pickle support (by calling
+    the class with the fields) follow the fields as well.  Assigning or
+    deleting an attribute raises AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Unreachable(FrozenValue):
     """State nodes with no directed path from any control node."""
 
-    nodes: frozenset[int]
+    __slots__ = _fields = ("nodes",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", frozenset(self.nodes))
+    def __init__(self, nodes: Iterable[int]):
+        object.__setattr__(self, "nodes", frozenset(nodes))
 
 
-@dataclass(frozen=True)
-class ViolatingSubset:
+class ViolatingSubset(FrozenValue):
     """A state subset whose weighted in-neighbor count falls short:
     (k+1)*|beta_in| + (k+1)*q*|alpha_in| = lhs < rhs = q*|subset|."""
 
-    subset: frozenset[int]
-    lhs: int
-    rhs: int
-    k: int
-    q: int
+    __slots__ = _fields = ("subset", "lhs", "rhs", "k", "q")
 
-    def __post_init__(self):
-        object.__setattr__(self, "subset", frozenset(self.subset))
+    def __init__(self, subset: Iterable[int], lhs: int, rhs: int, k: int, q: int):
+        object.__setattr__(self, "subset", frozenset(subset))
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "q", q)
 
 
-@dataclass(frozen=True)
-class Saturated:
+class Saturated(FrozenValue):
     """Max-flow value meeting the target n*q exactly."""
 
-    value: int
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: int):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class EmptyAlphaIn:
+class EmptyAlphaIn(FrozenValue):
     """A nonempty state subset with no state in-neighbors at all."""
 
-    subset: frozenset[int]
+    __slots__ = _fields = ("subset",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "subset", frozenset(self.subset))
+    def __init__(self, subset: Iterable[int]):
+        object.__setattr__(self, "subset", frozenset(subset))
 
 
-@dataclass(frozen=True)
-class ArgmaxSubset:
+class ArgmaxSubset(FrozenValue):
     """A subset attaining the maximum of ceil(|V'| / |alpha_in(V')|) - 1."""
 
-    subset: frozenset[int]
+    __slots__ = _fields = ("subset",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "subset", frozenset(self.subset))
-
-
-@dataclass(frozen=True)
-class VerdictStats:
-    theta: int | None
-    target: int
+    def __init__(self, subset: Iterable[int]):
+        object.__setattr__(self, "subset", frozenset(subset))
 
 
-@dataclass(frozen=True)
-class Verdict:
+class VerdictStats(FrozenValue):
+    __slots__ = _fields = ("theta", "target")
+
+    def __init__(self, theta: int | None, target: int):
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "target", target)
+
+
+class Verdict(FrozenValue):
     """Decision plus certificate.  False verdicts carry Unreachable or
     ViolatingSubset; true verdicts carry Saturated with value n*q."""
 
-    decision: bool
-    certificate: Unreachable | ViolatingSubset | Saturated
-    stats: VerdictStats
+    __slots__ = _fields = ("decision", "certificate", "stats")
 
-    def __post_init__(self):
-        cert = self.certificate
-        if cert is None:
+    def __init__(self, decision: bool, certificate: Unreachable | ViolatingSubset | Saturated,
+                 stats: VerdictStats):
+        if certificate is None:
             raise ValueError("a verdict must carry a certificate")
-        if self.decision and not isinstance(cert, Saturated):
+        if decision and not isinstance(certificate, Saturated):
             raise ValueError("a true verdict must carry a Saturated certificate")
-        if not self.decision and isinstance(cert, Saturated):
+        if not decision and isinstance(certificate, Saturated):
             raise ValueError("a false verdict cannot carry a Saturated certificate")
+        object.__setattr__(self, "decision", decision)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "stats", stats)
 
 
-@dataclass(frozen=True)
-class KStarResult:
+class KStarResult(FrozenValue):
     """Minimal switch count making the pattern structurally controllable for
     every ensemble size; value None means no finite count exists."""
 
-    value: int | None
-    witness: Unreachable | EmptyAlphaIn | ArgmaxSubset | None
-    trace: tuple[tuple[int, int, int], ...] = ()
+    __slots__ = _fields = ("value", "witness", "trace")
+
+    def __init__(self, value: int | None, witness: Unreachable | EmptyAlphaIn | ArgmaxSubset | None,
+                 trace: tuple[tuple[int, int, int], ...] = ()):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "trace", trace)
 
     @property
     def is_infinite(self) -> bool:

@@ -460,7 +460,8 @@ print(sorted(sys.modules))
 @pytest.mark.parametrize("fmt", ["grid", "json"])
 def test_check_and_kstar_load_only_the_decision_core(tmp_path, fmt):
     """check (one verdict true, one false, read off a min cut) and kstar run
-    on the core alone: no named network, fractions, referee or cross-check."""
+    on the core alone: no named network, fractions, referee or cross-check,
+    and no dataclasses (nor the inspect module it imports)."""
     path = write_pattern(tmp_path, hub_pattern(16), fmt=fmt)
     proc = subprocess.run([sys.executable, "-c", CHECK_PATH_CHILD, path], capture_output=True,
                           text=True, env=_child_env(), timeout=60, check=True)
@@ -468,7 +469,7 @@ def test_check_and_kstar_load_only_the_decision_core(tmp_path, fmt):
     assert ran == "[0, 0, 0] 2 1"
     assert "'swenctrl.core'" in loaded
     for module in ("fractions", "swenctrl.flow", "swenctrl.graph", "swenctrl.decide",
-                   "swenctrl.oracle"):
+                   "swenctrl.oracle", "dataclasses", "inspect"):
         assert f"'{module}'" not in loaded, module
 
 
@@ -575,3 +576,45 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+COMMANDS = ("check", "brute", "kstar", "oracle", "crosscheck", "flowdump", "bench")
+
+
+def _main_outcome(capsys, argv):
+    """Exit code (or SystemExit code), stdout and stderr of main(argv)."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--version"], [], ["nosuch"], ["--output", "json"],
+    *([command, "-h"] for command in COMMANDS),
+    ["check", "FIG2A", "--k", "1"],  # --q missing
+    ["check", "FIG2A", "--k", "1", "--q", "3"],
+    ["kstar", "FIG2A", "--k", "1"],  # kstar takes no --k
+    ["flowdump", "FIG2A", "--k", "1", "--q", "1", "--output", "text"],
+    ["check", "--version"],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_parser_of_one_subcommand_answers_as_the_full_parser(capsys, monkeypatch, tmp_path, argv):
+    """main builds only the subcommand argv[0] names; every answer, help and
+    usage error is byte-identical to the parser holding all seven."""
+    path = write_pattern(tmp_path, FIG2A)
+    argv = [path if arg == "FIG2A" else arg for arg in argv]
+    one = _main_outcome(capsys, argv)
+    full_parser = swenctrl.cli.build_parser
+    monkeypatch.setattr(swenctrl.cli, "build_parser", lambda command=None: full_parser())
+    assert _main_outcome(capsys, argv) == one
+
+
+def test_parser_of_one_subcommand_holds_only_that_one():
+    with pytest.raises(Exception, match="invalid choice: 'kstar' \\(choose from 'check'\\)"):
+        swenctrl.cli.build_parser("check").parse_args(["kstar", "p.pat"])
+    full = "choose from " + ", ".join(f"'{command}'" for command in COMMANDS)
+    for command in ("nosuch", None):
+        with pytest.raises(Exception, match=full):
+            swenctrl.cli.build_parser(command).parse_args(["nosuch"])

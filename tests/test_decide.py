@@ -20,11 +20,12 @@ from swenctrl.decide import (
 from swenctrl.errors import ConsistencyError, ScaleError
 from swenctrl.flow import build_small_network, max_flow, min_cut
 from swenctrl.graph import brute_force_check, core_condition_holds, kstar_brute
-from swenctrl.pattern import SparsityPattern, random_pattern
+from swenctrl.pattern import SparsityPattern, parse_pattern, random_pattern, serialize_pattern
 from swenctrl.results import (
     EmptyAlphaIn,
     Saturated,
     Unreachable,
+    Verdict,
     ViolatingSubset,
     verdict_to_dict,
 )
@@ -469,10 +470,38 @@ def test_recheck_saturated():
 
 def test_recheck_rejects_tampered_certificate():
     v = check_structural(FIG2A, 1, 3)
-    from dataclasses import replace
+    assert v.certificate == ViolatingSubset(frozenset({1}), 2, 3, 1, 3)
+    for cert in [
+        ViolatingSubset(frozenset({2}), 2, 3, 1, 3),  # not the failing subset
+        ViolatingSubset(frozenset({1}), 1, 3, 1, 3),  # wrong lhs
+        ViolatingSubset(frozenset({1}), 2, 4, 1, 3),  # wrong rhs
+        ViolatingSubset(frozenset({1}), 2, 3, 2, 3),  # sides of another k
+        ViolatingSubset(frozenset(), 0, 0, 1, 3),  # empty
+        ViolatingSubset(frozenset({1, 3}), 2, 6, 1, 3),  # state out of range
+        ViolatingSubset(frozenset({0}), 0, 3, 1, 3),  # state out of range
+        ViolatingSubset(frozenset({1.5}), 2, 3, 1, 3),  # not a state index
+        Unreachable(frozenset({1})),  # every state is reachable
+    ]:
+        assert not recheck_certificate(FIG2A, Verdict(False, cert, v.stats)), cert
+    p = SparsityPattern(2, 1, frozenset({(1, 3)}))
+    v = check_structural(p, 0, 1)
+    assert v.certificate == Unreachable(frozenset({2}))
+    for nodes in ({1}, {1, 2}, {2, 3}):
+        assert not recheck_certificate(p, Verdict(False, Unreachable(nodes), v.stats))
+    saturated = check_structural(FIG2A, 2, 3)
+    assert not recheck_certificate(FIG2A, Verdict(True, Saturated(5), saturated.stats))
 
-    tampered = replace(v, certificate=ViolatingSubset(frozenset({2}), 2, 3, 1, 3))
-    assert not recheck_certificate(FIG2A, tampered)
+
+@pytest.mark.parametrize("k, q, kind", [(1, 3, ViolatingSubset), (0, 9, ViolatingSubset),
+                                        (0, 1, Unreachable), (7, 1, Saturated)])
+def test_recheck_reads_rows_without_building_the_stars(k, q, kind):
+    text = serialize_pattern(SparsityPattern(3, 1, frozenset({(1, 4), (2, 1), (3, 3)}))
+                             if kind is Unreachable else hub_pattern(16))
+    pattern = parse_pattern(text)
+    v = check_structural(pattern, k, q)
+    assert isinstance(v.certificate, kind)
+    assert recheck_certificate(pattern, v)
+    assert "stars" not in pattern.__dict__
 
 
 def test_verdict_json_shape():

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -31,6 +30,7 @@ from swenctrl.flow import (
     SINK,
     SOURCE,
     FlowAssignment,
+    FlowNetwork,
     build_lifted_network,
     build_small_network,
     lift_flow,
@@ -149,7 +149,8 @@ def test_max_flow_saturates_at_k2_q3():
 def test_max_flow_zero_capacity():
     p = SparsityPattern(2, 1, frozenset())
     net = build_small_network(p, 0, 1)
-    net = dataclasses.replace(net, capacity=(0,) * len(net.arcs))
+    net = FlowNetwork(net.kind, net.n, net.m, net.k, net.q, net.witness_mode, net.nodes, net.arcs,
+                      (0,) * len(net.arcs))
     f = max_flow(net)
     assert f.value_total == 0
     assert all(v == 0 for v in f.values)
@@ -203,7 +204,8 @@ def test_min_cut_saturated_is_sink_side():
 def test_min_cut_zero_capacity_network():
     p = SparsityPattern(2, 1, frozenset())
     net = build_small_network(p, 0, 1)
-    net = dataclasses.replace(net, capacity=(0,) * len(net.arcs))
+    net = FlowNetwork(net.kind, net.n, net.m, net.k, net.q, net.witness_mode, net.nodes, net.arcs,
+                      (0,) * len(net.arcs))
     cut = min_cut(net, max_flow(net))
     assert cut == frozenset(net.nodes) - {SINK}
 

@@ -79,3 +79,15 @@ def test_core_imports_only_errors_and_results():
         elif isinstance(node, ast.Import):
             imported.update(a.name for a in node.names if a.name.split(".")[0] == "swenctrl")
     assert imported == {"errors", "results"}
+
+
+def test_no_module_imports_dataclasses():
+    """The value classes derive from results.FrozenValue; importing
+    dataclasses (and inspect with it) would cost every CLI run."""
+    src = Path(__file__).resolve().parents[1] / "src" / "swenctrl"
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                assert node.module != "dataclasses", path.name
+            elif isinstance(node, ast.Import):
+                assert all(a.name != "dataclasses" for a in node.names), path.name
