@@ -14,7 +14,9 @@ short of saturation or of a known cut's capacity; compute_kstar raises a
 compact network's switch count in place (shift_switch_count) and solves on.
 augment's last search, which fails, labels the sink side of the
 source-maximal min cut, and residual_min_cut checks that cut's capacity
-against the flow value.
+against the flow value.  The in-neighbours of the cut's states, like every
+other in-neighbour set, are read off the pattern's rows (in_neighbours),
+never off the network.
 
 This module imports nothing from swenctrl but errors and results, so the
 check and kstar subcommands load neither the named networks of flow (and
@@ -59,6 +61,16 @@ def counting_sides(k: int, q: int, size: int, alpha: int, beta: int) -> tuple[in
     condition for a subset of size states with alpha state and beta control
     in-neighbours."""
     return (k + 1) * beta + (k + 1) * q * alpha, q * size
+
+
+def in_neighbours(rows, n: int, subset) -> tuple[frozenset[int], frozenset[int]]:
+    """State and control in-neighbours (alpha_in, beta_in) of the states in
+    subset, read off the rows of an n-state pattern: the columns of the
+    subset's rows, split at n, column j <= n standing for state j and
+    column j > n for input j - n."""
+    columns = frozenset().union(*[rows[i - 1] for i in subset])
+    alpha = frozenset(j for j in columns if j <= n)
+    return alpha, frozenset(j - n for j in columns - alpha)
 
 
 def compact_arcs(n: int, m: int, rows) -> tuple[list[int], list[int]]:
@@ -379,7 +391,8 @@ def check_structural(pattern: SparsityPattern, k: int, q: int) -> Verdict:
     stats = VerdictStats(theta, target)
     if theta == target:
         return Verdict(True, Saturated(theta), stats)
-    subset, alpha, beta = _sink_side_states(res, n, m, residual_min_cut(res, label, theta))
+    subset, alpha, beta = _sink_side_states(pattern.rows, n, m,
+                                            residual_min_cut(res, label, theta))
     lhs, rhs = _violation(k, q, subset, alpha, beta)
     return Verdict(False, ViolatingSubset(subset, lhs, rhs, k, q), stats)
 
@@ -401,19 +414,15 @@ def _solve(res: Residual, n: int, m: int, first: list[int], theta: int,
     return theta + added, label
 
 
-def _sink_side_states(res: Residual, n: int, m: int, sink_side) -> tuple[frozenset[int], int, int]:
-    """The states whose right copy mu_j lies on the sink side of a cut of the
-    compact residual res, with their numbers of state and control
-    in-neighbours.  The edges leaving mu_j are the reverses of the arcs into
-    it, whose heads are its in-neighbours (lam_c is c, nu_i is m+i), and its
-    arc to the sink."""
-    mu = m + n
-    head, adj = res.head, res.adj
+def _sink_side_states(rows, n: int, m: int, sink_side) -> tuple[frozenset[int], int, int]:
+    """The states whose right copy mu_j lies on the sink side of a cut of an
+    n-state, m-input compact network, given by its node labels, with their
+    numbers of state and control in-neighbours, read off the pattern's
+    rows."""
+    mu = m + n  # mu_j is mu + j
     subset = frozenset(j for j in range(1, n + 1) if sink_side[mu + j])
-    left = {head[e] for j in subset for e in adj[mu + j]}
-    left.discard(res.size - 1)
-    beta = sum(1 for u in left if u <= m)
-    return subset, len(left) - beta, beta
+    alpha, beta = in_neighbours(rows, n, subset)
+    return subset, len(alpha), len(beta)
 
 
 def _violation(k: int, q: int, subset, alpha: int, beta: int) -> tuple[int, int]:
@@ -434,7 +443,9 @@ def compute_kstar(pattern: SparsityPattern) -> KStarResult:
     for every q, and for k <= n-1 it reduces to (k+1)|alpha_in(V')| >= |V'|,
     so k* = max ceil(|V'| / |alpha_in(V')|) - 1 over state subsets V'.  An
     unreachable pattern, or one with a state that has no state in-neighbour,
-    has no finite k*.  The latter is answered from the pattern, with no flow.
+    has no finite k*.  The latter is answered from the pattern's rows, with
+    no flow: a state has no state in-neighbour when its sorted row is empty
+    or starts past column n.
     Let Z be the states with no state in-neighbour and qbar = mn+1.  In the
     witness-mode network at (n-1, qbar), a finite cut with sink-side states
     V' costs qbar(n-|V'|) + n|beta_in(V')| + n qbar|alpha_in(V')|.  Any V'
@@ -464,21 +475,17 @@ def compute_kstar(pattern: SparsityPattern) -> KStarResult:
     the trace are too.  In the ascent the cut just read costs at least
     n(mn+1) at the next k, by the choice of that k, so it bounds nothing.
     """
-    n, m = pattern.n, pattern.m
-    tail, head = compact_arcs(n, m, pattern.rows)
+    n, m, rows = pattern.n, pattern.m, pattern.rows
+    tail, head = compact_arcs(n, m, rows)
     first = compact_offsets(n, m, tail)
     unreachable = compact_unreachable(n, m, first, head)
     if unreachable:
         return KStarResult(None, Unreachable(unreachable))
     qbar = m * n + 1
     target = n * qbar
-    mu = m + n  # mu_i is mu + i
-    state_arcs = first[m + 1]  # the control arcs run from first[1] = m + n to here
-    fed = set(head[state_arcs:first[mu + 1]])
-    unfed = frozenset(i for i in range(1, n + 1) if mu + i not in fed)
+    unfed = frozenset(i for i, row in enumerate(rows, 1) if not row or row[0] > n)
     if unfed:
-        inputs = {c for c, h in zip(tail[m + n:state_arcs], head[m + n:state_arcs])
-                  if h - mu in unfed}
+        _, inputs = in_neighbours(rows, n, unfed)
         _violation(n - 1, qbar, unfed, 0, len(inputs))
         theta = qbar * (n - len(unfed)) + n * len(inputs)
         return KStarResult(None, EmptyAlphaIn(unfed), ((n - 1, theta, target),))
@@ -490,7 +497,7 @@ def compute_kstar(pattern: SparsityPattern) -> KStarResult:
     # of k) for every k solved short of target
     failing = {}
     while theta < target:
-        subset, alpha, beta = _sink_side_states(res, n, m, residual_min_cut(res, label, theta))
+        subset, alpha, beta = _sink_side_states(rows, n, m, residual_min_cut(res, label, theta))
         _violation(k, qbar, subset, alpha, beta)
         failing[k] = (theta, res.copy(), beta + qbar * alpha)
         k_next = -(-len(subset) // alpha) - 1
@@ -516,7 +523,7 @@ def compute_kstar(pattern: SparsityPattern) -> KStarResult:
             cut = theta_below + (mid - below) * slope  # below's min cut, priced at mid
             theta_mid, label = _solve(res_mid, n, m, first, theta_below, min(target, cut))
             if label is not None and theta_mid < target:  # augment's last search: a new min cut
-                _, alpha, beta = _sink_side_states(res_mid, n, m,
+                _, alpha, beta = _sink_side_states(rows, n, m,
                                                    residual_min_cut(res_mid, label, theta_mid))
                 slope = beta + qbar * alpha
             failing[mid] = (theta_mid, res_mid, slope)

@@ -44,34 +44,10 @@ class CrosscheckCell(FrozenValue):
     __slots__ = _fields = ("k", "q", "structural", "brute", "theta", "theta_hat", "counting_ok",
                            "agree")
 
-    def __init__(self, k: int, q: int, structural: bool, brute: bool, theta: int,
-                 theta_hat: int | None, counting_ok: bool, agree: bool):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "structural", structural)
-        object.__setattr__(self, "brute", brute)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "theta_hat", theta_hat)
-        object.__setattr__(self, "counting_ok", counting_ok)
-        object.__setattr__(self, "agree", agree)
-
 
 class CrosscheckReport(FrozenValue):
     __slots__ = _fields = ("n", "m", "k_max", "q_max", "cells", "kstar_search", "kstar_enumerated",
                            "kstar_agree", "disagreements")
-
-    def __init__(self, n: int, m: int, k_max: int, q_max: int, cells: tuple[CrosscheckCell, ...],
-                 kstar_search: int | None, kstar_enumerated: int | None, kstar_agree: bool,
-                 disagreements: tuple[str, ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "k_max", k_max)
-        object.__setattr__(self, "q_max", q_max)
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "kstar_search", kstar_search)
-        object.__setattr__(self, "kstar_enumerated", kstar_enumerated)
-        object.__setattr__(self, "kstar_agree", kstar_agree)
-        object.__setattr__(self, "disagreements", disagreements)
 
     @property
     def agree(self) -> bool:
@@ -142,19 +118,8 @@ def crosscheck_to_dict(report: CrosscheckReport) -> dict:
         "m": report.m,
         "k_max": report.k_max,
         "q_max": report.q_max,
-        "cells": [
-            {
-                "k": c.k,
-                "q": c.q,
-                "structural": c.structural,
-                "brute": c.brute,
-                "theta": c.theta,
-                "theta_hat": c.theta_hat,
-                "counting_ok": c.counting_ok,
-                "agree": c.agree,
-            }
-            for c in report.cells
-        ],
+        "cells": [{name: getattr(c, name) for name in CrosscheckCell._fields}
+                  for c in report.cells],
         "kstar_search": kv(report.kstar_search),
         "kstar_enumerated": kv(report.kstar_enumerated),
         "kstar_agree": report.kstar_agree,
@@ -166,11 +131,15 @@ def crosscheck_to_dict(report: CrosscheckReport) -> dict:
 def recheck_certificate(pattern: SparsityPattern, verdict: Verdict) -> bool:
     """Independent certificate verification from the pattern alone: plain BFS
     and integer arithmetic over the star positions, no flow solver.  It reads
-    the pattern's rows, a violating subset only its own states' rows, and
-    never builds the stars."""
+    the pattern's rows, a violating subset only its own states' rows, with
+    its own code, apart from the solver's.  A violating subset must carry an
+    int k >= 0 and an int q >= 1, the domain of check_kq, and come with the
+    target n*q."""
     cert = verdict.certificate
     if isinstance(cert, ViolatingSubset):
-        if verdict.decision:
+        k, q = cert.k, cert.q
+        if verdict.decision or not (isinstance(k, int) and k >= 0 and isinstance(q, int)
+                                    and q >= 1 and verdict.stats.target == pattern.n * q):
             return False
         subset = cert.subset
         if not subset or not all(isinstance(i, int) and 1 <= i <= pattern.n for i in subset):
@@ -178,8 +147,8 @@ def recheck_certificate(pattern: SparsityPattern, verdict: Verdict) -> bool:
         in_neighbours = {j for i in subset for j in pattern.rows[i - 1]}
         alpha_in = {j for j in in_neighbours if j <= pattern.n}
         beta_in = in_neighbours - alpha_in
-        lhs = (cert.k + 1) * len(beta_in) + (cert.k + 1) * cert.q * len(alpha_in)
-        rhs = cert.q * len(subset)
+        lhs = (k + 1) * len(beta_in) + (k + 1) * q * len(alpha_in)
+        rhs = q * len(subset)
         return lhs == cert.lhs and rhs == cert.rhs and lhs < rhs
     if isinstance(cert, Unreachable):
         if verdict.decision:

@@ -55,30 +55,18 @@ SINK = "t"
 MAX_LIFTED_ARCS = 1 << 20  # guard on the expanded network's arc count
 
 Node = str | tuple
-Arc = tuple[int, int]
 
 
 class FlowNetwork(FrozenValue):
     """Capacitated digraph over integer node ids.
 
-    nodes maps id -> name (SOURCE is id 0, SINK the last id); arcs holds
-    (tail id, head id) pairs in construction order and capacity the matching
-    capacities.  Names are read only at export and by the phi transfer maps.
+    kind is "small" or "lifted"; nodes maps id -> name (SOURCE is id 0, SINK
+    the last id); arcs holds (tail id, head id) pairs in construction order
+    and capacity the matching capacities.  Names are read only at export and
+    by the phi transfer maps.
     """
 
     __slots__ = _fields = ("kind", "n", "m", "k", "q", "witness_mode", "nodes", "arcs", "capacity")
-
-    def __init__(self, kind: str, n: int, m: int, k: int, q: int, witness_mode: bool,
-                 nodes: tuple[Node, ...], arcs: tuple[Arc, ...], capacity: tuple[int, ...]):
-        object.__setattr__(self, "kind", kind)  # "small" | "lifted"
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "witness_mode", witness_mode)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "arcs", arcs)
-        object.__setattr__(self, "capacity", capacity)
 
 
 class FlowAssignment(FrozenValue):
@@ -86,10 +74,6 @@ class FlowAssignment(FrozenValue):
     network's arcs, and the total value."""
 
     __slots__ = _fields = ("values", "value_total")
-
-    def __init__(self, values: tuple[int | Fraction, ...], value_total: int | Fraction):
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "value_total", value_total)
 
 
 def build_small_network(pattern: SparsityPattern, k: int, q: int,
@@ -124,7 +108,7 @@ def build_lifted_network(pattern: SparsityPattern, k: int, q: int) -> FlowNetwor
     n, m = pattern.n, pattern.m
     check_kq(n, m, k, q)
     kp1 = k + 1
-    if kp1 * (m + n * q) + kp1 * q * len(pattern.stars) + n * q > MAX_LIFTED_ARCS:
+    if kp1 * (m + n * q) + kp1 * q * sum(map(len, pattern.rows)) + n * q > MAX_LIFTED_ARCS:
         raise ScaleError(f"(k+1)(m+nq+q|E|)+nq exceeds the {MAX_LIFTED_ARCS} arc guard")
     nu0 = 1 + kp1 * m
     mu0 = nu0 + kp1 * q * n

@@ -1,15 +1,23 @@
 """Brute-force evaluation of the weighted Hall-type counting conditions,
-reachability and DOT export, read straight off a sparsity pattern's stars.
+reachability and DOT export, read straight off a sparsity pattern's rows.
 
 The pattern is the digraph: state node a_i stands for state coordinate i and
-control node b_j for input channel j, and the star (i, j) is the edge from
-the node of column j (a_j for j <= n, b_{j-n} above) to a_i.
+control node b_j for input channel j, and each column j of row i is the
+edge from the node of column j (a_j for j <= n, b_{j-n} above) to a_i, so
+row i lists the in-neighbours of a_i.
 """
 
 from __future__ import annotations
 
 from .errors import ScaleError
-from .core import check_kq, compact_arcs, compact_offsets, compact_unreachable, counting_sides
+from .core import (
+    check_kq,
+    compact_arcs,
+    compact_offsets,
+    compact_unreachable,
+    counting_sides,
+    in_neighbours,
+)
 from .pattern import SparsityPattern
 from .results import (
     ArgmaxSubset,
@@ -29,10 +37,6 @@ MAX_BRUTE_STATES = 24  # 2^n subset enumeration guard
 class NeighborSets(FrozenValue):
     __slots__ = _fields = ("alpha_in", "beta_in")
 
-    def __init__(self, alpha_in: frozenset[int], beta_in: frozenset[int]):
-        object.__setattr__(self, "alpha_in", alpha_in)
-        object.__setattr__(self, "beta_in", beta_in)
-
 
 def to_digraph(pattern: SparsityPattern) -> SparsityPattern:
     """The pattern itself, which every function here takes as its digraph.
@@ -49,9 +53,7 @@ def in_neighbor_sets(pattern: SparsityPattern, subset) -> NeighborSets:
     for i in members:
         if not (1 <= i <= n):
             raise ValueError(f"state index {i} out of range 1..{n}")
-    alpha = frozenset(j for i, j in pattern.stars if i in members and j <= n)
-    beta = frozenset(j - n for i, j in pattern.stars if i in members and j > n)
-    return NeighborSets(alpha, beta)
+    return NeighborSets(*in_neighbours(pattern.rows, n, members))
 
 
 def reachability_check(pattern: SparsityPattern) -> frozenset[int]:
@@ -87,16 +89,11 @@ def _subset_unions(pattern: SparsityPattern):
             f"n = {n} exceeds the 2^{MAX_BRUTE_STATES} enumeration guard; "
             "use the flow-based check"
         )
-    amask = [0] * (n + 1)
-    bmask = [0] * (n + 1)
-    for i, j in pattern.stars:
-        if j <= n:
-            amask[i] |= 1 << (j - 1)
-        else:
-            bmask[i] |= 1 << (j - n - 1)
+    amask = [sum(1 << (j - 1) for j in row if j <= n) for row in pattern.rows]
+    bmask = [sum(1 << (j - n - 1) for j in row if j > n) for row in pattern.rows]
     h = n // 2
-    low = _union_table(amask[1:h + 1], bmask[1:h + 1])
-    high = _union_table(amask[h + 1:], bmask[h + 1:])
+    low = _union_table(amask[:h], bmask[:h])
+    high = _union_table(amask[h:], bmask[h:])
     return ((hi << h | lo, a_hi | a, b_hi | b)
             for hi, a_hi, b_hi in high for lo, a, b in (low[1:] if hi == 0 else low))
 
@@ -192,9 +189,8 @@ def to_dot(pattern: SparsityPattern) -> str:
         lines.append(f"  b{j} [shape=square];")
     for i in range(1, n + 1):
         lines.append(f"  a{i} [shape=circle];")
-    for j, i in sorted((j - n, i) for i, j in pattern.stars if j > n):
-        lines.append(f"  b{j} -> a{i};")
-    for j, i in sorted((j, i) for i, j in pattern.stars if j <= n):
-        lines.append(f"  a{j} -> a{i};")
+    edges = sorted((j, i) for i, row in enumerate(pattern.rows, 1) for j in row)
+    lines += [f"  b{j - n} -> a{i};" for j, i in edges if j > n]
+    lines += [f"  a{j} -> a{i};" for j, i in edges if j <= n]
     lines.append("}")
     return "\n".join(lines) + "\n"

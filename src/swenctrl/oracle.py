@@ -34,14 +34,6 @@ Matrix = tuple[tuple[int, ...], ...]
 class RankReport(FrozenValue):
     __slots__ = _fields = ("rank", "full_dim", "controllable", "criterion", "d_range_used")
 
-    def __init__(self, rank: int, full_dim: int, controllable: bool, criterion: str,
-                 d_range_used: tuple[int, int]):
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "full_dim", full_dim)
-        object.__setattr__(self, "controllable", controllable)
-        object.__setattr__(self, "criterion", criterion)
-        object.__setattr__(self, "d_range_used", d_range_used)
-
 
 def assemble_segment(instance: EnsembleInstance, ell: int) -> tuple[Matrix, Matrix]:
     """Block-diagonal A and stacked B of the q-ensemble for one segment."""
@@ -235,27 +227,9 @@ class AgreementCell(FrozenValue):
     __slots__ = _fields = ("pattern_id", "k", "q", "structural", "numerical", "successes", "trials",
                            "criterion", "retried")
 
-    def __init__(self, pattern_id: str, k: int, q: int, structural: bool, numerical: bool,
-                 successes: int, trials: int, criterion: str, retried: bool):
-        object.__setattr__(self, "pattern_id", pattern_id)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "structural", structural)
-        object.__setattr__(self, "numerical", numerical)
-        object.__setattr__(self, "successes", successes)
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "criterion", criterion)
-        object.__setattr__(self, "retried", retried)
-
 
 class AgreementReport(FrozenValue):
     __slots__ = _fields = ("cells", "hard_disagreements", "genericity_misses")
-
-    def __init__(self, cells: tuple[AgreementCell, ...], hard_disagreements: tuple[str, ...],
-                 genericity_misses: tuple[str, ...]):
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "hard_disagreements", hard_disagreements)
-        object.__setattr__(self, "genericity_misses", genericity_misses)
 
     @property
     def clean(self) -> bool:

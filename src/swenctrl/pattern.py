@@ -4,15 +4,15 @@ A pattern is a star/zero template over an n x (n+m) matrix: columns 1..n form
 the state block, columns n+1..n+m the input block.  Read as a digraph, the
 star (i, j) is an edge into state i from state j or from input j-n.  A
 SparsityPattern keeps its rows, for each state the sorted tuple of its star
-columns, which the parsers hand over as they read them and the decision
-core reads directly; its stars, the (row, column) pairs, are a frozenset
-derived on first read, for the referees and the public API.
+columns, which the parsers hand over as they read them; they are the one
+graph every module of the package reads.  Its stars, the (row, column)
+pairs, are a frozenset derived from the rows on each read, for the public
+API only.
 """
 
 from __future__ import annotations
 
 import json
-from functools import cached_property
 
 from .errors import ParseError, ScaleError
 from .results import FrozenValue
@@ -36,11 +36,10 @@ class SparsityPattern(FrozenValue):
     SparsityPattern(n, m, stars) takes the stars as 1-based (row, column)
     pairs.  rows[i-1] is the sorted tuple of the columns of row i's stars;
     equality and hashing follow (n, m, rows), and stars is their frozenset
-    of (row, column) pairs, built on first read and kept.
+    of (row, column) pairs, built anew on each read.
     """
 
-    _fields = ("n", "m", "rows")
-    __slots__ = (*_fields, "__dict__")  # the cached stars live in __dict__
+    __slots__ = _fields = ("n", "m", "rows")
 
     def __init__(self, n: int, m: int, stars):
         _check_dims(n, m)
@@ -53,7 +52,6 @@ class SparsityPattern(FrozenValue):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "rows", _rows_of(n, stars))
-        self.__dict__["stars"] = stars  # where the cached_property keeps it
 
     @classmethod
     def from_rows(cls, n: int, m: int, rows: tuple[tuple[int, ...], ...]) -> SparsityPattern:
@@ -73,7 +71,7 @@ class SparsityPattern(FrozenValue):
         object.__setattr__(self, "rows", rows)
         return self
 
-    @cached_property
+    @property
     def stars(self) -> frozenset[tuple[int, int]]:
         return frozenset((i, j) for i, row in enumerate(self.rows, 1) for j in row)
 
@@ -220,14 +218,12 @@ def lift_ensemble(pattern: SparsityPattern, q: int) -> SparsityPattern:
     n = pattern.n
     if n * q > MAX_PATTERN_DIM:
         raise ScaleError(f"lifted state dimension n*q = {n * q} exceeds {MAX_PATTERN_DIM}")
-    stars = set()
-    for i, j in pattern.stars:
-        for p in range(q):
-            if j <= n:
-                stars.add((p * n + i, p * n + j))
-            else:
-                stars.add((p * n + i, n * q + (j - n)))
-    return SparsityPattern(n * q, pattern.m, frozenset(stars))
+    # copy p shifts state column j to j + p*n and input column j to
+    # j + n(q-1), both increasing maps, so every row stays sorted
+    shift = n * (q - 1)
+    rows = tuple(tuple(j + p * n if j <= n else j + shift for j in row)
+                 for p in range(q) for row in pattern.rows)
+    return SparsityPattern.from_rows(n * q, pattern.m, rows)
 
 
 def random_pattern(n: int, m: int, density, seed: int) -> SparsityPattern:
@@ -267,6 +263,7 @@ class EnsembleInstance(FrozenValue):
         expected = {(p, ell) for p in range(1, q + 1) for ell in range(k + 1)}
         if set(blocks) != expected:
             raise ValueError("blocks must carry exactly one (A, B) pair per (subsystem, segment)")
+        columns = [frozenset(row) for row in pattern.rows]
         for (p, ell), (a, b) in blocks.items():
             if len(a) != n or any(len(row) != n for row in a):
                 raise ValueError(f"block A[{p},{ell}] is not {n}x{n}")
@@ -274,10 +271,10 @@ class EnsembleInstance(FrozenValue):
                 raise ValueError(f"block B[{p},{ell}] is not {n}x{m}")
             for i in range(n):
                 for j in range(n):
-                    if a[i][j] != 0 and (i + 1, j + 1) not in pattern.stars:
+                    if a[i][j] != 0 and j + 1 not in columns[i]:
                         raise ValueError(f"A[{p},{ell}] nonzero at zero-entry ({i + 1}, {j + 1})")
                 for c in range(m):
-                    if b[i][c] != 0 and (i + 1, n + c + 1) not in pattern.stars:
+                    if b[i][c] != 0 and n + c + 1 not in columns[i]:
                         raise ValueError(f"B[{p},{ell}] nonzero at zero-entry ({i + 1}, {n + c + 1})")
         object.__setattr__(self, "pattern", pattern)
         object.__setattr__(self, "k", k)

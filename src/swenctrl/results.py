@@ -9,15 +9,24 @@ class FrozenValue:
     """Base of the package's immutable value classes.
 
     A subclass lists its fields, in order, in _fields (usually also its
-    __slots__) and sets each one in its own __init__ with object.__setattr__.
-    Equality holds between instances of the same class with equal fields;
-    the hash, the keyword repr and the copy and pickle support (by calling
-    the class with the fields) follow the fields as well.  Assigning or
-    deleting an attribute raises AttributeError.
+    __slots__).  The base __init__ takes one value per field, in that order,
+    and raises TypeError on any other count; a subclass that converts or
+    checks its values sets each field in its own __init__ with
+    object.__setattr__.  Equality holds between instances of the same class
+    with equal fields; the hash, the keyword repr and the copy and pickle
+    support (by calling the class with the fields) follow the fields as
+    well.  Assigning or deleting an attribute raises AttributeError.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__qualname__}() takes {len(self._fields)} field "
+                            f"values, got {len(values)}")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

@@ -18,14 +18,23 @@ from swenctrl.decide import (
     witness_from_cut,
 )
 from swenctrl.errors import ConsistencyError, ScaleError
-from swenctrl.flow import build_small_network, max_flow, min_cut
-from swenctrl.graph import brute_force_check, core_condition_holds, kstar_brute
-from swenctrl.pattern import SparsityPattern, parse_pattern, random_pattern, serialize_pattern
+from swenctrl.flow import build_lifted_network, build_small_network, max_flow, min_cut
+from swenctrl.graph import brute_force_check, core_condition_holds, kstar_brute, to_dot
+from swenctrl.oracle import controllability_rank
+from swenctrl.pattern import (
+    SparsityPattern,
+    lift_ensemble,
+    parse_pattern,
+    random_pattern,
+    sample_instance,
+    serialize_pattern,
+)
 from swenctrl.results import (
     EmptyAlphaIn,
     Saturated,
     Unreachable,
     Verdict,
+    VerdictStats,
     ViolatingSubset,
     verdict_to_dict,
 )
@@ -480,9 +489,19 @@ def test_recheck_rejects_tampered_certificate():
         ViolatingSubset(frozenset({1, 3}), 2, 6, 1, 3),  # state out of range
         ViolatingSubset(frozenset({0}), 0, 3, 1, 3),  # state out of range
         ViolatingSubset(frozenset({1.5}), 2, 3, 1, 3),  # not a state index
+        ViolatingSubset(frozenset({1}), 0, 3, -1, 3),  # k < 0: lhs 0 < rhs for any subset
+        ViolatingSubset(frozenset({1}), 2, 0, 1, 0),  # q < 1
+        ViolatingSubset(frozenset({1}), 2, -1, 1, -1),  # q < 1
+        ViolatingSubset(frozenset({1}), 2.5, 3, 1.5, 3),  # k not an int
         Unreachable(frozenset({1})),  # every state is reachable
     ]:
         assert not recheck_certificate(FIG2A, Verdict(False, cert, v.stats)), cert
+    # the right sides of another q, with the target n*q of this one
+    at_q2 = check_structural(FIG2A, 0, 2)
+    assert at_q2.certificate == ViolatingSubset(frozenset({1}), 1, 2, 0, 2)
+    assert recheck_certificate(FIG2A, at_q2)
+    for stats in (v.stats, VerdictStats(at_q2.stats.theta, 5)):
+        assert not recheck_certificate(FIG2A, Verdict(False, at_q2.certificate, stats)), stats
     p = SparsityPattern(2, 1, frozenset({(1, 3)}))
     v = check_structural(p, 0, 1)
     assert v.certificate == Unreachable(frozenset({2}))
@@ -492,16 +511,62 @@ def test_recheck_rejects_tampered_certificate():
     assert not recheck_certificate(FIG2A, Verdict(True, Saturated(5), saturated.stats))
 
 
+def forbid_stars(monkeypatch):
+    """Make every read of SparsityPattern.stars raise."""
+    def stars(self):
+        raise AssertionError("SparsityPattern.stars was read")
+
+    monkeypatch.setattr(SparsityPattern, "stars", property(stars))
+
+
 @pytest.mark.parametrize("k, q, kind", [(1, 3, ViolatingSubset), (0, 9, ViolatingSubset),
                                         (0, 1, Unreachable), (7, 1, Saturated)])
-def test_recheck_reads_rows_without_building_the_stars(k, q, kind):
+def test_recheck_reads_rows_without_building_the_stars(k, q, kind, monkeypatch):
     text = serialize_pattern(SparsityPattern(3, 1, frozenset({(1, 4), (2, 1), (3, 3)}))
                              if kind is Unreachable else hub_pattern(16))
+    forbid_stars(monkeypatch)
     pattern = parse_pattern(text)
     v = check_structural(pattern, k, q)
     assert isinstance(v.certificate, kind)
     assert recheck_certificate(pattern, v)
-    assert "stars" not in pattern.__dict__
+
+
+# FIG1, a hub pattern (k* = 7), an unreachable pattern and one whose state 1
+# has no state in-neighbour (k* infinite).
+ROWS_ONLY = [FIG1, hub_pattern(16), SparsityPattern(3, 1, {(1, 4), (2, 1), (3, 3)}),
+             SparsityPattern(3, 1, {(1, 4), (2, 1), (3, 2), (3, 4)})]
+
+
+@pytest.mark.parametrize("p", ROWS_ONLY, ids=["fig1", "hub16", "unreachable", "empty-alpha"])
+def test_no_module_reads_the_stars(p, monkeypatch):
+    """The rows are the one graph the package reads: with every read of
+    stars raising, the solver, the referees, the recheck and the exports
+    all still answer, and stars, unpatched, is still the parsed star set."""
+    text = serialize_pattern(p)
+    stars = {(i, j) for i, line in enumerate(text.splitlines()[1:], 1)
+             for j, token in enumerate(line.split(), 1) if token == "*"}
+    forbid_stars(monkeypatch)
+    pattern = parse_pattern(text)
+    kstar = compute_kstar(pattern)
+    assert kstar.value == kstar_brute(pattern).value
+    for k, q in [(0, 1), (1, 2)]:
+        v = check_structural(pattern, k, q)
+        assert recheck_certificate(pattern, v)
+        assert brute_force_check(pattern, k, q).decision == v.decision
+        net = build_small_network(pattern, k, q, witness_mode=True)
+        f = max_flow(net)
+        if v.stats.theta is not None and f.value_total < pattern.n * q:
+            assert witness_from_cut(pattern, k, q, min_cut(net, f)) == v.certificate.subset
+        assert max_flow(build_lifted_network(pattern, k, q)).value_total == \
+            max_flow(build_small_network(pattern, k, q)).value_total
+        rank = controllability_rank(sample_instance(pattern, k, q, seed=k))
+        assert v.decision or not rank.controllable
+    if pattern.n <= 10:
+        assert crosscheck(pattern, 1, 2).agree
+    assert lift_ensemble(pattern, 2).n == 2 * pattern.n
+    assert to_dot(pattern).count("->") == len(stars)
+    monkeypatch.undo()
+    assert pattern.stars == stars
 
 
 def test_verdict_json_shape():

@@ -91,3 +91,16 @@ def test_no_module_imports_dataclasses():
                 assert node.module != "dataclasses", path.name
             elif isinstance(node, ast.Import):
                 assert all(a.name != "dataclasses" for a in node.names), path.name
+
+
+def test_only_the_pattern_reads_stars():
+    """The pattern's rows are the one graph the package reads; stars is a
+    view of them kept for the public API, read by no other module."""
+    src = Path(__file__).resolve().parents[1] / "src" / "swenctrl"
+    for path in sorted(src.glob("*.py")):
+        if path.name == "pattern.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        readers = [node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr == "stars"]
+        assert not readers, f"{path.name} reads .stars on line(s) {readers}"

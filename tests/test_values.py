@@ -155,6 +155,16 @@ def test_pattern_round_trip_keeps_rows_and_stars():
         assert other.rows == ((3,), (1, 3)) and other.stars == P.stars
 
 
+@pytest.mark.parametrize("cls", [CrosscheckCell, CrosscheckReport, FlowNetwork, FlowAssignment,
+                                 NeighborSets, RankReport, AgreementCell, AgreementReport])
+def test_the_base_init_takes_one_value_per_field(cls):
+    values = next(v for c, v, _ in CASES if c is cls)
+    for wrong in (values[:-1], (*values, None)):
+        with pytest.raises(TypeError, match=rf"{cls.__name__}\(\) takes {len(values)} field "
+                                            rf"values, got {len(wrong)}"):
+            cls(*wrong)
+
+
 def test_verdict_rejects_a_missing_or_mismatched_certificate():
     stats = VerdictStats(6, 6)
     with pytest.raises(ValueError, match="a verdict must carry a certificate"):
