@@ -19,15 +19,7 @@ from time import perf_counter
 # check and kstar need only the decision core; every other subcommand
 # imports its modules (flow, graph, decide, oracle) inside its handler.
 from . import __version__
-from .core import (
-    _solve,
-    check_structural,
-    compact_arcs,
-    compact_capacity,
-    compact_offsets,
-    compute_kstar,
-    residual_arrays,
-)
+from .core import Transport, check_structural, compute_kstar
 from .errors import ParseError, ScaleError
 from .pattern import (
     CRITERIA,
@@ -232,16 +224,13 @@ def run_bench(nmin: int, nmax: int, density: float, seed: int,
     for n in sizes:
         pattern = bench_pattern(n, density, seed + n)
 
-        def build():  # what check_structural builds before it solves
-            tail, head = compact_arcs(n, pattern.m, pattern.rows)
-            first = compact_offsets(n, pattern.m, tail)
-            cap = compact_capacity(n, pattern.m, tail, k, q, witness_mode=True)
-            return residual_arrays(pattern.m + 2 * n + 2, tail, head, cap), first
+        def build():  # the transport lists check_structural sets up before it solves
+            return Transport(pattern.rows, pattern.n, pattern.m, k, q)
 
-        def solve() -> float:  # on a fresh build, so any adj the solve reads is timed
-            res, first = build()
+        def solve() -> float:  # greedy fill and phases, on a fresh set-up each time
+            flow = build()
             t0 = perf_counter()
-            _solve(res, n, pattern.m, first, 0, n * q)
+            flow.solve(pattern.n * q)
             return perf_counter() - t0
 
         build_s = _best_time(build, repeats)

@@ -1,22 +1,25 @@
-"""The decision core: check_structural and compute_kstar on the compact
-network's flat int arcs, and everything they run.
+"""The decision core: check_structural and compute_kstar, solved as a
+transport problem on the pattern's rows, and everything they run.
 
-compact_arcs reads the arcs straight off a pattern's rows, compact_offsets
-gives the first arc leaving each node, compact_capacity the capacities for
-(k, q), and compact_unreachable runs the reachability search on the arcs,
-stopping once every state is seen.
-residual_arrays fills only a Residual's head and cap lists; its adjacency
-lists are built on first read.  Each solve first pushes the direct paths
-s -> left -> mu_i -> t (push_direct, over each left node's contiguous arc
-range, with no adjacency lists), which often saturate the network, and
-augments (Dinic, with levels by residual distance to the sink) only while
-short of saturation or of a known cut's capacity; compute_kstar raises a
-compact network's switch count in place (shift_switch_count) and solves on.
-augment's last search, which fails, labels the sink side of the
-source-maximal min cut, and residual_min_cut checks that cut's capacity
-against the flow value.  The in-neighbours of the cut's states, like every
-other in-neighbour set, are read off the pattern's rows (in_neighbours),
-never off the network.
+In witness mode the compact network (flow) is a bipartite transportation
+problem: every column of the pattern supplies units (k+1 for an input,
+q(k+1) for a state), every state demands q, and a state may take units
+from the columns of its row only.  Transport holds that problem's state,
+read straight off the rows with no network built: the spare supply of each
+column, the shortfall of each state, and for each column a dict of the
+states it feeds, kept up to date as flow moves.  It solves by a greedy fill
+(each short state takes what it needs from its row's columns, in sorted
+order) and then phases as in Hopcroft-Karp and Dinic, in the bipartite
+form of Ahuja, Orlin, Stein and Tarjan: one backward search from the short
+states labels each node by its distance to the sink (a state leads to the
+columns of its row, a column to the states it feeds), stopping at the first
+level that holds a column with spare supply, and an iterative pointer
+search then moves units along a blocking set of shortest paths.  A search
+that finds no spare column labels exactly the states that reach the sink,
+the sink side V' of the source-maximal min cut, the same for every maximum
+flow; the cut's capacity, priced from the rows (in_neighbours), is checked
+against the flow value.  Reachability (unreachable_states) runs on the rows
+too.
 
 This module imports nothing from swenctrl but errors and results, so the
 check and kstar subcommands load neither the named networks of flow (and
@@ -25,13 +28,9 @@ fractions), nor the referees of graph and decide.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections import deque
-
 from .errors import ConsistencyError, ScaleError
 from .results import (
     EmptyAlphaIn,
-    FrozenValue,
     KStarResult,
     Saturated,
     Unreachable,
@@ -73,356 +72,278 @@ def in_neighbours(rows, n: int, subset) -> tuple[frozenset[int], frozenset[int]]
     return alpha, frozenset(j - n for j in columns - alpha)
 
 
-def compact_arcs(n: int, m: int, rows) -> tuple[list[int], list[int]]:
-    """Tail and head ids of the compact network's arcs, in construction
-    order, for the rows of an n x (n+m) pattern (row i the sorted columns of
-    state i's stars).
-
-    Node ids: the source is 0, lam_c is c, nu_j is m+j, mu_i is m+n+i and the
-    sink m+2n+1.  The arcs are: one from the source to every left node, then
-    one per star, the control arcs lam_c -> mu_i sorted by (c, i) and the
-    state arcs nu_j -> mu_i sorted by (j, i), then one from every right node
-    to the sink; the tails are therefore nondecreasing.  One pass over the
-    states in order appends each state's mu id to the bucket of every column
-    in its row, so every bucket comes out sorted; the buckets are joined in
-    left-node order, input columns first.
-    """
-    mu = n + m  # mu_i is mu + i
-    columns: list[list[int]] = [[] for _ in range(n + m + 1)]
-    for i, row in enumerate(rows, mu + 1):
-        for j in row:
-            columns[j].append(i)
-    tail = [0] * mu
-    head = list(range(1, mu + 1))
-    for u, column in enumerate(columns[n + 1:] + columns[1:n + 1], 1):  # lam_1.., nu_1..
-        if column:
-            tail += [u] * len(column)
-            head += column
-    tail += range(mu + 1, mu + n + 1)
-    head += [mu + n + 1] * n
-    return tail, head
-
-
-def compact_offsets(n: int, m: int, tail: list[int]) -> list[int]:
-    """first[u], the position of the first arc leaving node u among the
-    compact arcs whose tails compact_arcs gave, for u = 0..m+n+1.  As the
-    tails never decrease, the middle arcs leaving left node u are the arcs
-    first[u] .. first[u+1]-1, and first[m+n+1] is the first sink arc."""
-    return [bisect_left(tail, u) for u in range(m + n + 2)]
-
-
-def compact_unreachable(n: int, m: int, first: list[int], head: list[int]) -> frozenset[int]:
+def unreachable_states(rows, n: int) -> frozenset[int]:
     """States among 1..n that no directed path from an input reaches, read
-    off the arcs compact_arcs gave, with their compact_offsets: the heads of
-    the control arcs are the input-fed states, and the state arcs leaving
-    nu_j point to the states a_j points to.  The search stops as soon as
-    every state is seen, before it starts when the inputs feed them all."""
-    mu = m + n  # mu_i is mu + i
-    seen = set(head[first[1]:first[m + 1]])  # the mu ids of the input-fed states
-    stack = list(seen)
-    while stack and len(seen) < n:
-        j = stack.pop() - mu
-        new = set(head[first[m + j]:first[m + j + 1]]) - seen  # the arcs leaving nu_j
-        seen |= new
-        stack += new
-    if len(seen) == n:
+    off the rows of an n-state pattern (row i the sorted columns of state
+    i's stars).  When every row ends in an input column the answer is empty
+    at once; otherwise a breadth-first search from the input-fed states
+    walks, for each state j reached, the states whose rows hold column j,
+    and stops once every state is reached."""
+    if all(row and row[-1] > n for row in rows):
         return frozenset()
-    return frozenset(i for i in range(1, n + 1) if mu + i not in seen)
+    feeds: list[list[int]] = [[] for _ in range(n + 1)]  # feeds[j]: the states j points to
+    order = []  # the states reached, in the order the search reaches them
+    for i, row in enumerate(rows, 1):
+        for j in row:
+            if j > n:
+                order.append(i)
+                break
+            feeds[j].append(i)
+    seen = [False] * (n + 1)
+    for i in order:
+        seen[i] = True
+    for j in order:  # order grows as the search reaches states
+        if len(order) == n:
+            return frozenset()
+        for i in feeds[j]:
+            if not seen[i]:
+                seen[i] = True
+                order.append(i)
+    return frozenset(i for i in range(1, n + 1) if not seen[i])
 
 
-def compact_capacity(n: int, m: int, tail: list[int], k: int, q: int,
-                     witness_mode: bool = False) -> list[int]:
-    """Capacities k+1 / q(k+1) / q of the compact arcs whose tails compact_arcs
-    gave, in the same order.
+class Transport:
+    """The witness-mode transport problem of an n-state, m-input pattern at
+    (k, q), and a feasible flow of it.
 
-    In witness mode every left-to-right capacity is replaced by the total
-    source capacity + 1, which leaves the max-flow value unchanged (each left
-    node is already throttled by its single source arc) but forces every min
-    cut onto the source and sink arcs, where a violating subset can be read
-    off directly.  (k, q) pass check_kq first.
-    """
-    check_kq(n, m, k, q)
-    kp1 = k + 1
-    big = q * kp1
-    control = bisect_left(tail, m + 1) - m - n
-    state = len(tail) - 2 * n - m - control
-    if witness_mode:
-        middle = [m * kp1 + n * big + 1] * (control + state)
-    else:
-        middle = [kp1] * control + [big] * state
-    return [kp1] * m + [big] * n + middle + [q] * n
-
-
-class Residual(FrozenValue):
-    """Residual graph of a network on nodes 0..size-1: edge 2a is arc a,
-    edge 2a+1 its reverse.
-
-    head[e] is the node edge e enters, so head[e ^ 1] is the node it leaves.
-    cap[e] is the residual capacity of edge e, so cap[2a+1] is the flow on
-    arc a and cap[2a] + cap[2a+1] its capacity.  adj[u] lists the edges
-    leaving node u in construction order; it is built from head on first
-    read, at most once, and shared by copies, which also share head.  Node 0
-    is the source and node size-1 the sink.
+    Column j <= n is state j's supply, column j > n input j - n's; state
+    i's row, rows[i-1], lists the columns it may take from.  spare[j] is
+    column j's unused supply (index 0 unused), short[i-1] state i's unmet
+    demand, fed[j] maps i-1 to the units column j gives state i (only
+    positive entries), and missing the total shortfall, so the flow's value
+    is n*q - missing.  The flow starts at zero; solve raises it and shift
+    raises the switch count under it.
     """
 
-    _fields = ("size", "head", "cap")
-    __slots__ = (*_fields, "_adj")  # _adj: [adj] once read, shared by copies
+    __slots__ = ("rows", "n", "q", "spare", "short", "fed", "missing")
 
-    def __init__(self, size: int, head: list[int], cap: list, _adj: list | None = None):
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "head", head)
-        object.__setattr__(self, "cap", cap)
-        object.__setattr__(self, "_adj", [] if _adj is None else _adj)
+    def __init__(self, rows, n: int, m: int, k: int, q: int):
+        self.rows = rows
+        self.n = n
+        self.q = q
+        self.spare = [0] + [q * (k + 1)] * n + [k + 1] * m
+        self.short = [q] * n
+        self.fed: list[dict[int, int]] = [{} for _ in range(n + m + 1)]
+        self.missing = n * q
 
     @property
-    def adj(self) -> list[list[int]]:
-        if not self._adj:
-            self._adj.append(_adjacency(self.size, self.head))
-        return self._adj[0]
+    def value(self) -> int:
+        return self.n * self.q - self.missing
 
-    def copy(self) -> Residual:
-        return Residual(self.size, self.head, self.cap.copy(), self._adj)
+    def copy(self) -> Transport:
+        twin = object.__new__(Transport)
+        twin.rows, twin.n, twin.q, twin.missing = self.rows, self.n, self.q, self.missing
+        twin.spare = self.spare.copy()
+        twin.short = self.short.copy()
+        twin.fed = [f.copy() for f in self.fed]
+        return twin
 
+    def shift(self, dk: int) -> None:
+        """Raise the switch count by dk >= 0, keeping the flow: each input
+        column gains dk spare units, each state column q*dk."""
+        n, spare = self.n, self.spare
+        for j in range(1, len(spare)):
+            spare[j] += self.q * dk if j <= n else dk
 
-def _adjacency(size: int, head: list[int]) -> list[list[int]]:
-    """The edges leaving each of the nodes 0..size-1, in construction order."""
-    adj: list[list[int]] = [[] for _ in range(size)]
-    e = 0
-    ends = iter(head)
-    for v, u in zip(ends, ends):  # arc e // 2 runs u -> v
-        adj[u].append(e)
-        adj[v].append(e + 1)
-        e += 2
-    return adj
+    def solve(self, bound: int) -> frozenset[int] | None:
+        """Raise the flow to a maximum one, or until its value reaches bound
+        (the target n*q, or the capacity of a known cut, which no flow can
+        exceed); returns the states V' labelled by a last search that found
+        no spare column, the sink side of the source-maximal min cut, or
+        None when the value reached bound first.  A greedy fill comes first,
+        then phases, each a search (_label) and a blocking flow (_block)."""
+        floor = self.n * self.q - bound  # the value reaches bound once missing <= floor
+        self._fill()
+        while self.missing > floor:
+            lab_s, lab_c, top = self._label()
+            if not top:
+                return frozenset(i for i, d in enumerate(lab_s, 1) if d)
+            self._block(lab_s, lab_c, top)
+        return None
 
+    def _fill(self) -> None:
+        """Every short state, in order, takes what it needs from its row's
+        columns, in sorted order, as far as their spare supply goes."""
+        rows, spare, short, fed = self.rows, self.spare, self.short, self.fed
+        missing = 0
+        for i, need in enumerate(short):
+            if need:
+                for u in rows[i]:
+                    have = spare[u]
+                    if have:
+                        f = fed[u]
+                        if have >= need:
+                            spare[u] = have - need
+                            f[i] = f.get(i, 0) + need
+                            need = 0
+                            break
+                        spare[u] = 0
+                        f[i] = f.get(i, 0) + have
+                        need -= have
+                short[i] = need
+                missing += need
+        self.missing = missing
 
-def residual_arrays(size: int, tail, head, capacity) -> Residual:
-    """Residual graph at zero flow of the network on nodes 0..size-1 with
-    arcs tail[a] -> head[a] of the given capacities.  Only head and cap are
-    filled here; adj waits for its first read."""
-    edges = 2 * len(tail)
-    res_head = [0] * edges
-    res_head[0::2] = head
-    res_head[1::2] = tail
-    cap = [0] * edges
-    cap[0::2] = capacity
-    return Residual(size, res_head, cap)
+    def _label(self) -> tuple[list[int], list[int], int]:
+        """Label the nodes by their distance to the sink, searching back
+        from the short states (label 1): a state at label d labels the
+        unlabelled columns of its row d+1, a column at d+1 the unlabelled
+        states it feeds d+2.  Returns the state labels lab_s (by index i-1),
+        the column labels lab_c and the label top of the first level that
+        holds a column with spare supply, where the search stops; top is 0
+        when the search runs out first, and lab_s then marks exactly the
+        states that reach the sink."""
+        rows, spare, fed = self.rows, self.spare, self.fed
+        lab_s = [0] * self.n
+        lab_c = [0] * len(spare)
+        frontier = [i for i, need in enumerate(self.short) if need]
+        for i in frontier:
+            lab_s[i] = 1
+        level, found = 1, False
+        while frontier:
+            level += 1
+            reached = []
+            for i in frontier:
+                for u in rows[i]:
+                    if not lab_c[u]:
+                        lab_c[u] = level
+                        reached.append(u)
+                        if spare[u]:
+                            found = True
+            if found:  # of this level, only the columns with spare supply lead on
+                for u in reached:
+                    if not spare[u]:
+                        lab_c[u] = 0
+                return lab_s, lab_c, level
+            level += 1
+            frontier = []
+            for u in reached:
+                for i in fed[u]:
+                    if not lab_s[i]:
+                        lab_s[i] = level
+                        frontier.append(i)
+        return lab_s, lab_c, 0
 
-
-def shift_switch_count(res: Residual, n: int, m: int, q: int, dk: int) -> None:
-    """Change the switch count of the residual res of an n-state, m-input
-    compact network at ensemble size q by dk, keeping its flow: each lam
-    source arc gains dk, each nu source arc q*dk.
-
-    The flow stays feasible while dk >= 0, since every other capacity is
-    fixed; witness-mode middle capacities stay above the source total only
-    up to the switch count the network was built with.
-    """
-    cap = res.cap
-    for a in range(m):
-        cap[2 * a] += dk
-    for a in range(m, m + n):
-        cap[2 * a] += q * dk
-
-
-def push_direct(res: Residual, n: int, m: int, first: list[int]) -> int:
-    """Push flow along the direct paths s -> u -> mu_i -> t of the residual
-    res of an n-state, m-input compact network, which may already carry
-    flow, given the compact_offsets first of its arcs; returns the value
-    added.
-
-    Each left node u = 1..m+n in id order walks its forward edges, those of
-    its arcs first[u] .. first[u+1]-1, in construction order, pushing the
-    least residual of its source arc, the edge and mu_i's sink arc, until
-    its source arc is empty.  The result is a feasible flow, not necessarily
-    a maximum one.  Only head and cap are read, so adj is never built.
-    """
-    head, cap = res.head, res.cap
-    sink_edge = len(head) - 2 * (m + 2 * n + 1)  # + 2v is the edge of mu node v's sink arc
-    added = 0
-    for u in range(1, m + n + 1):
-        src = 2 * u - 2
-        supply = cap[src]
-        lo, hi = 2 * first[u], 2 * first[u + 1]
-        if not supply or lo == hi:
-            continue
-        for e in range(lo, hi, 2):
-            out = sink_edge + 2 * head[e]
-            if not cap[out]:  # most edges, once the sink arcs fill
+    def _block(self, lab_s: list[int], lab_c: list[int], top: int) -> None:
+        """A blocking flow along the labels _label gave: from each short
+        state in turn, a depth-first search with one pointer per state
+        steps from a state at label d to a column of its row at d+1 and on
+        to a state that column feeds at d+2, until it reaches a column with
+        spare supply (at label top).  It then takes the path's least
+        residual (the state's shortfall, the units each column on the way
+        feeds the next state, the end column's spare), moves it along the
+        path and resumes at the first column that stopped feeding the next
+        state.  A node found to lead nowhere loses its label.  Each state
+        keeps a pointer into its row, and each column a stack of the states
+        it fed when first reached, popped as they stop being admissible:
+        columns gain fed states only at label-1, where no search of this
+        phase looks, and an edge that stops being admissible stays so for
+        the phase."""
+        rows, spare, short, fed = self.rows, self.spare, self.short, self.fed
+        missing = self.missing
+        row_at = [0] * self.n  # per state, its pointer into its row
+        feeds_at: list[list[int] | None] = [None] * len(spare)  # per column, its stack of fed states
+        for root, d in enumerate(lab_s):
+            if d != 1:
                 continue
-            x = min(supply, cap[e], cap[out])
-            if x:
-                cap[e] -= x
-                cap[e + 1] += x
-                cap[out] -= x
-                cap[out + 1] += x
-                supply -= x
-                if not supply:
-                    break
-        x = cap[src] - supply
-        cap[src] = supply
-        cap[src + 1] += x
-        added += x
-    return added
+            path_s, path_c = [root], []  # path_c[t] feeds path_s[t+1]
+            while path_s:
+                i = path_s[-1]
+                row = rows[i]
+                want = lab_s[i] + 1
+                fed_want = want + 1
+                p, end = row_at[i], len(row)
+                nxt = -1
+                while p < end:
+                    u = row[p]
+                    if lab_c[u] == want:
+                        if spare[u]:
+                            break
+                        f = fed[u]
+                        states = feeds_at[u]
+                        if states is None:
+                            states = feeds_at[u] = list(f)
+                        while states and not (lab_s[states[-1]] == fed_want and states[-1] in f):
+                            states.pop()
+                        if states:
+                            nxt = states[-1]
+                            break
+                        lab_c[u] = 0
+                    p += 1
+                row_at[i] = p
+                if p == end:
+                    lab_s[i] = 0
+                    path_s.pop()
+                    if path_c:
+                        path_c.pop()
+                elif nxt >= 0:
+                    path_c.append(u)
+                    path_s.append(nxt)
+                else:  # column u has spare: move units along the path
+                    x = min(short[root], spare[u])
+                    for t, v in enumerate(path_c):
+                        x = min(x, fed[v][path_s[t + 1]])
+                    short[root] -= x
+                    missing -= x
+                    spare[u] -= x
+                    f = fed[u]
+                    f[i] = f.get(i, 0) + x
+                    emptied = len(path_s)
+                    for t, v in enumerate(path_c):
+                        f = fed[v]
+                        f[path_s[t]] = f.get(path_s[t], 0) + x
+                        j = path_s[t + 1]
+                        if f[j] > x:
+                            f[j] -= x
+                        else:
+                            del f[j]
+                            emptied = min(emptied, t + 1)
+                    if not short[root]:
+                        break
+                    del path_s[emptied:], path_c[emptied - 1:]
+        self.missing = missing
 
 
-def augment(res: Residual) -> tuple[int, list[int]]:
-    """Raise the flow held in res to a maximum one by deterministic
-    phase-based blocking flow (Dinic); returns the value added and the labels
-    of the last search.
-
-    Each phase labels the nodes by their residual distance to the sink: a
-    search from the sink over the reverse residual edges, stopped as soon as
-    the source is labelled.  A depth-first search from the source then
-    follows the edges that lower that distance by one, in construction
-    order with fixed pointer advancement, so identical residuals give
-    identical flows (the same as labelling by distance from the source,
-    since both admit exactly the edges on shortest source-sink paths).
-
-    The last search never labels the source, so it labels exactly the nodes
-    that reach the sink: label[v] is 1 + the residual distance from v to the
-    sink, and 0 when v cannot reach it.  Those nodes are the sink side of
-    the source-maximal minimum cut, the same for every maximum flow.
-    """
-    head, adj, residual = res.head, res.adj, res.cap
-    size = res.size
-    s, t = 0, size - 1
-    added = 0
-
-    def bfs_labels():
-        label = [0] * size
-        label[t] = 1
-        dq = deque([t])
-        while dq:
-            v = dq.popleft()
-            d = label[v] + 1
-            for e in adj[v]:
-                u = head[e]  # e leaves v; its reverse e ^ 1 enters v from u
-                if not label[u] and residual[e ^ 1] > 0:
-                    label[u] = d
-                    if u == s:
-                        return label
-                    dq.append(u)
-        return label
-
-    while (label := bfs_labels())[s]:
-        pointer = [0] * size
-        path: list[int] = []  # residual edges from s to u
-        u = s
-        while True:
-            if u == t:
-                aug = min(residual[e] for e in path)
-                for e in path:
-                    residual[e] -= aug
-                    residual[e ^ 1] += aug
-                added += aug
-                path = []
-                u = s
-                continue
-            advanced = False
-            edges = adj[u]
-            d = label[u] - 1  # >= 1, as only the sink has label 1
-            while pointer[u] < len(edges):
-                e = edges[pointer[u]]
-                if residual[e] > 0 and label[head[e]] == d:
-                    path.append(e)
-                    u = head[e]
-                    advanced = True
-                    break
-                pointer[u] += 1
-            if advanced:
-                continue
-            if u == s:
-                break
-            u = head[path.pop() ^ 1]
-            pointer[u] += 1
-    return added, label
-
-
-def residual_min_cut(res: Residual, label: list[int], value) -> list[int]:
-    """Check that the nodes labelled by augment's last search on res, the
-    sink side of the source-maximal minimum cut, cut off value, and return
-    the labels.
-
-    Only the edges of the sink-side nodes are read: the cut capacity sums
-    the arcs entering the sink side from unlabelled nodes.  Raises
-    ConsistencyError when it does not equal value, i.e. when value is not
-    the value of the flow in res.
-    """
-    head, adj, cap = res.head, res.adj, res.cap
-    cut_capacity = 0
-    for v, reached in enumerate(label):
-        if reached:
-            for e in adj[v]:
-                if e & 1 and not label[head[e]]:  # e is the reverse of an arc into v
-                    cut_capacity += cap[e] + cap[e ^ 1]
-    if cut_capacity != value:
-        raise ConsistencyError(
-            f"cut capacity {cut_capacity} != flow value {value}; flow is not maximal"
-        )
-    return label
+def _cut_sides(rows, n: int, k: int, q: int, subset, theta: int) -> tuple[int, int, int, int]:
+    """The in-neighbour counts alpha, beta and both sides lhs, rhs of the
+    counting condition for the sink-side states subset of a witness-mode
+    min cut at (k, q) of flow value theta.  Its source arcs enter the
+    subset's in-neighbours, and its sink arcs leave the other states, so it
+    costs lhs + n q - rhs; ConsistencyError is raised unless that is theta
+    and the subset violates the condition (_violation)."""
+    alpha, beta = map(len, in_neighbours(rows, n, subset))
+    lhs, rhs = _violation(k, q, subset, alpha, beta)
+    if lhs + n * q - rhs != theta:
+        raise ConsistencyError(f"cut capacity {lhs + n * q - rhs} != flow value {theta}; "
+                               "flow is not maximal")
+    return alpha, beta, lhs, rhs
 
 
 def check_structural(pattern: SparsityPattern, k: int, q: int) -> Verdict:
     """Decide structural controllability for (k, q).
 
     False verdicts carry a verified certificate: the unreachable state nodes,
-    or a state subset violating the counting condition, extracted from a
-    minimum cut of the witness-mode network.  Everything runs on the compact
-    network's int arcs, built straight from the pattern's rows.  The flow
-    is found by pushing the direct paths s -> left -> mu_i -> t and then
-    augmenting while short of saturation; which maximum flow that gives does
-    not matter, since every maximum flow has the same value theta and the
-    nodes that reach the sink in its residual graph, the sink side of the
-    source-maximal min cut, are the same for all of them.  augment's last
-    search labels those nodes, so the cut costs no further search.
+    or a state subset violating the counting condition, the sink side of
+    the source-maximal min cut of the witness-mode network.  Both come from
+    the pattern's rows: reachability by unreachable_states, the flow by
+    Transport, whose last, failing search labels that cut's states.  Which
+    maximum flow it finds does not matter: every maximum flow has the same
+    value theta and the same source-maximal min cut.
     """
-    n, m = pattern.n, pattern.m
+    n, m, rows = pattern.n, pattern.m, pattern.rows
     check_kq(n, m, k, q)
     target = n * q
-    tail, head = compact_arcs(n, m, pattern.rows)
-    first = compact_offsets(n, m, tail)
-    unreachable = compact_unreachable(n, m, first, head)
+    unreachable = unreachable_states(rows, n)
     if unreachable:
         return Verdict(False, Unreachable(unreachable), VerdictStats(None, target))
-    res = residual_arrays(m + 2 * n + 2, tail, head,
-                          compact_capacity(n, m, tail, k, q, witness_mode=True))
-    theta, label = _solve(res, n, m, first, 0, target)
+    flow = Transport(rows, n, m, k, q)
+    subset = flow.solve(target)
+    theta = flow.value
     stats = VerdictStats(theta, target)
-    if theta == target:
+    if subset is None:
         return Verdict(True, Saturated(theta), stats)
-    subset, alpha, beta = _sink_side_states(pattern.rows, n, m,
-                                            residual_min_cut(res, label, theta))
-    lhs, rhs = _violation(k, q, subset, alpha, beta)
+    _, _, lhs, rhs = _cut_sides(rows, n, k, q, subset, theta)
     return Verdict(False, ViolatingSubset(subset, lhs, rhs, k, q), stats)
-
-
-def _solve(res: Residual, n: int, m: int, first: list[int], theta: int,
-           bound: int) -> tuple[int, list[int] | None]:
-    """Raise the flow of value theta held in the compact residual res, whose
-    arcs have the compact_offsets first, to a maximum one, given a bound no
-    flow can exceed (the target, or the capacity of a known cut): push the
-    direct paths, then augment only while the value is short of bound, so a
-    solve the direct paths saturate never builds res.adj.  Returns the value
-    and, when augment ran, the labels of its last search (the sink side of
-    the source-maximal min cut), else None; a flow that reaches bound is
-    maximum by weak duality."""
-    theta += push_direct(res, n, m, first)
-    if theta >= bound:
-        return theta, None
-    added, label = augment(res)
-    return theta + added, label
-
-
-def _sink_side_states(rows, n: int, m: int, sink_side) -> tuple[frozenset[int], int, int]:
-    """The states whose right copy mu_j lies on the sink side of a cut of an
-    n-state, m-input compact network, given by its node labels, with their
-    numbers of state and control in-neighbours, read off the pattern's
-    rows."""
-    mu = m + n  # mu_j is mu + j
-    subset = frozenset(j for j in range(1, n + 1) if sink_side[mu + j])
-    alpha, beta = in_neighbours(rows, n, subset)
-    return subset, len(alpha), len(beta)
 
 
 def _violation(k: int, q: int, subset, alpha: int, beta: int) -> tuple[int, int]:
@@ -455,30 +376,27 @@ def compute_kstar(pattern: SparsityPattern) -> KStarResult:
     source-maximal min cut, hence the EmptyAlphaIn witness, and its cost is
     the max-flow value (max-flow/min-cut), the one trace entry.
 
-    Otherwise one witness-mode network at q = mn+1, valid for every k <= n-1,
-    is solved at k = 0 and then ascended: while the flow is short of
-    n(mn+1), the source-maximal min cut gives a violating V', k becomes
-    ceil(|V'| / |alpha_in(V')|) - 1 (above the current k, never above k*),
-    and the source arcs are raised with the flow kept.  The trace replays the
-    binary search over [0, n-1] that probes the same network cold: probes at
-    k >= k* saturate, and each probe below k* is solved warm from the
-    residual of the largest failing k below it, whose min cut bounds the
-    probe: its sink side is V' and alpha_in(V'), beta_in(V') (the middle
-    arcs force it), so only its source arcs change with k, and at the
-    probe's k it costs theta_below + (k - below)(|beta_in(V')| +
-    (mn+1)|alpha_in(V')|).  Each solve pushes the direct paths and then
-    augments while short of n(mn+1) and of that capacity; a flow that
-    reaches a cut's capacity is maximum (weak duality), and that cut is
-    then the next probe's bound.  The flows differ from a cold Dinic
-    solve's; but max-flow values, and the source-maximal min cut that picks
-    each next k, are the same for every maximum flow, so the ascent, k* and
-    the trace are too.  In the ascent the cut just read costs at least
-    n(mn+1) at the next k, by the choice of that k, so it bounds nothing.
+    Otherwise one transport problem at q = mn+1 is solved at k = 0 and then
+    ascended: while the flow is short of n(mn+1), the source-maximal min cut
+    gives a violating V', k becomes ceil(|V'| / |alpha_in(V')|) - 1 (above
+    the current k, never above k*), and the supplies are raised with the
+    flow kept (Transport.shift).  The trace replays the binary search over
+    [0, n-1] that probes the same network cold: probes at k >= k* saturate,
+    and each probe below k* is solved warm from a copy of the flow at the
+    largest failing k below it, whose min cut bounds the probe: its sink
+    side is V' and its source arcs enter alpha_in(V'), beta_in(V'), so only
+    they change with k, and at the probe's k it costs theta_below +
+    (k - below)(|beta_in(V')| + (mn+1)|alpha_in(V')|).  Each solve stops at
+    n(mn+1) or at that capacity; a flow that reaches a cut's capacity is
+    maximum (weak duality), and that cut is then the next probe's bound.
+    The flows differ from a cold solve's; but max-flow values, and the
+    source-maximal min cut that picks each next k, are the same for every
+    maximum flow, so the ascent, k* and the trace are too.  In the ascent
+    the cut just read costs at least n(mn+1) at the next k, by the choice
+    of that k, so it bounds nothing.
     """
     n, m, rows = pattern.n, pattern.m, pattern.rows
-    tail, head = compact_arcs(n, m, rows)
-    first = compact_offsets(n, m, tail)
-    unreachable = compact_unreachable(n, m, first, head)
+    unreachable = unreachable_states(rows, n)
     if unreachable:
         return KStarResult(None, Unreachable(unreachable))
     qbar = m * n + 1
@@ -489,23 +407,21 @@ def compute_kstar(pattern: SparsityPattern) -> KStarResult:
         _violation(n - 1, qbar, unfed, 0, len(inputs))
         theta = qbar * (n - len(unfed)) + n * len(inputs)
         return KStarResult(None, EmptyAlphaIn(unfed), ((n - 1, theta, target),))
-    cap = compact_capacity(n, m, tail, n - 1, qbar, witness_mode=True)
-    res = residual_arrays(m + 2 * n + 2, tail, head, cap)
-    shift_switch_count(res, n, m, qbar, -(n - 1))  # down to k = 0, still at zero flow
-    k, (theta, label) = 0, _solve(res, n, m, first, 0, target)
-    # k -> (max-flow value, residual, growth of a min cut's capacity per unit
-    # of k) for every k solved short of target
+    check_kq(n, m, n - 1, qbar)
+    flow = Transport(rows, n, m, 0, qbar)
+    k, subset = 0, flow.solve(target)
+    # k -> (the flow at k, growth of a min cut's capacity per unit of k)
+    # for every k solved short of target
     failing = {}
-    while theta < target:
-        subset, alpha, beta = _sink_side_states(rows, n, m, residual_min_cut(res, label, theta))
-        _violation(k, qbar, subset, alpha, beta)
-        failing[k] = (theta, res.copy(), beta + qbar * alpha)
+    while subset is not None:
+        alpha, beta, _, _ = _cut_sides(rows, n, k, qbar, subset, flow.value)
+        failing[k] = (flow.copy(), beta + qbar * alpha)
         k_next = -(-len(subset) // alpha) - 1
         if k_next <= k:
             raise ConsistencyError(f"kstar ascent stalled at k={k}")
-        shift_switch_count(res, n, m, qbar, k_next - k)
+        flow.shift(k_next - k)
         # the cut just read costs at least target at k_next, so it bounds nothing
-        theta, label = _solve(res, n, m, first, theta, target)
+        subset = flow.solve(target)
         k = k_next
     trace = [(n - 1, target, target)]
     lo, hi = 0, n - 1
@@ -517,17 +433,16 @@ def compute_kstar(pattern: SparsityPattern) -> KStarResult:
             continue
         if mid not in failing:
             below = max(j for j in failing if j < mid)
-            theta_below, res_below, slope = failing[below]
-            res_mid = res_below.copy()
-            shift_switch_count(res_mid, n, m, qbar, mid - below)
-            cut = theta_below + (mid - below) * slope  # below's min cut, priced at mid
-            theta_mid, label = _solve(res_mid, n, m, first, theta_below, min(target, cut))
-            if label is not None and theta_mid < target:  # augment's last search: a new min cut
-                _, alpha, beta = _sink_side_states(rows, n, m,
-                                                   residual_min_cut(res_mid, label, theta_mid))
+            flow_below, slope = failing[below]
+            probe = flow_below.copy()
+            probe.shift(mid - below)
+            cut = flow_below.value + (mid - below) * slope  # below's min cut, priced at mid
+            subset = probe.solve(min(target, cut))
+            if subset is not None:  # a failing search: the probe's own min cut
+                alpha, beta, _, _ = _cut_sides(rows, n, mid, qbar, subset, probe.value)
                 slope = beta + qbar * alpha
-            failing[mid] = (theta_mid, res_mid, slope)
-        theta_mid = failing[mid][0]
+            failing[mid] = (probe, slope)
+        theta_mid = failing[mid][0].value
         if theta_mid >= target:
             raise ConsistencyError(f"probe at k={mid} saturates below k*={k}")
         trace.append((mid, theta_mid, target))

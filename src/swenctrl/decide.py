@@ -134,7 +134,10 @@ def recheck_certificate(pattern: SparsityPattern, verdict: Verdict) -> bool:
     the pattern's rows, a violating subset only its own states' rows, with
     its own code, apart from the solver's.  A violating subset must carry an
     int k >= 0 and an int q >= 1, the domain of check_kq, and come with the
-    target n*q."""
+    target n*q.  A Saturated certificate is accepted only on a true verdict
+    whose flow value theta equals both the certificate's value and the
+    target, and whose target is n*q for an int q >= 1; it proves no more
+    than that (a brute-force verdict, which has no theta, fails it)."""
     cert = verdict.certificate
     if isinstance(cert, ViolatingSubset):
         k, q = cert.k, cert.q
@@ -171,5 +174,7 @@ def recheck_certificate(pattern: SparsityPattern, verdict: Verdict) -> bool:
         unreachable = frozenset(range(1, pattern.n + 1)) - seen
         return bool(unreachable) and cert.nodes == unreachable
     if isinstance(cert, Saturated):
-        return verdict.decision and verdict.stats.target == cert.value
+        target, n = verdict.stats.target, pattern.n
+        return (verdict.decision is True and isinstance(target, int) and target >= n
+                and target % n == 0 and verdict.stats.theta == cert.value == target)
     return False

@@ -1,5 +1,8 @@
 """Three-layer capacitated flow networks with named nodes, exact integral
-max-flow, min cuts, and the layer-expansion flow transfer maps.
+max-flow, min cuts, and the layer-expansion flow transfer maps, for the
+exports (flowdump), crosscheck's compact and expanded values, the referees
+and the tests.  check_structural and compute_kstar build none of this: they
+solve the same problem as a transport problem on the pattern's rows (core).
 
 Two constructions share the layout source -> left -> right -> sink:
 
@@ -10,18 +13,19 @@ Two constructions share the layout source -> left -> right -> sink:
   its k+1 (and, for state copies, q) layers, every right node into its q
   copies, and all capacities collapse to 1.
 
-Both are built from the flat int arcs of the decision core (core), which
-check_structural and compute_kstar solve without ever building the named
-view: build_small_network only adds the node names to the arcs of
-compact_arcs and the capacities of compact_capacity, for export, the flow
-transfer maps and the referees; build_lifted_network expands every compact
-middle arc, in order, into its layer copies.
+Both rest on one integer-indexed core: compact_arcs reads the compact
+network's flat int arcs straight off the pattern's rows, compact_capacity
+gives their capacities for (k, q), and residual_arrays fills a Residual's
+head and cap lists (its adjacency lists are built on first read).
+build_small_network only adds the node names to those arcs and
+capacities; build_lifted_network expands every compact middle arc, in
+order, into its layer copies.
 
-Every maximum flow here comes from the core's augmenting routine (augment,
-Dinic with levels by residual distance to the sink): max_flow starts it
-from zero flow, and min_cut reads the cut of a given flow off one augment
-call, whose last search labels the sink side of the source-maximal min
-cut, checked against the flow value by residual_min_cut.
+Every maximum flow here comes from augment (Dinic, with levels by residual
+distance to the sink): max_flow starts it from zero flow, and min_cut reads
+the cut of a given flow off one augment call, whose last search labels the
+sink side of the source-maximal min cut, checked against the flow value by
+residual_min_cut.
 
 The node-collapsing map phi sends expanded nodes onto compact ones; flows
 transfer along phi in both directions with their value preserved.  This
@@ -32,19 +36,12 @@ referees, and it alone needs fractions.
 from __future__ import annotations
 
 import json
-from collections import Counter
+from bisect import bisect_left
+from collections import Counter, deque
 from collections.abc import Iterator
 from fractions import Fraction
 
-from .core import (
-    Residual,
-    augment,
-    check_kq,
-    compact_arcs,
-    compact_capacity,
-    residual_arrays,
-    residual_min_cut,
-)
+from .core import check_kq
 from .errors import ConsistencyError, ScaleError
 from .pattern import SparsityPattern
 from .results import FrozenValue
@@ -55,6 +52,212 @@ SINK = "t"
 MAX_LIFTED_ARCS = 1 << 20  # guard on the expanded network's arc count
 
 Node = str | tuple
+
+
+def compact_arcs(n: int, m: int, rows) -> tuple[list[int], list[int]]:
+    """Tail and head ids of the compact network's arcs, in construction
+    order, for the rows of an n x (n+m) pattern (row i the sorted columns of
+    state i's stars).
+
+    Node ids: the source is 0, lam_c is c, nu_j is m+j, mu_i is m+n+i and the
+    sink m+2n+1.  The arcs are: one from the source to every left node, then
+    one per star, the control arcs lam_c -> mu_i sorted by (c, i) and the
+    state arcs nu_j -> mu_i sorted by (j, i), then one from every right node
+    to the sink; the tails are therefore nondecreasing.  One pass over the
+    states in order appends each state's mu id to the bucket of every column
+    in its row, so every bucket comes out sorted; the buckets are joined in
+    left-node order, input columns first.
+    """
+    mu = n + m  # mu_i is mu + i
+    columns: list[list[int]] = [[] for _ in range(n + m + 1)]
+    for i, row in enumerate(rows, mu + 1):
+        for j in row:
+            columns[j].append(i)
+    tail = [0] * mu
+    head = list(range(1, mu + 1))
+    for u, column in enumerate(columns[n + 1:] + columns[1:n + 1], 1):  # lam_1.., nu_1..
+        if column:
+            tail += [u] * len(column)
+            head += column
+    tail += range(mu + 1, mu + n + 1)
+    head += [mu + n + 1] * n
+    return tail, head
+
+
+def compact_capacity(n: int, m: int, tail: list[int], k: int, q: int,
+                     witness_mode: bool = False) -> list[int]:
+    """Capacities k+1 / q(k+1) / q of the compact arcs whose tails compact_arcs
+    gave, in the same order.
+
+    In witness mode every left-to-right capacity is replaced by the total
+    source capacity + 1, which leaves the max-flow value unchanged (each left
+    node is already throttled by its single source arc) but forces every min
+    cut onto the source and sink arcs, where a violating subset can be read
+    off directly.  (k, q) pass check_kq first.
+    """
+    check_kq(n, m, k, q)
+    kp1 = k + 1
+    big = q * kp1
+    control = bisect_left(tail, m + 1) - m - n
+    state = len(tail) - 2 * n - m - control
+    if witness_mode:
+        middle = [m * kp1 + n * big + 1] * (control + state)
+    else:
+        middle = [kp1] * control + [big] * state
+    return [kp1] * m + [big] * n + middle + [q] * n
+
+
+class Residual(FrozenValue):
+    """Residual graph of a network on nodes 0..size-1: edge 2a is arc a,
+    edge 2a+1 its reverse.
+
+    head[e] is the node edge e enters, so head[e ^ 1] is the node it leaves.
+    cap[e] is the residual capacity of edge e, so cap[2a+1] is the flow on
+    arc a and cap[2a] + cap[2a+1] its capacity.  adj[u] lists the edges
+    leaving node u in construction order; it is built from head on first
+    read, at most once, and shared by copies, which also share head.  Node 0
+    is the source and node size-1 the sink.
+    """
+
+    _fields = ("size", "head", "cap")
+    __slots__ = (*_fields, "_adj")  # _adj: [adj] once read, shared by copies
+
+    def __init__(self, size: int, head: list[int], cap: list, _adj: list | None = None):
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "cap", cap)
+        object.__setattr__(self, "_adj", [] if _adj is None else _adj)
+
+    @property
+    def adj(self) -> list[list[int]]:
+        if not self._adj:
+            self._adj.append(_adjacency(self.size, self.head))
+        return self._adj[0]
+
+    def copy(self) -> Residual:
+        return Residual(self.size, self.head, self.cap.copy(), self._adj)
+
+
+def _adjacency(size: int, head: list[int]) -> list[list[int]]:
+    """The edges leaving each of the nodes 0..size-1, in construction order."""
+    adj: list[list[int]] = [[] for _ in range(size)]
+    e = 0
+    ends = iter(head)
+    for v, u in zip(ends, ends):  # arc e // 2 runs u -> v
+        adj[u].append(e)
+        adj[v].append(e + 1)
+        e += 2
+    return adj
+
+
+def residual_arrays(size: int, tail, head, capacity) -> Residual:
+    """Residual graph at zero flow of the network on nodes 0..size-1 with
+    arcs tail[a] -> head[a] of the given capacities.  Only head and cap are
+    filled here; adj waits for its first read."""
+    edges = 2 * len(tail)
+    res_head = [0] * edges
+    res_head[0::2] = head
+    res_head[1::2] = tail
+    cap = [0] * edges
+    cap[0::2] = capacity
+    return Residual(size, res_head, cap)
+
+
+def augment(res: Residual) -> tuple[int, list[int]]:
+    """Raise the flow held in res to a maximum one by deterministic
+    phase-based blocking flow (Dinic); returns the value added and the labels
+    of the last search.
+
+    Each phase labels the nodes by their residual distance to the sink: a
+    search from the sink over the reverse residual edges, stopped as soon as
+    the source is labelled.  A depth-first search from the source then
+    follows the edges that lower that distance by one, in construction
+    order with fixed pointer advancement, so identical residuals give
+    identical flows (the same as labelling by distance from the source,
+    since both admit exactly the edges on shortest source-sink paths).
+
+    The last search never labels the source, so it labels exactly the nodes
+    that reach the sink: label[v] is 1 + the residual distance from v to the
+    sink, and 0 when v cannot reach it.  Those nodes are the sink side of
+    the source-maximal minimum cut, the same for every maximum flow.
+    """
+    head, adj, residual = res.head, res.adj, res.cap
+    size = res.size
+    s, t = 0, size - 1
+    added = 0
+
+    def bfs_labels():
+        label = [0] * size
+        label[t] = 1
+        dq = deque([t])
+        while dq:
+            v = dq.popleft()
+            d = label[v] + 1
+            for e in adj[v]:
+                u = head[e]  # e leaves v; its reverse e ^ 1 enters v from u
+                if not label[u] and residual[e ^ 1] > 0:
+                    label[u] = d
+                    if u == s:
+                        return label
+                    dq.append(u)
+        return label
+
+    while (label := bfs_labels())[s]:
+        pointer = [0] * size
+        path: list[int] = []  # residual edges from s to u
+        u = s
+        while True:
+            if u == t:
+                aug = min(residual[e] for e in path)
+                for e in path:
+                    residual[e] -= aug
+                    residual[e ^ 1] += aug
+                added += aug
+                path = []
+                u = s
+                continue
+            advanced = False
+            edges = adj[u]
+            d = label[u] - 1  # >= 1, as only the sink has label 1
+            while pointer[u] < len(edges):
+                e = edges[pointer[u]]
+                if residual[e] > 0 and label[head[e]] == d:
+                    path.append(e)
+                    u = head[e]
+                    advanced = True
+                    break
+                pointer[u] += 1
+            if advanced:
+                continue
+            if u == s:
+                break
+            u = head[path.pop() ^ 1]
+            pointer[u] += 1
+    return added, label
+
+
+def residual_min_cut(res: Residual, label: list[int], value) -> list[int]:
+    """Check that the nodes labelled by augment's last search on res, the
+    sink side of the source-maximal minimum cut, cut off value, and return
+    the labels.
+
+    Only the edges of the sink-side nodes are read: the cut capacity sums
+    the arcs entering the sink side from unlabelled nodes.  Raises
+    ConsistencyError when it does not equal value, i.e. when value is not
+    the value of the flow in res.
+    """
+    head, adj, cap = res.head, res.adj, res.cap
+    cut_capacity = 0
+    for v, reached in enumerate(label):
+        if reached:
+            for e in adj[v]:
+                if e & 1 and not label[head[e]]:  # e is the reverse of an arc into v
+                    cut_capacity += cap[e] + cap[e ^ 1]
+    if cut_capacity != value:
+        raise ConsistencyError(
+            f"cut capacity {cut_capacity} != flow value {value}; flow is not maximal"
+        )
+    return label
 
 
 class FlowNetwork(FrozenValue):

@@ -10,14 +10,7 @@ row i lists the in-neighbours of a_i.
 from __future__ import annotations
 
 from .errors import ScaleError
-from .core import (
-    check_kq,
-    compact_arcs,
-    compact_offsets,
-    compact_unreachable,
-    counting_sides,
-    in_neighbours,
-)
+from .core import check_kq, counting_sides, in_neighbours, unreachable_states
 from .pattern import SparsityPattern
 from .results import (
     ArgmaxSubset,
@@ -58,10 +51,9 @@ def in_neighbor_sets(pattern: SparsityPattern, subset) -> NeighborSets:
 
 def reachability_check(pattern: SparsityPattern) -> frozenset[int]:
     """Return the state nodes with no directed path from any control node
-    (empty means every state node is reachable)."""
-    n, m = pattern.n, pattern.m
-    tail, head = compact_arcs(n, m, pattern.rows)
-    return compact_unreachable(n, m, compact_offsets(n, m, tail), head)
+    (empty means every state node is reachable), by the rows' search that
+    check_structural runs."""
+    return unreachable_states(pattern.rows, pattern.n)
 
 
 def core_condition_holds(pattern: SparsityPattern, k: int, q: int, subset) -> tuple[bool, int, int]:

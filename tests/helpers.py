@@ -1,17 +1,23 @@
-"""Shared fixtures: worked-example patterns, a random feasible-flow builder,
-the cold binary search for k* that compute_kstar must reproduce, the
-per-arc residual construction that residual_arrays must reproduce, Dinic
-with levels by distance from the source and the sink-side search that
-augment must reproduce, and the literal references for the numerical
-referee (Bareiss rank over every power column, sampling by a scan of every
-pattern cell)."""
+"""Shared fixtures: worked-example patterns, the tight and long-path
+families and the benchmark's own families, a random feasible-flow builder,
+the compact-network view of a transport solver's flow, the cold binary
+search for k* that compute_kstar must reproduce, the per-arc residual
+construction that residual_arrays must reproduce, Dinic with levels by
+distance from the source and the sink-side search that augment and the
+transport solver must reproduce, and the literal references for the
+numerical referee (Bareiss rank over every power column, sampling by a scan
+of every pattern cell)."""
 
 from __future__ import annotations
 
+import importlib.util
 import random
 from collections import deque
 from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
 
+from swenctrl.core import Transport
 from swenctrl.decide import witness_from_cut
 from swenctrl.flow import (
     FlowAssignment,
@@ -51,6 +57,68 @@ def hub_pattern(n: int, block: int = 8) -> SparsityPattern:
         hub = (start + block - 1) % n + 1
         stars.update((i, hub) for i in range(start, min(start + block, n + 1)))
     return SparsityPattern(n, 1, frozenset(stars))
+
+
+def tight_pattern(n: int, seed: int, failing: bool = False) -> SparsityPattern:
+    """A tight transport instance at (k, q) = (0, 1): state i takes one star
+    from a hidden random permutation, two random state stars and the star of
+    its predecessor on a random cycle through all states; one input feeds
+    the cycle's first state.  The permutation saturates every state with no
+    state column giving more than its one unit, so the pattern saturates at
+    (0, 1) by construction, but a greedy fill leaves many states short, each
+    needing a long alternating path.  The failing variant (n >= 3) plants
+    V' = the cycle's second and third states, both fed only by the first,
+    so |beta_in(V')| + |alpha_in(V')| = 1 < 2 = |V'|; every state stays
+    reachable, through the first state."""
+    rng = random.Random(f"tight:{n}:{seed}")
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    cycle = list(range(1, n + 1))
+    rng.shuffle(cycle)
+    rows = {i: {perm[i - 1], rng.randint(1, n), rng.randint(1, n)} for i in range(1, n + 1)}
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        rows[b].add(a)
+    rows[cycle[0]].add(n + 1)
+    if failing:
+        if n < 3:
+            raise ValueError("the failing tight variant needs n >= 3")
+        for i in cycle[1:3]:
+            rows[i] = {cycle[0]}
+    return SparsityPattern.from_rows(n, 1, tuple(tuple(sorted(rows[i])) for i in range(1, n + 1)))
+
+
+def long_path_chain(n: int) -> SparsityPattern:
+    """States 1 -> 2 -> ... -> n, each state j < n also feeding itself, and
+    one input feeding state 1; state n takes only from state n-1.  At
+    (k, q) = (0, 1) the greedy fill gives each state j < n its own unit and
+    leaves state n short, and the one augmenting path runs back through
+    every state to the input, 2n nodes long; the pattern saturates."""
+    rows = ((1, n + 1), *((j - 1, j) for j in range(2, n)), (n - 1,))
+    return SparsityPattern.from_rows(n, 1, rows)
+
+
+_GENERATORS = Path(__file__).resolve().parents[1] / "benchmark" / "generators.py"
+
+
+@lru_cache(maxsize=None)
+def _benchmark_generators():
+    spec = importlib.util.spec_from_file_location("benchmark_generators", _GENERATORS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def benchmark_pattern(family: str, n: int, seed: int) -> SparsityPattern:
+    """A member of a benchmark workload's family, drawn by the benchmark's
+    own seeded generators (which import nothing from swenctrl): "backbone",
+    "hub", "sparse-fail" (a block with no state in-neighbour) or
+    "sparse-fail-unreachable"."""
+    generators = _benchmark_generators()
+    if family.startswith("sparse-fail"):
+        n, m, stars = generators.sparse_fail(n, seed, family.endswith("unreachable"))
+    else:
+        n, m, stars = getattr(generators, family)(n, seed)
+    return SparsityPattern(n, m, stars)
 
 
 def reference_kstar(pattern: SparsityPattern) -> KStarResult:
@@ -166,6 +234,29 @@ def reference_sink_side(res: Residual) -> list[bool]:
                 reach[u] = True
                 dq.append(u)
     return reach
+
+
+def transport_values(net: FlowNetwork, flow: Transport) -> FlowAssignment:
+    """The flow a Transport holds, as per-arc values of the compact network
+    net of the same pattern at the Transport's current (k, q): a source arc
+    carries its column's supply less its spare, lam_c -> mu_i and
+    nu_j -> mu_i what column n+c or j feeds state i, and mu_i -> sink what
+    state i receives."""
+    n, m = net.n, net.m
+    mu, sink = m + n, m + 2 * n + 1
+
+    def column(u):  # lam_c is column n+c, nu_j column j
+        return n + u if u <= m else u - m
+
+    values = []
+    for (u, v), cap in zip(net.arcs, net.capacity):
+        if u == 0:
+            values.append(cap - flow.spare[column(v)])
+        elif v == sink:
+            values.append(flow.q - flow.short[u - mu - 1])
+        else:
+            values.append(flow.fed[column(u)].get(v - mu - 1, 0))
+    return FlowAssignment(tuple(values), flow.value)
 
 
 def named_arcs(net: FlowNetwork) -> list[tuple]:

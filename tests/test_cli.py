@@ -10,7 +10,16 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from helpers import FIG1, FIG2A, INTEGRATOR, TWO_CYCLE, hub_pattern
+from helpers import (
+    FIG1,
+    FIG2A,
+    INTEGRATOR,
+    TWO_CYCLE,
+    benchmark_pattern,
+    hub_pattern,
+    long_path_chain,
+    tight_pattern,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -197,6 +206,31 @@ def test_kstar_golden(tmp_path, capsys, pattern, golden):
     assert out == (GOLDEN / golden).read_text()
 
 
+# Small members of each benchmark family and of the tight family, with the
+# check and kstar output of the max-flow solver the transport solver replaced.
+FAMILY_GOLDEN = {
+    "bench_backbone64": (lambda: benchmark_pattern("backbone", 64, 0), 1, 3),
+    "bench_hub64": (lambda: benchmark_pattern("hub", 64, 0), 6, 65),
+    "bench_sparse_fail64": (lambda: benchmark_pattern("sparse-fail", 64, 0), 1, 3),
+    "bench_sparse_fail_unreachable64": (
+        lambda: benchmark_pattern("sparse-fail-unreachable", 64, 0), 1, 3),
+    "tight64": (lambda: tight_pattern(64, 0), 0, 1),
+    "tight_failing64": (lambda: tight_pattern(64, 0, failing=True), 0, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_GOLDEN))
+def test_family_check_and_kstar_golden(tmp_path, capsys, name):
+    make, k, q = FAMILY_GOLDEN[name]
+    path = write_pattern(tmp_path, make())
+    code, out, _ = run_cli(capsys, "check", path, "--k", str(k), "--q", str(q))
+    assert code == 0
+    assert out == (GOLDEN / f"check_{name}_k{k}_q{q}.json").read_text()
+    code, out, _ = run_cli(capsys, "kstar", path)
+    assert code == 0
+    assert out == (GOLDEN / f"kstar_{name}.json").read_text()
+
+
 def test_kstar_flow_values_near_2_pow_40(tmp_path, capsys):
     # Witness capacities times the arc count pass 2^63; every flow value
     # and cut stays below the total source capacity, about 2^52.
@@ -333,6 +367,19 @@ def test_hostile_input_exit_code_without_traceback(tmp_path, content, argv, expe
                                    stdout=subprocess.DEVNULL)
     assert code == expected_code, err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("make", [lambda: long_path_chain(20_000), lambda: tight_pattern(20_000, 0)],
+                         ids=["long-path-chain", "tight"])
+def test_deep_augmenting_paths_exit_0_without_recursion(tmp_path, make):
+    """A 20000-state chain whose one augmenting path is 40000 nodes long,
+    and a tight pattern of the same size, check in a child process under the
+    address-space cap: exit 0, saturated, no traceback."""
+    path = write_pattern(tmp_path, make(), fmt="json")
+    code, out, err = run_cli_process("check", path, "--k", "0", "--q", "1")
+    assert code == 0, err
+    assert "Traceback" not in err and "RecursionError" not in err
+    assert json.loads(out)["decision"] is True
 
 
 @pytest.mark.parametrize("content, message", [

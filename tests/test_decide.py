@@ -2,13 +2,21 @@ import random
 from collections import Counter
 
 import pytest
-from helpers import FIG1, FIG2A, INTEGRATOR, TWO_CYCLE, hub_pattern, reference_kstar
+from helpers import (
+    FIG1,
+    FIG2A,
+    INTEGRATOR,
+    TWO_CYCLE,
+    hub_pattern,
+    reference_kstar,
+    tight_pattern,
+)
 
 import swenctrl.core
 import swenctrl.decide
 import swenctrl.flow
 import swenctrl.graph
-from swenctrl.core import augment, residual_min_cut
+from swenctrl.core import Transport
 from swenctrl.decide import (
     check_structural,
     compute_kstar,
@@ -189,24 +197,22 @@ def few_in_neighbours_pattern(n, rng):
 def test_kstar_matches_cold_search_random(monkeypatch):
     """compute_kstar equals the cold search, with multi-step ascents, and the
     min cut a failing probe inherits from the k below it settles many probes
-    (the flow reaches that cut's capacity, short of the target, without
-    augment)."""
-    cut_reads = []  # per pattern: residual -> cuts read off it; the ascent reads one residual
+    (the flow reaches that cut's capacity, short of the target, with no
+    failing search)."""
+    cut_reads = []  # per pattern: flow -> cuts read off it; the ascent reads one flow
     settled = 0
 
-    def counted_cut(res, *args):
-        cut_reads[-1][id(res)] += 1
-        return residual_min_cut(res, *args)
-
-    def counted_solve(res, n, m, first, theta, bound):
+    def counted_solve(flow, bound):
         nonlocal settled
-        theta, label = solve(res, n, m, first, theta, bound)
-        settled += label is None and theta < n * (m * n + 1)
-        return theta, label
+        subset = solve(flow, bound)
+        if subset is None:
+            settled += flow.value < flow.n * flow.q
+        else:
+            cut_reads[-1][id(flow)] += 1
+        return subset
 
-    solve = swenctrl.core._solve
-    monkeypatch.setattr(swenctrl.core, "residual_min_cut", counted_cut)
-    monkeypatch.setattr(swenctrl.core, "_solve", counted_solve)
+    solve = Transport.solve
+    monkeypatch.setattr(Transport, "solve", counted_solve)
     empty_alpha_in = failing_probes = 0
     for seed in range(900):
         rng = random.Random(seed)
@@ -248,9 +254,8 @@ def test_kstar_infinite_needs_no_flow(monkeypatch):
     def forbidden(*args):
         raise Forbidden("compute_kstar solved a flow for an infinite k*")
 
-    for name in ("residual_arrays", "push_direct", "augment", "residual_min_cut"):
-        monkeypatch.setattr(swenctrl.core, name, forbidden)
-    with pytest.raises(Forbidden):  # the patches reach a finite k*'s solve
+    monkeypatch.setattr(swenctrl.core, "Transport", forbidden)
+    with pytest.raises(Forbidden):  # the patch reaches a finite k*'s solve
         compute_kstar(hub_pattern(64))
     patterns = [FIG1, FIG2A]
     for seed in range(150):
@@ -296,20 +301,21 @@ def backbone_pattern(n):
                                            | {(i, n + 1) for i in range(1, n + 1)}))
 
 
-@pytest.mark.parametrize("pattern, kstar, solves, dinic", [
-    # the direct paths saturate every solve at k >= k*, so Dinic runs only
-    # on the solves short of saturation and of an inherited cut's capacity
+@pytest.mark.parametrize("pattern, kstar, solves, searches", [
+    # the greedy fill saturates every solve at k >= k*, so the phases run
+    # only on the solves short of saturation and of an inherited cut's
+    # capacity
     (backbone_pattern(50), 0, 1, 0),
     # ascent k = 0 -> 7, then the trace's failing probes k = 3, 5, 6; only
-    # the k = 0 solve runs Dinic, as the direct paths reach the capacity of
-    # the k = 0 min cut at k = 3, 5 and 6
+    # the k = 0 solve searches (once, and fails), as the greedy fill reaches
+    # the capacity of the k = 0 min cut at k = 3, 5 and 6
     (hub_pattern(64), 7, 5, 1),
     # ascent k = 0 -> 7, then the trace's one failing probe k = 6, settled
     # by the k = 0 min cut
     (hub_pattern(800), 7, 3, 1),
 ], ids=["backbone50", "hub64", "hub800"])
-def test_kstar_solve_count(monkeypatch, pattern, kstar, solves, dinic):
-    calls = {"solve": 0, "augment": 0}
+def test_kstar_solve_count(monkeypatch, pattern, kstar, solves, searches):
+    calls = {"solve": 0, "search": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -317,17 +323,19 @@ def test_kstar_solve_count(monkeypatch, pattern, kstar, solves, dinic):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(swenctrl.core, "_solve", counted("solve", swenctrl.core._solve))
-    monkeypatch.setattr(swenctrl.core, "augment", counted("augment", augment))
+    monkeypatch.setattr(Transport, "solve", counted("solve", Transport.solve))
+    monkeypatch.setattr(Transport, "_label", counted("search", Transport._label))
     assert compute_kstar(pattern).value == kstar
-    assert calls == {"solve": solves, "augment": dinic}
+    assert calls == {"solve": solves, "search": searches}
 
 
 def test_backbone_saturates_without_augment(monkeypatch):
+    """The greedy fill alone saturates every backbone check and solve: no
+    phase's search runs."""
     def forbidden(*args):
-        raise Forbidden("augment ran on a backbone pattern")
+        raise Forbidden("a search ran on a backbone pattern")
 
-    monkeypatch.setattr(swenctrl.core, "augment", forbidden)
+    monkeypatch.setattr(Transport, "_label", forbidden)
     with pytest.raises(Forbidden):  # the patch reaches a failing hub check's solve
         check_structural(hub_pattern(64), 6, 65)
     p = backbone_pattern(200)
@@ -337,27 +345,29 @@ def test_backbone_saturates_without_augment(monkeypatch):
     assert compute_kstar(p).value == 0
 
 
-def test_adjacency_built_only_when_dinic_runs(monkeypatch):
-    """A solve the direct paths saturate never builds the residual's adj;
-    a failing check builds it once, for augment and the cut, and kstar's
-    warm probes share the one adj of the ascent's residual."""
-    builds = []
+def test_solver_set_up_once_and_searched_only_when_short(monkeypatch):
+    """A check sets up one transport problem and searches only when the
+    greedy fill leaves it short; kstar sets up one, and its warm probes
+    solve copies of the ascent's flow."""
+    calls = {"set_up": 0, "search": 0}
 
-    def counted(size, head):
-        builds.append(size)
-        return adjacency(size, head)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
 
-    adjacency = swenctrl.core._adjacency
-    monkeypatch.setattr(swenctrl.core, "_adjacency", counted)
+    monkeypatch.setattr(Transport, "__init__", counted("set_up", Transport.__init__))
+    monkeypatch.setattr(Transport, "_label", counted("search", Transport._label))
     backbone, hub = backbone_pattern(200), hub_pattern(64)
     assert check_structural(backbone, 1, 3).decision
     assert compute_kstar(backbone).value == 0
     assert check_structural(hub, 7, 65).decision
-    assert not builds
+    assert calls == {"set_up": 3, "search": 0}
     assert not check_structural(hub, 6, 65).decision
-    assert len(builds) == 1
+    assert calls == {"set_up": 4, "search": 1}
     assert compute_kstar(hub).value == 7
-    assert len(builds) == 2
+    assert calls == {"set_up": 5, "search": 2}
 
 
 def test_direct_pass_keeps_theta_and_kstar():
@@ -511,6 +521,41 @@ def test_recheck_rejects_tampered_certificate():
     assert not recheck_certificate(FIG2A, Verdict(True, Saturated(5), saturated.stats))
 
 
+def tampered_verdict(decision, certificate, stats):
+    """A verdict built past Verdict's own checks, as a decoded or edited
+    object may be."""
+    verdict = object.__new__(Verdict)
+    for name, value in zip(Verdict._fields, (decision, certificate, stats)):
+        object.__setattr__(verdict, name, value)
+    return verdict
+
+
+def test_recheck_rejects_tampered_saturated():
+    """A Saturated certificate holds only on a true verdict whose theta, the
+    certificate's value and the target agree, with the target n*q for an
+    int q >= 1; on the 2-state FIG2A no q gives the target 3."""
+    genuine = check_structural(FIG2A, 2, 3)
+    assert genuine == Verdict(True, Saturated(6), VerdictStats(6, 6))
+    assert recheck_certificate(FIG2A, genuine)
+    assert recheck_certificate(FIG2A, tampered_verdict(True, Saturated(6), VerdictStats(6, 6)))
+    for decision, value, theta, target in [
+        (True, 3, None, 3),  # the target 3 is n*q for no q, and theta is unset
+        (True, 3, 3, 3),  # the target 3 is n*q for no q
+        (True, 0, 0, 0),  # q = 0
+        (True, -2, -2, -2),  # q = -1
+        (True, 6, None, 6),  # theta unset, as in a brute-force verdict
+        (True, 6, 5, 6),  # theta short of the target
+        (True, 5, 6, 6),  # the certificate's value short of the target
+        (True, 4, 4, 6),  # value and theta of another q
+        (True, 6, 6, 4),  # the target of another q
+        (True, 6.0, 6.0, 6.0),  # not an int target
+        (False, 6, 6, 6),  # a false verdict
+        (1, 6, 6, 6),  # a decision that is not True
+    ]:
+        verdict = tampered_verdict(decision, Saturated(value), VerdictStats(theta, target))
+        assert not recheck_certificate(FIG2A, verdict), (decision, value, theta, target)
+
+
 def forbid_stars(monkeypatch):
     """Make every read of SparsityPattern.stars raise."""
     def stars(self):
@@ -616,3 +661,36 @@ def test_check_and_kstar_never_build_the_named_network(monkeypatch):
     for p in patterns[5:]:  # the random ones, against the referees
         assert [d for d, _ in answers(p)[0]] == [brute_force_check(p, k, q).decision for k, q in grid]
         assert compute_kstar(p).value == kstar_brute(p).value
+
+
+NETWORK_CORE = ("compact_arcs", "compact_capacity", "residual_arrays", "augment",
+                "residual_min_cut", "_adjacency", "Residual")
+
+
+def test_check_and_kstar_build_no_flow_network(monkeypatch):
+    """check_structural and compute_kstar solve on the rows: with the
+    builders of arcs, residual graphs and adjacency lists patched to raise,
+    every answer is unchanged, and the decision core holds none of them."""
+    patterns = [FIG1, FIG2A, TWO_CYCLE, INTEGRATOR, hub_pattern(64), backbone_pattern(60),
+                tight_pattern(64, 0), tight_pattern(64, 1, failing=True)]
+    for seed in range(60):
+        rng = random.Random(seed)
+        patterns.append(random_pattern(rng.randint(1, 9), rng.randint(0, 3), rng.random(), seed))
+        patterns.append(empty_block_pattern(rng.randint(1, 12), rng.randint(1, 3), rng, seed % 2))
+    grid = [(k, q) for k in range(3) for q in (1, 2, 5)]
+
+    def answers(p):
+        return [check_structural(p, k, q) for k, q in grid], compute_kstar(p)
+
+    expected = [answers(p) for p in patterns]
+
+    def forbidden(*args, **kwargs):
+        raise Forbidden("the decision path built a flow network")
+
+    for name in NETWORK_CORE:
+        monkeypatch.setattr(swenctrl.flow, name, forbidden)
+    with pytest.raises(Forbidden):
+        build_small_network(FIG2A, 1, 3)
+    for p, before in zip(patterns, expected):
+        assert answers(p) == before
+    assert not [name for name in NETWORK_CORE if hasattr(swenctrl.core, name)]

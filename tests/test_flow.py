@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 from helpers import (
     FIG2A,
+    benchmark_pattern,
+    long_path_chain,
     named_arcs,
     named_capacity,
     named_values,
@@ -12,27 +14,23 @@ from helpers import (
     reference_augment,
     reference_residual,
     reference_sink_side,
+    tight_pattern,
+    transport_values,
 )
 
-import swenctrl.core
-from swenctrl.core import (
-    augment,
-    compact_arcs,
-    compact_capacity,
-    compact_offsets,
-    compact_unreachable,
-    push_direct,
-    residual_arrays,
-    shift_switch_count,
-)
+import swenctrl.flow
+from swenctrl.core import Transport, unreachable_states
 from swenctrl.errors import ConsistencyError, ScaleError
 from swenctrl.flow import (
     SINK,
     SOURCE,
     FlowAssignment,
     FlowNetwork,
+    augment,
     build_lifted_network,
     build_small_network,
+    compact_arcs,
+    compact_capacity,
     lift_flow,
     max_flow,
     min_cut,
@@ -42,6 +40,7 @@ from swenctrl.flow import (
     phi_arc,
     phi_node,
     project_flow,
+    residual_arrays,
     residual_graph,
     verify_flow,
 )
@@ -229,23 +228,20 @@ def test_min_cut_duality_over_random_networks():
         assert verify_flow(net, f)
 
 
-def _offsets(p):
-    """compact_offsets of p's compact arcs, as push_direct takes them."""
-    return compact_offsets(p.n, p.m, compact_arcs(p.n, p.m, p.rows)[0])
-
-
 def test_min_cut_rejects_direct_pass_and_wrong_value():
-    """A nonzero flow short of the maximum is refused, and so is a maximum
-    flow reported with the wrong value."""
+    """A nonzero flow short of the maximum (the transport solver's greedy
+    fill) is refused, and so is a maximum flow reported with the wrong
+    value."""
     refused = 0
     for seed in range(200):
         rng = random.Random(seed)
         p = random_pattern(rng.randint(1, 8), rng.randint(0, 3), rng.random(), seed)
-        net = build_small_network(p, rng.randint(0, 2), rng.choice((1, 2, 3)), bool(seed % 2))
-        res = residual_graph(net)
-        direct = push_direct(res, p.n, p.m, _offsets(p))
-        f = _flow_of(res, net)
-        if 0 < direct < max_flow(net).value_total:
+        k, q = rng.randint(0, 2), rng.choice((1, 2, 3))
+        net = build_small_network(p, k, q, bool(seed % 2))
+        greedy = Transport(p.rows, p.n, p.m, k, q)
+        greedy.solve(0)
+        f = transport_values(net, greedy)
+        if 0 < f.value_total < max_flow(net).value_total:
             with pytest.raises(ConsistencyError, match="not maximal"):
                 min_cut(net, f)
             refused += 1
@@ -257,27 +253,27 @@ def test_min_cut_rejects_direct_pass_and_wrong_value():
 
 def _seeded_residuals():
     """Residuals of compact plain and witness networks from zero flow, after
-    the direct pass, and after a switch-count shift of a solved residual
-    (as in the kstar ascent), and of lifted networks from zero flow."""
+    the greedy fill, and after a switch-count shift of a solved flow (as in
+    the kstar ascent), before and after a second fill, and of lifted
+    networks from zero flow."""
     for seed in range(300):
         rng = random.Random(seed)
         p = random_pattern(rng.randint(1, 10), rng.randint(0, 3), rng.random(), seed)
-        n, m, offsets = p.n, p.m, _offsets(p)
+        n, m = p.n, p.m
         k, dk, q = rng.randint(0, 2), rng.randint(1, 3), rng.choice((1, 2, 3, 7))
         for witness in (False, True):
             net = build_small_network(p, k, q, witness_mode=witness)
             yield residual_graph(net)
-            res = residual_graph(net)
-            push_direct(res, n, m, offsets)
-            yield res
-        res = residual_graph(build_small_network(p, k + dk, q, witness_mode=True))
-        shift_switch_count(res, n, m, q, -dk)
-        push_direct(res, n, m, offsets)
-        reference_augment(res)
-        shift_switch_count(res, n, m, q, dk)
-        yield res.copy()
-        push_direct(res, n, m, offsets)
-        yield res
+            greedy = Transport(p.rows, n, m, k, q)
+            greedy.solve(0)
+            yield residual_graph(net, transport_values(net, greedy).values)
+        flow = Transport(p.rows, n, m, k, q)
+        flow.solve(n * q)
+        flow.shift(dk)
+        top = build_small_network(p, k + dk, q, witness_mode=True)
+        yield residual_graph(top, transport_values(top, flow).values)
+        flow.solve(0)
+        yield residual_graph(top, transport_values(top, flow).values)
         if seed % 3 == 0 and (k + 1) * q * (len(p.stars) + n) <= 400:
             yield residual_graph(build_lifted_network(p, k, q))
 
@@ -308,41 +304,81 @@ def test_augment_on_maximal_flow_adds_nothing():
         assert [bool(x) for x in label] == reference_sink_side(res)
 
 
-def _flow_of(res, net):
-    values = tuple(res.cap[1::2])
-    return FlowAssignment(values, sum(values[:net.m + net.n]))
-
-
-def test_push_direct_feasible_fresh_and_after_shift():
-    """The direct pass leaves a feasible flow of the value it reports, both
-    from zero flow and, as in the kstar ascent, after the switch count of a
-    residual that already carries flow is raised."""
+def test_greedy_fill_feasible_fresh_and_after_shift():
+    """The transport solver's greedy fill leaves a feasible flow of the
+    compact network, plain or witness-mode, of the value it reports, both
+    from zero flow and, as in the kstar ascent, after the switch count under
+    a flow is raised; and a full solve reaches the maximum."""
     for seed in range(500):
         rng = random.Random(seed)
         p = random_pattern(rng.randint(1, 12), rng.randint(0, 3), rng.random(), seed)
-        n, m, offsets = p.n, p.m, _offsets(p)
+        n, m = p.n, p.m
         k, dk, q = rng.randint(0, 2), rng.randint(1, 3), rng.choice((1, 2, 3, 7))
-        witness = bool(seed % 4)
-        net = build_small_network(p, k, q, witness_mode=witness)
-        res = residual_graph(net)
-        added = push_direct(res, n, m, offsets)
-        f = _flow_of(res, net)
+        net = build_small_network(p, k, q, witness_mode=bool(seed % 4))
+        flow = Transport(p.rows, n, m, k, q)
+        assert flow.solve(0) is None
+        f = transport_values(net, flow)
         assert verify_flow(net, f)
-        assert added == f.value_total <= max_flow(net).value_total
-        if not witness:
-            continue
-        # built at k + dk and shifted down, so the middle arcs stay above
-        # the source total after the shift back up
-        top = build_small_network(p, k + dk, q, witness_mode=True)
-        res = residual_graph(top)
-        shift_switch_count(res, n, m, q, -dk)
-        first = push_direct(res, n, m, offsets)
-        assert verify_flow(net, _flow_of(res, net))
-        shift_switch_count(res, n, m, q, dk)
-        second = push_direct(res, n, m, offsets)
-        f = _flow_of(res, top)
+        assert flow.value == f.value_total <= max_flow(net).value_total
+        first = flow.value
+        flow.shift(dk)
+        assert flow.value == first
+        flow.solve(0)
+        top = build_small_network(p, k + dk, q, witness_mode=bool(seed % 4))
+        f = transport_values(top, flow)
         assert verify_flow(top, f)
-        assert first + second == f.value_total <= max_flow(top).value_total
+        assert first <= flow.value == f.value_total <= max_flow(top).value_total
+        flow.solve(n * q)
+        assert verify_flow(top, transport_values(top, flow))
+        assert flow.value == max_flow(top).value_total
+
+
+def reference_transport(p, k, q):
+    """theta and the states of the source-maximal min cut's sink side, by
+    reference_augment from zero flow on the compact witness network."""
+    res = residual_graph(build_small_network(p, k, q, witness_mode=True))
+    theta = reference_augment(res)
+    sink_side = reference_sink_side(res)
+    return theta, frozenset(i for i in range(1, p.n + 1) if sink_side[p.m + p.n + i])
+
+
+def transport_cut(p, k, q):
+    """theta and the sink-side states the transport solver gives (none when
+    it saturates), with its flow checked on the compact network."""
+    flow = Transport(p.rows, p.n, p.m, k, q)
+    subset = flow.solve(p.n * q)
+    net = build_small_network(p, k, q, witness_mode=True)
+    assert verify_flow(net, transport_values(net, flow))
+    return flow.value, subset or frozenset()
+
+
+def test_transport_matches_reference_dinic_random():
+    failing = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        p = random_pattern(rng.randint(1, 10), rng.randint(0, 3), rng.random(), seed)
+        k, q = rng.randint(0, 3), rng.randint(1, 5)
+        theta, subset = transport_cut(p, k, q)
+        assert (theta, subset) == reference_transport(p, k, q), seed
+        failing += bool(subset)
+    assert failing > 100
+
+
+@pytest.mark.parametrize("pattern, k, q", [
+    (benchmark_pattern("backbone", 200, 1), 1, 3),
+    (benchmark_pattern("hub", 200, 1), 7, 201),
+    (benchmark_pattern("hub", 200, 1), 6, 201),
+    (benchmark_pattern("sparse-fail", 200, 1), 1, 3),
+    (benchmark_pattern("sparse-fail-unreachable", 200, 1), 1, 3),
+    (tight_pattern(300, 1), 0, 1),
+    (tight_pattern(300, 2, failing=True), 0, 1),
+    (long_path_chain(300), 0, 1),
+], ids=["backbone", "hub-kstar", "hub-below-kstar", "sparse-fail", "sparse-fail-unreachable",
+        "tight", "tight-failing", "long-path"])
+def test_transport_matches_reference_dinic_families(pattern, k, q):
+    """On the benchmark's families, the tight family (which the greedy fill
+    leaves far short) and a single 2n-node augmenting path."""
+    assert transport_cut(pattern, k, q) == reference_transport(pattern, k, q)
 
 
 def test_witness_mode_value_invariance():
@@ -516,8 +552,6 @@ def test_one_arc_order_named_and_int_core():
     for p in _arc_order_patterns():
         tail, head = compact_arcs(p.n, p.m, p.rows)
         assert list(zip(tail, head)) == tuple_sorted_arcs(p), p
-        assert compact_offsets(p.n, p.m, tail) == [
-            next((a for a, t in enumerate(tail) if t >= u), len(tail)) for u in range(p.m + p.n + 2)]
         for k in range(3):
             for q in (1, 2, 5):
                 for witness_mode in (False, True):
@@ -545,19 +579,15 @@ def unreachable_by_scan(p):
     return frozenset(range(1, p.n + 1)) - seen
 
 
-def _unreachable(p):
-    tail, head = compact_arcs(p.n, p.m, p.rows)
-    return compact_unreachable(p.n, p.m, compact_offsets(p.n, p.m, tail), head)
-
-
 def chain(n, fed=1):
     """States 1 -> 2 -> ... -> n, with input 1 feeding state `fed`."""
     return SparsityPattern(n, 1, frozenset({(fed, n + 1)} | {(j, j - 1) for j in range(2, n + 1)}))
 
 
-def test_compact_unreachable_shapes():
-    """Inputs feeding every state (the search stops before it starts), a
-    long chain the search walks to its end, and unreachable blocks."""
+def test_unreachable_states_shapes():
+    """The rows' reachability search: inputs feeding every state (answered
+    before any search), a long chain the search walks to its end, and
+    unreachable blocks."""
     n = 300
     broadcast = SparsityPattern(n, 2, frozenset({(i, n + 1 + i % 2) for i in range(1, n + 1)}
                                                 | {(i, n - i + 1) for i in range(1, n + 1)}))
@@ -573,9 +603,9 @@ def test_compact_unreachable_shapes():
         "no-inputs": (SparsityPattern(3, 0, frozenset({(1, 2), (2, 3)})), frozenset({1, 2, 3})),
     }
     for name, (p, expected) in cases.items():
-        assert _unreachable(p) == unreachable_by_scan(p) == expected, name
+        assert unreachable_states(p.rows, p.n) == unreachable_by_scan(p) == expected, name
     for p in _arc_order_patterns():
-        assert _unreachable(p) == unreachable_by_scan(p), p
+        assert unreachable_states(p.rows, p.n) == unreachable_by_scan(p), p
 
 
 def _residual_networks():
@@ -610,8 +640,8 @@ def test_adjacency_built_once_and_shared_by_copies(monkeypatch):
         builds.append(size)
         return adjacency(size, head)
 
-    adjacency = swenctrl.core._adjacency
-    monkeypatch.setattr(swenctrl.core, "_adjacency", counted)
+    adjacency = swenctrl.flow._adjacency
+    monkeypatch.setattr(swenctrl.flow, "_adjacency", counted)
     res = residual_graph(build_small_network(FIG2A, 1, 3))
     early = res.copy()
     assert not builds

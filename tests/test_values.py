@@ -9,9 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from swenctrl.core import Residual
 from swenctrl.decide import CrosscheckCell, CrosscheckReport
-from swenctrl.flow import FlowAssignment, FlowNetwork, build_small_network
+from swenctrl.flow import FlowAssignment, FlowNetwork, Residual, build_small_network
 from swenctrl.graph import NeighborSets
 from swenctrl.oracle import AgreementCell, AgreementReport, RankReport
 from swenctrl.pattern import EnsembleInstance, SparsityPattern
