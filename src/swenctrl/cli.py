@@ -19,7 +19,7 @@ from time import perf_counter
 # check and kstar need only the decision core; every other subcommand
 # imports its modules (flow, graph, decide, oracle) inside its handler.
 from . import __version__
-from .core import Transport, check_structural, compute_kstar
+from .core import Transport, check_kq, check_structural, compute_kstar
 from .errors import ParseError, ScaleError
 from .pattern import (
     CRITERIA,
@@ -212,7 +212,8 @@ def fit_loglog_slope(ns, times) -> float:
 def run_bench(nmin: int, nmax: int, density: float, seed: int,
               repeats: int = 3, k: int = 1, q: int = 3) -> dict:
     """Time rows n = nmin, 2 nmin, ... up to nmax; raises ScaleError before
-    any row when the largest exceeds MAX_GENERATED_N."""
+    any row when the largest exceeds MAX_GENERATED_N, and checks (k, q) by
+    check_kq on each row's pattern before timing it."""
     sizes = []
     n = nmin
     while n <= nmax:
@@ -223,6 +224,7 @@ def run_bench(nmin: int, nmax: int, density: float, seed: int,
     rows = []
     for n in sizes:
         pattern = bench_pattern(n, density, seed + n)
+        check_kq(pattern.n, pattern.m, k, q)
 
         def build():  # the transport lists check_structural sets up before it solves
             return Transport(pattern.rows, pattern.n, pattern.m, k, q)

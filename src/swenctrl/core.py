@@ -75,31 +75,27 @@ def in_neighbours(rows, n: int, subset) -> tuple[frozenset[int], frozenset[int]]
 def unreachable_states(rows, n: int) -> frozenset[int]:
     """States among 1..n that no directed path from an input reaches, read
     off the rows of an n-state pattern (row i the sorted columns of state
-    i's stars).  When every row ends in an input column the answer is empty
-    at once; otherwise a breadth-first search from the input-fed states
-    walks, for each state j reached, the states whose rows hold column j,
-    and stops once every state is reached."""
-    if all(row and row[-1] > n for row in rows):
-        return frozenset()
-    feeds: list[list[int]] = [[] for _ in range(n + 1)]  # feeds[j]: the states j points to
-    order = []  # the states reached, in the order the search reaches them
-    for i, row in enumerate(rows, 1):
-        for j in row:
-            if j > n:
+    i's stars).  A state whose row holds an input column is reached at once,
+    so only the other states, the blind ones, can be unreachable, and only
+    their rows are read: a blind state is reached when its row holds a state
+    column outside the blind set; otherwise it goes into the bucket of every
+    column of its row.  A breadth-first search then spreads the marks from
+    each reached state to the states in its bucket."""
+    feeds = {i: [] for i, row in enumerate(rows, 1) if not row or row[-1] <= n}
+    order = []  # the blind states reached, in the order the search reaches them
+    for i in feeds:
+        for j in rows[i - 1]:
+            if j not in feeds:  # an input column is in state j's row
                 order.append(i)
                 break
             feeds[j].append(i)
-    seen = [False] * (n + 1)
-    for i in order:
-        seen[i] = True
+    seen = set(order)
     for j in order:  # order grows as the search reaches states
-        if len(order) == n:
-            return frozenset()
         for i in feeds[j]:
-            if not seen[i]:
-                seen[i] = True
+            if i not in seen:
+                seen.add(i)
                 order.append(i)
-    return frozenset(i for i in range(1, n + 1) if not seen[i])
+    return frozenset(feeds.keys() - seen)
 
 
 class Transport:

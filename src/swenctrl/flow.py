@@ -14,18 +14,17 @@ Two constructions share the layout source -> left -> right -> sink:
   copies, and all capacities collapse to 1.
 
 Both rest on one integer-indexed core: compact_arcs reads the compact
-network's flat int arcs straight off the pattern's rows, compact_capacity
-gives their capacities for (k, q), and residual_arrays fills a Residual's
-head and cap lists (its adjacency lists are built on first read).
-build_small_network only adds the node names to those arcs and
-capacities; build_lifted_network expands every compact middle arc, in
-order, into its layer copies.
+network's flat int arcs straight off the pattern's rows, and
+build_small_network gives them their capacities for (k, q) and their node
+names; build_lifted_network expands every compact middle arc, in order,
+into its layer copies.  residual turns either network, with a flow, into
+the three plain lists head, adj and cap of its residual graph.
 
 Every maximum flow here comes from augment (Dinic, with levels by residual
-distance to the sink): max_flow starts it from zero flow, and min_cut reads
-the cut of a given flow off one augment call, whose last search labels the
-sink side of the source-maximal min cut, checked against the flow value by
-residual_min_cut.
+distance to the sink) on those lists: max_flow starts it from zero flow,
+and min_cut reads the cut of a given flow off one augment call, whose last
+search labels the sink side of the source-maximal min cut, and checks the
+capacity of the arcs entering that side against the flow value.
 
 The node-collapsing map phi sends expanded nodes onto compact ones; flows
 transfer along phi in both directions with their value preserved.  This
@@ -84,89 +83,38 @@ def compact_arcs(n: int, m: int, rows) -> tuple[list[int], list[int]]:
     return tail, head
 
 
-def compact_capacity(n: int, m: int, tail: list[int], k: int, q: int,
-                     witness_mode: bool = False) -> list[int]:
-    """Capacities k+1 / q(k+1) / q of the compact arcs whose tails compact_arcs
-    gave, in the same order.
-
-    In witness mode every left-to-right capacity is replaced by the total
-    source capacity + 1, which leaves the max-flow value unchanged (each left
-    node is already throttled by its single source arc) but forces every min
-    cut onto the source and sink arcs, where a violating subset can be read
-    off directly.  (k, q) pass check_kq first.
-    """
-    check_kq(n, m, k, q)
-    kp1 = k + 1
-    big = q * kp1
-    control = bisect_left(tail, m + 1) - m - n
-    state = len(tail) - 2 * n - m - control
-    if witness_mode:
-        middle = [m * kp1 + n * big + 1] * (control + state)
-    else:
-        middle = [kp1] * control + [big] * state
-    return [kp1] * m + [big] * n + middle + [q] * n
-
-
-class Residual(FrozenValue):
-    """Residual graph of a network on nodes 0..size-1: edge 2a is arc a,
-    edge 2a+1 its reverse.
+def residual(net: FlowNetwork, values=()) -> tuple[list[int], list[list[int]], list]:
+    """Residual graph (head, adj, cap) of net carrying the flow values (zero
+    flow if empty): edge 2a is arc a, edge 2a+1 its reverse.
 
     head[e] is the node edge e enters, so head[e ^ 1] is the node it leaves.
-    cap[e] is the residual capacity of edge e, so cap[2a+1] is the flow on
-    arc a and cap[2a] + cap[2a+1] its capacity.  adj[u] lists the edges
-    leaving node u in construction order; it is built from head on first
-    read, at most once, and shared by copies, which also share head.  Node 0
-    is the source and node size-1 the sink.
+    adj[u] lists the edges leaving node u in construction order.  cap[e] is
+    the residual capacity of edge e, so cap[2a+1] is the flow on arc a and
+    cap[2a] + cap[2a+1] its capacity.  Node 0 is the source and the last
+    node the sink.
     """
-
-    _fields = ("size", "head", "cap")
-    __slots__ = (*_fields, "_adj")  # _adj: [adj] once read, shared by copies
-
-    def __init__(self, size: int, head: list[int], cap: list, _adj: list | None = None):
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "head", head)
-        object.__setattr__(self, "cap", cap)
-        object.__setattr__(self, "_adj", [] if _adj is None else _adj)
-
-    @property
-    def adj(self) -> list[list[int]]:
-        if not self._adj:
-            self._adj.append(_adjacency(self.size, self.head))
-        return self._adj[0]
-
-    def copy(self) -> Residual:
-        return Residual(self.size, self.head, self.cap.copy(), self._adj)
-
-
-def _adjacency(size: int, head: list[int]) -> list[list[int]]:
-    """The edges leaving each of the nodes 0..size-1, in construction order."""
-    adj: list[list[int]] = [[] for _ in range(size)]
+    edges = 2 * len(net.arcs)
+    head = [0] * edges
+    head[0::2] = [v for _, v in net.arcs]
+    head[1::2] = [u for u, _ in net.arcs]
+    cap = [0] * edges
+    cap[0::2] = net.capacity
+    for a, x in enumerate(values):
+        cap[2 * a] -= x
+        cap[2 * a + 1] = x
+    adj: list[list[int]] = [[] for _ in net.nodes]
     e = 0
-    ends = iter(head)
-    for v, u in zip(ends, ends):  # arc e // 2 runs u -> v
+    for u, v in net.arcs:
         adj[u].append(e)
         adj[v].append(e + 1)
         e += 2
-    return adj
+    return head, adj, cap
 
 
-def residual_arrays(size: int, tail, head, capacity) -> Residual:
-    """Residual graph at zero flow of the network on nodes 0..size-1 with
-    arcs tail[a] -> head[a] of the given capacities.  Only head and cap are
-    filled here; adj waits for its first read."""
-    edges = 2 * len(tail)
-    res_head = [0] * edges
-    res_head[0::2] = head
-    res_head[1::2] = tail
-    cap = [0] * edges
-    cap[0::2] = capacity
-    return Residual(size, res_head, cap)
-
-
-def augment(res: Residual) -> tuple[int, list[int]]:
-    """Raise the flow held in res to a maximum one by deterministic
-    phase-based blocking flow (Dinic); returns the value added and the labels
-    of the last search.
+def augment(head: list[int], adj: list[list[int]], cap: list) -> tuple[int, list[int]]:
+    """Raise the flow held in the residual graph (head, adj, cap) to a
+    maximum one, in place, by deterministic phase-based blocking flow
+    (Dinic); returns the value added and the labels of the last search.
 
     Each phase labels the nodes by their residual distance to the sink: a
     search from the sink over the reverse residual edges, stopped as soon as
@@ -181,8 +129,7 @@ def augment(res: Residual) -> tuple[int, list[int]]:
     sink, and 0 when v cannot reach it.  Those nodes are the sink side of
     the source-maximal minimum cut, the same for every maximum flow.
     """
-    head, adj, residual = res.head, res.adj, res.cap
-    size = res.size
+    size = len(adj)
     s, t = 0, size - 1
     added = 0
 
@@ -195,7 +142,7 @@ def augment(res: Residual) -> tuple[int, list[int]]:
             d = label[v] + 1
             for e in adj[v]:
                 u = head[e]  # e leaves v; its reverse e ^ 1 enters v from u
-                if not label[u] and residual[e ^ 1] > 0:
+                if not label[u] and cap[e ^ 1] > 0:
                     label[u] = d
                     if u == s:
                         return label
@@ -208,10 +155,10 @@ def augment(res: Residual) -> tuple[int, list[int]]:
         u = s
         while True:
             if u == t:
-                aug = min(residual[e] for e in path)
+                aug = min(cap[e] for e in path)
                 for e in path:
-                    residual[e] -= aug
-                    residual[e ^ 1] += aug
+                    cap[e] -= aug
+                    cap[e ^ 1] += aug
                 added += aug
                 path = []
                 u = s
@@ -221,7 +168,7 @@ def augment(res: Residual) -> tuple[int, list[int]]:
             d = label[u] - 1  # >= 1, as only the sink has label 1
             while pointer[u] < len(edges):
                 e = edges[pointer[u]]
-                if residual[e] > 0 and label[head[e]] == d:
+                if cap[e] > 0 and label[head[e]] == d:
                     path.append(e)
                     u = head[e]
                     advanced = True
@@ -234,30 +181,6 @@ def augment(res: Residual) -> tuple[int, list[int]]:
             u = head[path.pop() ^ 1]
             pointer[u] += 1
     return added, label
-
-
-def residual_min_cut(res: Residual, label: list[int], value) -> list[int]:
-    """Check that the nodes labelled by augment's last search on res, the
-    sink side of the source-maximal minimum cut, cut off value, and return
-    the labels.
-
-    Only the edges of the sink-side nodes are read: the cut capacity sums
-    the arcs entering the sink side from unlabelled nodes.  Raises
-    ConsistencyError when it does not equal value, i.e. when value is not
-    the value of the flow in res.
-    """
-    head, adj, cap = res.head, res.adj, res.cap
-    cut_capacity = 0
-    for v, reached in enumerate(label):
-        if reached:
-            for e in adj[v]:
-                if e & 1 and not label[head[e]]:  # e is the reverse of an arc into v
-                    cut_capacity += cap[e] + cap[e ^ 1]
-    if cut_capacity != value:
-        raise ConsistencyError(
-            f"cut capacity {cut_capacity} != flow value {value}; flow is not maximal"
-        )
-    return label
 
 
 class FlowNetwork(FrozenValue):
@@ -282,10 +205,26 @@ class FlowAssignment(FrozenValue):
 def build_small_network(pattern: SparsityPattern, k: int, q: int,
                         witness_mode: bool = False) -> FlowNetwork:
     """Compact network with 2n+m+2 nodes and 2n+m+|E| arcs, named for export:
-    the arcs of compact_arcs with the capacities of compact_capacity."""
+    the arcs of compact_arcs with the capacities k+1 / q(k+1) / q.
+
+    In witness mode every left-to-right capacity is replaced by the total
+    source capacity + 1, which leaves the max-flow value unchanged (each left
+    node is already throttled by its single source arc) but forces every min
+    cut onto the source and sink arcs, where a violating subset can be read
+    off directly.  (k, q) pass check_kq first.
+    """
     n, m = pattern.n, pattern.m
+    check_kq(n, m, k, q)
     tail, head = compact_arcs(n, m, pattern.rows)
-    capacity = compact_capacity(n, m, tail, k, q, witness_mode)
+    kp1 = k + 1
+    big = q * kp1
+    control = bisect_left(tail, m + 1) - m - n
+    state = len(tail) - 2 * n - m - control
+    if witness_mode:
+        middle = [m * kp1 + n * big + 1] * (control + state)
+    else:
+        middle = [kp1] * control + [big] * state
+    capacity = [kp1] * m + [big] * n + middle + [q] * n
     nodes = (
         SOURCE,
         *(("lam", i) for i in range(1, m + 1)),
@@ -343,23 +282,12 @@ def build_lifted_network(pattern: SparsityPattern, k: int, q: int) -> FlowNetwor
     return FlowNetwork("lifted", n, m, k, q, False, nodes, tuple(arcs), (1,) * len(arcs))
 
 
-def residual_graph(net: FlowNetwork, values=()) -> Residual:
-    """Residual graph of net carrying the flow values (zero flow if empty)."""
-    res = residual_arrays(len(net.nodes), [u for u, _ in net.arcs], [v for _, v in net.arcs],
-                          net.capacity)
-    cap = res.cap
-    for a, x in enumerate(values):
-        cap[2 * a] -= x
-        cap[2 * a + 1] = x
-    return res
-
-
 def max_flow(net: FlowNetwork) -> FlowAssignment:
     """Exact integral maximum flow from zero flow by augment alone;
     identical networks yield identical assignments."""
-    res = residual_graph(net)
-    augment(res)
-    values = tuple(res.cap[1::2])
+    head, adj, cap = residual(net)
+    augment(head, adj, cap)
+    values = tuple(cap[1::2])
     return FlowAssignment(values, _source_total(net, values))
 
 
@@ -390,15 +318,19 @@ def min_cut(net: FlowNetwork, f: FlowAssignment) -> frozenset[Node]:
 
     The sink side is read off augment's one, failing, search on the residual
     of f.  Raises ConsistencyError when f is not maximal: augment then adds
-    a nonzero value, or the cut capacity differs from f.value_total.
+    a nonzero value, or the capacity of the arcs entering the sink side
+    differs from f.value_total.
     """
     _check_values(net, f)
-    res = residual_graph(net, f.values)
-    added, label = augment(res)
+    added, label = augment(*residual(net, f.values))
     if added:
         raise ConsistencyError(f"augmenting adds {added} to the flow; flow is not maximal")
-    sink_side = residual_min_cut(res, label, f.value_total)
-    return frozenset(name for name, t in zip(net.nodes, sink_side) if not t)
+    cut_capacity = sum(c for (u, v), c in zip(net.arcs, net.capacity) if label[v] and not label[u])
+    if cut_capacity != f.value_total:
+        raise ConsistencyError(
+            f"cut capacity {cut_capacity} != flow value {f.value_total}; flow is not maximal"
+        )
+    return frozenset(name for name, t in zip(net.nodes, label) if not t)
 
 
 def phi_node(node: Node) -> Node:

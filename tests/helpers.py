@@ -2,11 +2,12 @@
 families and the benchmark's own families, a random feasible-flow builder,
 the compact-network view of a transport solver's flow, the cold binary
 search for k* that compute_kstar must reproduce, the per-arc residual
-construction that residual_arrays must reproduce, Dinic with levels by
+construction that flow.residual must reproduce, Dinic with levels by
 distance from the source and the sink-side search that augment and the
-transport solver must reproduce, and the literal references for the
-numerical referee (Bareiss rank over every power column, sampling by a scan
-of every pattern cell)."""
+transport solver must reproduce (both on the (head, adj, cap) lists of
+flow.residual), and the literal references for the numerical referee
+(Bareiss rank over every power column, sampling by a scan of every pattern
+cell)."""
 
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ from swenctrl.decide import witness_from_cut
 from swenctrl.flow import (
     FlowAssignment,
     FlowNetwork,
-    Residual,
     build_small_network,
     max_flow,
     min_cut,
@@ -165,12 +165,12 @@ def reference_residual(size: int, tail, head, capacity) -> tuple[list, list, lis
     return res_head, adj, cap
 
 
-def reference_augment(res: Residual) -> int:
+def reference_augment(head: list, adj: list, residual: list) -> int:
     """Dinic with levels by distance from the source: a full search from the
     source per phase, then a depth-first search along the edges that raise
     the level by one, in construction order with fixed pointer advancement.
-    Raises the flow in res to a maximum one; returns the value added."""
-    head, adj, residual = res.head, res.adj, res.cap
+    Raises the flow in the residual graph (head, adj, residual) to a maximum
+    one, in place; returns the value added."""
     size = len(adj)
     s, t = 0, size - 1
     added = 0
@@ -220,10 +220,9 @@ def reference_augment(res: Residual) -> int:
     return added
 
 
-def reference_sink_side(res: Residual) -> list[bool]:
-    """The nodes that reach the sink in res, by a full search from the sink
-    over the reverse residual edges."""
-    head, adj, cap = res.head, res.adj, res.cap
+def reference_sink_side(head: list, adj: list, cap: list) -> list[bool]:
+    """The nodes that reach the sink in the residual graph (head, adj, cap),
+    by a full search from the sink over the reverse residual edges."""
     reach = [False] * len(adj)
     reach[-1] = True
     dq = deque([len(adj) - 1])

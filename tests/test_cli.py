@@ -603,6 +603,24 @@ def test_bench_size_guard_before_any_row(capsys, monkeypatch):
     assert sizes == [50, 100, 200, 400, 800, 1600, 3200]
 
 
+@pytest.mark.parametrize("kq, exit_code", [(("--k", "-2"), 1), (("--q", str(1 << 62)), 3)],
+                         ids=["negative-k", "q-past-guard"])
+def test_bench_checks_kq_before_any_transport(capsys, monkeypatch, kq, exit_code):
+    """An invalid k exits 1 and a q past the 64-bit guard exits 3, both
+    before a transport problem is built or timed."""
+    built = []
+
+    def no_transport(*args):
+        built.append(args)
+        raise AssertionError("bench built a Transport at an unchecked (k, q)")
+
+    monkeypatch.setattr(swenctrl.cli, "Transport", no_transport)
+    code, out, err = run_cli(capsys, "bench", "--nmin", "20", "--nmax", "20", "--density",
+                             "0.05", "--seed", "0", "--repeats", "1", *kq)
+    assert (code, out, built) == (exit_code, "", [])
+    assert err
+
+
 @pytest.mark.parametrize("repeats", ["0", "-1"])
 def test_bench_repeats_below_one_is_usage_error(capsys, repeats):
     code, out, err = run_cli(capsys, "bench", "--nmin", "4", "--nmax", "8",

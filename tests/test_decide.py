@@ -663,13 +663,12 @@ def test_check_and_kstar_never_build_the_named_network(monkeypatch):
         assert compute_kstar(p).value == kstar_brute(p).value
 
 
-NETWORK_CORE = ("compact_arcs", "compact_capacity", "residual_arrays", "augment",
-                "residual_min_cut", "_adjacency", "Residual")
+NETWORK_CORE = ("compact_arcs", "residual", "augment")
 
 
 def test_check_and_kstar_build_no_flow_network(monkeypatch):
     """check_structural and compute_kstar solve on the rows: with the
-    builders of arcs, residual graphs and adjacency lists patched to raise,
+    network core of flow (compact_arcs, residual, augment) patched to raise,
     every answer is unchanged, and the decision core holds none of them."""
     patterns = [FIG1, FIG2A, TWO_CYCLE, INTEGRATOR, hub_pattern(64), backbone_pattern(60),
                 tight_pattern(64, 0), tight_pattern(64, 1, failing=True)]

@@ -18,7 +18,6 @@ from helpers import (
     transport_values,
 )
 
-import swenctrl.flow
 from swenctrl.core import Transport, unreachable_states
 from swenctrl.errors import ConsistencyError, ScaleError
 from swenctrl.flow import (
@@ -30,7 +29,6 @@ from swenctrl.flow import (
     build_lifted_network,
     build_small_network,
     compact_arcs,
-    compact_capacity,
     lift_flow,
     max_flow,
     min_cut,
@@ -40,8 +38,7 @@ from swenctrl.flow import (
     phi_arc,
     phi_node,
     project_flow,
-    residual_arrays,
-    residual_graph,
+    residual,
     verify_flow,
 )
 from swenctrl.pattern import SparsityPattern, random_pattern
@@ -217,22 +214,30 @@ def test_min_cut_rejects_non_maximal_flow():
 
 
 def test_min_cut_duality_over_random_networks():
+    """On compact networks and on the lifted networks of small patterns."""
+    lifted = 0
     for seed in range(40):
         rng = random.Random(seed)
         p = random_pattern(rng.randint(1, 5), rng.randint(0, 3), rng.random(), seed)
         k, q = rng.randint(0, 3), rng.randint(1, 4)
-        net = build_small_network(p, k, q, witness_mode=bool(seed % 2))
-        f = max_flow(net)
-        cut = min_cut(net, f)  # raises on duality violation
-        assert f.value_total <= p.n * q
-        assert verify_flow(net, f)
+        nets = [build_small_network(p, k, q, witness_mode=bool(seed % 2))]
+        if p.n <= 4:
+            nets.append(build_lifted_network(p, k % 2, q % 3 + 1))
+            lifted += 1
+        for net in nets:
+            f = max_flow(net)
+            cut = min_cut(net, f)  # raises on duality violation
+            assert SOURCE in cut and SINK not in cut
+            assert f.value_total <= p.n * net.q
+            assert verify_flow(net, f)
+    assert lifted > 20
 
 
 def test_min_cut_rejects_direct_pass_and_wrong_value():
     """A nonzero flow short of the maximum (the transport solver's greedy
     fill) is refused, and so is a maximum flow reported with the wrong
-    value."""
-    refused = 0
+    value, on compact and on lifted networks."""
+    refused = lifted = 0
     for seed in range(200):
         rng = random.Random(seed)
         p = random_pattern(rng.randint(1, 8), rng.randint(0, 3), rng.random(), seed)
@@ -245,10 +250,16 @@ def test_min_cut_rejects_direct_pass_and_wrong_value():
             with pytest.raises(ConsistencyError, match="not maximal"):
                 min_cut(net, f)
             refused += 1
-        best = max_flow(net)
-        with pytest.raises(ConsistencyError, match="not maximal"):
-            min_cut(net, FlowAssignment(best.values, best.value_total + 1))
-    assert refused > 10
+        nets = [net]
+        if seed % 4 == 0 and p.n <= 5:
+            nets.append(build_lifted_network(p, k % 2, q))
+            lifted += 1
+        for net in nets:
+            best = max_flow(net)
+            with pytest.raises(ConsistencyError,
+                               match=r"^cut capacity \d+ != flow value \d+; flow is not maximal$"):
+                min_cut(net, FlowAssignment(best.values, best.value_total + 1))
+    assert refused > 10 and lifted > 20
 
 
 def _seeded_residuals():
@@ -263,19 +274,19 @@ def _seeded_residuals():
         k, dk, q = rng.randint(0, 2), rng.randint(1, 3), rng.choice((1, 2, 3, 7))
         for witness in (False, True):
             net = build_small_network(p, k, q, witness_mode=witness)
-            yield residual_graph(net)
+            yield residual(net)
             greedy = Transport(p.rows, n, m, k, q)
             greedy.solve(0)
-            yield residual_graph(net, transport_values(net, greedy).values)
+            yield residual(net, transport_values(net, greedy).values)
         flow = Transport(p.rows, n, m, k, q)
         flow.solve(n * q)
         flow.shift(dk)
         top = build_small_network(p, k + dk, q, witness_mode=True)
-        yield residual_graph(top, transport_values(top, flow).values)
+        yield residual(top, transport_values(top, flow).values)
         flow.solve(0)
-        yield residual_graph(top, transport_values(top, flow).values)
+        yield residual(top, transport_values(top, flow).values)
         if seed % 3 == 0 and (k + 1) * q * (len(p.stars) + n) <= 400:
-            yield residual_graph(build_lifted_network(p, k, q))
+            yield residual(build_lifted_network(p, k, q))
 
 
 def test_augment_matches_source_level_dinic():
@@ -283,12 +294,12 @@ def test_augment_matches_source_level_dinic():
     distance from the source, and the last search's labels are the nodes
     that reach the sink."""
     count = positive = 0
-    for res in _seeded_residuals():
-        ref = res.copy()
-        added, label = augment(res)
-        assert added == reference_augment(ref)
-        assert res.cap == ref.cap
-        assert [bool(x) for x in label] == reference_sink_side(res)
+    for head, adj, cap in _seeded_residuals():
+        ref = cap.copy()
+        added, label = augment(head, adj, cap)
+        assert added == reference_augment(head, adj, ref)
+        assert cap == ref
+        assert [bool(x) for x in label] == reference_sink_side(head, adj, cap)
         assert not label[0] and label[-1] == 1
         count += 1
         positive += added > 0
@@ -296,12 +307,12 @@ def test_augment_matches_source_level_dinic():
 
 
 def test_augment_on_maximal_flow_adds_nothing():
-    for res in _seeded_residuals():
-        augment(res)
-        cap = res.cap.copy()
-        added, label = augment(res)
-        assert added == 0 and res.cap == cap
-        assert [bool(x) for x in label] == reference_sink_side(res)
+    for head, adj, cap in _seeded_residuals():
+        augment(head, adj, cap)
+        before = cap.copy()
+        added, label = augment(head, adj, cap)
+        assert added == 0 and cap == before
+        assert [bool(x) for x in label] == reference_sink_side(head, adj, cap)
 
 
 def test_greedy_fill_feasible_fresh_and_after_shift():
@@ -336,9 +347,9 @@ def test_greedy_fill_feasible_fresh_and_after_shift():
 def reference_transport(p, k, q):
     """theta and the states of the source-maximal min cut's sink side, by
     reference_augment from zero flow on the compact witness network."""
-    res = residual_graph(build_small_network(p, k, q, witness_mode=True))
-    theta = reference_augment(res)
-    sink_side = reference_sink_side(res)
+    res = residual(build_small_network(p, k, q, witness_mode=True))
+    theta = reference_augment(*res)
+    sink_side = reference_sink_side(*res)
     return theta, frozenset(i for i in range(1, p.n + 1) if sink_side[p.m + p.n + i])
 
 
@@ -548,6 +559,20 @@ def _arc_order_patterns():
         yield random_pattern(rng.randint(1, 12), rng.randint(0, 3), rng.random(), seed)
 
 
+def compact_capacity_rule(n, m, k, q, witness_mode, u, v):
+    """The capacity of the compact arc u -> v (node ids as in compact_arcs):
+    k+1 out of the source into lam and out of lam, q(k+1) out of the source
+    into nu and out of nu, q into the sink; in witness mode every middle arc
+    instead gets the total source capacity + 1."""
+    kp1, sink = k + 1, m + 2 * n + 1
+    if v == sink:
+        return q
+    if u and witness_mode:
+        return m * kp1 + n * q * kp1 + 1
+    left = v if u == 0 else u
+    return kp1 if left <= m else q * kp1
+
+
 def test_one_arc_order_named_and_int_core():
     for p in _arc_order_patterns():
         tail, head = compact_arcs(p.n, p.m, p.rows)
@@ -555,10 +580,11 @@ def test_one_arc_order_named_and_int_core():
         for k in range(3):
             for q in (1, 2, 5):
                 for witness_mode in (False, True):
-                    named = residual_graph(build_small_network(p, k, q, witness_mode))
-                    cap = compact_capacity(p.n, p.m, tail, k, q, witness_mode)
-                    core = residual_arrays(p.m + 2 * p.n + 2, tail, head, cap)
-                    assert (named.head, named.adj, named.cap) == (core.head, core.adj, core.cap)
+                    net = build_small_network(p, k, q, witness_mode)
+                    assert net.arcs == tuple(zip(tail, head))
+                    assert net.capacity == tuple(
+                        compact_capacity_rule(p.n, p.m, k, q, witness_mode, u, v)
+                        for u, v in net.arcs), p
 
 
 def unreachable_by_scan(p):
@@ -585,9 +611,9 @@ def chain(n, fed=1):
 
 
 def test_unreachable_states_shapes():
-    """The rows' reachability search: inputs feeding every state (answered
-    before any search), a long chain the search walks to its end, and
-    unreachable blocks."""
+    """The rows' reachability search: inputs feeding every state (no row
+    left to read), a long chain the search walks to its end, and
+    unreachable blocks, the benchmark's among them."""
     n = 300
     broadcast = SparsityPattern(n, 2, frozenset({(i, n + 1 + i % 2) for i in range(1, n + 1)}
                                                 | {(i, n - i + 1) for i in range(1, n + 1)}))
@@ -604,6 +630,12 @@ def test_unreachable_states_shapes():
     }
     for name, (p, expected) in cases.items():
         assert unreachable_states(p.rows, p.n) == unreachable_by_scan(p) == expected, name
+    for n, seed in ((40, 1), (96, 2), (480, 3)):
+        for family in ("sparse-fail", "sparse-fail-unreachable"):
+            p = benchmark_pattern(family, n, seed)
+            unreachable = unreachable_states(p.rows, p.n)
+            assert unreachable == unreachable_by_scan(p), (family, n, seed)
+            assert bool(unreachable) == family.endswith("unreachable"), (family, n, seed)
     for p in _arc_order_patterns():
         assert unreachable_states(p.rows, p.n) == unreachable_by_scan(p), p
 
@@ -621,32 +653,15 @@ def _residual_networks():
 
 
 def test_residual_arrays_match_per_arc_construction():
-    """The slice-filled head and cap, and the adj built on first read, are
-    those of the per-arc construction, on compact and lifted networks."""
+    """The slice-filled head and cap, and the adj built in one pass over the
+    arcs, are those of the per-arc construction, on compact and lifted
+    networks."""
     lifted = 0
     for net in _residual_networks():
         tail, head = [u for u, _ in net.arcs], [v for _, v in net.arcs]
-        expected = reference_residual(len(net.nodes), tail, head, net.capacity)
-        for res in (residual_arrays(len(net.nodes), tail, head, net.capacity), residual_graph(net)):
-            assert (res.head, res.adj, res.cap) == expected
+        assert residual(net) == reference_residual(len(net.nodes), tail, head, net.capacity)
         lifted += net.kind == "lifted"
     assert lifted > 40
-
-
-def test_adjacency_built_once_and_shared_by_copies(monkeypatch):
-    builds = []
-
-    def counted(size, head):
-        builds.append(size)
-        return adjacency(size, head)
-
-    adjacency = swenctrl.flow._adjacency
-    monkeypatch.setattr(swenctrl.flow, "_adjacency", counted)
-    res = residual_graph(build_small_network(FIG2A, 1, 3))
-    early = res.copy()
-    assert not builds
-    assert res.adj is early.adj is res.copy().adj
-    assert builds == [len(res.adj)]
 
 
 def tuple_sorted_lifted_arcs(p, k, q):

@@ -1,13 +1,16 @@
 """The benchmark imports public names from swenctrl and calls them in fixed
 shapes; a rename, a deletion or a changed signature there would make
-benchmark operations fail, so check them here."""
+benchmark operations fail, so check them here, together with the package's
+lazy exports and the import rules of its modules."""
 
 import ast
 import importlib
 from pathlib import Path
 
+import pytest
 from helpers import FIG1
 
+import swenctrl
 from swenctrl.decide import check_structural, compute_kstar, witness_from_cut
 from swenctrl.flow import build_lifted_network, build_small_network, max_flow, min_cut
 from swenctrl.graph import (
@@ -104,3 +107,24 @@ def test_only_the_pattern_reads_stars():
         readers = [node.lineno for node in ast.walk(tree)
                    if isinstance(node, ast.Attribute) and node.attr == "stars"]
         assert not readers, f"{path.name} reads .stars on line(s) {readers}"
+
+
+def test_lazy_exports_resolve(monkeypatch):
+    """Every name in swenctrl.__all__ resolves, on first use, to the object of
+    the module it is exported from; dir() and a star import list them all,
+    and an unknown name raises AttributeError."""
+    names = [name for name in swenctrl.__all__ if name != "__version__"]
+    exported = {name: module for module, group in swenctrl._EXPORTS.items() for name in group}
+    assert sorted(exported) == names
+    for name in names:  # forget what earlier imports cached, so __getattr__ runs
+        monkeypatch.delitem(vars(swenctrl), name, raising=False)
+    assert set(swenctrl.__all__) <= set(dir(swenctrl))
+    for name, module in exported.items():
+        source = importlib.import_module(f"swenctrl.{module}")
+        assert getattr(swenctrl, name) is getattr(source, name), name
+    namespace = {}
+    exec("from swenctrl import *", namespace)
+    assert set(swenctrl.__all__) <= set(namespace)
+    assert all(namespace[name] is getattr(swenctrl, name) for name in swenctrl.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        swenctrl.no_such_name

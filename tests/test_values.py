@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from swenctrl.decide import CrosscheckCell, CrosscheckReport
-from swenctrl.flow import FlowAssignment, FlowNetwork, Residual, build_small_network
+from swenctrl.flow import FlowAssignment, FlowNetwork, build_small_network
 from swenctrl.graph import NeighborSets
 from swenctrl.oracle import AgreementCell, AgreementReport, RankReport
 from swenctrl.pattern import EnsembleInstance, SparsityPattern
@@ -52,8 +52,6 @@ CASES = [
     (KStarResult, (1, ArgmaxSubset(frozenset({1})), ((0, 1, 2), (1, 2, 2))),
      "KStarResult(value=1, witness=ArgmaxSubset(subset=frozenset({1})), "
      "trace=((0, 1, 2), (1, 2, 2)))"),
-    (Residual, (3, [2, 0, 1, 2], [1, 0, 1, 0]),
-     "Residual(size=3, head=[2, 0, 1, 2], cap=[1, 0, 1, 0])"),
     (SparsityPattern, (2, 1, P.stars), P_REPR),
     (EnsembleInstance, (P, 0, 1, BLOCKS),
      f"EnsembleInstance(pattern={P_REPR}, k=0, q=1, "
@@ -78,8 +76,8 @@ CASES = [
      "genericity_misses=())"),
 ]
 IDS = [cls.__name__ for cls, *_ in CASES]
-# Residual (lists) and EnsembleInstance (a dict of blocks) hold unhashable fields.
-UNHASHABLE = {Residual, EnsembleInstance}
+# EnsembleInstance (a dict of blocks) holds an unhashable field.
+UNHASHABLE = {EnsembleInstance}
 
 
 def fresh(cls, values):
@@ -207,11 +205,3 @@ def test_ensemble_instance_checks_its_blocks():
         EnsembleInstance(SparsityPattern(2, 1, {(2, 3)}), 0, 1,
                          {(1, 0): (((0, 0), (0, 0)), ((1,), (2,)))})
 
-
-def test_residual_copies_share_one_adjacency_built_on_first_read():
-    res = Residual(3, [2, 0, 1, 2], [1, 0, 1, 0])
-    twin = res.copy()
-    assert twin == res and twin.head is res.head and twin.cap is not res.cap
-    adj = twin.adj
-    assert adj == [[0], [3], [1, 2]]
-    assert res.adj is adj and res.copy().adj is adj
