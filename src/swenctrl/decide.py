@@ -4,25 +4,33 @@ check_structural and compute_kstar live in core, which imports nothing of
 this module; they are imported here so that their names still resolve
 from swenctrl.decide.  crosscheck runs the flow route against the
 brute-force enumeration and the expanded-network flow over a whole (k, q)
-grid; witness_from_cut reads a violating subset off a named min cut, and
+grid, enumerating the pattern's state subsets once for all its cells;
+witness_from_cut reads a violating subset off a named min cut, and
 recheck_certificate verifies a verdict's certificate from the pattern
 alone.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
 from .core import _violation, check_structural, compute_kstar
 from .errors import ScaleError
 from .flow import build_lifted_network, build_small_network, max_flow
-from .graph import brute_force_check, counting_violation, in_neighbor_sets, kstar_brute
+from .graph import (
+    _brute_verdict,
+    _kstar_brute,
+    _least_violation,
+    _subset_classes,
+    _subset_unions,
+    in_neighbor_sets,
+    reachability_check,
+)
 from .pattern import SparsityPattern
 from .results import FrozenValue, Saturated, Unreachable, Verdict, ViolatingSubset
 
 MAX_CROSSCHECK_STATES = 10
-# Each cell runs a check, two subset enumerations and two max-flows, the
-# expanded one growing with k*q; the grid's size is checked before any runs.
+# The subsets are enumerated once per pattern; each cell runs a check and
+# two max-flows, the expanded one growing with k*q.  The grid's size is
+# checked before any runs.
 MAX_CROSSCHECK_CELLS = 1 << 10
 
 
@@ -57,7 +65,9 @@ class CrosscheckReport(FrozenValue):
 def crosscheck(pattern: SparsityPattern, k_max: int, q_max: int) -> CrosscheckReport:
     """Oracle-agreement harness over the grid [0..k_max] x [1..q_max]:
     flow decision vs. subset enumeration, compact vs. expanded max-flow value,
-    and binary-search vs. enumerated minimal switch count."""
+    and the ascent's vs. the enumerated minimal switch count.  The subsets
+    are enumerated once, after the guards, into the classes that every
+    cell's brute verdict and counting condition read."""
     if pattern.n > MAX_CROSSCHECK_STATES:
         raise ScaleError(f"crosscheck requires n <= {MAX_CROSSCHECK_STATES}")
     if k_max < 0 or q_max < 1:
@@ -65,18 +75,20 @@ def crosscheck(pattern: SparsityPattern, k_max: int, q_max: int) -> CrosscheckRe
     if (k_max + 1) * q_max > MAX_CROSSCHECK_CELLS:
         raise ScaleError(f"(k_max+1)*q_max = {(k_max + 1) * q_max} grid cells exceed the "
                          f"guard {MAX_CROSSCHECK_CELLS}")
+    unreachable = reachability_check(pattern)
+    classes = _subset_classes(_subset_unions(pattern))
     cells = []
     disagreements = []
     for k in range(k_max + 1):
         for q in range(1, q_max + 1):
             flow_verdict = check_structural(pattern, k, q)
-            brute_verdict = brute_force_check(pattern, k, q)
+            brute_verdict = _brute_verdict(classes, unreachable, k, q, pattern.n * q)
             theta = max_flow(build_small_network(pattern, k, q)).value_total
             try:
                 theta_hat = max_flow(build_lifted_network(pattern, k, q)).value_total
             except ScaleError:
                 theta_hat = None
-            counting_ok = counting_violation(pattern, k, q) is None
+            counting_ok = _least_violation(classes, k, q) is None
             agree = flow_verdict.decision == brute_verdict.decision
             if not agree:
                 disagreements.append(
@@ -97,7 +109,7 @@ def crosscheck(pattern: SparsityPattern, k_max: int, q_max: int) -> CrosscheckRe
                                theta, theta_hat, counting_ok, agree)
             )
     ks_search = compute_kstar(pattern)
-    ks_enum = kstar_brute(pattern)
+    ks_enum = _kstar_brute(classes, unreachable)
     kstar_agree = ks_search.value == ks_enum.value
     if not kstar_agree:
         disagreements.append(
@@ -132,12 +144,13 @@ def recheck_certificate(pattern: SparsityPattern, verdict: Verdict) -> bool:
     """Independent certificate verification from the pattern alone: plain BFS
     and integer arithmetic over the star positions, no flow solver.  It reads
     the pattern's rows, a violating subset only its own states' rows, with
-    its own code, apart from the solver's.  A violating subset must carry an
-    int k >= 0 and an int q >= 1, the domain of check_kq, and come with the
-    target n*q.  A Saturated certificate is accepted only on a true verdict
-    whose flow value theta equals both the certificate's value and the
-    target, and whose target is n*q for an int q >= 1; it proves no more
-    than that (a brute-force verdict, which has no theta, fails it)."""
+    the referees' code (graph's reachability search), apart from the
+    solver's.  A violating subset must carry an int k >= 0 and an int q >= 1,
+    the domain of check_kq, and come with the target n*q.  A Saturated
+    certificate is accepted only on a true verdict whose flow value theta
+    equals both the certificate's value and the target, and whose target is
+    n*q for an int q >= 1; it proves no more than that (a brute-force
+    verdict, which has no theta, fails it)."""
     cert = verdict.certificate
     if isinstance(cert, ViolatingSubset):
         k, q = cert.k, cert.q
@@ -156,22 +169,7 @@ def recheck_certificate(pattern: SparsityPattern, verdict: Verdict) -> bool:
     if isinstance(cert, Unreachable):
         if verdict.decision:
             return False
-        out: dict[int, list[int]] = {j: [] for j in range(1, pattern.n + 1)}
-        seen = set()
-        for i, row in enumerate(pattern.rows, 1):
-            for j in row:
-                if j <= pattern.n:
-                    out[j].append(i)
-                else:
-                    seen.add(i)
-        queue = deque(sorted(seen))
-        while queue:
-            u = queue.popleft()
-            for v in out[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        unreachable = frozenset(range(1, pattern.n + 1)) - seen
+        unreachable = reachability_check(pattern)
         return bool(unreachable) and cert.nodes == unreachable
     if isinstance(cert, Saturated):
         target, n = verdict.stats.target, pattern.n

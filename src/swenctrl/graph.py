@@ -1,6 +1,13 @@
 """Brute-force evaluation of the weighted Hall-type counting conditions,
 reachability and DOT export, read straight off a sparsity pattern's rows.
 
+These referees share no code with the solver in core: the reachability
+search, the in-neighbour split and the counting sums are their own, and of
+core they import only the (k, q) guard check_kq.  The 2^n state subsets are
+enumerated once per pattern and folded into classes by the three counts the
+counting condition reads (_subset_classes); the verdict, the least
+violation and k* are read off those classes for any (k, q).
+
 The pattern is the digraph: state node a_i stands for state coordinate i and
 control node b_j for input channel j, and each column j of row i is the
 edge from the node of column j (a_j for j <= n, b_{j-n} above) to a_i, so
@@ -9,8 +16,10 @@ row i lists the in-neighbours of a_i.
 
 from __future__ import annotations
 
+from collections import deque
+
 from .errors import ScaleError
-from .core import check_kq, counting_sides, in_neighbours, unreachable_states
+from .core import check_kq
 from .pattern import SparsityPattern
 from .results import (
     ArgmaxSubset,
@@ -46,14 +55,34 @@ def in_neighbor_sets(pattern: SparsityPattern, subset) -> NeighborSets:
     for i in members:
         if not (1 <= i <= n):
             raise ValueError(f"state index {i} out of range 1..{n}")
-    return NeighborSets(*in_neighbours(pattern.rows, n, members))
+    columns = {j for i in members for j in pattern.rows[i - 1]}
+    return NeighborSets(frozenset(j for j in columns if j <= n),
+                        frozenset(j - n for j in columns if j > n))
 
 
 def reachability_check(pattern: SparsityPattern) -> frozenset[int]:
     """Return the state nodes with no directed path from any control node
-    (empty means every state node is reachable), by the rows' search that
-    check_structural runs."""
-    return unreachable_states(pattern.rows, pattern.n)
+    (empty means every state node is reachable): a breadth-first search from
+    the states whose rows hold an input column, over per-column buckets of
+    the states each state column feeds.  It is the referees' own search,
+    apart from the solver's."""
+    n = pattern.n
+    out: dict[int, list[int]] = {j: [] for j in range(1, n + 1)}
+    seen = set()
+    for i, row in enumerate(pattern.rows, 1):
+        for j in row:
+            if j <= n:
+                out[j].append(i)
+            else:
+                seen.add(i)
+    queue = deque(sorted(seen))
+    while queue:
+        u = queue.popleft()
+        for v in out[u]:
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return frozenset(range(1, n + 1)) - seen
 
 
 def core_condition_holds(pattern: SparsityPattern, k: int, q: int, subset) -> tuple[bool, int, int]:
@@ -61,19 +90,17 @@ def core_condition_holds(pattern: SparsityPattern, k: int, q: int, subset) -> tu
     returns (holds, lhs, rhs)."""
     check_kq(pattern.n, pattern.m, k, q)
     ns = in_neighbor_sets(pattern, subset)
-    lhs, rhs = counting_sides(k, q, len(frozenset(subset)), len(ns.alpha_in),
-                              len(ns.beta_in))
+    lhs = (k + 1) * len(ns.beta_in) + (k + 1) * q * len(ns.alpha_in)
+    rhs = q * len(frozenset(subset))
     return lhs >= rhs, lhs, rhs
 
 
 def _subset_unions(pattern: SparsityPattern):
     """Iterator of (subset_mask, alpha_in_mask, beta_in_mask) for every
-    nonempty subset of state nodes, in ascending mask order: the unions of
-    the low n//2 states and of the others are tabulated apart (at most 2^12
-    entries each) and joined.
+    nonempty subset of state nodes, in ascending mask order.
 
-    Raises ScaleError, before anything is enumerated, when n exceeds the
-    MAX_BRUTE_STATES enumeration guard.
+    Raises ScaleError at once when n exceeds the MAX_BRUTE_STATES
+    enumeration guard; nothing is enumerated before the first step.
     """
     n = pattern.n
     if n > MAX_BRUTE_STATES:
@@ -81,13 +108,19 @@ def _subset_unions(pattern: SparsityPattern):
             f"n = {n} exceeds the 2^{MAX_BRUTE_STATES} enumeration guard; "
             "use the flow-based check"
         )
-    amask = [sum(1 << (j - 1) for j in row if j <= n) for row in pattern.rows]
-    bmask = [sum(1 << (j - n - 1) for j in row if j > n) for row in pattern.rows]
+    return _joined_unions(pattern.rows, n)
+
+
+def _joined_unions(rows, n: int):
+    """The steps of _subset_unions: the unions of the low n//2 states and of
+    the others are tabulated apart (at most 2^12 entries each) and joined."""
+    amask = [sum(1 << (j - 1) for j in row if j <= n) for row in rows]
+    bmask = [sum(1 << (j - n - 1) for j in row if j > n) for row in rows]
     h = n // 2
     low = _union_table(amask[:h], bmask[:h])
-    high = _union_table(amask[h:], bmask[h:])
-    return ((hi << h | lo, a_hi | a, b_hi | b)
-            for hi, a_hi, b_hi in high for lo, a, b in (low[1:] if hi == 0 else low))
+    for hi, a_hi, b_hi in _union_table(amask[h:], bmask[h:]):
+        for lo, a, b in (low[1:] if hi == 0 else low):
+            yield hi << h | lo, a_hi | a, b_hi | b
 
 
 def _union_table(amask: list[int], bmask: list[int]) -> list[tuple[int, int, int]]:
@@ -106,21 +139,67 @@ def _mask_to_set(mask: int) -> frozenset[int]:
     return frozenset(i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1)
 
 
-def _least_violation(unions, k: int, q: int) -> tuple[frozenset[int], int, int] | None:
+def _subset_classes(unions) -> dict[tuple[int, int, int], int]:
+    """Fold the subsets of _subset_unions into classes keyed by the three
+    counts the counting condition reads, (|V'|, |alpha_in|, |beta_in|), each
+    class mapped to its least subset mask (the first one seen, the masks
+    arriving in ascending order).  Every (k, q) reads the same classes, so a
+    pattern's subsets are enumerated once: at n = 10, at most 11 * 11 * (m+1)
+    classes stand for 1023 subsets."""
+    classes: dict[tuple[int, int, int], int] = {}
+    for s, a, b in unions:
+        key = (s.bit_count(), a.bit_count(), b.bit_count())
+        if key not in classes:  # cheaper than a setdefault call on every subset
+            classes[key] = s
+    return classes
+
+
+def _least_violation(classes, k: int, q: int) -> tuple[frozenset[int], int, int] | None:
+    """The violating subset with the least rhs-lhs gap, ties going to the
+    least mask, with both sides, or None: a class's least mask is the least
+    of all its subsets, which share one gap."""
     kp1 = k + 1
     kq = kp1 * q
     best = None
-    for s, a, b in unions:
-        lhs = kp1 * b.bit_count() + kq * a.bit_count()
-        rhs = q * s.bit_count()
-        if lhs < rhs:
-            gap = rhs - lhs
-            if best is None or gap < best[0]:
-                best = (gap, s, lhs, rhs)
+    for (size, alpha, beta), s in classes.items():
+        lhs = kp1 * beta + kq * alpha
+        rhs = q * size
+        if lhs < rhs and (best is None or (rhs - lhs, s) < best[:2]):
+            best = (rhs - lhs, s, lhs, rhs)
     if best is None:
         return None
     _, s, lhs, rhs = best
     return _mask_to_set(s), lhs, rhs
+
+
+def _brute_verdict(classes, unreachable: frozenset[int], k: int, q: int,
+                   target: int) -> Verdict:
+    """The brute-force verdict at (k, q) from a pattern's unreachable states
+    and subset classes."""
+    stats = VerdictStats(None, target)
+    if unreachable:
+        return Verdict(False, Unreachable(unreachable), stats)
+    violation = _least_violation(classes, k, q)
+    if violation is not None:
+        subset, lhs, rhs = violation
+        return Verdict(False, ViolatingSubset(subset, lhs, rhs, k, q), stats)
+    return Verdict(True, Saturated(target), stats)
+
+
+def _kstar_brute(classes, unreachable: frozenset[int]) -> KStarResult:
+    """k* from a pattern's unreachable states and subset classes: infinite
+    when some state is unreachable, else EmptyAlphaIn of the least mask with
+    no state in-neighbour, else the maximum of ceil(|V'| / |alpha_in(V')|) - 1
+    with the least mask that reaches it."""
+    if unreachable:
+        return KStarResult(None, Unreachable(unreachable))
+    starved = [s for (_, alpha, _), s in classes.items() if alpha == 0]
+    if starved:
+        return KStarResult(None, EmptyAlphaIn(_mask_to_set(min(starved))))
+    # ceil(size / alpha) - 1, in integers; the least mask wins ties
+    best_val, best_mask = max(((size + alpha - 1) // alpha - 1, -s)
+                              for (size, alpha, _), s in classes.items())
+    return KStarResult(best_val, ArgmaxSubset(_mask_to_set(-best_mask)))
 
 
 def counting_violation(pattern: SparsityPattern, k: int,
@@ -131,7 +210,7 @@ def counting_violation(pattern: SparsityPattern, k: int,
     (ties: smallest bitmask), or None when every subset satisfies it.
     """
     check_kq(pattern.n, pattern.m, k, q)
-    return _least_violation(_subset_unions(pattern), k, q)
+    return _least_violation(_subset_classes(_subset_unions(pattern)), k, q)
 
 
 def brute_force_check(pattern: SparsityPattern, k: int, q: int) -> Verdict:
@@ -139,15 +218,9 @@ def brute_force_check(pattern: SparsityPattern, k: int, q: int) -> Verdict:
     all 2^n subsets.  Guarded at n <= 24."""
     check_kq(pattern.n, pattern.m, k, q)
     unions = _subset_unions(pattern)
-    stats = VerdictStats(None, pattern.n * q)
     unreachable = reachability_check(pattern)
-    if unreachable:
-        return Verdict(False, Unreachable(unreachable), stats)
-    violation = _least_violation(unions, k, q)
-    if violation is not None:
-        subset, lhs, rhs = violation
-        return Verdict(False, ViolatingSubset(subset, lhs, rhs, k, q), stats)
-    return Verdict(True, Saturated(stats.target), stats)
+    classes = {} if unreachable else _subset_classes(unions)
+    return _brute_verdict(classes, unreachable, k, q, pattern.n * q)
 
 
 def kstar_brute(pattern: SparsityPattern) -> KStarResult:
@@ -156,20 +229,7 @@ def kstar_brute(pattern: SparsityPattern) -> KStarResult:
     reachability fails or some subset has no state in-neighbor."""
     unions = _subset_unions(pattern)
     unreachable = reachability_check(pattern)
-    if unreachable:
-        return KStarResult(None, Unreachable(unreachable))
-    best_val = -1
-    best_mask = 0
-    for s, a, _ in unions:
-        if a == 0:
-            return KStarResult(None, EmptyAlphaIn(_mask_to_set(s)))
-        cs = s.bit_count()
-        ca = a.bit_count()
-        val = (cs + ca - 1) // ca - 1  # ceil(cs / ca) - 1, in integers
-        if val > best_val:
-            best_val = val
-            best_mask = s
-    return KStarResult(best_val, ArgmaxSubset(_mask_to_set(best_mask)))
+    return _kstar_brute({} if unreachable else _subset_classes(unions), unreachable)
 
 
 def to_dot(pattern: SparsityPattern) -> str:

@@ -1,7 +1,8 @@
 """Shared fixtures: worked-example patterns, the tight and long-path
 families and the benchmark's own families, a random feasible-flow builder,
 the compact-network view of a transport solver's flow, the cold binary
-search for k* that compute_kstar must reproduce, the per-arc residual
+search for k* that compute_kstar must reproduce, the literal subset walk
+that the brute-force referees must reproduce, the per-arc residual
 construction that flow.residual must reproduce, Dinic with levels by
 distance from the source and the sink-side search that augment and the
 transport solver must reproduce (both on the (head, adj, cap) lists of
@@ -30,7 +31,16 @@ from swenctrl.flow import (
 from swenctrl.graph import reachability_check
 from swenctrl.oracle import assemble_segment
 from swenctrl.pattern import DEFAULT_VALUE_BOUND, EnsembleInstance, SparsityPattern
-from swenctrl.results import EmptyAlphaIn, KStarResult, Unreachable
+from swenctrl.results import (
+    ArgmaxSubset,
+    EmptyAlphaIn,
+    KStarResult,
+    Saturated,
+    Unreachable,
+    Verdict,
+    VerdictStats,
+    ViolatingSubset,
+)
 
 # 5-state, 2-input example: a chain fed by two inputs.
 FIG1 = SparsityPattern(
@@ -150,6 +160,44 @@ def reference_kstar(pattern: SparsityPattern) -> KStarResult:
         else:
             lo = mid + 1
     return KStarResult(lo, None, tuple(trace))
+
+
+def reference_brute(pattern: SparsityPattern, k: int, q: int) -> tuple:
+    """The answers of brute_force_check(pattern, k, q), counting_violation
+    (pattern, k, q) and kstar_brute(pattern), by the definitions: every mask
+    in ascending order, its in-neighbours a set union of its states' rows,
+    counted with len; a violation keeps the least gap rhs - lhs (the first
+    mask on ties), EmptyAlphaIn the first mask with no state in-neighbour,
+    ArgmaxSubset the first mask reaching the maximum of
+    ceil(|V'| / |alpha_in(V')|) - 1."""
+    n = pattern.n
+    violation = starved = argmax = None
+    for mask in range(1, 1 << n):
+        subset = frozenset(i for i in range(1, n + 1) if mask >> (i - 1) & 1)
+        columns = set().union(*(pattern.rows[i - 1] for i in subset))
+        alpha = len({j for j in columns if j <= n})
+        beta = len(columns) - alpha
+        lhs = (k + 1) * beta + (k + 1) * q * alpha
+        rhs = q * len(subset)
+        if lhs < rhs and (violation is None or rhs - lhs < violation[2] - violation[1]):
+            violation = (subset, lhs, rhs)
+        if alpha == 0:
+            starved = starved or subset
+        elif argmax is None or -(-len(subset) // alpha) - 1 > argmax[0]:
+            argmax = (-(-len(subset) // alpha) - 1, subset)
+    unreachable = reachability_check(pattern)
+    stats = VerdictStats(None, n * q)
+    if unreachable:
+        verdict = Verdict(False, Unreachable(unreachable), stats)
+        kstar = KStarResult(None, Unreachable(unreachable))
+    else:
+        if violation is None:
+            verdict = Verdict(True, Saturated(n * q), stats)
+        else:
+            verdict = Verdict(False, ViolatingSubset(*violation, k, q), stats)
+        kstar = (KStarResult(None, EmptyAlphaIn(starved)) if starved
+                 else KStarResult(argmax[0], ArgmaxSubset(argmax[1])))
+    return verdict, violation, kstar
 
 
 def reference_residual(size: int, tail, head, capacity) -> tuple[list, list, list]:

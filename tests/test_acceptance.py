@@ -10,7 +10,7 @@ from time import perf_counter
 
 from helpers import FIG1, FIG2A, INTEGRATOR, TWO_CYCLE, random_feasible_flow
 
-from swenctrl.cli import bench_pattern, fit_loglog_slope, run_bench
+from swenctrl.tools import bench_pattern, fit_loglog_slope, run_bench
 from swenctrl.decide import check_structural, compute_kstar, recheck_certificate
 from swenctrl.flow import (
     build_lifted_network,

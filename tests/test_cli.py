@@ -24,8 +24,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import swenctrl.cli
-from swenctrl.cli import bench_pattern, fit_loglog_slope, main, run_bench
+import swenctrl.tools
+from swenctrl.cli import main
 from swenctrl.pattern import SparsityPattern, serialize_pattern
+from swenctrl.tools import bench_pattern, fit_loglog_slope, run_bench
 
 
 def write_pattern(tmp_path, pattern, name="p.pat", fmt="grid"):
@@ -516,7 +518,7 @@ def test_check_and_kstar_load_only_the_decision_core(tmp_path, fmt):
     assert ran == "[0, 0, 0] 2 1"
     assert "'swenctrl.core'" in loaded
     for module in ("fractions", "swenctrl.flow", "swenctrl.graph", "swenctrl.decide",
-                   "swenctrl.oracle", "dataclasses", "inspect"):
+                   "swenctrl.oracle", "swenctrl.tools", "dataclasses", "inspect"):
         assert f"'{module}'" not in loaded, module
 
 
@@ -595,7 +597,7 @@ def test_bench_size_guard_before_any_row(capsys, monkeypatch):
         sizes.append(n)
         return FIG2A
 
-    monkeypatch.setattr(swenctrl.cli, "bench_pattern", tiny)
+    monkeypatch.setattr(swenctrl.tools, "bench_pattern", tiny)
     code, out, err = run_cli(capsys, "bench", "--nmin", "4096", "--nmax", "8192",
                              "--density", "0", "--seed", "0", "--repeats", "1")
     assert code == 3 and out == "" and "8192" in err and sizes == []
@@ -614,7 +616,7 @@ def test_bench_checks_kq_before_any_transport(capsys, monkeypatch, kq, exit_code
         built.append(args)
         raise AssertionError("bench built a Transport at an unchecked (k, q)")
 
-    monkeypatch.setattr(swenctrl.cli, "Transport", no_transport)
+    monkeypatch.setattr(swenctrl.tools, "Transport", no_transport)
     code, out, err = run_cli(capsys, "bench", "--nmin", "20", "--nmax", "20", "--density",
                              "0.05", "--seed", "0", "--repeats", "1", *kq)
     assert (code, out, built) == (exit_code, "", [])
@@ -626,6 +628,16 @@ def test_bench_repeats_below_one_is_usage_error(capsys, repeats):
     code, out, err = run_cli(capsys, "bench", "--nmin", "4", "--nmax", "8",
                              "--repeats", repeats, "--seed", "0")
     assert code == 1 and out == "" and "repeats" in err
+
+
+@pytest.mark.parametrize("argv", [("--repeats", "0"), ("--nmin", "9", "--nmax", "8")],
+                         ids=["repeats", "nmax-below-nmin"])
+def test_bench_usage_error_in_child_process(argv):
+    """Run as `python -m swenctrl.cli`, a bench usage error raised in tools
+    still exits 1 with one usage line and no traceback."""
+    code, out, err = run_cli_process("bench", "--seed", "0", *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: require ") and "Traceback" not in err
 
 
 def test_bench_cli_text(capsys):

@@ -471,6 +471,78 @@ def test_crosscheck_grid_guard_before_any_cell(monkeypatch):
             crosscheck(FIG2A, k_max, q_max)
 
 
+def test_crosscheck_enumerates_subsets_once(monkeypatch):
+    """The subsets of a pattern are enumerated once for the whole grid, not
+    once per cell and referee (25 times on a 4 x 3 grid)."""
+    calls = []
+    enumerate_subsets = swenctrl.graph._subset_unions
+
+    def spy(pattern):
+        calls.append(pattern)
+        return enumerate_subsets(pattern)
+
+    for module in (swenctrl.graph, swenctrl.decide):
+        if hasattr(module, "_subset_unions"):
+            monkeypatch.setattr(module, "_subset_unions", spy)
+    report = crosscheck(FIG1, 3, 3)
+    assert report.agree and len(report.cells) == 12
+    assert calls == [FIG1]
+
+
+def test_crosscheck_guards_before_any_enumeration(monkeypatch):
+    def enumerated(*args):
+        raise AssertionError("subsets enumerated")
+
+    monkeypatch.setattr(swenctrl.graph, "_union_table", enumerated)
+    cells = swenctrl.decide.MAX_CROSSCHECK_CELLS
+    for pattern, k_max, q_max, error in [
+        (SparsityPattern(11, 0, frozenset()), 1, 1, ScaleError),
+        (FIG1, -1, 1, ValueError),
+        (FIG1, 0, 0, ValueError),
+        (FIG1, cells, 1, ScaleError),
+    ]:
+        with pytest.raises(error):
+            crosscheck(pattern, k_max, q_max)
+
+
+def _no_unreachable_states(rows, n):
+    return frozenset()
+
+
+def _inputs_dropped(rows, n, subset):
+    return frozenset(j for i in subset for j in rows[i - 1] if j <= n), frozenset()
+
+
+def test_referees_share_no_code_with_the_solver(monkeypatch):
+    """A bug planted in the solver's reachability search, and then in its
+    in-neighbour split, changes no referee answer, so crosscheck reports the
+    disagreement.  States 1 and 2 form a cycle that no input reaches."""
+    pattern = SparsityPattern(3, 1, frozenset({(1, 2), (2, 1), (3, 4)}))
+
+    def referees():
+        return ([brute_force_check(pattern, k, q) for k in range(2) for q in (1, 2)],
+                kstar_brute(pattern), swenctrl.graph.counting_violation(pattern, 0, 2),
+                [swenctrl.graph.in_neighbor_sets(pattern, {i}) for i in (1, 2, 3)],
+                core_condition_holds(pattern, 0, 2, {3}),
+                recheck_certificate(pattern, Verdict(False, Unreachable(frozenset({1, 2})),
+                                                     VerdictStats(None, 3))))
+
+    expected = referees()
+    assert crosscheck(pattern, 1, 2).agree
+    monkeypatch.setattr(swenctrl.core.unreachable_states, "__code__",
+                        _no_unreachable_states.__code__)
+    assert check_structural(pattern, 0, 1).decision  # the solver now errs
+    report = crosscheck(pattern, 1, 2)
+    assert not report.agree
+    assert sum("flow decision True != brute decision False" in d
+               for d in report.disagreements) == 3
+    assert referees() == expected
+    monkeypatch.setattr(swenctrl.core.in_neighbours, "__code__", _inputs_dropped.__code__)
+    assert swenctrl.core.in_neighbours(pattern.rows, 3, {3}) == (frozenset(), frozenset())
+    assert not crosscheck(pattern, 1, 1).agree
+    assert referees() == expected
+
+
 def test_recheck_violating_subset():
     v = check_structural(FIG2A, 1, 3)
     assert recheck_certificate(FIG2A, v)

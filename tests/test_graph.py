@@ -1,10 +1,11 @@
 import random
 
 import pytest
-from helpers import FIG1, FIG2A, TWO_CYCLE
+from helpers import FIG1, FIG2A, TWO_CYCLE, reference_brute
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import swenctrl.graph
 from swenctrl.errors import ScaleError
 from swenctrl.graph import (
     _subset_unions,
@@ -151,6 +152,43 @@ def test_subset_unions_in_ascending_mask_order(n):
         b = sum(1 << (j - n - 1) for j in cols if j > n)
         expected.append((s, a, b))
     assert list(_subset_unions(p)) == expected
+
+
+def test_brute_referees_match_the_literal_walk():
+    """On 1200 seeded random patterns (n <= 8, m <= 3, densities from 0 to
+    1), the brute-force verdict, the least violation and k* read off the
+    subset classes equal the literal walk over every mask, certificates and
+    tie-breaks included."""
+    rng = random.Random(2024)
+    densities = (0.0, 0.1, 0.25, 0.4, 0.6, 1.0)
+    for seed in range(1200):
+        p = random_pattern(rng.randint(1, 8), rng.randint(0, 3), rng.choice(densities), seed)
+        k, q = rng.randint(0, 3), rng.randint(1, 5)
+        verdict, violation, kstar = reference_brute(p, k, q)
+        assert brute_force_check(p, k, q) == verdict, (seed, k, q)
+        assert counting_violation(p, k, q) == violation, (seed, k, q)
+        assert kstar_brute(p) == kstar, seed
+
+
+def test_brute_referees_guard_before_any_enumeration(monkeypatch):
+    """check_kq and the n <= 24 guard fire before anything is enumerated, and
+    an unreachable pattern is answered with no enumeration at all."""
+    def enumerated(*args):
+        raise AssertionError("subsets enumerated")
+
+    monkeypatch.setattr(swenctrl.graph, "_union_table", enumerated)
+    for bad_k, bad_q, error in [(-1, 1, ValueError), (0, 0, ValueError), (1 << 62, 1, ScaleError)]:
+        for referee in (brute_force_check, counting_violation):
+            with pytest.raises(error):
+                referee(FIG1, bad_k, bad_q)
+    big = SparsityPattern(25, 0, frozenset())
+    for call in (lambda: brute_force_check(big, 0, 1), lambda: counting_violation(big, 0, 1),
+                 lambda: kstar_brute(big)):
+        with pytest.raises(ScaleError, match="flow-based"):
+            call()
+    blind = SparsityPattern(3, 1, frozenset({(1, 2), (2, 1), (3, 4)}))
+    assert brute_force_check(blind, 0, 1).certificate == Unreachable(frozenset({1, 2}))
+    assert kstar_brute(blind).witness == Unreachable(frozenset({1, 2}))
 
 
 def test_kstar_brute_examples():

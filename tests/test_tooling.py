@@ -84,6 +84,22 @@ def test_core_imports_only_errors_and_results():
     assert imported == {"errors", "results"}
 
 
+def test_referees_import_only_check_kq_from_core():
+    """The brute-force referees share no code with the solver: of the
+    decision core, graph imports only the (k, q) guard, and it has its own
+    reachability search, in-neighbour split and counting sums."""
+    graph = Path(__file__).resolve().parents[1] / "src" / "swenctrl" / "graph.py"
+    from_core = set()
+    for node in ast.walk(ast.parse(graph.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.module in ("core", "swenctrl.core"):
+            from_core.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level and node.module is None:
+            assert all(alias.name != "core" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            assert all(alias.name != "swenctrl.core" for alias in node.names)
+    assert from_core == {"check_kq"}
+
+
 def test_no_module_imports_dataclasses():
     """The value classes derive from results.FrozenValue; importing
     dataclasses (and inspect with it) would cost every CLI run."""
