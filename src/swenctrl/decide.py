@@ -3,8 +3,9 @@
 check_structural and compute_kstar live in core, which imports nothing of
 this module; they are imported here so that their names still resolve
 from swenctrl.decide.  crosscheck runs the flow route against the
-brute-force enumeration and the expanded-network flow over a whole (k, q)
-grid, enumerating the pattern's state subsets once for all its cells;
+brute-force enumeration, and the compact network's Dinic value against the
+expanded network's matching value, over a whole (k, q) grid, enumerating
+the pattern's state subsets once for all its cells;
 witness_from_cut reads a violating subset off a named min cut, and
 recheck_certificate verifies a verdict's certificate from the pattern
 alone.
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from .core import _violation, check_structural, compute_kstar
 from .errors import ScaleError
-from .flow import build_lifted_network, build_small_network, max_flow
+from .flow import build_small_network, lifted_value, max_flow
 from .graph import (
     _brute_verdict,
     _kstar_brute,
@@ -28,9 +29,9 @@ from .pattern import SparsityPattern
 from .results import FrozenValue, Saturated, Unreachable, Verdict, ViolatingSubset
 
 MAX_CROSSCHECK_STATES = 10
-# The subsets are enumerated once per pattern; each cell runs a check and
-# two max-flows, the expanded one growing with k*q.  The grid's size is
-# checked before any runs.
+# The subsets are enumerated once per pattern; each cell runs a check, the
+# compact max-flow and the expanded network's matching, which grows with
+# k*q.  The grid's size is checked before any runs.
 MAX_CROSSCHECK_CELLS = 1 << 10
 
 
@@ -64,10 +65,12 @@ class CrosscheckReport(FrozenValue):
 
 def crosscheck(pattern: SparsityPattern, k_max: int, q_max: int) -> CrosscheckReport:
     """Oracle-agreement harness over the grid [0..k_max] x [1..q_max]:
-    flow decision vs. subset enumeration, compact vs. expanded max-flow value,
-    and the ascent's vs. the enumerated minimal switch count.  The subsets
-    are enumerated once, after the guards, into the classes that every
-    cell's brute verdict and counting condition read."""
+    flow decision vs. subset enumeration, the compact network's max-flow
+    value vs. the expanded network's matching value (flow.lifted_value,
+    which shares no code with the compact network's Dinic), and the
+    ascent's vs. the enumerated minimal switch count.  The subsets are
+    enumerated once, after the guards, into the classes that every cell's
+    brute verdict and counting condition read."""
     if pattern.n > MAX_CROSSCHECK_STATES:
         raise ScaleError(f"crosscheck requires n <= {MAX_CROSSCHECK_STATES}")
     if k_max < 0 or q_max < 1:
@@ -85,7 +88,7 @@ def crosscheck(pattern: SparsityPattern, k_max: int, q_max: int) -> CrosscheckRe
             brute_verdict = _brute_verdict(classes, unreachable, k, q, pattern.n * q)
             theta = max_flow(build_small_network(pattern, k, q)).value_total
             try:
-                theta_hat = max_flow(build_lifted_network(pattern, k, q)).value_total
+                theta_hat = lifted_value(pattern, k, q)
             except ScaleError:
                 theta_hat = None
             counting_ok = _least_violation(classes, k, q) is None

@@ -1,8 +1,9 @@
 """Three-layer capacitated flow networks with named nodes, exact integral
 max-flow, min cuts, and the layer-expansion flow transfer maps, for the
-exports (flowdump), crosscheck's compact and expanded values, the referees
-and the tests.  check_structural and compute_kstar build none of this: they
-solve the same problem as a transport problem on the pattern's rows (core).
+exports (flowdump), crosscheck's compact value, the referees and the
+tests, and the expanded network's value as a matching, for crosscheck.
+check_structural and compute_kstar build none of this: they solve the same
+problem as a transport problem on the pattern's rows (core).
 
 Two constructions share the layout source -> left -> right -> sink:
 
@@ -20,11 +21,17 @@ names; build_lifted_network expands every compact middle arc, in order,
 into its layer copies.  residual turns either network, with a flow, into
 the three plain lists head, adj and cap of its residual graph.
 
-Every maximum flow here comes from augment (Dinic, with levels by residual
-distance to the sink) on those lists: max_flow starts it from zero flow,
-and min_cut reads the cut of a given flow off one augment call, whose last
-search labels the sink side of the source-maximal min cut, and checks the
-capacity of the arcs entering that side against the flow value.
+Every maximum flow of a named network comes from augment (Dinic, with
+levels by residual distance to the sink) on those lists: max_flow starts it
+from zero flow, and min_cut reads the cut of a given flow off one augment
+call, whose last search labels the sink side of the source-maximal min cut,
+and checks the capacity of the arcs entering that side against the flow
+value.  lifted_value gives the expanded network's value with no network at
+all: its arcs all have capacity 1, so the value is a maximum bipartite
+matching (Hopcroft-Karp) on its middle layer, read off the rows as plain int
+adjacency with build_lifted_network's ids; it shares no code with augment,
+so crosscheck's two values come from independent solvers.  Both readings
+of the expansion pass one size guard.
 
 The node-collapsing map phi sends expanded nodes onto compact ones; flows
 transfer along phi in both directions with their value preserved.  This
@@ -35,7 +42,7 @@ referees, and it alone needs fractions.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from collections.abc import Iterator
 from fractions import Fraction
@@ -236,6 +243,18 @@ def build_small_network(pattern: SparsityPattern, k: int, q: int,
                        tuple(capacity))
 
 
+def _check_lifted_size(pattern: SparsityPattern, k: int, q: int) -> None:
+    """The one size guard of the expanded network, whether it is built with
+    named nodes or read as a matching: (k, q) pass check_kq, and the arc
+    count (k+1)(m+nq) + (k+1)q|E| + nq stays within MAX_LIFTED_ARCS, else
+    ScaleError."""
+    n, m = pattern.n, pattern.m
+    check_kq(n, m, k, q)
+    kp1 = k + 1
+    if kp1 * (m + n * q) + kp1 * q * sum(map(len, pattern.rows)) + n * q > MAX_LIFTED_ARCS:
+        raise ScaleError(f"(k+1)(m+nq+q|E|)+nq exceeds the {MAX_LIFTED_ARCS} arc guard")
+
+
 def build_lifted_network(pattern: SparsityPattern, k: int, q: int) -> FlowNetwork:
     """Expanded unit-capacity network: left layer of (k+1)(m+nq) nodes, right
     layer of nq nodes, state copies wired within their own ensemble copy.
@@ -248,10 +267,8 @@ def build_lifted_network(pattern: SparsityPattern, k: int, q: int) -> FlowNetwor
     exceeds MAX_LIFTED_ARCS.
     """
     n, m = pattern.n, pattern.m
-    check_kq(n, m, k, q)
+    _check_lifted_size(pattern, k, q)
     kp1 = k + 1
-    if kp1 * (m + n * q) + kp1 * q * sum(map(len, pattern.rows)) + n * q > MAX_LIFTED_ARCS:
-        raise ScaleError(f"(k+1)(m+nq+q|E|)+nq exceeds the {MAX_LIFTED_ARCS} arc guard")
     nu0 = 1 + kp1 * m
     mu0 = nu0 + kp1 * q * n
     sink = mu0 + q * n
@@ -280,6 +297,104 @@ def build_lifted_network(pattern: SparsityPattern, k: int, q: int) -> FlowNetwor
                             for p in range(q))
     arcs.extend((v, sink) for v in range(mu0, sink))
     return FlowNetwork("lifted", n, m, k, q, False, nodes, tuple(arcs), (1,) * len(arcs))
+
+
+def _lifted_adjacency(pattern: SparsityPattern, k: int, q: int) -> list[list[int]]:
+    """The expanded network's middle layer as plain int adjacency: entry
+    p*n + i - 1 lists the left ids adjacent to the right node mu_{p+1,i},
+    input columns first, with build_lifted_network's ids: lam_{ell+1,c-n} is
+    ell*m + c - n for an input column c, and nu_{ell+1,p+1,c} is
+    nu0 + (ell*q + p)*n + c - 1 for a state column c, for every layer ell in
+    0..k.  Raises as build_lifted_network does, before allocating."""
+    n, m = pattern.n, pattern.m
+    _check_lifted_size(pattern, k, q)
+    kp1, qn = k + 1, q * n
+    nu0 = 1 + kp1 * m
+    adjacency: list[list[int]] = [[]] * qn
+    for i, row in enumerate(pattern.rows):
+        split = bisect_right(row, n)  # the row's state columns, then its input columns
+        states = [nu0 - 1 + ell * qn + c for c in row[:split] for ell in range(kp1)]
+        inputs = [ell * m - n + c for c in row[split:] for ell in range(kp1)]
+        for shift in range(0, qn, n):  # p*n: copy p of a state column feeds copy p only
+            adjacency[shift + i] = inputs + [v + shift for v in states]
+    return adjacency
+
+
+def lifted_value(pattern: SparsityPattern, k: int, q: int) -> int:
+    """Maximum flow value of the expanded network, without building it.
+
+    Every arc of that network has capacity 1, and each left node has one
+    source arc and each right node one sink arc, so its value is the size of
+    a maximum matching between its left and right layers (_lifted_adjacency).
+    A greedy pass matches each right node to its first free left node; then
+    Hopcroft-Karp phases (Hopcroft & Karp, SIAM J. Comput. 1973): a search
+    from the free right nodes labels the right nodes by alternating distance
+    and stops at the first free left node it meets, and a depth-first search
+    from each free right node, with one pointer per node and an explicit
+    stack (paths may be nq long), augments along node-disjoint shortest
+    paths.  Raises ScaleError as build_lifted_network does.
+    """
+    adjacency = _lifted_adjacency(pattern, k, q)
+    mate = [-1] * (1 + (k + 1) * (pattern.m + q * pattern.n))  # right node of each left id
+    free = []
+    for r, lefts in enumerate(adjacency):
+        for v in lefts:
+            if mate[v] < 0:
+                mate[v] = r
+                break
+        else:
+            free.append(r)
+    while free:
+        dist = [-1] * len(adjacency)
+        for r in free:
+            dist[r] = 0
+        limit = -1  # length of the shortest augmenting paths, in right nodes after the first
+        queue = list(free)
+        for r in queue:
+            d = dist[r] + 1
+            for v in adjacency[r]:
+                w = mate[v]
+                if w < 0:
+                    limit = d - 1
+                    break
+                if dist[w] < 0:
+                    dist[w] = d
+                    queue.append(w)
+            if limit >= 0:
+                break
+        if limit < 0:
+            break
+        pointer = [0] * len(adjacency)
+        still_free = []
+        for root in free:
+            stack = [root]
+            while stack:
+                r = stack[-1]
+                lefts = adjacency[r]
+                want = dist[r] + 1 if dist[r] < limit else -2  # at the limit, only a free left
+                i = pointer[r]
+                while i < len(lefts):
+                    w = mate[lefts[i]]
+                    if w < 0 or dist[w] == want:
+                        break
+                    i += 1
+                pointer[r] = i
+                if i == len(lefts):  # a dead end for the rest of the phase
+                    dist[r] = -1
+                    stack.pop()
+                    if stack:
+                        pointer[stack[-1]] += 1
+                elif w < 0:
+                    for r in stack:  # each right node takes the left node it stepped through
+                        mate[adjacency[r][pointer[r]]] = r
+                        dist[r] = -1
+                    break
+                else:
+                    stack.append(w)
+            else:
+                still_free.append(root)
+        free = still_free
+    return len(adjacency) - len(free)
 
 
 def max_flow(net: FlowNetwork) -> FlowAssignment:

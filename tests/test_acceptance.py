@@ -16,6 +16,7 @@ from swenctrl.flow import (
     build_lifted_network,
     build_small_network,
     lift_flow,
+    lifted_value,
     max_flow,
     project_flow,
     verify_flow,
@@ -77,11 +78,12 @@ def test_criterion_2_expanded_network_value():
             for q in (1, 2, 3):
                 theta = max_flow(build_small_network(pattern, k, q)).value_total
                 theta_hat = max_flow(build_lifted_network(pattern, k, q)).value_total
-                if theta != theta_hat:
-                    mismatches.append((sorted(pattern.stars), k, q, theta, theta_hat))
+                matching = lifted_value(pattern, k, q)
+                if not theta == theta_hat == matching:
+                    mismatches.append((sorted(pattern.stars), k, q, theta, theta_hat, matching))
     elapsed = perf_counter() - t0
     ok = not mismatches and elapsed < 60
-    _report(2, "compact vs expanded max flow", ok,
+    _report(2, "compact vs expanded max flow and matching", ok,
             f"{len(patterns)} patterns x 9 cells, {len(mismatches)} mismatches, {elapsed:.1f}s")
     assert not mismatches, mismatches[:3]
     assert elapsed < 60

@@ -505,6 +505,49 @@ def test_crosscheck_guards_before_any_enumeration(monkeypatch):
             crosscheck(pattern, k_max, q_max)
 
 
+def test_crosscheck_theta_hat_none_above_the_lifted_guard(monkeypatch):
+    """A cell whose expanded network exceeds the arc guard reports no
+    theta_hat and still agrees; the other cells carry the matching value."""
+    arcs = {(k, q): len(build_lifted_network(FIG1, k, q).arcs)
+            for k in range(3) for q in range(1, 4)}
+    guard = 60
+    assert min(arcs.values()) < guard < max(arcs.values())
+    monkeypatch.setattr(swenctrl.flow, "MAX_LIFTED_ARCS", guard)
+    report = crosscheck(FIG1, 2, 3)
+    assert report.agree and len(report.cells) == 9
+    for cell in report.cells:
+        if arcs[cell.k, cell.q] > guard:
+            assert cell.theta_hat is None
+        else:
+            assert isinstance(cell.theta_hat, int) and cell.theta_hat == cell.theta
+    assert {c.theta_hat is None for c in report.cells} == {True, False}
+
+
+def test_crosscheck_builds_no_lifted_network(monkeypatch):
+    """crosscheck's expanded value is a matching on the rows: no lifted
+    network is built, and no residual graph or Dinic search runs on one."""
+    residual, augment = swenctrl.flow.residual, swenctrl.flow.augment
+    compact_size = 2 * FIG1.n + FIG1.m + 2
+
+    def built(*args):
+        raise AssertionError("lifted network built")
+
+    def lifted_residual(net, values=()):
+        assert net.kind != "lifted", "residual of a lifted network"
+        return residual(net, values)
+
+    def compact_augment(head, adj, cap):
+        assert len(adj) == compact_size, "augment on a lifted network"
+        return augment(head, adj, cap)
+
+    monkeypatch.setattr(swenctrl.flow, "build_lifted_network", built)
+    monkeypatch.setattr(swenctrl.flow, "residual", lifted_residual)
+    monkeypatch.setattr(swenctrl.flow, "augment", compact_augment)
+    report = crosscheck(FIG1, 3, 3)
+    assert report.agree and len(report.cells) == 12
+    assert all(cell.theta_hat == cell.theta for cell in report.cells)
+
+
 def _no_unreachable_states(rows, n):
     return frozenset()
 

@@ -1,9 +1,11 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from helpers import (
+    FIG1,
     FIG2A,
     benchmark_pattern,
     long_path_chain,
@@ -18,6 +20,7 @@ from helpers import (
     transport_values,
 )
 
+import swenctrl.flow
 from swenctrl.core import Transport, unreachable_states
 from swenctrl.errors import ConsistencyError, ScaleError
 from swenctrl.flow import (
@@ -25,11 +28,13 @@ from swenctrl.flow import (
     SOURCE,
     FlowAssignment,
     FlowNetwork,
+    _lifted_adjacency,
     augment,
     build_lifted_network,
     build_small_network,
     compact_arcs,
     lift_flow,
+    lifted_value,
     max_flow,
     min_cut,
     network_json,
@@ -118,6 +123,67 @@ def test_lifted_network_guard():
     p = SparsityPattern(64, 0, frozenset())
     with pytest.raises(ScaleError):
         build_lifted_network(p, 4095, 4096)
+
+
+@pytest.mark.parametrize("pattern, k, q", [(FIG2A, 2, 3), (FIG1, 1, 4),
+                                             (SparsityPattern(3, 0, frozenset()), 0, 2)],
+                         ids=["fig2a", "fig1", "no-stars"])
+def test_lifted_size_guard_boundary(pattern, k, q, monkeypatch):
+    """Both readings of the expansion pass one guard: at an arc count equal
+    to MAX_LIFTED_ARCS both answer, and at one arc more both raise the same
+    error."""
+    arcs = len(build_lifted_network(pattern, k, q).arcs)
+    n, m, stars = pattern.n, pattern.m, len(pattern.stars)
+    assert arcs == (k + 1) * (m + n * q) + (k + 1) * q * stars + n * q
+    monkeypatch.setattr(swenctrl.flow, "MAX_LIFTED_ARCS", arcs)
+    assert lifted_value(pattern, k, q) == max_flow(build_lifted_network(pattern, k, q)).value_total
+    monkeypatch.setattr(swenctrl.flow, "MAX_LIFTED_ARCS", arcs - 1)
+    messages = set()
+    for read in (build_lifted_network, lifted_value, _lifted_adjacency):
+        with pytest.raises(ScaleError, match="arc guard") as error:
+            read(pattern, k, q)
+        messages.add(str(error.value))
+    assert messages == {f"(k+1)(m+nq+q|E|)+nq exceeds the {arcs - 1} arc guard"}
+
+
+def _lifted_cases():
+    """(pattern, k, q): 1200 seeded random patterns (n <= 8, m <= 3,
+    densities 0-1, k <= 4, q <= 5), then small members of every benchmark
+    family."""
+    rng = random.Random(17_000)
+    for seed in range(1200):
+        p = random_pattern(rng.randint(1, 8), rng.randint(0, 3), rng.random(), seed)
+        yield p, rng.randint(0, 4), rng.randint(1, 5)
+    for family in ("backbone", "hub", "sparse-fail", "sparse-fail-unreachable"):
+        for n in (3, 6, 10):
+            for seed in range(2):
+                p = benchmark_pattern(family, n, seed)
+                for k, q in ((0, 1), (0, 3), (1, 2), (2, 3), (3, 1)):
+                    yield p, k, q
+
+
+def test_lifted_value_matches_lifted_max_flow():
+    """The matching read off the rows has the expanded network's Dinic value."""
+    short = 0
+    for p, k, q in _lifted_cases():
+        value = lifted_value(p, k, q)
+        assert value == max_flow(build_lifted_network(p, k, q)).value_total, (p.rows, k, q)
+        short += value < p.n * q
+    assert short > 300
+
+
+def test_lifted_adjacency_is_the_lifted_middle_layer():
+    """The (left id, right id) pairs that lifted_value reads are, as a
+    multiset, the middle arcs of build_lifted_network, so the two readings
+    of the expansion cannot drift apart."""
+    for p, k, q in _lifted_cases():
+        net = build_lifted_network(p, k, q)
+        sink = len(net.nodes) - 1
+        mu0 = sink - q * p.n  # mu_{p+1,i} is mu0 + p*n + i - 1
+        middle = Counter((u, v) for u, v in net.arcs if u != 0 and v != sink)
+        read = Counter((u, mu0 + r) for r, lefts in enumerate(_lifted_adjacency(p, k, q))
+                       for u in lefts)
+        assert read == middle, (p.rows, k, q)
 
 
 def test_lifted_matches_small_at_k0_q1():

@@ -100,6 +100,26 @@ def test_referees_import_only_check_kq_from_core():
     assert from_core == {"check_kq"}
 
 
+def test_only_flow_and_tools_use_build_lifted_network():
+    """The named expanded network is built only where it is exported
+    (flowdump, in tools) and in flow itself; crosscheck reads the expansion
+    as a matching.  A name in a string, such as the package's lazy-export
+    table, does not count."""
+    src = Path(__file__).resolve().parents[1] / "src" / "swenctrl"
+    users = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                used = any(alias.name == "build_lifted_network" for alias in node.names)
+            else:
+                used = (isinstance(node, ast.Name) and node.id == "build_lifted_network"
+                        or isinstance(node, ast.Attribute) and node.attr == "build_lifted_network")
+            if used:
+                users.add(path.stem)
+    assert "tools" in users
+    assert users <= {"flow", "tools"}
+
+
 def test_no_module_imports_dataclasses():
     """The value classes derive from results.FrozenValue; importing
     dataclasses (and inspect with it) would cost every CLI run."""
