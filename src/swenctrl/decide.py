@@ -3,9 +3,9 @@
 check_structural and compute_kstar live in core, which imports nothing of
 this module; they are imported here so that their names still resolve
 from swenctrl.decide.  crosscheck runs the flow route against the
-brute-force enumeration, and the compact network's Dinic value against the
-expanded network's matching value, over a whole (k, q) grid, enumerating
-the pattern's state subsets once for all its cells;
+brute-force enumeration, and the transport solver's compact value against
+the expanded network's matching value, over a whole (k, q) grid,
+enumerating the pattern's state subsets once for all its cells;
 witness_from_cut reads a violating subset off a named min cut, and
 recheck_certificate verifies a verdict's certificate from the pattern
 alone.
@@ -13,9 +13,9 @@ alone.
 
 from __future__ import annotations
 
-from .core import _violation, check_structural, compute_kstar
+from .core import Transport, _violation, check_structural, compute_kstar
 from .errors import ScaleError
-from .flow import build_small_network, lifted_value, max_flow
+from .flow import lifted_value
 from .graph import (
     _brute_verdict,
     _kstar_brute,
@@ -29,9 +29,9 @@ from .pattern import SparsityPattern
 from .results import FrozenValue, Saturated, Unreachable, Verdict, ViolatingSubset
 
 MAX_CROSSCHECK_STATES = 10
-# The subsets are enumerated once per pattern; each cell runs a check, the
-# compact max-flow and the expanded network's matching, which grows with
-# k*q.  The grid's size is checked before any runs.
+# The subsets are enumerated once per pattern; each cell runs a check, whose
+# transport solve gives the compact value, and the expanded network's
+# matching, which grows with k*q.  The grid's size is checked before any runs.
 MAX_CROSSCHECK_CELLS = 1 << 10
 
 
@@ -66,11 +66,14 @@ class CrosscheckReport(FrozenValue):
 def crosscheck(pattern: SparsityPattern, k_max: int, q_max: int) -> CrosscheckReport:
     """Oracle-agreement harness over the grid [0..k_max] x [1..q_max]:
     flow decision vs. subset enumeration, the compact network's max-flow
-    value vs. the expanded network's matching value (flow.lifted_value,
-    which shares no code with the compact network's Dinic), and the
-    ascent's vs. the enumerated minimal switch count.  The subsets are
-    enumerated once, after the guards, into the classes that every cell's
-    brute verdict and counting condition read."""
+    value theta vs. the expanded network's matching value theta_hat, and
+    the ascent's vs. the enumerated minimal switch count.  theta is the
+    value of the check's own transport solve (core.Transport), or of a
+    solve of its own on an unreachable pattern, where the check returns
+    before it solves; theta_hat (flow.lifted_value, Hopcroft-Karp) shares
+    no code with it.  The subsets are enumerated once, after the guards,
+    into the classes that every cell's least violation is read from, once
+    for its brute verdict and counting condition."""
     if pattern.n > MAX_CROSSCHECK_STATES:
         raise ScaleError(f"crosscheck requires n <= {MAX_CROSSCHECK_STATES}")
     if k_max < 0 or q_max < 1:
@@ -85,13 +88,18 @@ def crosscheck(pattern: SparsityPattern, k_max: int, q_max: int) -> CrosscheckRe
     for k in range(k_max + 1):
         for q in range(1, q_max + 1):
             flow_verdict = check_structural(pattern, k, q)
-            brute_verdict = _brute_verdict(classes, unreachable, k, q, pattern.n * q)
-            theta = max_flow(build_small_network(pattern, k, q)).value_total
+            theta = flow_verdict.stats.theta
+            if theta is None:  # unreachable: the check returned before it solved
+                transport = Transport(pattern.rows, pattern.n, pattern.m, k, q)
+                transport.solve(pattern.n * q)
+                theta = transport.value
+            violation = _least_violation(classes, k, q)
+            brute_verdict = _brute_verdict(violation, unreachable, k, q, pattern.n * q)
             try:
                 theta_hat = lifted_value(pattern, k, q)
             except ScaleError:
                 theta_hat = None
-            counting_ok = _least_violation(classes, k, q) is None
+            counting_ok = violation is None
             agree = flow_verdict.decision == brute_verdict.decision
             if not agree:
                 disagreements.append(

@@ -1,9 +1,9 @@
 """Three-layer capacitated flow networks with named nodes, exact integral
 max-flow, min cuts, and the layer-expansion flow transfer maps, for the
-exports (flowdump), crosscheck's compact value, the referees and the
-tests, and the expanded network's value as a matching, for crosscheck.
-check_structural and compute_kstar build none of this: they solve the same
-problem as a transport problem on the pattern's rows (core).
+exports (flowdump), the referees and the tests, and the expanded network's
+value as a matching, for crosscheck.  check_structural, compute_kstar and
+crosscheck's compact value build none of this: they solve the same problem
+as a transport problem on the pattern's rows (core).
 
 Two constructions share the layout source -> left -> right -> sink:
 
@@ -29,9 +29,9 @@ and checks the capacity of the arcs entering that side against the flow
 value.  lifted_value gives the expanded network's value with no network at
 all: its arcs all have capacity 1, so the value is a maximum bipartite
 matching (Hopcroft-Karp) on its middle layer, read off the rows as plain int
-adjacency with build_lifted_network's ids; it shares no code with augment,
-so crosscheck's two values come from independent solvers.  Both readings
-of the expansion pass one size guard.
+adjacency with build_lifted_network's ids; it shares no code with augment
+or with the transport solver, so crosscheck's two values come from
+independent solvers.  Both readings of the expansion pass one size guard.
 
 The node-collapsing map phi sends expanded nodes onto compact ones; flows
 transfer along phi in both directions with their value preserved.  This

@@ -172,14 +172,13 @@ def _least_violation(classes, k: int, q: int) -> tuple[frozenset[int], int, int]
     return _mask_to_set(s), lhs, rhs
 
 
-def _brute_verdict(classes, unreachable: frozenset[int], k: int, q: int,
+def _brute_verdict(violation, unreachable: frozenset[int], k: int, q: int,
                    target: int) -> Verdict:
     """The brute-force verdict at (k, q) from a pattern's unreachable states
-    and subset classes."""
+    and its least violation (_least_violation of its subset classes)."""
     stats = VerdictStats(None, target)
     if unreachable:
         return Verdict(False, Unreachable(unreachable), stats)
-    violation = _least_violation(classes, k, q)
     if violation is not None:
         subset, lhs, rhs = violation
         return Verdict(False, ViolatingSubset(subset, lhs, rhs, k, q), stats)
@@ -220,7 +219,7 @@ def brute_force_check(pattern: SparsityPattern, k: int, q: int) -> Verdict:
     unions = _subset_unions(pattern)
     unreachable = reachability_check(pattern)
     classes = {} if unreachable else _subset_classes(unions)
-    return _brute_verdict(classes, unreachable, k, q, pattern.n * q)
+    return _brute_verdict(_least_violation(classes, k, q), unreachable, k, q, pattern.n * q)
 
 
 def kstar_brute(pattern: SparsityPattern) -> KStarResult:

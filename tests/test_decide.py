@@ -7,6 +7,7 @@ from helpers import (
     FIG2A,
     INTEGRATOR,
     TWO_CYCLE,
+    benchmark_pattern,
     hub_pattern,
     reference_kstar,
     tight_pattern,
@@ -27,7 +28,13 @@ from swenctrl.decide import (
 )
 from swenctrl.errors import ConsistencyError, ScaleError
 from swenctrl.flow import build_lifted_network, build_small_network, max_flow, min_cut
-from swenctrl.graph import brute_force_check, core_condition_holds, kstar_brute, to_dot
+from swenctrl.graph import (
+    brute_force_check,
+    core_condition_holds,
+    kstar_brute,
+    reachability_check,
+    to_dot,
+)
 from swenctrl.oracle import controllability_rank
 from swenctrl.pattern import (
     SparsityPattern,
@@ -546,6 +553,76 @@ def test_crosscheck_builds_no_lifted_network(monkeypatch):
     report = crosscheck(FIG1, 3, 3)
     assert report.agree and len(report.cells) == 12
     assert all(cell.theta_hat == cell.theta for cell in report.cells)
+
+
+def test_crosscheck_finds_the_least_violation_once_per_cell(monkeypatch):
+    """The brute verdict and the counting condition of a cell read one
+    least violation: 12 searches on a 4 x 3 grid, not 24."""
+    calls = []
+    least_violation = swenctrl.graph._least_violation
+
+    def spy(classes, k, q):
+        calls.append((k, q))
+        return least_violation(classes, k, q)
+
+    for module in (swenctrl.graph, swenctrl.decide):
+        if hasattr(module, "_least_violation"):
+            monkeypatch.setattr(module, "_least_violation", spy)
+    report = crosscheck(FIG1, 3, 3)
+    assert report.agree and len(report.cells) == 12
+    assert sorted(calls) == [(k, q) for k in range(4) for q in range(1, 4)]
+
+
+# States 1 and 2 form a cycle that no input reaches, yet the compact network
+# saturates at (0, 1) and (1, 2): theta = n q with a False verdict.
+UNREACHABLE_CYCLE = SparsityPattern(3, 1, frozenset({(1, 2), (2, 1), (3, 4)}))
+
+
+def test_crosscheck_runs_no_compact_dinic(monkeypatch):
+    """crosscheck's compact value is the transport solver's: no named
+    compact network is built, and no residual graph or Dinic search runs,
+    on reachable and unreachable patterns alike."""
+    def dinic(*args, **kwargs):
+        raise AssertionError("compact network or Dinic used")
+
+    for name in ("build_small_network", "max_flow", "residual", "augment"):
+        for module in (swenctrl.flow, swenctrl.decide):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, dinic)
+    for pattern, k_max, q_max in [(FIG1, 3, 3), (FIG2A, 3, 4), (UNREACHABLE_CYCLE, 2, 2)]:
+        report = crosscheck(pattern, k_max, q_max)
+        assert report.agree and len(report.cells) == (k_max + 1) * q_max
+
+
+def _theta_cases():
+    """(pattern, k_max, q_max): 320 seeded random patterns with n <= 7, and
+    n <= 10 members of every benchmark family."""
+    for seed in range(320):
+        rng = random.Random(f"theta:{seed}")
+        p = random_pattern(rng.randint(1, 7), rng.randint(0, 3), rng.random(), seed)
+        yield p, rng.randint(0, 3), rng.randint(1, 3)
+    for family in ("backbone", "hub", "sparse-fail", "sparse-fail-unreachable"):
+        for n, seed in ((3, 1), (6, 2), (10, 3)):
+            yield benchmark_pattern(family, n, seed), 2, 3
+
+
+def test_crosscheck_theta_is_the_compact_max_flow():
+    """Every cell's theta, read off the check's transport solve or, on an
+    unreachable pattern, a solve of its own, is the compact network's Dinic
+    value; on UNREACHABLE_CYCLE that solve saturates under False verdicts."""
+    unreachable = 0
+    for p, k_max, q_max in _theta_cases():
+        report = crosscheck(p, k_max, q_max)
+        assert report.agree, (p.rows, report.disagreements)
+        for cell in report.cells:
+            expected = max_flow(build_small_network(p, cell.k, cell.q)).value_total
+            assert cell.theta == expected, (p.rows, cell.k, cell.q)
+        unreachable += bool(reachability_check(p))
+    assert unreachable >= 50
+    report = crosscheck(UNREACHABLE_CYCLE, 2, 2)
+    saturated = {(cell.k, cell.q) for cell in report.cells
+                 if cell.theta == UNREACHABLE_CYCLE.n * cell.q and not cell.structural}
+    assert {(0, 1), (1, 2)} <= saturated
 
 
 def _no_unreachable_states(rows, n):

@@ -100,22 +100,40 @@ def test_referees_import_only_check_kq_from_core():
     assert from_core == {"check_kq"}
 
 
-def test_only_flow_and_tools_use_build_lifted_network():
-    """The named expanded network is built only where it is exported
-    (flowdump, in tools) and in flow itself; crosscheck reads the expansion
-    as a matching.  A name in a string, such as the package's lazy-export
-    table, does not count."""
+def package_users(name: str) -> set[str]:
+    """The modules of the package that import, call or otherwise name
+    `name`; a name in a string, such as the package's lazy-export table,
+    does not count."""
     src = Path(__file__).resolve().parents[1] / "src" / "swenctrl"
     users = set()
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom):
-                used = any(alias.name == "build_lifted_network" for alias in node.names)
+                used = any(alias.name == name for alias in node.names)
             else:
-                used = (isinstance(node, ast.Name) and node.id == "build_lifted_network"
-                        or isinstance(node, ast.Attribute) and node.attr == "build_lifted_network")
+                used = (isinstance(node, ast.Name) and node.id == name
+                        or isinstance(node, ast.Attribute) and node.attr == name)
             if used:
                 users.add(path.stem)
+    return users
+
+
+def test_only_flow_and_tools_use_build_lifted_network():
+    """The named expanded network is built only where it is exported
+    (flowdump, in tools) and in flow itself; crosscheck reads the expansion
+    as a matching.  A name in a string, such as the package's lazy-export
+    table, does not count."""
+    users = package_users("build_lifted_network")
+    assert "tools" in users
+    assert users <= {"flow", "tools"}
+
+
+@pytest.mark.parametrize("name", ["build_small_network", "max_flow"])
+def test_only_flow_and_tools_use_the_compact_dinic(name):
+    """The named compact network and its Dinic max-flow serve the export
+    (flowdump, in tools) and flow itself; crosscheck's compact value is the
+    transport solver's."""
+    users = package_users(name)
     assert "tools" in users
     assert users <= {"flow", "tools"}
 
