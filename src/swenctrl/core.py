@@ -126,14 +126,6 @@ class Transport:
     def value(self) -> int:
         return self.n * self.q - self.missing
 
-    def copy(self) -> Transport:
-        twin = object.__new__(Transport)
-        twin.rows, twin.n, twin.q, twin.missing = self.rows, self.n, self.q, self.missing
-        twin.spare = self.spare.copy()
-        twin.short = self.short.copy()
-        twin.fed = [f.copy() for f in self.fed]
-        return twin
-
     def shift(self, dk: int) -> None:
         """Raise the switch count by dk >= 0, keeping the flow: each input
         column gains dk spare units, each state column q*dk."""
@@ -378,18 +370,18 @@ def compute_kstar(pattern: SparsityPattern) -> KStarResult:
     the current k, never above k*), and the supplies are raised with the
     flow kept (Transport.shift).  The trace replays the binary search over
     [0, n-1] that probes the same network cold: probes at k >= k* saturate,
-    and each probe below k* is solved warm from a copy of the flow at the
-    largest failing k below it, whose min cut bounds the probe: its sink
-    side is V' and its source arcs enter alpha_in(V'), beta_in(V'), so only
-    they change with k, and at the probe's k it costs theta_below +
+    and each probe below k* is a fresh solve at its own k, bounded by the
+    min cut of the largest failing k below it: that cut's sink side is V'
+    and its source arcs enter alpha_in(V'), beta_in(V'), so only they change
+    with k, and at the probe's k it costs theta_below +
     (k - below)(|beta_in(V')| + (mn+1)|alpha_in(V')|).  Each solve stops at
     n(mn+1) or at that capacity; a flow that reaches a cut's capacity is
     maximum (weak duality), and that cut is then the next probe's bound.
-    The flows differ from a cold solve's; but max-flow values, and the
-    source-maximal min cut that picks each next k, are the same for every
-    maximum flow, so the ascent, k* and the trace are too.  In the ascent
-    the cut just read costs at least n(mn+1) at the next k, by the choice
-    of that k, so it bounds nothing.
+    Max-flow values, and the source-maximal min cut that picks each next k,
+    are the same for every maximum flow, so the ascent, k* and the trace
+    match a cold, unbounded search.  In the ascent the cut just read costs
+    at least n(mn+1) at the next k, by the choice of that k, so it bounds
+    nothing.
     """
     n, m, rows = pattern.n, pattern.m, pattern.rows
     unreachable = unreachable_states(rows, n)
@@ -406,12 +398,12 @@ def compute_kstar(pattern: SparsityPattern) -> KStarResult:
     check_kq(n, m, n - 1, qbar)
     flow = Transport(rows, n, m, 0, qbar)
     k, subset = 0, flow.solve(target)
-    # k -> (the flow at k, growth of a min cut's capacity per unit of k)
+    # k -> (max-flow value at k, growth of a min cut's capacity per unit of k)
     # for every k solved short of target
     failing = {}
     while subset is not None:
         alpha, beta, _, _ = _cut_sides(rows, n, k, qbar, subset, flow.value)
-        failing[k] = (flow.copy(), beta + qbar * alpha)
+        failing[k] = (flow.value, beta + qbar * alpha)
         k_next = -(-len(subset) // alpha) - 1
         if k_next <= k:
             raise ConsistencyError(f"kstar ascent stalled at k={k}")
@@ -429,16 +421,15 @@ def compute_kstar(pattern: SparsityPattern) -> KStarResult:
             continue
         if mid not in failing:
             below = max(j for j in failing if j < mid)
-            flow_below, slope = failing[below]
-            probe = flow_below.copy()
-            probe.shift(mid - below)
-            cut = flow_below.value + (mid - below) * slope  # below's min cut, priced at mid
+            theta_below, slope = failing[below]
+            probe = Transport(rows, n, m, mid, qbar)
+            cut = theta_below + (mid - below) * slope  # below's min cut, priced at mid
             subset = probe.solve(min(target, cut))
             if subset is not None:  # a failing search: the probe's own min cut
                 alpha, beta, _, _ = _cut_sides(rows, n, mid, qbar, subset, probe.value)
                 slope = beta + qbar * alpha
-            failing[mid] = (probe, slope)
-        theta_mid = failing[mid][0].value
+            failing[mid] = (probe.value, slope)
+        theta_mid = failing[mid][0]
         if theta_mid >= target:
             raise ConsistencyError(f"probe at k={mid} saturates below k*={k}")
         trace.append((mid, theta_mid, target))

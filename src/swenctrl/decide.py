@@ -21,7 +21,6 @@ from .graph import (
     _kstar_brute,
     _least_violation,
     _subset_classes,
-    _subset_unions,
     in_neighbor_sets,
     reachability_check,
 )
@@ -82,7 +81,7 @@ def crosscheck(pattern: SparsityPattern, k_max: int, q_max: int) -> CrosscheckRe
         raise ScaleError(f"(k_max+1)*q_max = {(k_max + 1) * q_max} grid cells exceed the "
                          f"guard {MAX_CROSSCHECK_CELLS}")
     unreachable = reachability_check(pattern)
-    classes = _subset_classes(_subset_unions(pattern))
+    classes = _subset_classes(pattern)
     cells = []
     disagreements = []
     for k in range(k_max + 1):

@@ -4,9 +4,11 @@ reachability and DOT export, read straight off a sparsity pattern's rows.
 These referees share no code with the solver in core: the reachability
 search, the in-neighbour split and the counting sums are their own, and of
 core they import only the (k, q) guard check_kq.  The 2^n state subsets are
-enumerated once per pattern and folded into classes by the three counts the
-counting condition reads (_subset_classes); the verdict, the least
-violation and k* are read off those classes for any (k, q).
+enumerated once per pattern (_subset_classes): the unions of two halves of
+the states are tabulated apart and joined, each subset folded as it is
+formed into a class keyed by the three counts the counting condition
+reads.  The verdict, the least violation and k* are read off those classes
+for any (k, q).
 
 The pattern is the digraph: state node a_i stands for state coordinate i and
 control node b_j for input channel j, and each column j of row i is the
@@ -95,43 +97,24 @@ def core_condition_holds(pattern: SparsityPattern, k: int, q: int, subset) -> tu
     return lhs >= rhs, lhs, rhs
 
 
-def _subset_unions(pattern: SparsityPattern):
-    """Iterator of (subset_mask, alpha_in_mask, beta_in_mask) for every
-    nonempty subset of state nodes, in ascending mask order.
-
-    Raises ScaleError at once when n exceeds the MAX_BRUTE_STATES
-    enumeration guard; nothing is enumerated before the first step.
-    """
-    n = pattern.n
-    if n > MAX_BRUTE_STATES:
+def _check_brute_size(pattern: SparsityPattern) -> None:
+    """Raise ScaleError when n exceeds the MAX_BRUTE_STATES enumeration guard."""
+    if pattern.n > MAX_BRUTE_STATES:
         raise ScaleError(
-            f"n = {n} exceeds the 2^{MAX_BRUTE_STATES} enumeration guard; "
+            f"n = {pattern.n} exceeds the 2^{MAX_BRUTE_STATES} enumeration guard; "
             "use the flow-based check"
         )
-    return _joined_unions(pattern.rows, n)
-
-
-def _joined_unions(rows, n: int):
-    """The steps of _subset_unions: the unions of the low n//2 states and of
-    the others are tabulated apart (at most 2^12 entries each) and joined."""
-    amask = [sum(1 << (j - 1) for j in row if j <= n) for row in rows]
-    bmask = [sum(1 << (j - n - 1) for j in row if j > n) for row in rows]
-    h = n // 2
-    low = _union_table(amask[:h], bmask[:h])
-    for hi, a_hi, b_hi in _union_table(amask[h:], bmask[h:]):
-        for lo, a, b in (low[1:] if hi == 0 else low):
-            yield hi << h | lo, a_hi | a, b_hi | b
 
 
 def _union_table(amask: list[int], bmask: list[int]) -> list[tuple[int, int, int]]:
-    """(s, alpha_in, beta_in) for every subset mask s of the states whose
-    in-neighbour masks are listed, bit i standing for amask[i], bmask[i]:
-    each subset adds its lowest state to the subset without it."""
+    """(|s|, alpha_in, beta_in) at index s for every subset mask s of the
+    states whose in-neighbour masks are listed, bit i standing for amask[i],
+    bmask[i]: each subset adds its lowest state to the subset without it."""
     table = [(0, 0, 0)]
     for s in range(1, 1 << len(amask)):
         low = (s & -s).bit_length() - 1
-        _, a, b = table[s & (s - 1)]
-        table.append((s, a | amask[low], b | bmask[low]))
+        size, a, b = table[s & (s - 1)]
+        table.append((size + 1, a | amask[low], b | bmask[low]))
     return table
 
 
@@ -139,18 +122,28 @@ def _mask_to_set(mask: int) -> frozenset[int]:
     return frozenset(i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1)
 
 
-def _subset_classes(unions) -> dict[tuple[int, int, int], int]:
-    """Fold the subsets of _subset_unions into classes keyed by the three
+def _subset_classes(pattern: SparsityPattern) -> dict[tuple[int, int, int], int]:
+    """The nonempty state subsets folded into classes keyed by the three
     counts the counting condition reads, (|V'|, |alpha_in|, |beta_in|), each
-    class mapped to its least subset mask (the first one seen, the masks
-    arriving in ascending order).  Every (k, q) reads the same classes, so a
+    class mapped to its least subset mask.  The unions of the low n//2
+    states and of the others are tabulated apart (_union_table, at most 2^12
+    entries each) and joined in ascending mask order, so the first mask seen
+    in a class is its least.  Every (k, q) reads the same classes, so a
     pattern's subsets are enumerated once: at n = 10, at most 11 * 11 * (m+1)
     classes stand for 1023 subsets."""
+    n, rows = pattern.n, pattern.rows
+    amask = [sum(1 << (j - 1) for j in row if j <= n) for row in rows]
+    bmask = [sum(1 << (j - n - 1) for j in row if j > n) for row in rows]
+    h = n // 2
+    low = _union_table(amask[:h], bmask[:h])
     classes: dict[tuple[int, int, int], int] = {}
-    for s, a, b in unions:
-        key = (s.bit_count(), a.bit_count(), b.bit_count())
-        if key not in classes:  # cheaper than a setdefault call on every subset
-            classes[key] = s
+    for hi, (size_hi, a_hi, b_hi) in enumerate(_union_table(amask[h:], bmask[h:])):
+        base = hi << h
+        for lo, (size, a, b) in enumerate(low):
+            key = (size_hi + size, (a_hi | a).bit_count(), (b_hi | b).bit_count())
+            if key not in classes:  # cheaper than a setdefault call on every subset
+                classes[key] = base | lo
+    del classes[0, 0, 0]  # the empty subset, mask 0, the one subset of size 0
     return classes
 
 
@@ -209,16 +202,17 @@ def counting_violation(pattern: SparsityPattern, k: int,
     (ties: smallest bitmask), or None when every subset satisfies it.
     """
     check_kq(pattern.n, pattern.m, k, q)
-    return _least_violation(_subset_classes(_subset_unions(pattern)), k, q)
+    _check_brute_size(pattern)
+    return _least_violation(_subset_classes(pattern), k, q)
 
 
 def brute_force_check(pattern: SparsityPattern, k: int, q: int) -> Verdict:
     """Exhaustive verification: reachability plus the counting condition over
     all 2^n subsets.  Guarded at n <= 24."""
     check_kq(pattern.n, pattern.m, k, q)
-    unions = _subset_unions(pattern)
+    _check_brute_size(pattern)
     unreachable = reachability_check(pattern)
-    classes = {} if unreachable else _subset_classes(unions)
+    classes = {} if unreachable else _subset_classes(pattern)
     return _brute_verdict(_least_violation(classes, k, q), unreachable, k, q, pattern.n * q)
 
 
@@ -226,9 +220,9 @@ def kstar_brute(pattern: SparsityPattern) -> KStarResult:
     """Minimal switch count by subset enumeration:
     max over nonempty subsets of ceil(|V'| / |alpha_in(V')|) - 1, infinite when
     reachability fails or some subset has no state in-neighbor."""
-    unions = _subset_unions(pattern)
+    _check_brute_size(pattern)
     unreachable = reachability_check(pattern)
-    return _kstar_brute({} if unreachable else _subset_classes(unions), unreachable)
+    return _kstar_brute({} if unreachable else _subset_classes(pattern), unreachable)
 
 
 def to_dot(pattern: SparsityPattern) -> str:

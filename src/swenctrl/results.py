@@ -12,10 +12,14 @@ class FrozenValue:
     __slots__).  The base __init__ takes one value per field, in that order,
     and raises TypeError on any other count; a subclass that converts or
     checks its values sets each field in its own __init__ with
-    object.__setattr__.  Equality holds between instances of the same class
-    with equal fields; the hash, the keyword repr and the copy and pickle
-    support (by calling the class with the fields) follow the fields as
-    well.  Assigning or deleting an attribute raises AttributeError.
+    object.__setattr__.  The classes a check builds (Verdict, VerdictStats
+    and the certificates) keep their own __init__ for speed: through the
+    base's loop over the fields, a saturated Verdict with its Saturated and
+    VerdictStats takes about 2 us more to build, a tenth of a check on a
+    small pattern.  Equality holds between instances of the same class with
+    equal fields; the hash, the keyword repr and the copy and pickle support
+    (by calling the class with the fields) follow the fields as well.
+    Assigning or deleting an attribute raises AttributeError.
     """
 
     __slots__ = ()

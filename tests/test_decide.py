@@ -354,8 +354,8 @@ def test_backbone_saturates_without_augment(monkeypatch):
 
 def test_solver_set_up_once_and_searched_only_when_short(monkeypatch):
     """A check sets up one transport problem and searches only when the
-    greedy fill leaves it short; kstar sets up one, and its warm probes
-    solve copies of the ascent's flow."""
+    greedy fill leaves it short; kstar sets up one for its ascent and one
+    for each probe below k*, solved fresh under a known cut's bound."""
     calls = {"set_up": 0, "search": 0}
 
     def counted(name, fn):
@@ -374,7 +374,7 @@ def test_solver_set_up_once_and_searched_only_when_short(monkeypatch):
     assert not check_structural(hub, 6, 65).decision
     assert calls == {"set_up": 4, "search": 1}
     assert compute_kstar(hub).value == 7
-    assert calls == {"set_up": 5, "search": 2}
+    assert calls == {"set_up": 8, "search": 2}
 
 
 def test_direct_pass_keeps_theta_and_kstar():
@@ -482,15 +482,15 @@ def test_crosscheck_enumerates_subsets_once(monkeypatch):
     """The subsets of a pattern are enumerated once for the whole grid, not
     once per cell and referee (25 times on a 4 x 3 grid)."""
     calls = []
-    enumerate_subsets = swenctrl.graph._subset_unions
+    enumerate_subsets = swenctrl.graph._subset_classes
 
     def spy(pattern):
         calls.append(pattern)
         return enumerate_subsets(pattern)
 
     for module in (swenctrl.graph, swenctrl.decide):
-        if hasattr(module, "_subset_unions"):
-            monkeypatch.setattr(module, "_subset_unions", spy)
+        if hasattr(module, "_subset_classes"):
+            monkeypatch.setattr(module, "_subset_classes", spy)
     report = crosscheck(FIG1, 3, 3)
     assert report.agree and len(report.cells) == 12
     assert calls == [FIG1]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import swenctrl.graph
 from swenctrl.errors import ScaleError
 from swenctrl.graph import (
-    _subset_unions,
+    _subset_classes,
     NeighborSets,
     brute_force_check,
     core_condition_holds,
@@ -142,16 +142,15 @@ def test_brute_force_scale_guard():
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8, 13])
-def test_subset_unions_in_ascending_mask_order(n):
+def test_subset_classes_keep_the_least_mask(n):
     p = random_pattern(n, 2, 0.3, seed=n)
-    expected = []
+    expected = {}
     for s in range(1, 1 << n):
         subset = {i + 1 for i in range(n) if s >> i & 1}
         cols = {j for i, j in p.stars if i in subset}
-        a = sum(1 << (j - 1) for j in cols if j <= n)
-        b = sum(1 << (j - n - 1) for j in cols if j > n)
-        expected.append((s, a, b))
-    assert list(_subset_unions(p)) == expected
+        key = (len(subset), sum(j <= n for j in cols), sum(j > n for j in cols))
+        expected.setdefault(key, s)
+    assert _subset_classes(p) == expected
 
 
 def test_brute_referees_match_the_literal_walk():
