@@ -1,10 +1,16 @@
 """Exact-arithmetic numerical referee.
 
-Random integer realizations of a pattern are assembled into the block-diagonal
-ensemble system and tested for controllability of the switched dynamics.  The
-rank is the dimension of a Krylov span built by deflated products and kept as
-an integer echelon basis.  No floating point anywhere: structural claims are
-generic-rank claims and a tolerance would blur exactly the cases under test.
+Random integer realizations of a pattern are tested for controllability of
+the switched ensemble dynamics.  Each segment's block-diagonal system is read
+straight from the sampled blocks, as the nonzeros of A's rows and the columns
+of B.  The mode_span rank is the dimension of the sum of the segments' Krylov
+spaces, found in one pass: each segment's span is grown by deflated products
+and kept as an integer echelon basis, and every new row joins the union at
+once.  Once the union fills more than half the space and another segment
+follows, it is kept as an integer basis of its orthogonal complement instead,
+so a later row costs one dot product per missing dimension.  No floating point
+or modular arithmetic anywhere: structural claims are generic-rank claims and
+a tolerance would blur exactly the cases under test.
 """
 
 from __future__ import annotations
@@ -28,46 +34,32 @@ MAX_ORACLE_DIM = 64  # guard on q*n for the exact-arithmetic rank
 # admits oracle_agreement's retry at 4x trials for up to 1024 trials.
 MAX_ORACLE_TRIALS = 1 << 12
 
-Matrix = tuple[tuple[int, ...], ...]
-
 
 class RankReport(FrozenValue):
     __slots__ = _fields = ("rank", "full_dim", "controllable", "criterion", "d_range_used")
 
 
-def assemble_segment(instance: EnsembleInstance, ell: int) -> tuple[Matrix, Matrix]:
-    """Block-diagonal A and stacked B of the q-ensemble for one segment."""
-    if not 0 <= ell <= instance.k:
-        raise ValueError(f"segment index {ell} out of range 0..{instance.k}")
-    n, m, q = instance.pattern.n, instance.pattern.m, instance.q
-    dim = n * q
-    a = [[0] * dim for _ in range(dim)]
-    b = [[0] * m for _ in range(dim)]
-    for p in range(1, q + 1):
+def _segment(instance: EnsembleInstance, ell: int) -> tuple[list, list[list[int]]]:
+    """Segment ell's block-diagonal A as the (column, value) nonzeros of each
+    row, and its stacked B as m columns, read straight from the q blocks."""
+    n = instance.pattern.n
+    rows, b_rows = [], []
+    for p in range(1, instance.q + 1):
         ab, bb = instance.blocks[(p, ell)]
         base = (p - 1) * n
-        for i in range(n):
-            row = a[base + i]
-            for j in range(n):
-                row[base + j] = ab[i][j]
-            for c in range(m):
-                b[base + i][c] = bb[i][c]
-    return tuple(map(tuple, a)), tuple(map(tuple, b))
-
-
-def _sparse_rows(a: Matrix) -> list[list[tuple[int, int]]]:
-    """Each row of `a` as its (column, value) nonzeros."""
-    return [[(j, x) for j, x in enumerate(row) if x] for row in a]
+        rows += [[(base + j, x) for j, x in enumerate(row) if x] for row in ab]
+        b_rows += bb
+    return rows, [list(col) for col in zip(*b_rows)]
 
 
 def _matvec(rows, v: list[int]) -> list[int]:
-    """rows @ v for `rows` from `_sparse_rows`; q blocks on the diagonal make
-    a product cost q*|stars| multiplications, not (qn)^2."""
+    """rows @ v for `rows` from `_segment`; q blocks on the diagonal make a
+    product cost q*|stars| multiplications, not (qn)^2."""
     return [sum(x * v[j] for j, x in row) for row in rows]
 
 
-def _columns(b, dim: int, m: int):
-    return [[b[r][c] for r in range(dim)] for c in range(m)]
+def _dot(u: list[int], v: list[int]) -> int:
+    return sum(x * y for x, y in zip(u, v))
 
 
 def _strip_content(v: list[int]) -> list[int]:
@@ -120,24 +112,87 @@ class _SpanBasis:
         return [self.pivots[c] for c in sorted(self.pivots)]
 
 
-def reach_subspace(a: Matrix, generators, dim: int) -> _SpanBasis:
-    """Smallest A-invariant subspace containing the generators (block-Krylov
-    with deflation).  Only reduced rows are multiplied by A: each differs from
+class _Complement:
+    """A span kept as an integer basis of its orthogonal complement, for a
+    span of more than half the space: inserting a vector costs one dot
+    product per complement vector instead of a reduction by every row."""
+
+    def __init__(self, span: _SpanBasis):
+        # One null vector of the echelon rows per free column f: x[f] = 1,
+        # the other free columns 0, and the pivot entries by fraction-free
+        # back-substitution, scaling x whenever a pivot does not divide.
+        dim, pivots = span.dim, span.pivots
+        self.dim = dim
+        self.basis = []
+        for f in range(dim):
+            if f in pivots:
+                continue
+            x = [0] * dim
+            x[f] = 1
+            for c in sorted((c for c in pivots if c < f), reverse=True):
+                row = pivots[c]
+                s = _dot(row[c + 1:], x[c + 1:])
+                if s:
+                    g = gcd(s, row[c])
+                    scale = row[c] // g
+                    if scale != 1:
+                        x = [scale * y for y in x]
+                    x[c] = -s // g
+            self.basis.append(_strip_content(x))
+
+    def add(self, vec: list[int]) -> None:
+        """Cut the complement by `vec`'s orthogonal hyperplane: a vector
+        with a nonzero product drops out, and the others with one are
+        combined with it to be orthogonal to `vec`."""
+        dots = [_dot(u, vec) for u in self.basis]
+        hits = [i for i, d in enumerate(dots) if d]
+        if not hits:
+            return
+        j = min(hits, key=lambda i: abs(dots[i]))
+        u, du = self.basis[j], dots[j]
+        for i in hits:
+            if i != j:
+                g = gcd(du, dots[i])
+                fa, fb = du // g, dots[i] // g
+                self.basis[i] = _strip_content([fa * x - fb * y for x, y in zip(self.basis[i], u)])
+        del self.basis[j]
+
+    @property
+    def dimension(self) -> int:
+        return self.dim - len(self.basis)
+
+
+def _grow(rows, generators, basis: _SpanBasis):
+    """Deflated block-Krylov steps: grow `basis` to the smallest subspace
+    that holds the generators and is invariant under `rows`, yielding each
+    row as it enters.  Only reduced rows are multiplied: each differs from
     the raw power by a combination of rows already in the span, so the span
-    is the same and the integers stay far smaller.  Every row enters the
-    frontier once, so there are at most dim products."""
-    rows = _sparse_rows(a)
-    basis = _SpanBasis(dim)
-    frontier = [w for w in map(basis.add, generators) if w is not None]
-    while frontier and basis.dimension < dim:
+    is the same.  Every row enters the frontier once, so there are at most
+    dim products."""
+    frontier = []
+    for v in generators:
+        w = basis.add(v)
+        if w is not None:
+            frontier.append(w)
+            yield w
+    while frontier and basis.dimension < basis.dim:
         grown = []
         for v in frontier:
             w = basis.add(_matvec(rows, v))
             if w is not None:
                 grown.append(w)
-                if basis.dimension == dim:
-                    break
+                yield w
+                if basis.dimension == basis.dim:
+                    return
         frontier = grown
+
+
+def reach_subspace(rows, generators, dim: int) -> _SpanBasis:
+    """Smallest subspace that holds the generators and is invariant under
+    the matrix whose rows are `rows`, each as its (column, value) nonzeros."""
+    basis = _SpanBasis(dim)
+    for _ in _grow(rows, generators, basis):
+        pass
     return basis
 
 
@@ -152,11 +207,12 @@ def controllability_rank(
     A[ell]^d B[ell].  The literal power range is 1..qn; by default d = 0 is
     included as well, since without it a driftless system (A = 0, B != 0)
     would test as uncontrollable.  It is computed as the dimension of the
-    sum of the segments' Krylov spaces, which that range spans.
+    sum of the segments' Krylov spaces, which that range spans, in one pass:
+    each segment's new rows join the union as they are found.
     sequential_subspace: iterate V_{ell+1} = reach(A[ell+1], im B[ell+1] +
     V_ell) and report dim V_k.
     """
-    n, m, q = instance.pattern.n, instance.pattern.m, instance.q
+    n, q = instance.pattern.n, instance.q
     dim = n * q
     if dim > MAX_ORACLE_DIM:
         raise ScaleError(f"q*n = {dim} exceeds the exact-arithmetic guard {MAX_ORACLE_DIM}")
@@ -165,27 +221,28 @@ def controllability_rank(
         # Krylov space K(A, B), and those for d = 1..qn span K(A, A B), so the
         # literal rank is the dimension of the sum of these spaces.
         d_range = (0 if include_d0 else 1, dim)
-        span = _SpanBasis(dim)
+        union = _SpanBasis(dim)
         for ell in range(instance.k + 1):
-            a, b = assemble_segment(instance, ell)
-            generators = _columns(b, dim, m)
+            rows, generators = _segment(instance, ell)
             if not include_d0:
-                rows = _sparse_rows(a)
                 generators = [_matvec(rows, v) for v in generators]
-            for v in reach_subspace(a, generators, dim).vectors():
-                span.add(v)
-                if span.dimension == dim:
+            if ell and isinstance(union, _SpanBasis) and 2 * union.dimension > dim:
+                union = _Complement(union)
+            # segment 0's Krylov basis is the union itself
+            basis = _SpanBasis(dim) if ell else union
+            for w in _grow(rows, generators, basis):
+                if basis is not union:
+                    union.add(w)
+                if union.dimension == dim:
                     return RankReport(dim, dim, True, criterion, d_range)
-        rank = span.dimension
-        return RankReport(rank, dim, False, criterion, d_range)
+        return RankReport(union.dimension, dim, False, criterion, d_range)
     if criterion == "sequential_subspace":
         basis = None
         for ell in range(instance.k + 1):
-            a, b = assemble_segment(instance, ell)
-            generators = _columns(b, dim, m)
+            rows, generators = _segment(instance, ell)
             if basis is not None:
                 generators.extend(basis.vectors())
-            basis = reach_subspace(a, generators, dim)
+            basis = reach_subspace(rows, generators, dim)
         rank = basis.dimension
         return RankReport(rank, dim, rank == dim, criterion, (0, dim - 1))
     raise ValueError(f"unknown criterion {criterion!r} (expected one of {CRITERIA})")

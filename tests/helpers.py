@@ -7,8 +7,8 @@ construction that flow.residual must reproduce, Dinic with levels by
 distance from the source and the sink-side search that augment and the
 transport solver must reproduce (both on the (head, adj, cap) lists of
 flow.residual), and the literal references for the numerical referee
-(Bareiss rank over every power column, sampling by a scan of every pattern
-cell)."""
+(dense segment assembly, Bareiss rank over every power column, sampling by
+a scan of every pattern cell)."""
 
 from __future__ import annotations
 
@@ -29,7 +29,6 @@ from swenctrl.flow import (
     min_cut,
 )
 from swenctrl.graph import reachability_check
-from swenctrl.oracle import assemble_segment
 from swenctrl.pattern import DEFAULT_VALUE_BOUND, EnsembleInstance, SparsityPattern
 from swenctrl.results import (
     ArgmaxSubset,
@@ -380,6 +379,28 @@ def exact_rank(vectors) -> int:
         if rank == min(len(rows), ncols):
             break
     return rank
+
+
+def assemble_segment(instance: EnsembleInstance, ell: int) -> tuple[tuple, tuple]:
+    """Block-diagonal A and stacked B of the q-ensemble for one segment, as
+    dense tuples: the literal reference's own assembly, shared with no code
+    of the referee."""
+    if not 0 <= ell <= instance.k:
+        raise ValueError(f"segment index {ell} out of range 0..{instance.k}")
+    n, m, q = instance.pattern.n, instance.pattern.m, instance.q
+    dim = n * q
+    a = [[0] * dim for _ in range(dim)]
+    b = [[0] * m for _ in range(dim)]
+    for p in range(1, q + 1):
+        ab, bb = instance.blocks[(p, ell)]
+        base = (p - 1) * n
+        for i in range(n):
+            row = a[base + i]
+            for j in range(n):
+                row[base + j] = ab[i][j]
+            for c in range(m):
+                b[base + i][c] = bb[i][c]
+    return tuple(map(tuple, a)), tuple(map(tuple, b))
 
 
 def literal_mode_span_rank(instance: EnsembleInstance, include_d0: bool) -> int:

@@ -3,13 +3,21 @@ import random
 from pathlib import Path
 
 import pytest
-from helpers import FIG1, FIG2A, INTEGRATOR, TWO_CYCLE, exact_rank, literal_mode_span_rank
+from helpers import (
+    FIG1,
+    FIG2A,
+    INTEGRATOR,
+    TWO_CYCLE,
+    assemble_segment,
+    benchmark_pattern,
+    exact_rank,
+    literal_mode_span_rank,
+)
 
 from swenctrl import oracle
 from swenctrl.decide import check_structural
 from swenctrl.errors import ScaleError
 from swenctrl.oracle import (
-    assemble_segment,
     controllability_rank,
     monte_carlo_controllable,
     oracle_agreement,
@@ -148,17 +156,17 @@ def test_mode_span_products_per_segment(monkeypatch):
     # Deflation multiplies each new basis row once: at most qn products per
     # segment, where the literal power range needs m * qn.
     per_segment = []
-    assemble, matvec = oracle.assemble_segment, oracle._matvec
+    segment, matvec = oracle._segment, oracle._matvec
 
-    def counting_assemble(instance, ell):
+    def counting_segment(instance, ell):
         per_segment.append(0)
-        return assemble(instance, ell)
+        return segment(instance, ell)
 
     def counting_matvec(*args):
         per_segment[-1] += 1
         return matvec(*args)
 
-    monkeypatch.setattr(oracle, "assemble_segment", counting_assemble)
+    monkeypatch.setattr(oracle, "_segment", counting_segment)
     monkeypatch.setattr(oracle, "_matvec", counting_matvec)
     k, q = 1, 3
     qn = FIG1.n * q
@@ -168,13 +176,58 @@ def test_mode_span_products_per_segment(monkeypatch):
         assert per_segment and max(per_segment) <= qn, per_segment
 
 
+def test_mode_span_union_sides_match_literal_rank(monkeypatch):
+    # The union of the segments' Krylov spaces stays a span basis while it
+    # fills at most half the space (hub blocks at k=1, q=2) and becomes an
+    # orthogonal complement once segment 0 fills more (referee-like n=8 at
+    # q=3); a single segment never builds the complement.
+    complements, segments = [], []
+    complement, segment = oracle._Complement, oracle._segment
+
+    def counting_complement(span):
+        complements.append(span.dimension)
+        return complement(span)
+
+    def counting_segment(instance, ell):
+        segments.append(ell)
+        return segment(instance, ell)
+
+    monkeypatch.setattr(oracle, "_Complement", counting_complement)
+    monkeypatch.setattr(oracle, "_segment", counting_segment)
+    shapes = [(benchmark_pattern("hub", 8, seed), 1, 2) for seed in range(4)]
+    shapes += [(random_pattern(8, 2, 0.3, seed), k, 3) for seed in range(12) for k in (1, 2)]
+    shapes += [(random_pattern(8, 2, 0.3, seed), 0, 3) for seed in range(4)]
+    sides = {"span": 0, "complement": 0}
+    verdicts = set()
+    for t, (pattern, k, q) in enumerate(shapes):
+        inst = sample_instance(pattern, k, q, seed=t)
+        dim = pattern.n * q
+        for include_d0 in (True, False):
+            complements.clear()
+            segments.clear()
+            report = controllability_rank(inst, include_d0=include_d0)
+            assert report.rank == literal_mode_span_rank(inst, include_d0), (t, include_d0)
+            assert all(2 * r > dim for r in complements)
+            if k == 0:
+                assert not complements
+            elif complements:
+                sides["complement"] += 1
+            elif 1 in segments:
+                sides["span"] += 1
+        if k:
+            verdicts.add(check_structural(pattern, k, q).decision)
+    assert sides["span"] and sides["complement"], sides
+    assert verdicts == {True, False}
+
+
 def test_reach_subspace_fixpoint_invariant():
     rng = random.Random(2)
     for _ in range(20):
         dim = rng.randint(1, 4)
         a = tuple(tuple(rng.randint(0, 3) for _ in range(dim)) for _ in range(dim))
         gens = [[rng.randint(0, 3) for _ in range(dim)] for _ in range(rng.randint(0, 2))]
-        basis = reach_subspace(a, gens, dim)
+        rows = [[(j, x) for j, x in enumerate(row) if x] for row in a]
+        basis = reach_subspace(rows, gens, dim)
         for v in list(basis.vectors()):
             image = [sum(a[i][j] * v[j] for j in range(dim)) for i in range(dim)]
             assert basis.contains(image)

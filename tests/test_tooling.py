@@ -100,6 +100,23 @@ def test_referees_import_only_check_kq_from_core():
     assert from_core == {"check_kq"}
 
 
+def test_oracle_shares_no_rank_or_flow_code_with_the_solver():
+    """The numerical referee takes of the decision core only the verdict it
+    is compared with, check_structural, and names from errors, pattern and
+    results; nothing from flow, graph or decide."""
+    oracle = Path(__file__).resolve().parents[1] / "src" / "swenctrl" / "oracle.py"
+    imported = set()
+    for node in ast.walk(ast.parse(oracle.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.level or
+                                                 (node.module or "").split(".")[0] == "swenctrl"):
+            module = (node.module or "").removeprefix("swenctrl").lstrip(".")
+            imported.update((module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            assert all(a.name.split(".")[0] != "swenctrl" for a in node.names)
+    assert {module for module, _ in imported} <= {"core", "errors", "pattern", "results"}
+    assert {name for module, name in imported if module == "core"} == {"check_structural"}
+
+
 def package_users(name: str) -> set[str]:
     """The modules of the package that import, call or otherwise name
     `name`; a name in a string, such as the package's lazy-export table,
