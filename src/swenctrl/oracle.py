@@ -8,9 +8,12 @@ spaces, found in one pass: each segment's span is grown by deflated products
 and kept as an integer echelon basis, and every new row joins the union at
 once.  Once the union fills more than half the space and another segment
 follows, it is kept as an integer basis of its orthogonal complement instead,
-so a later row costs one dot product per missing dimension.  No floating point
-or modular arithmetic anywhere: structural claims are generic-rank claims and
-a tolerance would blur exactly the cases under test.
+so a later row costs one dot product per missing dimension.  No floating
+point anywhere: structural claims are generic-rank claims and a tolerance
+would blur exactly the cases under test.  Modular arithmetic only ever
+proves full rank, and only on a call's later samples, once one sample has
+come out full: a rank that is full mod a prime is full over the rationals.
+Every deficient rank, and every RankReport, comes from exact integers.
 """
 
 from __future__ import annotations
@@ -33,6 +36,9 @@ MAX_ORACLE_DIM = 64  # guard on q*n for the exact-arithmetic rank
 # Guard on the samples one referee call draws, checked before the first; it
 # admits oracle_agreement's retry at 4x trials for up to 1024 trials.
 MAX_ORACLE_TRIALS = 1 << 12
+# The largest prime below 2^15: a product of two reduced entries fits in one
+# 30-bit CPython digit, so a modular row operation stays on small integers.
+PRIME = 32749
 
 
 class RankReport(FrozenValue):
@@ -101,15 +107,44 @@ class _SpanBasis:
         self.pivots[lead] = v
         return v
 
-    def contains(self, vec: list[int]) -> bool:
-        return not any(self._reduce(vec))
-
     @property
     def dimension(self) -> int:
         return len(self.pivots)
 
     def vectors(self) -> list[list[int]]:
         return [self.pivots[c] for c in sorted(self.pivots)]
+
+
+class _ModSpan:
+    """Incremental row space mod PRIME in echelon form: one row per pivot
+    column, zero left of its pivot, the pivot scaled to 1."""
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.pivots: dict[int, list[int]] = {}
+
+    def add(self, vec: list[int]) -> list[int] | None:
+        """Insert an integer vector; return its reduced row, pivot 1 and
+        entries in 0..PRIME-1, when it enlarged the span, else None."""
+        v = vec
+        for c in sorted(self.pivots):
+            # entries are reduced only at the end; a step changes each by
+            # less than PRIME^2
+            f = v[c] % PRIME
+            if f:
+                v = [x - f * y for x, y in zip(v, self.pivots[c])]
+        v = [x % PRIME for x in v]
+        lead = next((i for i, x in enumerate(v) if x), None)
+        if lead is None:
+            return None
+        inverse = pow(v[lead], -1, PRIME)
+        v = [x * inverse % PRIME for x in v]
+        self.pivots[lead] = v
+        return v
+
+    @property
+    def dimension(self) -> int:
+        return len(self.pivots)
 
 
 class _Complement:
@@ -162,7 +197,7 @@ class _Complement:
         return self.dim - len(self.basis)
 
 
-def _grow(rows, generators, basis: _SpanBasis):
+def _grow(rows, generators, basis: _SpanBasis | _ModSpan):
     """Deflated block-Krylov steps: grow `basis` to the smallest subspace
     that holds the generators and is invariant under `rows`, yielding each
     row as it enters.  Only reduced rows are multiplied: each differs from
@@ -196,6 +231,36 @@ def reach_subspace(rows, generators, dim: int) -> _SpanBasis:
     return basis
 
 
+def _union_dimension(instance: EnsembleInstance, include_d0: bool, span) -> int:
+    """Dimension of the sum of the segments' Krylov spaces, with each span
+    kept as a `span` (_SpanBasis or _ModSpan); qn as soon as the union
+    reaches it.  Only an exact union switches to its complement."""
+    dim = instance.pattern.n * instance.q
+    union = span(dim)
+    for ell in range(instance.k + 1):
+        rows, generators = _segment(instance, ell)
+        if not include_d0:
+            generators = [_matvec(rows, v) for v in generators]
+        if ell and isinstance(union, _SpanBasis) and 2 * union.dimension > dim:
+            union = _Complement(union)
+        # segment 0's Krylov basis is the union itself
+        basis = span(dim) if ell else union
+        for w in _grow(rows, generators, basis):
+            if basis is not union:
+                union.add(w)
+            if union.dimension == dim:
+                return dim
+    return union.dimension
+
+
+def _full_mod_p(instance: EnsembleInstance, include_d0: bool) -> bool:
+    """True when the mode_span rank is full mod PRIME, which proves it full:
+    the union mod PRIME is the span of the literal power columns reduced mod
+    PRIME, and a nonzero maximal minor mod PRIME is nonzero over the
+    rationals.  False proves nothing."""
+    return _union_dimension(instance, include_d0, _ModSpan) == instance.pattern.n * instance.q
+
+
 def controllability_rank(
     instance: EnsembleInstance,
     criterion: str = "mode_span",
@@ -220,22 +285,8 @@ def controllability_rank(
         # By Cayley-Hamilton the columns of A^d B for d = 0..qn span the
         # Krylov space K(A, B), and those for d = 1..qn span K(A, A B), so the
         # literal rank is the dimension of the sum of these spaces.
-        d_range = (0 if include_d0 else 1, dim)
-        union = _SpanBasis(dim)
-        for ell in range(instance.k + 1):
-            rows, generators = _segment(instance, ell)
-            if not include_d0:
-                generators = [_matvec(rows, v) for v in generators]
-            if ell and isinstance(union, _SpanBasis) and 2 * union.dimension > dim:
-                union = _Complement(union)
-            # segment 0's Krylov basis is the union itself
-            basis = _SpanBasis(dim) if ell else union
-            for w in _grow(rows, generators, basis):
-                if basis is not union:
-                    union.add(w)
-                if union.dimension == dim:
-                    return RankReport(dim, dim, True, criterion, d_range)
-        return RankReport(union.dimension, dim, False, criterion, d_range)
+        rank = _union_dimension(instance, include_d0, _SpanBasis)
+        return RankReport(rank, dim, rank == dim, criterion, (0 if include_d0 else 1, dim))
     if criterion == "sequential_subspace":
         basis = None
         for ell in range(instance.k + 1):
@@ -264,7 +315,10 @@ def monte_carlo_controllable(
 ) -> tuple[bool, int]:
     """True iff any of `trials` random realizations is controllable; one
     controllable sample certifies structural controllability, while structural
-    uncontrollability forces rank deficiency in every sample."""
+    uncontrollability forces rank deficiency in every sample.  Once a sample
+    has come out full, a later mode_span sample is first ranked mod PRIME: a
+    full answer there proves it full, and any other answer falls through to
+    the exact rank."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if trials > MAX_ORACLE_TRIALS:
@@ -274,8 +328,9 @@ def monte_carlo_controllable(
     successes = 0
     for t in range(1, trials + 1):
         instance = sample_instance(pattern, k, q, seed=_trial_seed(seed, t), value_bound=value_bound)
-        report = controllability_rank(instance, criterion=criterion, include_d0=include_d0)
-        if report.controllable:
+        if successes and criterion == "mode_span" and _full_mod_p(instance, include_d0):
+            successes += 1
+        elif controllability_rank(instance, criterion=criterion, include_d0=include_d0).controllable:
             successes += 1
     return successes > 0, successes
 

@@ -8,7 +8,8 @@ distance from the source and the sink-side search that augment and the
 transport solver must reproduce (both on the (head, adj, cap) lists of
 flow.residual), and the literal references for the numerical referee
 (dense segment assembly, Bareiss rank over every power column, sampling by
-a scan of every pattern cell)."""
+a scan of every pattern cell, and the Monte Carlo call with an exact rank
+on every trial)."""
 
 from __future__ import annotations
 
@@ -29,7 +30,13 @@ from swenctrl.flow import (
     min_cut,
 )
 from swenctrl.graph import reachability_check
-from swenctrl.pattern import DEFAULT_VALUE_BOUND, EnsembleInstance, SparsityPattern
+from swenctrl.oracle import _trial_seed, controllability_rank
+from swenctrl.pattern import (
+    DEFAULT_VALUE_BOUND,
+    EnsembleInstance,
+    SparsityPattern,
+    sample_instance,
+)
 from swenctrl.results import (
     ArgmaxSubset,
     EmptyAlphaIn,
@@ -120,8 +127,8 @@ def _benchmark_generators():
 def benchmark_pattern(family: str, n: int, seed: int) -> SparsityPattern:
     """A member of a benchmark workload's family, drawn by the benchmark's
     own seeded generators (which import nothing from swenctrl): "backbone",
-    "hub", "sparse-fail" (a block with no state in-neighbour) or
-    "sparse-fail-unreachable"."""
+    "hub", "sparse-fail" (a block with no state in-neighbour),
+    "sparse-fail-unreachable" or the referee workload's "small_random"."""
     generators = _benchmark_generators()
     if family.startswith("sparse-fail"):
         n, m, stars = generators.sparse_fail(n, seed, family.endswith("unreachable"))
@@ -418,6 +425,21 @@ def literal_mode_span_rank(instance: EnsembleInstance, include_d0: bool) -> int:
         for cols in powers[0 if include_d0 else 1:]:
             vectors.extend(cols)
     return exact_rank(vectors)
+
+
+def reference_monte_carlo(pattern: SparsityPattern, k: int, q: int, trials: int, seed: int,
+                          value_bound: int = DEFAULT_VALUE_BOUND, criterion: str = "mode_span",
+                          include_d0: bool = True) -> tuple[bool, int]:
+    """The answer monte_carlo_controllable must give, with an exact
+    controllability_rank on every trial's sample."""
+    successes = sum(
+        controllability_rank(
+            sample_instance(pattern, k, q, seed=_trial_seed(seed, t), value_bound=value_bound),
+            criterion=criterion, include_d0=include_d0,
+        ).controllable
+        for t in range(1, trials + 1)
+    )
+    return successes > 0, successes
 
 
 def sample_blocks_by_scan(pattern: SparsityPattern, k: int, q: int, seed: int,

@@ -12,6 +12,7 @@ from helpers import (
     benchmark_pattern,
     exact_rank,
     literal_mode_span_rank,
+    reference_monte_carlo,
 )
 
 from swenctrl import oracle
@@ -23,7 +24,13 @@ from swenctrl.oracle import (
     oracle_agreement,
     reach_subspace,
 )
-from swenctrl.pattern import SparsityPattern, random_pattern, sample_instance
+from swenctrl.pattern import (
+    CRITERIA,
+    DEFAULT_VALUE_BOUND,
+    SparsityPattern,
+    random_pattern,
+    sample_instance,
+)
 
 GOLDEN_RANKS = Path(__file__).parent / "golden" / "oracle_ranks.json"
 
@@ -230,9 +237,9 @@ def test_reach_subspace_fixpoint_invariant():
         basis = reach_subspace(rows, gens, dim)
         for v in list(basis.vectors()):
             image = [sum(a[i][j] * v[j] for j in range(dim)) for i in range(dim)]
-            assert basis.contains(image)
+            assert not any(basis._reduce(image))
         for v in gens:
-            assert basis.contains(v)
+            assert not any(basis._reduce(v))
 
 
 def test_criteria_agree_on_corpus():
@@ -276,6 +283,93 @@ def test_monte_carlo_deterministic():
     assert monte_carlo_controllable(FIG2A, 2, 3, trials=6, seed=7) == monte_carlo_controllable(
         FIG2A, 2, 3, trials=6, seed=7
     )
+
+
+def _monte_carlo_cells():
+    """Criterion 6's corpus over its (k, q) grids at 10 trials, then two
+    members of each benchmark family at its oracle size and (k, q)."""
+    cells = [(pattern, k, q, 10)
+             for pattern, k_max, q_max in ((FIG2A, 2, 3), (TWO_CYCLE, 2, 3), (INTEGRATOR, 2, 3),
+                                           (FIG1, 1, 2))
+             for k in range(k_max + 1) for q in range(1, q_max + 1)]
+    families = (("backbone", 7, 2), ("hub", 8, 2), ("sparse-fail", 7, 2),
+                ("sparse-fail-unreachable", 7, 2), ("small_random", 8, 3))
+    cells += [(benchmark_pattern(family, n, seed), 1, q, 3)
+              for family, n, q in families for seed in range(2)]
+    return cells
+
+
+@pytest.fixture
+def full_mod_p_calls(monkeypatch):
+    """The arguments of every call of the modular pass."""
+    calls = []
+    full_mod_p = oracle._full_mod_p
+
+    def counting_full_mod_p(*args):
+        calls.append(args)
+        return full_mod_p(*args)
+
+    monkeypatch.setattr(oracle, "_full_mod_p", counting_full_mod_p)
+    return calls
+
+
+def test_monte_carlo_matches_an_exact_rank_on_every_trial(monkeypatch, full_mod_p_calls):
+    # The modular pass only replaces an exact full rank by a proof of it, so
+    # every answer is the exact-only call's, also when the pass never says full.
+    answers = {}
+    for seed, (pattern, k, q, trials) in enumerate(_monte_carlo_cells()):
+        for criterion in CRITERIA:
+            for include_d0 in (True, False):
+                args = (pattern, k, q, trials, seed, DEFAULT_VALUE_BOUND, criterion, include_d0)
+                answers[args] = monte_carlo_controllable(*args)
+                assert answers[args] == reference_monte_carlo(*args), args
+    assert full_mod_p_calls
+    monkeypatch.setattr(oracle, "_full_mod_p", lambda instance, include_d0: False)
+    for args, answer in answers.items():
+        assert monte_carlo_controllable(*args) == answer, args
+
+
+def test_modular_pass_only_after_a_full_sample(full_mod_p_calls):
+    # No sample of hub n=8 at k=1 < k*=7 is full, so the pass never runs;
+    # every backbone sample is, so each trial after the first runs it.
+    calls = full_mod_p_calls
+    trials = 6
+    assert monte_carlo_controllable(benchmark_pattern("hub", 8, 0), 1, 2, trials, 0) == (False, 0)
+    assert not calls
+    backbone = benchmark_pattern("backbone", 7, 0)
+    assert monte_carlo_controllable(backbone, 1, 2, trials, 0) == (True, trials)
+    assert len(calls) == trials - 1
+    calls.clear()
+    monte_carlo_controllable(backbone, 1, 2, trials, 0, criterion="sequential_subspace")
+    assert not calls
+
+
+def test_full_mod_p_implies_full_rank(monkeypatch):
+    # A full answer mod a prime must be a full exact rank.  Small value
+    # bounds make deficient samples common; a bound above the modulus lets
+    # entries vanish mod it, which at PRIME is rare, so half the instances
+    # run with the modulus 7 in its place.
+    rng = random.Random(21)
+    answers = {True: 0, False: 0}
+    vanished = 0
+    for t in range(2000):
+        if t == 1000:
+            monkeypatch.setattr(oracle, "PRIME", 7)
+        prime = oracle.PRIME
+        n = rng.randint(1, 8)
+        pattern = random_pattern(n, rng.randint(0, 3), rng.random(), rng.randrange(1 << 30))
+        inst = sample_instance(pattern, rng.randint(0, 3), rng.randint(1, 4),
+                               seed=rng.randrange(1 << 30),
+                               value_bound=(2, 3, 10007, 2 * prime)[t % 4])
+        vanished += sum(x % prime == 0 for a, b in inst.blocks.values()
+                        for row in a + b for x in row if x)
+        include_d0 = t // 4 % 2 == 0
+        full = oracle._full_mod_p(inst, include_d0)
+        answers[full] += 1
+        if full:
+            assert controllability_rank(inst, include_d0=include_d0).controllable, (t, prime)
+    assert answers[True] and answers[False], answers
+    assert vanished
 
 
 def test_structural_false_forces_rank_deficiency():

@@ -5,6 +5,7 @@ lazy exports and the import rules of its modules."""
 
 import ast
 import importlib
+import math
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from swenctrl.graph import (
     reachability_check,
     to_digraph,
 )
+from swenctrl.oracle import PRIME
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
 
@@ -115,6 +117,13 @@ def test_oracle_shares_no_rank_or_flow_code_with_the_solver():
             assert all(a.name.split(".")[0] != "swenctrl" for a in node.names)
     assert {module for module, _ in imported} <= {"core", "errors", "pattern", "results"}
     assert {name for module, name in imported if module == "core"} == {"check_structural"}
+
+
+def test_oracle_modulus_is_a_prime_below_2_15():
+    """A rank full mod PRIME proves full rank only if PRIME is prime, and the
+    modular pass stays on one-digit integers only below 2^15."""
+    assert 2 <= PRIME < 1 << 15
+    assert all(PRIME % d for d in range(2, math.isqrt(PRIME) + 1))
 
 
 def package_users(name: str) -> set[str]:
