@@ -19,12 +19,11 @@ _EXPORTS = {
     "errors": ("ConsistencyError", "ParseError", "ScaleError"),
     "flow": ("FlowAssignment", "FlowNetwork", "build_lifted_network", "build_small_network",
              "lift_flow", "max_flow", "min_cut", "project_flow", "verify_flow"),
-    "graph": ("NeighborSets", "brute_force_check", "core_condition_holds", "in_neighbor_sets",
-              "kstar_brute", "reachability_check"),
+    "graph": ("brute_force_check", "core_condition_holds", "kstar_brute", "reachability_check"),
     "oracle": ("RankReport", "controllability_rank", "monte_carlo_controllable",
                "oracle_agreement"),
-    "pattern": ("EnsembleInstance", "SparsityPattern", "lift_ensemble", "parse_pattern",
-                "random_pattern", "sample_instance", "serialize_pattern"),
+    "pattern": ("EnsembleInstance", "SparsityPattern", "parse_pattern", "random_pattern",
+                "sample_instance", "serialize_pattern"),
     "results": ("KStarResult", "Verdict"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -103,6 +103,8 @@ def _kstar(args, pattern: SparsityPattern):
 
 
 def _oracle(args, pattern: SparsityPattern):
+    if args.criterion == "sequential_subspace" and not args.include_d0:
+        raise ValueError("--no-include-d0 applies to the mode_span criterion only")
     from .oracle import monte_carlo_controllable
 
     seed = _seed_or_default(args)

@@ -55,13 +55,6 @@ def check_kq(n: int, m: int, k: int, q: int) -> None:
         raise ScaleError("total source capacity (k+1)(m+nq) exceeds the 64-bit guard")
 
 
-def counting_sides(k: int, q: int, size: int, alpha: int, beta: int) -> tuple[int, int]:
-    """Both sides (k+1)beta + (k+1)q alpha and q size of the counting
-    condition for a subset of size states with alpha state and beta control
-    in-neighbours."""
-    return (k + 1) * beta + (k + 1) * q * alpha, q * size
-
-
 def in_neighbours(rows, n: int, subset) -> tuple[frozenset[int], frozenset[int]]:
     """State and control in-neighbours (alpha_in, beta_in) of the states in
     subset, read off the rows of an n-state pattern: the columns of the
@@ -293,14 +286,18 @@ class Transport:
 
 
 def _cut_sides(rows, n: int, k: int, q: int, subset, theta: int) -> tuple[int, int, int, int]:
-    """The in-neighbour counts alpha, beta and both sides lhs, rhs of the
-    counting condition for the sink-side states subset of a witness-mode
-    min cut at (k, q) of flow value theta.  Its source arcs enter the
-    subset's in-neighbours, and its sink arcs leave the other states, so it
-    costs lhs + n q - rhs; ConsistencyError is raised unless that is theta
-    and the subset violates the condition (_violation)."""
+    """The in-neighbour counts alpha, beta and the solver's one sum of both
+    sides lhs = (k+1)beta + (k+1)q alpha, rhs = q|subset| of the counting
+    condition, for the sink-side states subset of a witness-mode min cut at
+    (k, q) of flow value theta.  The cut's source arcs enter the subset's
+    in-neighbours and its sink arcs leave the other states, so it costs
+    lhs + n q - rhs; ConsistencyError is raised unless lhs < rhs and that is
+    theta."""
     alpha, beta = map(len, in_neighbours(rows, n, subset))
-    lhs, rhs = _violation(k, q, subset, alpha, beta)
+    lhs, rhs = (k + 1) * beta + (k + 1) * q * alpha, q * len(subset)
+    if lhs >= rhs:
+        raise ConsistencyError("cut-derived subset satisfies the counting condition; "
+                               "the cut is not a witness-mode min cut")
     if lhs + n * q - rhs != theta:
         raise ConsistencyError(f"cut capacity {lhs + n * q - rhs} != flow value {theta}; "
                                "flow is not maximal")
@@ -334,17 +331,6 @@ def check_structural(pattern: SparsityPattern, k: int, q: int) -> Verdict:
     return Verdict(False, ViolatingSubset(subset, lhs, rhs, k, q), stats)
 
 
-def _violation(k: int, q: int, subset, alpha: int, beta: int) -> tuple[int, int]:
-    """Both sides of the counting condition for a cut-derived subset, which
-    must violate it; ConsistencyError is raised if it does not (a cut that is
-    not the source side of a witness-mode min cut for (k, q))."""
-    lhs, rhs = counting_sides(k, q, len(subset), alpha, beta)
-    if lhs >= rhs:
-        raise ConsistencyError("cut-derived subset satisfies the counting condition; "
-                               "the cut is not a witness-mode min cut")
-    return lhs, rhs
-
-
 def compute_kstar(pattern: SparsityPattern) -> KStarResult:
     """Minimal switch count working for every ensemble size.
 
@@ -362,7 +348,8 @@ def compute_kstar(pattern: SparsityPattern) -> KStarResult:
     for V' within Z, adding a state of Z changes the cost by at most
     -qbar + nm = -1.  So Z is the unique minimiser: the sink side of the
     source-maximal min cut, hence the EmptyAlphaIn witness, and its cost is
-    the max-flow value (max-flow/min-cut), the one trace entry.
+    the max-flow value (max-flow/min-cut), the one trace entry.  Z needs no
+    recheck: n|beta_in(Z)| <= nm < qbar|Z|, so it always violates.
 
     Otherwise one transport problem at q = mn+1 is solved at k = 0 and then
     ascended: while the flow is short of n(mn+1), the source-maximal min cut
@@ -392,7 +379,6 @@ def compute_kstar(pattern: SparsityPattern) -> KStarResult:
     unfed = frozenset(i for i, row in enumerate(rows, 1) if not row or row[0] > n)
     if unfed:
         _, inputs = in_neighbours(rows, n, unfed)
-        _violation(n - 1, qbar, unfed, 0, len(inputs))
         theta = qbar * (n - len(unfed)) + n * len(inputs)
         return KStarResult(None, EmptyAlphaIn(unfed), ((n - 1, theta, target),))
     check_kq(n, m, n - 1, qbar)

@@ -8,20 +8,20 @@ the expanded network's matching value, over a whole (k, q) grid,
 enumerating the pattern's state subsets once for all its cells;
 witness_from_cut reads a violating subset off a named min cut, and
 recheck_certificate verifies a verdict's certificate from the pattern
-alone.
+alone, both counting the subset by graph._subset_sides.
 """
 
 from __future__ import annotations
 
-from .core import Transport, _violation, check_structural, compute_kstar
-from .errors import ScaleError
+from .core import Transport, check_structural, compute_kstar
+from .errors import ConsistencyError, ScaleError
 from .flow import lifted_value
 from .graph import (
     _brute_verdict,
     _kstar_brute,
     _least_violation,
     _subset_classes,
-    in_neighbor_sets,
+    _subset_sides,
     reachability_check,
 )
 from .pattern import SparsityPattern
@@ -40,11 +40,13 @@ def witness_from_cut(pattern: SparsityPattern, k: int, q: int, cut) -> frozenset
     on the sink side.
 
     With infinite middle arcs that subset always violates the counting
-    condition; ConsistencyError is raised if it does not.
+    condition (graph._subset_sides); ConsistencyError is raised if not.
     """
     subset = frozenset(j for j in range(1, pattern.n + 1) if ("mu", j) not in cut)
-    ns = in_neighbor_sets(pattern, subset)
-    _violation(k, q, subset, len(ns.alpha_in), len(ns.beta_in))
+    lhs, rhs = _subset_sides(pattern, k, q, subset)
+    if lhs >= rhs:
+        raise ConsistencyError("cut-derived subset satisfies the counting condition; "
+                               "the cut is not a witness-mode min cut")
     return subset
 
 
@@ -154,13 +156,13 @@ def recheck_certificate(pattern: SparsityPattern, verdict: Verdict) -> bool:
     """Independent certificate verification from the pattern alone: plain BFS
     and integer arithmetic over the star positions, no flow solver.  It reads
     the pattern's rows, a violating subset only its own states' rows, with
-    the referees' code (graph's reachability search), apart from the
-    solver's.  A violating subset must carry an int k >= 0 and an int q >= 1,
-    the domain of check_kq, and come with the target n*q.  A Saturated
-    certificate is accepted only on a true verdict whose flow value theta
-    equals both the certificate's value and the target, and whose target is
-    n*q for an int q >= 1; it proves no more than that (a brute-force
-    verdict, which has no theta, fails it)."""
+    the referees' code (graph's reachability search and _subset_sides),
+    apart from the solver's.  A violating subset must carry an int k >= 0
+    and an int q >= 1, the domain of check_kq, and come with the target
+    n*q.  A Saturated certificate is accepted only on a true verdict whose
+    flow value theta equals both the certificate's value and the target,
+    and whose target is n*q for an int q >= 1; it proves no more than that
+    (a brute-force verdict, which has no theta, fails it)."""
     cert = verdict.certificate
     if isinstance(cert, ViolatingSubset):
         k, q = cert.k, cert.q
@@ -170,11 +172,7 @@ def recheck_certificate(pattern: SparsityPattern, verdict: Verdict) -> bool:
         subset = cert.subset
         if not subset or not all(isinstance(i, int) and 1 <= i <= pattern.n for i in subset):
             return False
-        in_neighbours = {j for i in subset for j in pattern.rows[i - 1]}
-        alpha_in = {j for j in in_neighbours if j <= pattern.n}
-        beta_in = in_neighbours - alpha_in
-        lhs = (k + 1) * len(beta_in) + (k + 1) * q * len(alpha_in)
-        rhs = q * len(subset)
+        lhs, rhs = _subset_sides(pattern, k, q, subset)
         return lhs == cert.lhs and rhs == cert.rhs and lhs < rhs
     if isinstance(cert, Unreachable):
         if verdict.decision:

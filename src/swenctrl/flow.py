@@ -516,36 +516,17 @@ def _flow_json_value(x):
     return x
 
 
-def network_to_dict(net: FlowNetwork, flow: FlowAssignment | None = None) -> dict:
-    names = [node_name(v) for v in net.nodes]
-    arcs = []
-    for a, ((u, v), cap) in enumerate(zip(net.arcs, net.capacity)):
-        entry = {"from": names[u], "to": names[v], "cap": cap}
-        if flow is not None:
-            entry["flow"] = _flow_json_value(flow.values[a])
-        arcs.append(entry)
-    return {
-        "kind": net.kind,
-        "n": net.n,
-        "m": net.m,
-        "k": net.k,
-        "q": net.q,
-        "witness_mode": net.witness_mode,
-        "nodes": names,
-        "arcs": arcs,
-    }
-
-
 def _flow_json_text(x) -> str:
     value = _flow_json_value(x)
     return f'"{value}"' if isinstance(value, str) else str(value)
 
 
 def network_json(net: FlowNetwork, flow: FlowAssignment) -> Iterator[str]:
-    """The text json.dumps(obj, indent=2, sort_keys=True) gives for obj =
-    network_to_dict(net, flow) plus the flow value under "value", in pieces
-    of at most one arc or node, so that a dump never holds the text or the
-    dicts of all arcs at once.  (A network has at least one node and arc, so
+    """The text json.dumps(obj, indent=2, sort_keys=True) gives for obj the
+    network's kind, n, m, k, q, witness_mode and node names, its arcs (from,
+    to, cap and flow) and the flow value under "value", in pieces of at most
+    one arc or node, so that a dump never holds the text or the dicts of all
+    arcs at once.  (A network has at least one node and arc, so
     no array prints as [].)"""
     names = [json.dumps(node_name(v)) for v in net.nodes]
     yield '{\n  "arcs": ['

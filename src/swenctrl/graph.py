@@ -3,7 +3,9 @@ reachability and DOT export, read straight off a sparsity pattern's rows.
 
 These referees share no code with the solver in core: the reachability
 search, the in-neighbour split and the counting sums are their own, and of
-core they import only the (k, q) guard check_kq.  The 2^n state subsets are
+core they import only the (k, q) guard check_kq.  One subset's two sides
+are counted by _subset_sides alone, for core_condition_holds and decide's
+witness_from_cut and recheck_certificate.  The 2^n state subsets are
 enumerated once per pattern (_subset_classes): the unions of two halves of
 the states are tabulated apart and joined, each subset folded as it is
 formed into a class keyed by the three counts the counting condition
@@ -26,7 +28,6 @@ from .pattern import SparsityPattern
 from .results import (
     ArgmaxSubset,
     EmptyAlphaIn,
-    FrozenValue,
     KStarResult,
     Saturated,
     Unreachable,
@@ -38,10 +39,6 @@ from .results import (
 MAX_BRUTE_STATES = 24  # 2^n subset enumeration guard
 
 
-class NeighborSets(FrozenValue):
-    __slots__ = _fields = ("alpha_in", "beta_in")
-
-
 def to_digraph(pattern: SparsityPattern) -> SparsityPattern:
     """The pattern itself, which every function here takes as its digraph.
     Kept only because the benchmark still calls it, until a change to the
@@ -49,17 +46,18 @@ def to_digraph(pattern: SparsityPattern) -> SparsityPattern:
     return pattern
 
 
-def in_neighbor_sets(pattern: SparsityPattern, subset) -> NeighborSets:
-    """State and control in-neighbours (alpha_in, beta_in) of a state subset;
-    control node b_j is j."""
+def _subset_sides(pattern: SparsityPattern, k: int, q: int, subset) -> tuple[int, int]:
+    """Both sides (k+1)|beta_in| + (k+1)q|alpha_in| and q|subset| of the counting
+    condition for one state subset, its in-neighbours its rows' columns split at
+    n; ValueError names a state out of range.  (k, q) is the caller's to check."""
     n = pattern.n
     members = frozenset(subset)
     for i in members:
         if not (1 <= i <= n):
             raise ValueError(f"state index {i} out of range 1..{n}")
     columns = {j for i in members for j in pattern.rows[i - 1]}
-    return NeighborSets(frozenset(j for j in columns if j <= n),
-                        frozenset(j - n for j in columns if j > n))
+    alpha = sum(j <= n for j in columns)
+    return (k + 1) * (len(columns) - alpha) + (k + 1) * q * alpha, q * len(members)
 
 
 def reachability_check(pattern: SparsityPattern) -> frozenset[int]:
@@ -91,9 +89,7 @@ def core_condition_holds(pattern: SparsityPattern, k: int, q: int, subset) -> tu
     """Evaluate (k+1)|beta_in| + (k+1)q|alpha_in| >= q|subset| for one subset;
     returns (holds, lhs, rhs)."""
     check_kq(pattern.n, pattern.m, k, q)
-    ns = in_neighbor_sets(pattern, subset)
-    lhs = (k + 1) * len(ns.beta_in) + (k + 1) * q * len(ns.alpha_in)
-    rhs = q * len(frozenset(subset))
+    lhs, rhs = _subset_sides(pattern, k, q, subset)
     return lhs >= rhs, lhs, rhs
 
 
@@ -192,18 +188,6 @@ def _kstar_brute(classes, unreachable: frozenset[int]) -> KStarResult:
     best_val, best_mask = max(((size + alpha - 1) // alpha - 1, -s)
                               for (size, alpha, _), s in classes.items())
     return KStarResult(best_val, ArgmaxSubset(_mask_to_set(-best_mask)))
-
-
-def counting_violation(pattern: SparsityPattern, k: int,
-                       q: int) -> tuple[frozenset[int], int, int] | None:
-    """Exhaustively search for a subset violating the counting condition.
-
-    Returns (subset, lhs, rhs) for the violation with the smallest rhs-lhs gap
-    (ties: smallest bitmask), or None when every subset satisfies it.
-    """
-    check_kq(pattern.n, pattern.m, k, q)
-    _check_brute_size(pattern)
-    return _least_violation(_subset_classes(pattern), k, q)
 
 
 def brute_force_check(pattern: SparsityPattern, k: int, q: int) -> Verdict:

@@ -17,7 +17,7 @@ import json
 from .errors import ParseError, ScaleError
 from .results import FrozenValue
 
-MAX_PATTERN_DIM = 1 << 16  # guard on n+m of a pattern; lift_ensemble checks n*q before allocating
+MAX_PATTERN_DIM = 1 << 16  # guard on n+m of a pattern
 MAX_GENERATED_N = 1 << 12  # guard on n in random_pattern
 MAX_SAMPLE_CELLS = 1 << 18  # guard on the matrix entries sample_instance allocates
 DEFAULT_VALUE_BOUND = 10007
@@ -208,22 +208,6 @@ def serialize_pattern(pattern: SparsityPattern, fmt: str = "grid") -> str:
         obj = {"n": pattern.n, "m": pattern.m, "stars": stars}
         return json.dumps(obj, sort_keys=True) + "\n"
     raise ValueError(f"unknown pattern format {fmt!r} (expected 'grid' or 'json')")
-
-
-def lift_ensemble(pattern: SparsityPattern, q: int) -> SparsityPattern:
-    """Ensemble-of-q expansion: q diagonal copies of the state block, the input
-    block stacked so all copies share the m input columns."""
-    if not isinstance(q, int) or q < 1:
-        raise ValueError("ensemble size q must be an integer >= 1")
-    n = pattern.n
-    if n * q > MAX_PATTERN_DIM:
-        raise ScaleError(f"lifted state dimension n*q = {n * q} exceeds {MAX_PATTERN_DIM}")
-    # copy p shifts state column j to j + p*n and input column j to
-    # j + n(q-1), both increasing maps, so every row stays sorted
-    shift = n * (q - 1)
-    rows = tuple(tuple(j + p * n if j <= n else j + shift for j in row)
-                 for p in range(q) for row in pattern.rows)
-    return SparsityPattern.from_rows(n * q, pattern.m, rows)
 
 
 def random_pattern(n: int, m: int, density, seed: int) -> SparsityPattern:

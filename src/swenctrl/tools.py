@@ -18,6 +18,9 @@ from .pattern import MAX_GENERATED_N, SparsityPattern, random_pattern
 
 
 def flowdump(args, pattern: SparsityPattern) -> int:
+    if args.lifted and args.witness_mode:  # a ValueError exits 1, as a usage error
+        raise ValueError("--lifted and --witness-mode conflict: the expanded network "
+                         "has no witness mode")
     if args.lifted:
         net = build_lifted_network(pattern, args.k, args.q)
     else:

@@ -1,6 +1,7 @@
 """Shared fixtures: worked-example patterns, the tight and long-path
-families and the benchmark's own families, a random feasible-flow builder,
-the compact-network view of a transport solver's flow, the cold binary
+families and the benchmark's own families, the ensemble lift of a pattern,
+a random feasible-flow builder, the compact-network view of a transport
+solver's flow, a named network as a JSON-ready dict, the cold binary
 search for k* that compute_kstar must reproduce, the literal subset walk
 that the brute-force referees must reproduce, the per-arc residual
 construction that flow.residual must reproduce, Dinic with levels by
@@ -22,17 +23,21 @@ from pathlib import Path
 
 from swenctrl.core import Transport
 from swenctrl.decide import witness_from_cut
+from swenctrl.errors import ScaleError
 from swenctrl.flow import (
     FlowAssignment,
     FlowNetwork,
+    _flow_json_value,
     build_small_network,
     max_flow,
     min_cut,
+    node_name,
 )
 from swenctrl.graph import reachability_check
 from swenctrl.oracle import _trial_seed, controllability_rank
 from swenctrl.pattern import (
     DEFAULT_VALUE_BOUND,
+    MAX_PATTERN_DIM,
     EnsembleInstance,
     SparsityPattern,
     sample_instance,
@@ -113,6 +118,22 @@ def long_path_chain(n: int) -> SparsityPattern:
     return SparsityPattern.from_rows(n, 1, rows)
 
 
+def lift_ensemble(pattern: SparsityPattern, q: int) -> SparsityPattern:
+    """Ensemble-of-q expansion: q diagonal copies of the state block, the input
+    block stacked so all copies share the m input columns."""
+    if not isinstance(q, int) or q < 1:
+        raise ValueError("ensemble size q must be an integer >= 1")
+    n = pattern.n
+    if n * q > MAX_PATTERN_DIM:
+        raise ScaleError(f"lifted state dimension n*q = {n * q} exceeds {MAX_PATTERN_DIM}")
+    # copy p shifts state column j to j + p*n and input column j to
+    # j + n(q-1), both increasing maps, so every row stays sorted
+    shift = n * (q - 1)
+    rows = tuple(tuple(j + p * n if j <= n else j + shift for j in row)
+                 for p in range(q) for row in pattern.rows)
+    return SparsityPattern.from_rows(n * q, pattern.m, rows)
+
+
 _GENERATORS = Path(__file__).resolve().parents[1] / "benchmark" / "generators.py"
 
 
@@ -169,13 +190,13 @@ def reference_kstar(pattern: SparsityPattern) -> KStarResult:
 
 
 def reference_brute(pattern: SparsityPattern, k: int, q: int) -> tuple:
-    """The answers of brute_force_check(pattern, k, q), counting_violation
-    (pattern, k, q) and kstar_brute(pattern), by the definitions: every mask
-    in ascending order, its in-neighbours a set union of its states' rows,
-    counted with len; a violation keeps the least gap rhs - lhs (the first
-    mask on ties), EmptyAlphaIn the first mask with no state in-neighbour,
-    ArgmaxSubset the first mask reaching the maximum of
-    ceil(|V'| / |alpha_in(V')|) - 1."""
+    """The answers of brute_force_check(pattern, k, q), its least violation
+    (graph._least_violation of the subset classes) and kstar_brute(pattern),
+    by the definitions: every mask in ascending order, its in-neighbours a
+    set union of its states' rows, counted with len; a violation keeps the
+    least gap rhs - lhs (the first mask on ties), EmptyAlphaIn the first
+    mask with no state in-neighbour, ArgmaxSubset the first mask reaching
+    the maximum of ceil(|V'| / |alpha_in(V')|) - 1."""
     n = pattern.n
     violation = starved = argmax = None
     for mask in range(1, 1 << n):
@@ -310,6 +331,29 @@ def transport_values(net: FlowNetwork, flow: Transport) -> FlowAssignment:
         else:
             values.append(flow.fed[column(u)].get(v - mu - 1, 0))
     return FlowAssignment(tuple(values), flow.value)
+
+
+def network_to_dict(net: FlowNetwork, flow: FlowAssignment | None = None) -> dict:
+    """The network, and the flow's per-arc values if given, as the dict whose
+    json.dumps (with the flow value under "value") flow.network_json
+    streams."""
+    names = [node_name(v) for v in net.nodes]
+    arcs = []
+    for a, ((u, v), cap) in enumerate(zip(net.arcs, net.capacity)):
+        entry = {"from": names[u], "to": names[v], "cap": cap}
+        if flow is not None:
+            entry["flow"] = _flow_json_value(flow.values[a])
+        arcs.append(entry)
+    return {
+        "kind": net.kind,
+        "n": net.n,
+        "m": net.m,
+        "k": net.k,
+        "q": net.q,
+        "witness_mode": net.witness_mode,
+        "nodes": names,
+        "arcs": arcs,
+    }
 
 
 def named_arcs(net: FlowNetwork) -> list[tuple]:

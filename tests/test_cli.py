@@ -136,6 +136,24 @@ def test_oracle_command(tmp_path, capsys):
     assert obj["full_dim"] == 6
 
 
+def test_oracle_rejects_no_include_d0_with_sequential_subspace(tmp_path, capsys):
+    """sequential_subspace always starts its powers at d = 0, so
+    --no-include-d0 with it is a usage error rather than an ignored flag;
+    each flag alone still runs."""
+    path = write_pattern(tmp_path, FIG2A)
+    dot_path = tmp_path / "p.dot"
+    base = ("oracle", path, "--k", "2", "--q", "3", "--trials", "2", "--seed", "1")
+    code, out, err = run_cli(capsys, *base, "--criterion", "sequential_subspace",
+                             "--no-include-d0", "--dot-out", str(dot_path))
+    assert (code, out) == (1, "")
+    assert "--no-include-d0 applies to the mode_span criterion only" in err
+    assert not dot_path.exists()
+    for flags, include_d0 in [(("--criterion", "sequential_subspace"), True),
+                              (("--no-include-d0",), False)]:
+        code, out, _ = run_cli(capsys, *base, *flags)
+        assert code == 0 and json.loads(out)["include_d0"] is include_d0
+
+
 def test_crosscheck_command(tmp_path, capsys):
     path = write_pattern(tmp_path, FIG2A)
     code, out, _ = run_cli(capsys, "crosscheck", path, "--kmax", "2", "--qmax", "3")
@@ -180,6 +198,24 @@ def test_flowdump_witness_mode(tmp_path, capsys):
     assert obj["witness_mode"] is True and obj["value"] == 5
     caps = {(a["from"], a["to"]): a["cap"] for a in obj["arcs"]}
     assert caps[("lam_1", "mu_1")] == 1 + 1 * 2 + 2 * 6
+
+
+def test_flowdump_rejects_lifted_with_witness_mode(tmp_path, capsys, monkeypatch):
+    """The expanded network has no witness mode, so --lifted with
+    --witness-mode is a usage error, raised before any network is built or
+    any file written."""
+    def built(*args, **kwargs):
+        raise AssertionError("a network was built")
+
+    monkeypatch.setattr(swenctrl.tools, "build_lifted_network", built)
+    monkeypatch.setattr(swenctrl.tools, "build_small_network", built)
+    path = write_pattern(tmp_path, FIG2A)
+    out_path = tmp_path / "net.json"
+    code, out, err = run_cli(capsys, "flowdump", path, "--k", "1", "--q", "1", "--lifted",
+                             "--witness-mode", "--out", str(out_path))
+    assert (code, out) == (1, "")
+    assert "--lifted and --witness-mode conflict" in err
+    assert not out_path.exists()
 
 
 @pytest.mark.parametrize("flags, golden", [

@@ -38,7 +38,6 @@ from swenctrl.graph import (
 from swenctrl.oracle import controllability_rank
 from swenctrl.pattern import (
     SparsityPattern,
-    lift_ensemble,
     parse_pattern,
     random_pattern,
     sample_instance,
@@ -641,8 +640,9 @@ def test_referees_share_no_code_with_the_solver(monkeypatch):
 
     def referees():
         return ([brute_force_check(pattern, k, q) for k in range(2) for q in (1, 2)],
-                kstar_brute(pattern), swenctrl.graph.counting_violation(pattern, 0, 2),
-                [swenctrl.graph.in_neighbor_sets(pattern, {i}) for i in (1, 2, 3)],
+                kstar_brute(pattern),
+                swenctrl.graph._least_violation(swenctrl.graph._subset_classes(pattern), 0, 2),
+                [swenctrl.graph._subset_sides(pattern, 0, 2, {i}) for i in (1, 2, 3)],
                 core_condition_holds(pattern, 0, 2, {3}),
                 recheck_certificate(pattern, Verdict(False, Unreachable(frozenset({1, 2})),
                                                      VerdictStats(None, 3))))
@@ -800,7 +800,6 @@ def test_no_module_reads_the_stars(p, monkeypatch):
         assert v.decision or not rank.controllable
     if pattern.n <= 10:
         assert crosscheck(pattern, 1, 2).agree
-    assert lift_ensemble(pattern, 2).n == 2 * pattern.n
     assert to_dot(pattern).count("->") == len(stars)
     monkeypatch.undo()
     assert pattern.stars == stars
@@ -840,10 +839,11 @@ def test_check_and_kstar_never_build_the_named_network(monkeypatch):
     def forbidden(*args, **kwargs):
         raise Forbidden("the decision path built the named network")
 
-    # The classes every named network and neighbour-set count is built of,
-    # patched where their builders read them.
+    # The class every named network is built of, and the referees' one-subset
+    # count, patched where their callers read them.
     monkeypatch.setattr(swenctrl.flow, "FlowNetwork", forbidden)
-    monkeypatch.setattr(swenctrl.graph, "NeighborSets", forbidden)
+    monkeypatch.setattr(swenctrl.graph, "_subset_sides", forbidden)
+    monkeypatch.setattr(swenctrl.decide, "_subset_sides", forbidden)
     with pytest.raises(Forbidden):
         build_small_network(FIG2A, 1, 3)
     with pytest.raises(Forbidden):

@@ -12,6 +12,7 @@ from helpers import (
     named_arcs,
     named_capacity,
     named_values,
+    network_to_dict,
     random_feasible_flow,
     reference_augment,
     reference_residual,
@@ -38,7 +39,6 @@ from swenctrl.flow import (
     max_flow,
     min_cut,
     network_json,
-    network_to_dict,
     network_to_dot,
     phi_arc,
     phi_node,

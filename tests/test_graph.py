@@ -1,19 +1,18 @@
 import random
 
 import pytest
-from helpers import FIG1, FIG2A, TWO_CYCLE, reference_brute
+from helpers import FIG1, FIG2A, TWO_CYCLE, lift_ensemble, reference_brute
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import swenctrl.graph
+from swenctrl.core import in_neighbours
 from swenctrl.errors import ScaleError
 from swenctrl.graph import (
+    _least_violation,
     _subset_classes,
-    NeighborSets,
     brute_force_check,
     core_condition_holds,
-    counting_violation,
-    in_neighbor_sets,
     kstar_brute,
     reachability_check,
     to_dot,
@@ -36,39 +35,35 @@ def test_pattern_edges_fig1():
     expected = {1: ({2}, {1, 2}), 2: (set(), {2}), 3: ({1}, set()), 4: ({2, 3}, set()),
                 5: ({3, 4}, set())}
     for i, (alpha, beta) in expected.items():
-        ns = in_neighbor_sets(FIG1, {i})
-        assert (ns.alpha_in, ns.beta_in) == (alpha, beta), i
+        assert in_neighbours(FIG1.rows, FIG1.n, {i}) == (alpha, beta), i
     assert sum(len(a) + len(b) for a, b in expected.values()) == len(FIG1.stars)
 
 
 def test_pattern_edges_fig2a():
-    assert in_neighbor_sets(FIG2A, {1}) == NeighborSets(frozenset(), frozenset({1}))
-    assert in_neighbor_sets(FIG2A, {2}) == NeighborSets(frozenset({1}), frozenset({1}))
+    assert in_neighbours(FIG2A.rows, FIG2A.n, {1}) == (frozenset(), frozenset({1}))
+    assert in_neighbours(FIG2A.rows, FIG2A.n, {2}) == (frozenset({1}), frozenset({1}))
 
 
 def test_pattern_edges_empty():
-    assert in_neighbor_sets(SparsityPattern(3, 1, frozenset()), {1, 2, 3}) == NeighborSets(
+    assert in_neighbours(SparsityPattern(3, 1, frozenset()).rows, 3, {1, 2, 3}) == (
         frozenset(), frozenset())
 
 
 def test_in_neighbor_sets_fig2a():
-    ns = in_neighbor_sets(FIG2A, {2})
-    assert ns.alpha_in == frozenset({1}) and ns.beta_in == frozenset({1})
+    assert in_neighbours(FIG2A.rows, FIG2A.n, {2}) == (frozenset({1}), frozenset({1}))
 
 
 def test_in_neighbor_sets_empty_subset():
-    ns = in_neighbor_sets(FIG1, set())
-    assert ns.alpha_in == frozenset() and ns.beta_in == frozenset()
+    assert in_neighbours(FIG1.rows, FIG1.n, set()) == (frozenset(), frozenset())
 
 
 def test_in_neighbor_sets_fig1_node5():
-    ns = in_neighbor_sets(FIG1, {5})
-    assert ns.alpha_in == frozenset({3, 4}) and ns.beta_in == frozenset()
+    assert in_neighbours(FIG1.rows, FIG1.n, {5}) == (frozenset({3, 4}), frozenset())
 
 
 def test_in_neighbor_sets_rejects_bad_index():
-    with pytest.raises(ValueError, match="out of range"):
-        in_neighbor_sets(FIG2A, {3})
+    with pytest.raises(ValueError, match="state index 3 out of range 1..2"):
+        core_condition_holds(FIG2A, 0, 1, {3})
 
 
 def test_reachability_fig1_all_reachable():
@@ -119,7 +114,7 @@ def test_brute_force_witness_smallest_gap():
     # Only b_1 -> a_2.  At (0, 3) the subset {a_1} violates with gap 3 but
     # {a_2} violates with gap 2; the smaller gap wins over the smaller mask.
     p = SparsityPattern(2, 1, frozenset({(2, 3)}))
-    subset, lhs, rhs = counting_violation(p, 0, 3)
+    subset, lhs, rhs = _least_violation(_subset_classes(p), 0, 3)
     assert subset == frozenset({2}) and (lhs, rhs) == (1, 3)
 
 
@@ -137,8 +132,6 @@ def test_brute_force_scale_guard():
         brute_force_check(p, 0, 1)
     with pytest.raises(ScaleError, match="flow-based"):
         kstar_brute(p)
-    with pytest.raises(ScaleError, match="flow-based"):
-        counting_violation(p, 0, 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8, 13])
@@ -165,7 +158,7 @@ def test_brute_referees_match_the_literal_walk():
         k, q = rng.randint(0, 3), rng.randint(1, 5)
         verdict, violation, kstar = reference_brute(p, k, q)
         assert brute_force_check(p, k, q) == verdict, (seed, k, q)
-        assert counting_violation(p, k, q) == violation, (seed, k, q)
+        assert _least_violation(_subset_classes(p), k, q) == violation, (seed, k, q)
         assert kstar_brute(p) == kstar, seed
 
 
@@ -177,12 +170,10 @@ def test_brute_referees_guard_before_any_enumeration(monkeypatch):
 
     monkeypatch.setattr(swenctrl.graph, "_union_table", enumerated)
     for bad_k, bad_q, error in [(-1, 1, ValueError), (0, 0, ValueError), (1 << 62, 1, ScaleError)]:
-        for referee in (brute_force_check, counting_violation):
-            with pytest.raises(error):
-                referee(FIG1, bad_k, bad_q)
+        with pytest.raises(error):
+            brute_force_check(FIG1, bad_k, bad_q)
     big = SparsityPattern(25, 0, frozenset())
-    for call in (lambda: brute_force_check(big, 0, 1), lambda: counting_violation(big, 0, 1),
-                 lambda: kstar_brute(big)):
+    for call in (lambda: brute_force_check(big, 0, 1), lambda: kstar_brute(big)):
         with pytest.raises(ScaleError, match="flow-based"):
             call()
     blind = SparsityPattern(3, 1, frozenset({(1, 2), (2, 1), (3, 4)}))
@@ -213,8 +204,8 @@ def test_kstar_brute_finite_bounds_and_witness():
         if not r.is_infinite:
             assert 0 <= r.value <= p.n - 1
             assert isinstance(r.witness, ArgmaxSubset)
-            ns = in_neighbor_sets(p, r.witness.subset)
-            size, nin = len(r.witness.subset), len(ns.alpha_in)
+            alpha, _ = in_neighbours(p.rows, p.n, r.witness.subset)
+            size, nin = len(r.witness.subset), len(alpha)
             assert -(-size // nin) - 1 == r.value
 
 
@@ -234,8 +225,7 @@ def test_monotone_in_k(p, k, q):
 def test_antimonotone_in_q_on_starving_subsets(p, k, q):
     for node in range(1, p.n + 1):
         subset = frozenset({node})
-        ns = in_neighbor_sets(p, subset)
-        if ns.alpha_in:
+        if in_neighbours(p.rows, p.n, subset)[0]:
             continue
         holds, _, _ = core_condition_holds(p, k, q, subset)
         if not holds:
@@ -250,9 +240,10 @@ def test_neighbor_sets_superset_monotone(p):
     rng = random.Random(0)
     small = frozenset(i for i in range(1, n + 1) if rng.random() < 0.4)
     big = small | frozenset(i for i in range(1, n + 1) if rng.random() < 0.4)
-    ns_small, ns_big = in_neighbor_sets(p, small), in_neighbor_sets(p, big)
-    assert ns_small.alpha_in <= ns_big.alpha_in
-    assert ns_small.beta_in <= ns_big.beta_in
+    (alpha_small, beta_small), (alpha_big, beta_big) = (in_neighbours(p.rows, n, small),
+                                                        in_neighbours(p.rows, n, big))
+    assert alpha_small <= alpha_big
+    assert beta_small <= beta_big
 
 
 def test_decision_order_consistency():
@@ -271,8 +262,6 @@ def test_decision_order_consistency():
 def test_lifted_pattern_decision_oracle():
     # Deciding (k, q) on a pattern equals deciding (k, 1) on its q-copy lift:
     # the counting condition on the lift collapses to the ensemble-weighted one.
-    from swenctrl.pattern import lift_ensemble
-
     for seed in range(40):
         rng = random.Random(seed)
         p = random_pattern(rng.randint(1, 4), rng.randint(0, 2), rng.random(), seed)
@@ -285,8 +274,6 @@ def test_lifted_pattern_decision_oracle():
 
 def test_lift_control_neighbors_equal_across_copies():
     # Every ensemble copy of a state subset sees the same control in-neighbors.
-    from swenctrl.pattern import lift_ensemble
-
     for seed in range(15):
         rng = random.Random(seed)
         p = random_pattern(rng.randint(1, 4), rng.randint(0, 2), rng.random(), seed)
@@ -294,7 +281,7 @@ def test_lift_control_neighbors_equal_across_copies():
         lifted = lift_ensemble(p, q)
         base = frozenset(i for i in range(1, p.n + 1) if rng.random() < 0.6)
         images = [
-            in_neighbor_sets(lifted, {(copy * p.n) + i for i in base}).beta_in
+            in_neighbours(lifted.rows, lifted.n, {(copy * p.n) + i for i in base})[1]
             for copy in range(q)
         ]
         assert all(img == images[0] for img in images)

@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from helpers import FIG1, FIG2A, INTEGRATOR, sample_blocks_by_scan
+from helpers import FIG1, FIG2A, INTEGRATOR, lift_ensemble, sample_blocks_by_scan
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +12,6 @@ from swenctrl.pattern import (
     MAX_VALUE_BOUND,
     EnsembleInstance,
     SparsityPattern,
-    lift_ensemble,
     parse_pattern,
     random_pattern,
     sample_instance,

@@ -208,3 +208,53 @@ def test_lazy_exports_resolve(monkeypatch):
     assert all(namespace[name] is getattr(swenctrl, name) for name in swenctrl.__all__)
     with pytest.raises(AttributeError, match="no_such_name"):
         swenctrl.no_such_name
+
+
+# Format inverses kept public for readers of the package's own output:
+# serialize_pattern inverts parse_pattern, and certificate_from_dict reads a
+# certificate back from a verdict's JSON.
+FORMAT_INVERSES = {"serialize_pattern", "certificate_from_dict"}
+
+
+def named(node) -> set[str]:
+    """The identifiers a node's code names, as a variable or an attribute;
+    imports and strings do not count."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_every_public_definition_is_reached():
+    """Every public module-level function or class of the package is named
+    by cli.py or tools.py, by tests/test_acceptance.py, by an import in a
+    benchmark file, or by the body of another definition that is itself
+    reached; module-level code outside the definitions, which runs on
+    import, counts as reached.  Only FORMAT_INVERSES are exempt, and each
+    of them must be otherwise unreached.  The benchmark still imports
+    to_digraph, core_condition_holds, witness_from_cut and min_cut; once it
+    stops, this test flags whichever of them nothing else reaches."""
+    src = Path(__file__).resolve().parents[1] / "src" / "swenctrl"
+    bodies: dict[str, list] = {}
+    public = set()
+    acceptance = Path(__file__).with_name("test_acceptance.py")
+    reached = named(ast.parse(acceptance.read_text(encoding="utf-8")))
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.stem in ("cli", "tools"):
+            reached |= named(tree)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bodies.setdefault(node.name, []).append(node)
+                if not node.name.startswith("_"):
+                    public.add(node.name)
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                reached |= named(node)
+    for path in sorted(BENCHMARK.glob("*.py")):
+        reached |= {name for _, name in swenctrl_imports(path) if name}
+    frontier = list(reached)
+    while frontier:
+        for node in bodies.pop(frontier.pop(), ()):
+            new = named(node) - reached
+            reached |= new
+            frontier += new
+    assert FORMAT_INVERSES <= public - reached
+    assert public - reached - FORMAT_INVERSES == set()

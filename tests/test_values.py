@@ -11,7 +11,6 @@ import pytest
 
 from swenctrl.decide import CrosscheckCell, CrosscheckReport
 from swenctrl.flow import FlowAssignment, FlowNetwork, build_small_network
-from swenctrl.graph import NeighborSets
 from swenctrl.oracle import AgreementCell, AgreementReport, RankReport
 from swenctrl.pattern import EnsembleInstance, SparsityPattern
 from swenctrl.results import (
@@ -65,8 +64,6 @@ CASES = [
      f"arcs={NET.arcs!r}, capacity={NET.capacity!r})"),
     (FlowAssignment, ((1, Fraction(1, 2)), Fraction(3, 2)),
      "FlowAssignment(values=(1, Fraction(1, 2)), value_total=Fraction(3, 2))"),
-    (NeighborSets, (frozenset({1}), frozenset()),
-     "NeighborSets(alpha_in=frozenset({1}), beta_in=frozenset())"),
     (RankReport, (2, 2, True, "mode_span", (0, 2)),
      "RankReport(rank=2, full_dim=2, controllable=True, criterion='mode_span', "
      "d_range_used=(0, 2))"),
@@ -153,7 +150,7 @@ def test_pattern_round_trip_keeps_rows_and_stars():
 
 
 @pytest.mark.parametrize("cls", [CrosscheckCell, CrosscheckReport, FlowNetwork, FlowAssignment,
-                                 NeighborSets, RankReport, AgreementCell, AgreementReport])
+                                 RankReport, AgreementCell, AgreementReport])
 def test_the_base_init_takes_one_value_per_field(cls):
     values = next(v for c, v, _ in CASES if c is cls)
     for wrong in (values[:-1], (*values, None)):
