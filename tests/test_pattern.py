@@ -1,8 +1,16 @@
+import hashlib
 import json
 import random
 
 import pytest
-from helpers import FIG1, FIG2A, INTEGRATOR, lift_ensemble, sample_blocks_by_scan
+from helpers import (
+    FIG1,
+    FIG2A,
+    INTEGRATOR,
+    benchmark_pattern,
+    lift_ensemble,
+    sample_blocks_by_scan,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -192,6 +200,34 @@ def test_random_pattern_golden():
         (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (2, 5),
         (3, 1), (3, 2), (3, 5), (4, 2), (4, 5), (4, 6),
     ]
+
+
+SAMPLE_STREAM_GOLDEN = {
+    ("fig1", 2): "4631e58bf8b461adc9ce7debe2d5c3cd4e42cd6cc91445368dd88da215adbd0c",
+    ("fig1", 3): "ec26ff8078aab85bfea4bbfb500d7c3454d05b803bb5abfb637cd74465ba2ce9",
+    ("fig1", 10007): "31902722ce905f7803f218a469fb296aa560166fd769b51db7632afd8e85fd8c",
+    ("fig1", 1 << 32): "b090489d8ffca41de14167385b3849fc412f66343553060ae03301664eb153c4",
+    ("fig2a", 2): "8de3cf34698a6040ec761ed37fbbc5686278d0434a332e9602b1b6f25cc5e571",
+    ("fig2a", 3): "39995d7c9fccd57a6526b642b97d38747f51ae7decfa55a56255bdf55bf8843c",
+    ("fig2a", 10007): "6050c91339f7515b4b6a060bb58f1fb2d21fe01a6ba6c8d27e516643e2c96b19",
+    ("fig2a", 1 << 32): "58cb5abe500f31ae690e4e48277d85d54e0eb383d8d2aaf76e694443cbf7d11d",
+    ("hub", 2): "3cefe737770c78fed1b9a7b6454c4d93e2cb21567caff6f39ccaf959aadc133c",
+    ("hub", 3): "7cf5b66d9204a6eff04761a68f7c3f161d44375579de692e2bab3bce80097945",
+    ("hub", 10007): "9ebd61782826b206f85475fb00ac92469fd52265153f8608ba1f58da3a03a6ba",
+    ("hub", 1 << 32): "c57025edbd2698b07962676a4d5abd3d07a0fbbe509794acb2ed73170ee19f94",
+}
+
+
+@pytest.mark.parametrize("name, value_bound", sorted(SAMPLE_STREAM_GOLDEN))
+def test_sample_instance_stream_golden(name, value_bound):
+    # Frozen from the randint sampler; guards the sample stream, so a seed
+    # keeps naming the same realization.
+    pattern = {"fig1": FIG1, "fig2a": FIG2A, "hub": benchmark_pattern("hub", 8, 0)}[name]
+    digest = hashlib.sha256()
+    for seed in (0, 1, 12345):
+        for k, q in ((0, 1), (1, 2), (2, 3)):
+            digest.update(repr(sample_instance(pattern, k, q, seed, value_bound).blocks).encode())
+    assert digest.hexdigest() == SAMPLE_STREAM_GOLDEN[name, value_bound]
 
 
 def test_random_pattern_rejects_bad_density():
