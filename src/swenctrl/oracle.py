@@ -11,9 +11,10 @@ follows, it is kept as an integer basis of its orthogonal complement instead,
 so a later row costs one dot product per missing dimension.  No floating
 point anywhere: structural claims are generic-rank claims and a tolerance
 would blur exactly the cases under test.  Modular arithmetic only ever
-proves full rank, and only on a call's later samples, once one sample has
-come out full: a rank that is full mod a prime is full over the rationals.
-Every deficient rank, and every RankReport, comes from exact integers.
+proves full rank, and only runs after a full sample, or when the structural
+verdict predicts one: a rank that is full mod a prime is full over the
+rationals.  Every deficient rank, and every RankReport, comes from exact
+integers.
 """
 
 from __future__ import annotations
@@ -315,20 +316,25 @@ def monte_carlo_controllable(
 ) -> tuple[bool, int]:
     """True iff any of `trials` random realizations is controllable; one
     controllable sample certifies structural controllability, while structural
-    uncontrollability forces rank deficiency in every sample.  Once a sample
-    has come out full, a later mode_span sample is first ranked mod PRIME: a
-    full answer there proves it full, and any other answer falls through to
-    the exact rank."""
+    uncontrollability forces rank deficiency in every sample.  After a full
+    sample, or when the structural verdict predicts one, a mode_span sample
+    is first ranked mod PRIME: a full answer there proves it full, and any
+    other answer falls through to the exact rank.  The verdict only orders
+    the two passes; it never decides an answer."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if trials > MAX_ORACLE_TRIALS:
         raise ScaleError(f"trials = {trials} exceeds the guard {MAX_ORACLE_TRIALS}")
     if q * pattern.n > MAX_ORACLE_DIM:
         raise ScaleError(f"q*n = {q * pattern.n} exceeds the guard {MAX_ORACLE_DIM}")
+    mode_span = criterion == "mode_span"
     successes = 0
     for t in range(1, trials + 1):
         instance = sample_instance(pattern, k, q, seed=_trial_seed(seed, t), value_bound=value_bound)
-        if successes and criterion == "mode_span" and _full_mod_p(instance, include_d0):
+        if t == 1:
+            # after the sampler's guards; the verdict only orders the passes
+            expect_full = mode_span and check_structural(pattern, k, q).decision
+        if mode_span and (successes or expect_full) and _full_mod_p(instance, include_d0):
             successes += 1
         elif controllability_rank(instance, criterion=criterion, include_d0=include_d0).controllable:
             successes += 1

@@ -274,8 +274,10 @@ def sample_instance(
     value_bound: int = DEFAULT_VALUE_BOUND,
 ) -> EnsembleInstance:
     """Draw every star entry uniformly from 1..value_bound, deterministically
-    under `seed`; zero entries stay exactly zero.  Raises ScaleError, before
-    any draw, when value_bound exceeds MAX_VALUE_BOUND or the entries exceed
+    under `seed`; zero entries stay exactly zero.  Each draw is randint's own
+    rejection loop on getrandbits, so the stream is random.Random(seed)'s
+    randint(1, value_bound) stream.  Raises ScaleError, before any draw, when
+    value_bound exceeds MAX_VALUE_BOUND or the entries exceed
     MAX_SAMPLE_CELLS."""
     if k < 0:
         raise ValueError("switch count k must be >= 0")
@@ -294,7 +296,8 @@ def sample_instance(
         )
     import random  # only the generators need it
 
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
+    bits = value_bound.bit_length()
     # row-major, the order of the draws
     stars = [(i, j) for i, row in enumerate(pattern.rows, 1) for j in row]
     blocks = {}
@@ -303,7 +306,11 @@ def sample_instance(
             a = [[0] * n for _ in range(n)]
             b = [[0] * m for _ in range(n)]
             for i, j in stars:
-                v = rng.randint(1, value_bound)
+                # randint(1, value_bound)'s own rejection loop, inlined
+                v = getrandbits(bits)
+                while v >= value_bound:
+                    v = getrandbits(bits)
+                v += 1
                 if j <= n:
                     a[i - 1][j - 1] = v
                 else:

@@ -154,6 +154,24 @@ def test_oracle_rejects_no_include_d0_with_sequential_subspace(tmp_path, capsys)
         assert code == 0 and json.loads(out)["include_d0"] is include_d0
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--k", "-1"), "switch count k must be >= 0"),
+    (("--q", "0"), "ensemble size q must be >= 1"),
+    (("--trials", "0"), "trials must be >= 1"),
+    (("--value-bound", "1"), "value_bound must be >= 2"),
+])
+def test_oracle_usage_errors_come_before_any_structural_check(tmp_path, capsys, flags, message):
+    """The oracle's own guards and the sampler's reject each bad argument
+    with their own message; the structural verdict, which orders the rank
+    passes, is only computed once the first sample has been drawn."""
+    path = write_pattern(tmp_path, FIG2A)
+    argv = dict(zip(("--k", "--q", "--trials", "--value-bound"), ("1", "2", "2", "10007")))
+    argv.update([flags])
+    code, out, err = run_cli(capsys, "oracle", path, "--seed", "1",
+                             *[token for pair in argv.items() for token in pair])
+    assert (code, out, err) == (1, "", f"usage error: {message}\n")
+
+
 def test_crosscheck_command(tmp_path, capsys):
     path = write_pattern(tmp_path, FIG2A)
     code, out, _ = run_cli(capsys, "crosscheck", path, "--kmax", "2", "--qmax", "3")

@@ -1,6 +1,7 @@
 import json
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from helpers import (
@@ -329,16 +330,41 @@ def test_monte_carlo_matches_an_exact_rank_on_every_trial(monkeypatch, full_mod_
         assert monte_carlo_controllable(*args) == answer, args
 
 
-def test_modular_pass_only_after_a_full_sample(full_mod_p_calls):
-    # No sample of hub n=8 at k=1 < k*=7 is full, so the pass never runs;
-    # every backbone sample is, so each trial after the first runs it.
+@pytest.mark.parametrize("decision", [True, False])
+def test_the_structural_verdict_never_changes_an_answer(monkeypatch, decision):
+    # The verdict only orders the modular and exact passes, so a verdict that
+    # is always wrong on some cells leaves every answer the exact-only call's.
+    monkeypatch.setattr(oracle, "check_structural", 
+                        lambda pattern, k, q: SimpleNamespace(decision=decision))
+    for seed, (pattern, k, q, trials) in enumerate(_monte_carlo_cells()):
+        for criterion in CRITERIA:
+            for include_d0 in (True, False):
+                args = (pattern, k, q, trials, seed, DEFAULT_VALUE_BOUND, criterion, include_d0)
+                assert monte_carlo_controllable(*args) == reference_monte_carlo(*args), args
+
+
+def test_modular_pass_first_after_a_full_or_an_expected_full_sample(monkeypatch,
+                                                                    full_mod_p_calls):
+    # Hub n=8 at k=1 < k*=7 is structurally uncontrollable and no sample is
+    # full, so the pass never runs; backbone is structurally controllable, so
+    # every trial runs it first, and every sample is proved full mod p
+    # without an exact rank.
     calls = full_mod_p_calls
     trials = 6
     assert monte_carlo_controllable(benchmark_pattern("hub", 8, 0), 1, 2, trials, 0) == (False, 0)
     assert not calls
+    exact_ranks = []
+    controllability_rank = oracle.controllability_rank
+
+    def counting_rank(*args, **kwargs):
+        exact_ranks.append(args)
+        return controllability_rank(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "controllability_rank", counting_rank)
     backbone = benchmark_pattern("backbone", 7, 0)
     assert monte_carlo_controllable(backbone, 1, 2, trials, 0) == (True, trials)
-    assert len(calls) == trials - 1
+    assert len(calls) == trials
+    assert not exact_ranks
     calls.clear()
     monte_carlo_controllable(backbone, 1, 2, trials, 0, criterion="sequential_subspace")
     assert not calls
