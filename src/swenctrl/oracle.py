@@ -8,7 +8,9 @@ spaces, found in one pass: each segment's span is grown by deflated products
 and kept as an integer echelon basis, and every new row joins the union at
 once.  Once the union fills more than half the space and another segment
 follows, it is kept as an integer basis of its orthogonal complement instead,
-so a later row costs one dot product per missing dimension.  No floating
+and each later segment cuts it directly: each complement vector u is kept
+beside its image u^T A^d and cut by that image's dot with each generator for
+d < qn, which suffices by Cayley-Hamilton.  No floating
 point anywhere: structural claims are generic-rank claims and a tolerance
 would blur exactly the cases under test.  Modular arithmetic only ever
 proves full rank, and only runs after a full sample, or when the structural
@@ -29,6 +31,7 @@ from .pattern import (
     DEFAULT_VALUE_BOUND,
     EnsembleInstance,
     SparsityPattern,
+    check_sample_size,
     sample_instance,
 )
 from .results import FrozenValue
@@ -63,6 +66,16 @@ def _matvec(rows, v: list[int]) -> list[int]:
     """rows @ v for `rows` from `_segment`; q blocks on the diagonal make a
     product cost q*|stars| multiplications, not (qn)^2."""
     return [sum(x * v[j] for j, x in row) for row in rows]
+
+
+def _vecmat(v: list[int], rows) -> list[int]:
+    """v @ A for A's `rows` from `_segment`, scattering each nonzero."""
+    out = [0] * len(v)
+    for x, row in zip(v, rows):
+        if x:
+            for j, a in row:
+                out[j] += x * a
+    return out
 
 
 def _dot(u: list[int], v: list[int]) -> int:
@@ -149,9 +162,11 @@ class _ModSpan:
 
 
 class _Complement:
-    """A span kept as an integer basis of its orthogonal complement, for a
-    span of more than half the space: inserting a vector costs one dot
-    product per complement vector instead of a reduction by every row."""
+    """A span U of more than half the space, kept as an integer basis of its
+    orthogonal complement.  A later segment's Krylov space K is cut from it
+    directly, with no basis of K: u is orthogonal to U + K exactly when it is
+    orthogonal to U and u^T A^d g = 0 for every generator g and every d, and
+    by Cayley-Hamilton d < dim suffices."""
 
     def __init__(self, span: _SpanBasis):
         # One null vector of the echelon rows per free column f: x[f] = 1,
@@ -176,22 +191,37 @@ class _Complement:
                     x[c] = -s // g
             self.basis.append(_strip_content(x))
 
-    def add(self, vec: list[int]) -> None:
-        """Cut the complement by `vec`'s orthogonal hyperplane: a vector
-        with a nonzero product drops out, and the others with one are
-        combined with it to be orthogonal to `vec`."""
-        dots = [_dot(u, vec) for u in self.basis]
-        hits = [i for i, d in enumerate(dots) if d]
-        if not hits:
-            return
-        j = min(hits, key=lambda i: abs(dots[i]))
-        u, du = self.basis[j], dots[j]
-        for i in hits:
-            if i != j:
-                g = gcd(du, dots[i])
-                fa, fb = du // g, dots[i] // g
-                self.basis[i] = _strip_content([fa * x - fb * y for x, y in zip(self.basis[i], u)])
-        del self.basis[j]
+    def cut(self, rows, generators) -> None:
+        """Keep each vector u as one row [u | u^T A^d], for d = 0 .. dim-1: a
+        row whose image has a nonzero dot with a generator drops out, the
+        others with one are combined with it to make theirs zero, and then
+        every image advances by one product.  A row whose image is zero is
+        set aside, since no power can cut it."""
+        dim = self.dim
+        live, done = [u + u for u in self.basis], []
+        for d in range(dim):
+            if d:
+                advanced = []
+                for w in live:
+                    image = _vecmat(w[dim:], rows)
+                    (advanced if any(image) else done).append(w[:dim] + image)
+                live = advanced
+            if not live:
+                break
+            for g in generators:
+                dots = [_dot(w[dim:], g) for w in live]
+                hits = [i for i, x in enumerate(dots) if x]
+                if not hits:
+                    continue
+                j = min(hits, key=lambda i: abs(dots[i]))
+                pivot, dp = live[j], dots[j]
+                for i in hits:
+                    if i != j:
+                        c = gcd(dp, dots[i])
+                        fa, fb = dp // c, dots[i] // c
+                        live[i] = _strip_content([fa * x - fb * y for x, y in zip(live[i], pivot)])
+                del live[j]
+        self.basis = [w[:dim] for w in done + live]
 
     @property
     def dimension(self) -> int:
@@ -244,6 +274,11 @@ def _union_dimension(instance: EnsembleInstance, include_d0: bool, span) -> int:
             generators = [_matvec(rows, v) for v in generators]
         if ell and isinstance(union, _SpanBasis) and 2 * union.dimension > dim:
             union = _Complement(union)
+        if not isinstance(union, span):  # the complement side
+            union.cut(rows, generators)
+            if union.dimension == dim:
+                return dim
+            continue
         # segment 0's Krylov basis is the union itself
         basis = span(dim) if ell else union
         for w in _grow(rows, generators, basis):
@@ -379,6 +414,7 @@ def oracle_agreement(
             raise ScaleError(
                 f"corpus pattern with n = {pat.n} exceeds q*n <= {MAX_ORACLE_DIM} at q_max = {q_max}"
             )
+        check_sample_size(pat, k_max, q_max)
     cells = []
     hard = []
     misses = []

@@ -266,6 +266,16 @@ class EnsembleInstance(FrozenValue):
         object.__setattr__(self, "blocks", blocks)
 
 
+def check_sample_size(pattern: SparsityPattern, k: int, q: int) -> None:
+    """Raise ScaleError when a (k, q) sample of `pattern` would allocate more
+    than MAX_SAMPLE_CELLS matrix entries."""
+    cells = q * (k + 1) * pattern.n * (pattern.n + pattern.m)
+    if cells > MAX_SAMPLE_CELLS:
+        raise ScaleError(
+            f"q*(k+1)*n*(n+m) = {cells} matrix entries exceed the sampling guard {MAX_SAMPLE_CELLS}"
+        )
+
+
 def sample_instance(
     pattern: SparsityPattern,
     k: int,
@@ -288,14 +298,10 @@ def sample_instance(
     if value_bound > MAX_VALUE_BOUND:
         raise ScaleError(f"value_bound of {value_bound.bit_length()} bits exceeds the guard "
                          f"2^{MAX_VALUE_BOUND.bit_length() - 1}")
-    n, m = pattern.n, pattern.m
-    cells = q * (k + 1) * n * (n + m)
-    if cells > MAX_SAMPLE_CELLS:
-        raise ScaleError(
-            f"q*(k+1)*n*(n+m) = {cells} matrix entries exceed the sampling guard {MAX_SAMPLE_CELLS}"
-        )
+    check_sample_size(pattern, k, q)
     import random  # only the generators need it
 
+    n, m = pattern.n, pattern.m
     getrandbits = random.Random(seed).getrandbits
     bits = value_bound.bit_length()
     # row-major, the order of the draws

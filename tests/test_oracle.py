@@ -28,6 +28,7 @@ from swenctrl.oracle import (
 from swenctrl.pattern import (
     CRITERIA,
     DEFAULT_VALUE_BOUND,
+    MAX_SAMPLE_CELLS,
     SparsityPattern,
     random_pattern,
     sample_instance,
@@ -228,6 +229,103 @@ def test_mode_span_union_sides_match_literal_rank(monkeypatch):
     assert verdicts == {True, False}
 
 
+def _complement_side_cases():
+    """Deficient-heavy instances whose segment 0 often fills more than half
+    the space: n <= 8, q up to 24 // n, k in 1..3, value bounds 2, 3 and
+    10007, so that coincidental deficiency is common."""
+    rng = random.Random(31)
+    for t in range(150):
+        n = rng.randint(2, 8)
+        pattern = random_pattern(n, rng.randint(1, 2), rng.uniform(0.2, 0.6),
+                                 rng.randrange(1 << 30))
+        yield sample_instance(pattern, rng.randint(1, 3), rng.randint(1, 24 // n),
+                              seed=rng.randrange(1 << 30), value_bound=(2, 3, 10007)[t % 3])
+
+
+def test_complement_side_matches_literal_rank(monkeypatch):
+    # Once the union switches to its complement, later segments are cut on
+    # that side: no segment after the switch builds a span basis of its own.
+    events = []
+
+    class CountingSpan(oracle._SpanBasis):
+        def __init__(self, dim):
+            events.append("span")
+            super().__init__(dim)
+
+    complement = oracle._Complement
+
+    def counting_complement(span):
+        events.append("complement")
+        return complement(span)
+
+    monkeypatch.setattr(oracle, "_SpanBasis", CountingSpan)
+    monkeypatch.setattr(oracle, "_Complement", counting_complement)
+    sides = {"complement": 0, "deficient": 0}
+    for t, inst in enumerate(_complement_side_cases()):
+        for include_d0 in (True, False):
+            events.clear()
+            report = controllability_rank(inst, include_d0=include_d0)
+            assert report.rank == literal_mode_span_rank(inst, include_d0), (t, include_d0)
+            if "complement" in events:
+                assert events.count("complement") == 1
+                assert "span" not in events[events.index("complement"):], (t, events)
+                sides["complement"] += 1
+                sides["deficient"] += not report.controllable
+    assert sides["complement"] >= 50 and sides["deficient"] >= 25, sides
+
+
+def test_complement_side_products(monkeypatch):
+    # A later segment multiplies each surviving complement vector's image
+    # once per power: at most c * (qn - 1) row-times-A products for a
+    # complement of c vectors, none once the complement is empty, and no
+    # later segment is read after it empties.
+    cuts, segments = [], []
+    cut, vecmat, segment = oracle._Complement.cut, oracle._vecmat, oracle._segment
+
+    def counting_cut(self, rows, generators):
+        cuts.append({"size": len(self.basis), "products": 0, "segments": len(segments)})
+        cut(self, rows, generators)
+        cuts[-1]["left"] = len(self.basis)
+
+    def counting_vecmat(*args):
+        cuts[-1]["products"] += 1
+        return vecmat(*args)
+
+    def counting_segment(instance, ell):
+        segments.append(ell)
+        return segment(instance, ell)
+
+    monkeypatch.setattr(oracle._Complement, "cut", counting_cut)
+    monkeypatch.setattr(oracle, "_vecmat", counting_vecmat)
+    monkeypatch.setattr(oracle, "_segment", counting_segment)
+    emptied = 0
+    for inst in _complement_side_cases():
+        dim = inst.pattern.n * inst.q
+        for include_d0 in (True, False):
+            cuts.clear()
+            segments.clear()
+            controllability_rank(inst, include_d0=include_d0)
+            for c in cuts:
+                assert c["products"] <= c["size"] * (dim - 1), (c, dim)
+            if cuts and not cuts[-1]["left"]:
+                assert len(segments) == cuts[-1]["segments"], (segments, cuts)
+                emptied += segments[-1] < inst.k
+    assert emptied
+
+    # Under the shift A e_i = e_(i+1), the complement {e4} of span{e1, e2,
+    # e3} is cut by the generator e_i at d = 4 - i, after 4 - i products:
+    # none for e4, one for e3, though the bound allows three, and all three
+    # for e1, whose cut needs the last power d = qn - 1.
+    span = oracle._SpanBasis(4)
+    for i in range(3):
+        span.add([int(j == i) for j in range(4)])
+    shift = [[], [(0, 1)], [(1, 1)], [(2, 1)]]
+    for i in (4, 3, 1):
+        complement = oracle._Complement(span)
+        complement.cut(shift, [[int(j == i - 1) for j in range(4)]])
+        assert complement.dimension == 4 and cuts[-1]["products"] == 4 - i
+
+
 def test_reach_subspace_fixpoint_invariant():
     rng = random.Random(2)
     for _ in range(20):
@@ -424,15 +522,21 @@ def test_oracle_agreement_scale_pre():
         oracle_agreement([("fig1", FIG1)], 1, 13, trials=1, seed=0)
 
 
-def test_trials_guard_before_any_trial(monkeypatch):
-    class Started(Exception):
-        pass
+class Started(Exception):
+    pass
 
+
+@pytest.fixture
+def no_cell(monkeypatch):
+    """Make drawing a sample or deciding a cell raise Started."""
     def started(*args, **kwargs):
         raise Started
 
     monkeypatch.setattr(oracle, "sample_instance", started)
     monkeypatch.setattr(oracle, "check_structural", started)
+
+
+def test_trials_guard_before_any_trial(no_cell):
     most = oracle.MAX_ORACLE_TRIALS
     with pytest.raises(Started):
         monte_carlo_controllable(FIG2A, 0, 1, trials=most, seed=0)
@@ -443,6 +547,18 @@ def test_trials_guard_before_any_trial(monkeypatch):
         oracle_agreement([("fig2a", FIG2A)], 0, 1, trials=most // 4, seed=0)
     with pytest.raises(ScaleError, match="trials"):
         oracle_agreement([("fig2a", FIG2A)], 0, 1, trials=most // 4 + 1, seed=0)
+
+
+def test_sampling_guard_before_any_cell(no_cell):
+    # The sampler's guard on q(k+1)n(n+m) entries is checked for every corpus
+    # pattern before the first cell: 8 * 409 * 8 * 10 = 261760 entries fit
+    # MAX_SAMPLE_CELLS = 2^18, 8 * 410 * 8 * 10 = 262400 do not.
+    dense = SparsityPattern(8, 2, frozenset((i, j) for i in range(1, 9) for j in range(1, 11)))
+    assert 8 * 409 * 80 <= MAX_SAMPLE_CELLS < 8 * 410 * 80
+    with pytest.raises(Started):
+        oracle_agreement([("fig2a", FIG2A), ("dense", dense)], 408, 8, trials=1, seed=0)
+    with pytest.raises(ScaleError, match="exceed the sampling guard 262144"):
+        oracle_agreement([("fig2a", FIG2A), ("dense", dense)], 409, 8, trials=1, seed=0)
 
 
 def test_random_patterns_necessity_direction():
