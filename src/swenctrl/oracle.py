@@ -15,8 +15,12 @@ point anywhere: structural claims are generic-rank claims and a tolerance
 would blur exactly the cases under test.  Modular arithmetic only ever
 proves full rank, and only runs after a full sample, or when the structural
 verdict predicts one: a rank that is full mod a prime is full over the
-rationals.  Every deficient rank, and every RankReport, comes from exact
-integers.
+rationals.  A false verdict's certificate proves a sample deficient with no
+rank when it checks on the drawn integers: a violating subset's rows over
+every copy and segment have nonzeros in fewer columns than there are rows
+(Lin's dilation), and an unreachable set's rows read no input and no state
+outside it, so its coordinates stay zero in every Krylov vector.  Every
+other deficient sample, and every RankReport, is ranked in exact integers.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .pattern import (
     check_sample_size,
     sample_instance,
 )
-from .results import FrozenValue
+from .results import FrozenValue, Unreachable, ViolatingSubset
 
 MAX_ORACLE_DIM = 64  # guard on q*n for the exact-arithmetic rank
 # Guard on the samples one referee call draws, checked before the first; it
@@ -339,6 +343,52 @@ def _trial_seed(seed: int, t: int) -> int:
     return (seed * 6364136223846793005 + 1442695040888963407 * t) % (1 << 64)
 
 
+def _deficient(instance: EnsembleInstance, certificate) -> bool:
+    """True when the structural `certificate` proves this sample deficient
+    under both criteria, read off its drawn integers; False proves nothing.
+    For a ViolatingSubset V', the rows of V' in all q copies have nonzeros in
+    fewer than q|V'| columns of [A_0 B_0 .. A_k B_k], so some u != 0 on them
+    has u^T A_ell = u^T B_ell = 0 for every ell (Lin's dilation); for an
+    Unreachable U, no row of U reads an input or a state outside U, so U's
+    coordinates stay zero in every Krylov vector."""
+    if isinstance(certificate, ViolatingSubset):
+        states = certificate.subset
+    elif isinstance(certificate, Unreachable):
+        states = certificate.nodes
+    else:
+        return False
+    n = instance.pattern.n
+    states = states.intersection(range(1, n + 1))
+    # (copy, segment, column) of each nonzero in the rows of `states`, a
+    # state column counted per copy and the m input columns shared
+    nonzeros = {(p if j < n else 0, ell, j) for (p, ell), (a, b) in instance.blocks.items()
+                for i in states for j, x in enumerate(a[i - 1] + b[i - 1]) if x}
+    if isinstance(certificate, ViolatingSubset):
+        return len(nonzeros) < instance.q * len(states)
+    return bool(states) and all(j + 1 in states for _, _, j in nonzeros)
+
+
+def _count_successes(pattern, k, q, trials, seed, value_bound, criterion, include_d0,
+                     verdict=None) -> tuple[bool, int]:
+    """The trials of monte_carlo_controllable, past its guards.  `verdict` is
+    the cell's check_structural, or None to compute it after the first
+    sample's guards."""
+    mode_span = criterion == "mode_span"
+    successes = 0
+    for t in range(1, trials + 1):
+        instance = sample_instance(pattern, k, q, seed=_trial_seed(seed, t), value_bound=value_bound)
+        if verdict is None:
+            verdict = check_structural(pattern, k, q)
+        # an unknown criterion still reaches controllability_rank's error
+        if criterion in CRITERIA and _deficient(instance, verdict.certificate):
+            continue
+        if mode_span and (successes or verdict.decision) and _full_mod_p(instance, include_d0):
+            successes += 1
+        elif controllability_rank(instance, criterion=criterion, include_d0=include_d0).controllable:
+            successes += 1
+    return successes > 0, successes
+
+
 def monte_carlo_controllable(
     pattern: SparsityPattern,
     k: int,
@@ -351,29 +401,22 @@ def monte_carlo_controllable(
 ) -> tuple[bool, int]:
     """True iff any of `trials` random realizations is controllable; one
     controllable sample certifies structural controllability, while structural
-    uncontrollability forces rank deficiency in every sample.  After a full
-    sample, or when the structural verdict predicts one, a mode_span sample
-    is first ranked mod PRIME: a full answer there proves it full, and any
-    other answer falls through to the exact rank.  The verdict only orders
-    the two passes; it never decides an answer."""
+    uncontrollability forces rank deficiency in every sample.  The structural
+    verdict is computed once, after the first sample's guards, and spares
+    ranks only by proofs: a sample on which its certificate checks is
+    deficient, since a violating subset's rows over every copy and segment
+    have fewer nonzero columns than rows and an unreachable set's rows read
+    only its own states; and after a full sample, or when the verdict
+    predicts one, a mode_span sample is first ranked mod PRIME, where a full
+    answer proves it full.  Any other sample takes the exact rank, so the
+    verdict never decides an answer."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if trials > MAX_ORACLE_TRIALS:
         raise ScaleError(f"trials = {trials} exceeds the guard {MAX_ORACLE_TRIALS}")
     if q * pattern.n > MAX_ORACLE_DIM:
         raise ScaleError(f"q*n = {q * pattern.n} exceeds the guard {MAX_ORACLE_DIM}")
-    mode_span = criterion == "mode_span"
-    successes = 0
-    for t in range(1, trials + 1):
-        instance = sample_instance(pattern, k, q, seed=_trial_seed(seed, t), value_bound=value_bound)
-        if t == 1:
-            # after the sampler's guards; the verdict only orders the passes
-            expect_full = mode_span and check_structural(pattern, k, q).decision
-        if mode_span and (successes or expect_full) and _full_mod_p(instance, include_d0):
-            successes += 1
-        elif controllability_rank(instance, criterion=criterion, include_d0=include_d0).controllable:
-            successes += 1
-    return successes > 0, successes
+    return _count_successes(pattern, k, q, trials, seed, value_bound, criterion, include_d0)
 
 
 class AgreementCell(FrozenValue):
@@ -406,6 +449,8 @@ def oracle_agreement(
     logged as a genericity miss, never silently dropped.
     """
     corpus = list(corpus)
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     if 4 * trials > MAX_ORACLE_TRIALS:
         raise ScaleError(f"4*trials = {4 * trials} (the retry) exceeds the guard "
                          f"{MAX_ORACLE_TRIALS}")
@@ -423,16 +468,18 @@ def oracle_agreement(
         for k in range(k_max + 1):
             for q in range(1, q_max + 1):
                 cell_seed = _trial_seed(base, k * (q_max + 1) + q)
-                structural = check_structural(pat, k, q).decision
-                ok, successes = monte_carlo_controllable(
-                    pat, k, q, trials, cell_seed, value_bound, criterion
+                verdict = check_structural(pat, k, q)
+                structural = verdict.decision
+                ok, successes = _count_successes(
+                    pat, k, q, trials, cell_seed, value_bound, criterion, True, verdict
                 )
                 used_trials = trials
                 retried = False
                 if structural and not ok:
                     retried = True
-                    ok2, succ2 = monte_carlo_controllable(
-                        pat, k, q, 4 * trials, _trial_seed(cell_seed, 1), value_bound, criterion
+                    ok2, succ2 = _count_successes(
+                        pat, k, q, 4 * trials, _trial_seed(cell_seed, 1), value_bound, criterion,
+                        True, verdict
                     )
                     ok = ok or ok2
                     successes += succ2

@@ -33,6 +33,7 @@ from swenctrl.pattern import (
     random_pattern,
     sample_instance,
 )
+from swenctrl.results import Saturated, Unreachable, ViolatingSubset
 
 GOLDEN_RANKS = Path(__file__).parent / "golden" / "oracle_ranks.json"
 
@@ -428,37 +429,117 @@ def test_monte_carlo_matches_an_exact_rank_on_every_trial(monkeypatch, full_mod_
         assert monte_carlo_controllable(*args) == answer, args
 
 
+def _fake_certificates(pattern, k, q):
+    """A fake verdict's certificates: Saturated, and wrong ones that a
+    sample check must not believe on a controllable cell: every state as a
+    violating subset (with states 0 and n+1, which do not exist) or as
+    unreachable, and an empty unreachable set."""
+    n = pattern.n
+    return (Saturated(n * q), ViolatingSubset(range(n + 2), 0, n * q, k, q),
+            Unreachable(range(1, n + 1)), Unreachable(()))
+
+
 @pytest.mark.parametrize("decision", [True, False])
 def test_the_structural_verdict_never_changes_an_answer(monkeypatch, decision):
-    # The verdict only orders the modular and exact passes, so a verdict that
-    # is always wrong on some cells leaves every answer the exact-only call's.
-    monkeypatch.setattr(oracle, "check_structural", 
-                        lambda pattern, k, q: SimpleNamespace(decision=decision))
-    for seed, (pattern, k, q, trials) in enumerate(_monte_carlo_cells()):
+    # The verdict orders the modular and exact passes and spares a rank only
+    # where its certificate checks on the sample, so a verdict that is wrong
+    # on some cells, with a certificate that is wrong there too, leaves
+    # every answer the exact-only call's.
+    for which in range(4):
+        monkeypatch.setattr(oracle, "check_structural", lambda pattern, k, q: SimpleNamespace(
+            decision=decision, certificate=_fake_certificates(pattern, k, q)[which]))
+        for seed, (pattern, k, q, trials) in enumerate(_monte_carlo_cells()):
+            for criterion in CRITERIA:
+                for include_d0 in (True, False):
+                    args = (pattern, k, q, trials, seed, DEFAULT_VALUE_BOUND, criterion,
+                            include_d0)
+                    assert monte_carlo_controllable(*args) == reference_monte_carlo(*args), (
+                        which, args)
+
+
+@pytest.fixture
+def exact_ranks(monkeypatch):
+    """The arguments of every exact rank the referee takes."""
+    calls = []
+    controllability_rank = oracle.controllability_rank
+
+    def counting_rank(*args, **kwargs):
+        calls.append(args)
+        return controllability_rank(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "controllability_rank", counting_rank)
+    return calls
+
+
+def test_a_checked_certificate_spares_every_rank(full_mod_p_calls, exact_ranks):
+    # Hub n=8 at k=1 < k*=7 and a referee cell violate the counting
+    # condition, and a sparse-fail cell has an unreachable state: their
+    # certificates check on every sample, so no trial ranks anything.
+    cells = [(benchmark_pattern("hub", 8, 0), 1, 2, ViolatingSubset),
+             (benchmark_pattern("small_random", 8, 12), 1, 3, ViolatingSubset),
+             (benchmark_pattern("sparse-fail-unreachable", 7, 0), 1, 2, Unreachable)]
+    for pattern, k, q, kind in cells:
+        assert isinstance(check_structural(pattern, k, q).certificate, kind)
         for criterion in CRITERIA:
             for include_d0 in (True, False):
-                args = (pattern, k, q, trials, seed, DEFAULT_VALUE_BOUND, criterion, include_d0)
-                assert monte_carlo_controllable(*args) == reference_monte_carlo(*args), args
+                answer = monte_carlo_controllable(pattern, k, q, 4, 0, criterion=criterion,
+                                                  include_d0=include_d0)
+                assert answer == (False, 0)
+    assert not full_mod_p_calls and not exact_ranks
 
 
-def test_modular_pass_first_after_a_full_or_an_expected_full_sample(monkeypatch,
-                                                                    full_mod_p_calls):
-    # Hub n=8 at k=1 < k*=7 is structurally uncontrollable and no sample is
-    # full, so the pass never runs; backbone is structurally controllable, so
-    # every trial runs it first, and every sample is proved full mod p
-    # without an exact rank.
+def test_genuine_certificates_check_and_prove_deficiency():
+    # On seeded random patterns, the solver's certificate of every false
+    # cell checks on every sample, and each sample it calls deficient has a
+    # deficient exact rank under both criteria, with and without d = 0.
+    # Small value bounds make coincidental cancellation common.
+    rng = random.Random(25)
+    kinds = {ViolatingSubset: 0, Unreachable: 0}
+    for t in range(400):
+        n = rng.randint(1, 6)
+        pattern = random_pattern(n, rng.randint(1, 2), rng.uniform(0.3, 0.7),
+                                 rng.randrange(1 << 30))
+        k, q = rng.randint(0, 2), rng.randint(1, 4)
+        verdict = check_structural(pattern, k, q)
+        if verdict.decision:
+            continue
+        kinds[type(verdict.certificate)] += 1
+        for seed in range(2):
+            inst = sample_instance(pattern, k, q, seed=seed, value_bound=(2, 3, 10007)[t % 3])
+            assert oracle._deficient(inst, verdict.certificate), (t, verdict)
+            for criterion, include_d0 in (("mode_span", True), ("mode_span", False),
+                                          ("sequential_subspace", True)):
+                report = controllability_rank(inst, criterion=criterion, include_d0=include_d0)
+                assert not report.controllable, (t, criterion, include_d0)
+    assert kinds[ViolatingSubset] >= 30 and kinds[Unreachable] >= 30, kinds
+
+
+def test_oracle_agreement_decides_each_cell_once(monkeypatch):
+    # One verdict per cell, shared with its trials and its retry: one trial
+    # at value bound 2 leaves some true cells with no full sample.
+    calls = []
+
+    def counting_check(*args):
+        calls.append(args)
+        return check_structural(*args)
+
+    monkeypatch.setattr(oracle, "check_structural", counting_check)
+    report = oracle_agreement([("fig2a", FIG2A), ("two_cycle", TWO_CYCLE)], 2, 3, trials=1,
+                              value_bound=2)
+    assert any(cell.retried for cell in report.cells)
+    assert len(calls) == len(set(calls)) == len(report.cells) == 18
+
+
+def test_modular_pass_first_after_a_full_or_an_expected_full_sample(full_mod_p_calls,
+                                                                    exact_ranks):
+    # Hub n=8 at k=1 < k*=7 is structurally uncontrollable and its
+    # certificate checks on every sample, so the pass never runs; backbone
+    # is structurally controllable, so every trial runs it first, and every
+    # sample is proved full mod p without an exact rank.
     calls = full_mod_p_calls
     trials = 6
     assert monte_carlo_controllable(benchmark_pattern("hub", 8, 0), 1, 2, trials, 0) == (False, 0)
     assert not calls
-    exact_ranks = []
-    controllability_rank = oracle.controllability_rank
-
-    def counting_rank(*args, **kwargs):
-        exact_ranks.append(args)
-        return controllability_rank(*args, **kwargs)
-
-    monkeypatch.setattr(oracle, "controllability_rank", counting_rank)
     backbone = benchmark_pattern("backbone", 7, 0)
     assert monte_carlo_controllable(backbone, 1, 2, trials, 0) == (True, trials)
     assert len(calls) == trials
@@ -547,6 +628,13 @@ def test_trials_guard_before_any_trial(no_cell):
         oracle_agreement([("fig2a", FIG2A)], 0, 1, trials=most // 4, seed=0)
     with pytest.raises(ScaleError, match="trials"):
         oracle_agreement([("fig2a", FIG2A)], 0, 1, trials=most // 4 + 1, seed=0)
+
+
+def test_oracle_agreement_rejects_no_trials_before_any_cell(no_cell):
+    # The cells' trials skip monte_carlo_controllable's guards, so
+    # oracle_agreement checks trials >= 1 before its first cell.
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        oracle_agreement([("fig2a", FIG2A)], 0, 1, trials=0, seed=0)
 
 
 def test_sampling_guard_before_any_cell(no_cell):

@@ -104,8 +104,9 @@ def test_referees_import_only_check_kq_from_core():
 
 def test_oracle_shares_no_rank_or_flow_code_with_the_solver():
     """The numerical referee takes of the decision core only the verdict it
-    is compared with, check_structural, and names from errors, pattern and
-    results; nothing from flow, graph or decide."""
+    is compared with, check_structural, and of results only the two false
+    certificates it checks on a sample and FrozenValue, with names from
+    errors and pattern; nothing from flow, graph or decide."""
     oracle = Path(__file__).resolve().parents[1] / "src" / "swenctrl" / "oracle.py"
     imported = set()
     for node in ast.walk(ast.parse(oracle.read_text(encoding="utf-8"))):
@@ -117,6 +118,8 @@ def test_oracle_shares_no_rank_or_flow_code_with_the_solver():
             assert all(a.name.split(".")[0] != "swenctrl" for a in node.names)
     assert {module for module, _ in imported} <= {"core", "errors", "pattern", "results"}
     assert {name for module, name in imported if module == "core"} == {"check_structural"}
+    assert {name for module, name in imported if module == "results"} == {
+        "FrozenValue", "Unreachable", "ViolatingSubset"}
 
 
 def test_oracle_modulus_is_a_prime_below_2_15():
