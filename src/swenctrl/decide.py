@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .core import Transport, check_structural, compute_kstar
 from .errors import ConsistencyError, ScaleError
-from .flow import lifted_value
+from .flow import lifted_values
 from .graph import (
     _brute_verdict,
     _kstar_brute,
@@ -28,9 +28,10 @@ from .pattern import SparsityPattern
 from .results import FrozenValue, Saturated, Unreachable, Verdict, ViolatingSubset
 
 MAX_CROSSCHECK_STATES = 10
-# The subsets are enumerated once per pattern; each cell runs a check, whose
-# transport solve gives the compact value, and the expanded network's
-# matching, which grows with k*q.  The grid's size is checked before any runs.
+# The subsets are enumerated once per pattern, and the expanded network's
+# matching values once per grid (flow.lifted_values), their adjacency and
+# matchings growing with k and q; each cell runs a check, whose transport
+# solve gives the compact value.  The grid's size is checked before any runs.
 MAX_CROSSCHECK_CELLS = 1 << 10
 
 
@@ -71,10 +72,14 @@ def crosscheck(pattern: SparsityPattern, k_max: int, q_max: int) -> CrosscheckRe
     the ascent's vs. the enumerated minimal switch count.  theta is the
     value of the check's own transport solve (core.Transport), or of a
     solve of its own on an unreachable pattern, where the check returns
-    before it solves; theta_hat (flow.lifted_value, Hopcroft-Karp) shares
-    no code with it.  The subsets are enumerated once, after the guards,
-    into the classes that every cell's least violation is read from, once
-    for its brute verdict and counting condition."""
+    before it solves; theta_hat, a Hopcroft-Karp matching value, shares no
+    code with it.  One flow.lifted_values call, before the cell loop, gives
+    theta_hat for the whole grid off one expanded adjacency whose lists grow
+    layer by layer, each cell's matching warm-started from a smaller cell's;
+    a cell over the arc guard has theta_hat None.  The subsets are
+    enumerated once, after the guards, into the classes that every cell's
+    least violation is read from, once for its brute verdict and counting
+    condition."""
     if pattern.n > MAX_CROSSCHECK_STATES:
         raise ScaleError(f"crosscheck requires n <= {MAX_CROSSCHECK_STATES}")
     if k_max < 0 or q_max < 1:
@@ -84,6 +89,7 @@ def crosscheck(pattern: SparsityPattern, k_max: int, q_max: int) -> CrosscheckRe
                          f"guard {MAX_CROSSCHECK_CELLS}")
     unreachable = reachability_check(pattern)
     classes = _subset_classes(pattern)
+    theta_hats = lifted_values(pattern, k_max, q_max)
     cells = []
     disagreements = []
     for k in range(k_max + 1):
@@ -96,10 +102,7 @@ def crosscheck(pattern: SparsityPattern, k_max: int, q_max: int) -> CrosscheckRe
                 theta = transport.value
             violation = _least_violation(classes, k, q)
             brute_verdict = _brute_verdict(violation, unreachable, k, q, pattern.n * q)
-            try:
-                theta_hat = lifted_value(pattern, k, q)
-            except ScaleError:
-                theta_hat = None
+            theta_hat = theta_hats[k][q - 1]
             counting_ok = violation is None
             agree = flow_verdict.decision == brute_verdict.decision
             if not agree:

@@ -28,10 +28,16 @@ call, whose last search labels the sink side of the source-maximal min cut,
 and checks the capacity of the arcs entering that side against the flow
 value.  lifted_value gives the expanded network's value with no network at
 all: its arcs all have capacity 1, so the value is a maximum bipartite
-matching (Hopcroft-Karp) on its middle layer, read off the rows as plain int
-adjacency with build_lifted_network's ids; it shares no code with augment
-or with the transport solver, so crosscheck's two values come from
-independent solvers.  Both readings of the expansion pass one size guard.
+matching on its middle layer, read off the rows as plain int adjacency with
+build_lifted_network's ids.  Each right node lists its left nodes layer by
+layer, so that layers 0..k form a prefix of its list.  lifted_values gives
+the value of every cell of a (k, q) grid, for crosscheck: it keeps one
+adjacency, extends every list by a layer in place as each row k begins, and
+grows each cell's maximum matching from a smaller cell's (warm start).  One
+Hopcroft-Karp routine, _match, serves both, from the empty matching or from
+the warm one; it shares no code with augment or with the transport solver,
+so crosscheck's two values come from independent solvers.  Both readings of
+the expansion pass one size guard, cell by cell.
 
 The node-collapsing map phi sends expanded nodes onto compact ones; flows
 transfer along phi in both directions with their value preserved.  This
@@ -243,15 +249,18 @@ def build_small_network(pattern: SparsityPattern, k: int, q: int,
                        tuple(capacity))
 
 
+def _lifted_arcs(n: int, m: int, stars: int, k: int, q: int) -> int:
+    """Arc count (k+1)(m+nq) + (k+1)q|E| + nq of the expanded network."""
+    return (k + 1) * (m + n * q + q * stars) + n * q
+
+
 def _check_lifted_size(pattern: SparsityPattern, k: int, q: int) -> None:
     """The one size guard of the expanded network, whether it is built with
     named nodes or read as a matching: (k, q) pass check_kq, and the arc
-    count (k+1)(m+nq) + (k+1)q|E| + nq stays within MAX_LIFTED_ARCS, else
-    ScaleError."""
+    count _lifted_arcs stays within MAX_LIFTED_ARCS, else ScaleError."""
     n, m = pattern.n, pattern.m
     check_kq(n, m, k, q)
-    kp1 = k + 1
-    if kp1 * (m + n * q) + kp1 * q * sum(map(len, pattern.rows)) + n * q > MAX_LIFTED_ARCS:
+    if _lifted_arcs(n, m, sum(map(len, pattern.rows)), k, q) > MAX_LIFTED_ARCS:
         raise ScaleError(f"(k+1)(m+nq+q|E|)+nq exceeds the {MAX_LIFTED_ARCS} arc guard")
 
 
@@ -299,51 +308,61 @@ def build_lifted_network(pattern: SparsityPattern, k: int, q: int) -> FlowNetwor
     return FlowNetwork("lifted", n, m, k, q, False, nodes, tuple(arcs), (1,) * len(arcs))
 
 
+def _add_layer(adjacency: list[list[int]], rows, n: int, lam: int, nu: int) -> None:
+    """Append one layer's left ids to every list of adjacency, in place: the
+    list p*n + i - 1 (right node mu_{p+1,i}) gains the input columns c of
+    row i as lam + c - n, then its state columns c as nu + p*n + c - 1, as
+    copy p of a state column feeds copy p only."""
+    for i, row in enumerate(rows):
+        split = bisect_right(row, n)  # the row's state columns, then its input columns
+        inputs, states = [lam - n + c for c in row[split:]], row[:split]
+        for pn in range(0, len(adjacency), n):  # p*n, for every copy p
+            lefts, shift = adjacency[pn + i], nu - 1 + pn
+            lefts += inputs
+            lefts += [shift + c for c in states]
+
+
 def _lifted_adjacency(pattern: SparsityPattern, k: int, q: int) -> list[list[int]]:
     """The expanded network's middle layer as plain int adjacency: entry
     p*n + i - 1 lists the left ids adjacent to the right node mu_{p+1,i},
-    input columns first, with build_lifted_network's ids: lam_{ell+1,c-n} is
-    ell*m + c - n for an input column c, and nu_{ell+1,p+1,c} is
-    nu0 + (ell*q + p)*n + c - 1 for a state column c, for every layer ell in
-    0..k.  Raises as build_lifted_network does, before allocating."""
+    layer by layer, so that its first (k'+1)|row i| entries are its arcs in
+    layers 0..k'; within a layer, input columns come first.  The ids are
+    build_lifted_network's: lam_{ell+1,c-n} is ell*m + c - n for an input
+    column c, and nu_{ell+1,p+1,c} is nu0 + (ell*q + p)*n + c - 1 for a state
+    column c.  Raises as build_lifted_network does, before allocating."""
     n, m = pattern.n, pattern.m
     _check_lifted_size(pattern, k, q)
-    kp1, qn = k + 1, q * n
-    nu0 = 1 + kp1 * m
-    adjacency: list[list[int]] = [[]] * qn
-    for i, row in enumerate(pattern.rows):
-        split = bisect_right(row, n)  # the row's state columns, then its input columns
-        states = [nu0 - 1 + ell * qn + c for c in row[:split] for ell in range(kp1)]
-        inputs = [ell * m - n + c for c in row[split:] for ell in range(kp1)]
-        for shift in range(0, qn, n):  # p*n: copy p of a state column feeds copy p only
-            adjacency[shift + i] = inputs + [v + shift for v in states]
+    nu0 = 1 + (k + 1) * m
+    adjacency: list[list[int]] = [[] for _ in range(q * n)]
+    for ell in range(k + 1):
+        _add_layer(adjacency, pattern.rows, n, ell * m, nu0 + ell * q * n)
     return adjacency
 
 
-def lifted_value(pattern: SparsityPattern, k: int, q: int) -> int:
-    """Maximum flow value of the expanded network, without building it.
+def _match(adjacency: list[list[int]], mate: list[int], free) -> list[int]:
+    """Raise the matching mate to a maximum one, in place, and return the
+    right nodes it leaves free.
 
-    Every arc of that network has capacity 1, and each left node has one
-    source arc and each right node one sink arc, so its value is the size of
-    a maximum matching between its left and right layers (_lifted_adjacency).
-    A greedy pass matches each right node to its first free left node; then
-    Hopcroft-Karp phases (Hopcroft & Karp, SIAM J. Comput. 1973): a search
+    mate[v] is the right node (an index into adjacency) matched to the left
+    id v, or -1.  free lists every right node that mate leaves free; they
+    are the roots, and the search reads the lists of no right node but them
+    and the matched ones.  A greedy pass matches each root to its first free
+    left node; then Hopcroft-Karp phases (Hopcroft & Karp, SIAM J. Comput. 1973): a search
     from the free right nodes labels the right nodes by alternating distance
     and stops at the first free left node it meets, and a depth-first search
     from each free right node, with one pointer per node and an explicit
-    stack (paths may be nq long), augments along node-disjoint shortest
-    paths.  Raises ScaleError as build_lifted_network does.
+    stack (paths may be as long as there are right nodes), augments along
+    node-disjoint shortest paths.
     """
-    adjacency = _lifted_adjacency(pattern, k, q)
-    mate = [-1] * (1 + (k + 1) * (pattern.m + q * pattern.n))  # right node of each left id
-    free = []
-    for r, lefts in enumerate(adjacency):
-        for v in lefts:
+    still_free = []
+    for r in free:
+        for v in adjacency[r]:
             if mate[v] < 0:
                 mate[v] = r
                 break
         else:
-            free.append(r)
+            still_free.append(r)
+    free = still_free
     while free:
         dist = [-1] * len(adjacency)
         for r in free:
@@ -394,7 +413,64 @@ def lifted_value(pattern: SparsityPattern, k: int, q: int) -> int:
             else:
                 still_free.append(root)
         free = still_free
-    return len(adjacency) - len(free)
+    return free
+
+
+def lifted_value(pattern: SparsityPattern, k: int, q: int) -> int:
+    """Maximum flow value of the expanded network, without building it.
+
+    Every arc of that network has capacity 1, and each left node has one
+    source arc and each right node one sink arc, so its value is the size of
+    a maximum matching between its left and right layers (_lifted_adjacency),
+    which _match grows from the empty matching.  Raises ScaleError as
+    build_lifted_network does.
+    """
+    adjacency = _lifted_adjacency(pattern, k, q)
+    mate = [-1] * (1 + (k + 1) * (pattern.m + q * pattern.n))
+    return len(adjacency) - len(_match(adjacency, mate, range(len(adjacency))))
+
+
+def lifted_values(pattern: SparsityPattern, k_max: int, q_max: int) -> list[list[int | None]]:
+    """lifted_value for every cell of the grid [0..k_max] x [1..q_max]: row k
+    of the result holds the values of (k, 1)..(k, q_max), None for a cell
+    over the arc guard.
+
+    The expanded network of (k, q) contains that of every smaller cell, so
+    one adjacency serves the grid.  The guard is monotone in k and in q, so
+    row k passes up to a width w_k <= w_{k-1} and ends there.  As row k
+    begins, the lists of the copies past w_k are dropped, every other list
+    gains its layer k in place, and the layer's m + w_k*n left nodes take
+    the next ids; the live adjacency is the middle layer of the passing cell
+    (k, w_k).  A matching of a cell is one of every larger cell, so _match
+    grows (k, q) from the maximum matching of (k, q-1), rooted at its free
+    right nodes and the new copy's (a path through the new copy may reach an
+    old free one), and (k, 1) from a saved copy of (k-1, 1)'s.
+    """
+    n, m, rows = pattern.n, pattern.m, pattern.rows
+    stars = sum(map(len, rows))
+    values: list[list[int | None]] = [[None] * q_max for _ in range(k_max + 1)]
+    width = q_max
+    mate, free = [-1], list(range(n))  # left id 0 is the source
+    for k in range(k_max + 1):
+        while width and _lifted_arcs(n, m, stars, k, width) > MAX_LIFTED_ARCS:
+            width -= 1
+        if not width:
+            break
+        if k:
+            mate, free = saved
+            del adjacency[width * n:]
+        else:
+            adjacency = [[] for _ in range(width * n)]
+        _add_layer(adjacency, rows, n, len(mate) - 1, len(mate) + m)
+        mate += [-1] * (m + width * n)
+        for q in range(1, width + 1):
+            if q > 1:
+                free += range((q - 1) * n, q * n)
+            free = _match(adjacency, mate, free)
+            values[k][q - 1] = q * n - len(free)
+            if q == 1:
+                saved = mate.copy(), free.copy()
+    return values
 
 
 def max_flow(net: FlowNetwork) -> FlowAssignment:

@@ -19,6 +19,16 @@ from .results import FrozenValue
 
 MAX_PATTERN_DIM = 1 << 16  # guard on n+m of a pattern
 MAX_GENERATED_N = 1 << 12  # guard on n in random_pattern
+# Guards on a pattern's text, checked before any per-star object exists:
+# the stars of a grid (every "*", comments included) and the characters of
+# a JSON text.  Under a 1 GiB address space the parsers ran out of memory on
+# a fully starred n = 6000 grid and on an n = 2500 JSON file.  Of the
+# subcommands, flowdump peaks highest on a grid: 541 MB at 2.25M stars and
+# 952 MB at 4M.  Compact JSON peaks near 28 bytes per character in the
+# parser: 278 MB at 9.8M characters and 542 MB at 20.4M (2-core Xeon, Python
+# 3.11).  Both bounds admit the largest benchmark inputs by far.
+MAX_GRID_STARS = 1 << 21
+MAX_JSON_CHARS = 1 << 23
 MAX_SAMPLE_CELLS = 1 << 18  # guard on the matrix entries sample_instance allocates
 DEFAULT_VALUE_BOUND = 10007
 # Guard on the sampled entries: the exact rank's integers grow with their
@@ -109,6 +119,10 @@ _GRID_TOKENS = frozenset(("0", "*"))
 
 
 def _parse_grid(text: str) -> SparsityPattern:
+    if len(text) > MAX_GRID_STARS:  # a shorter text cannot hold more stars: skip the count
+        stars = text.count("*")
+        if stars > MAX_GRID_STARS:
+            raise ScaleError(f"{stars} stars in the grid text exceed the guard {MAX_GRID_STARS}")
     n = m = None
     rows: list[tuple[int, ...]] = []
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -158,6 +172,8 @@ def _parse_grid(text: str) -> SparsityPattern:
 
 
 def _parse_json(text: str) -> SparsityPattern:
+    if len(text) > MAX_JSON_CHARS:
+        raise ScaleError(f"JSON text of {len(text)} characters exceeds the guard {MAX_JSON_CHARS}")
     try:
         obj = json.loads(text)
     except (ValueError, RecursionError) as exc:

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 import swenctrl.cli
 import swenctrl.tools
 from swenctrl.cli import main
-from swenctrl.pattern import SparsityPattern, serialize_pattern
+from swenctrl.pattern import MAX_GRID_STARS, MAX_JSON_CHARS, SparsityPattern, serialize_pattern
 from swenctrl.tools import bench_pattern, fit_loglog_slope, run_bench
 
 
@@ -423,6 +423,42 @@ def test_hostile_input_exit_code_without_traceback(tmp_path, content, argv, expe
                                    stdout=subprocess.DEVNULL)
     assert code == expected_code, err
     assert "Traceback" not in err
+
+
+def _grid_with_stars(n, width, stars):
+    """Grid text of an n x width pattern whose first `stars` cells, row by
+    row, are stars."""
+    cells = ["*"] * stars + ["0"] * (n * width - stars)
+    rows = (" ".join(cells[i:i + width]) for i in range(0, n * width, width))
+    return f"{n} {width - n}\n" + "\n".join(rows) + "\n"
+
+
+def _json_of_length(chars):
+    """A fully starred 900 x 901 pattern as compact JSON, padded with spaces
+    to `chars` characters."""
+    stars = ",".join(f"[{i},{j}]" for i in range(1, 901) for j in range(1, 902))
+    text = f'{{"m":1,"n":900,"stars":[{stars}]}}'
+    assert 0.9 * MAX_JSON_CHARS < len(text) <= chars
+    return text + " " * (chars - len(text))
+
+
+@pytest.mark.parametrize("text, expected_code", [
+    (lambda: _grid_with_stars(1024, 2049, MAX_GRID_STARS), 0),
+    (lambda: _grid_with_stars(1024, 2049, MAX_GRID_STARS + 1), 3),
+    (lambda: _json_of_length(MAX_JSON_CHARS), 0),
+    (lambda: _json_of_length(MAX_JSON_CHARS + 1), 3),
+], ids=["grid-at-guard", "grid-over-guard", "json-at-guard", "json-over-guard"])
+def test_large_text_at_the_parser_guard(tmp_path, text, expected_code):
+    """A text at the parser's bound (a grid's star count, a JSON text's
+    length) checks under the address-space cap, and one star or character
+    more exits 3 before it is parsed; no run prints a traceback."""
+    path = tmp_path / "large.pat"
+    path.write_text(text())
+    code, _, err = run_cli_process("check", str(path), "--k", "0", "--q", "1",
+                                   stdout=subprocess.DEVNULL)
+    assert code == expected_code, err
+    assert "Traceback" not in err
+    assert ("scale error" in err) == (expected_code == 3)
 
 
 @pytest.mark.parametrize("make", [lambda: long_path_chain(20_000), lambda: tight_pattern(20_000, 0)],

@@ -513,11 +513,20 @@ def test_crosscheck_guards_before_any_enumeration(monkeypatch):
 
 def test_crosscheck_theta_hat_none_above_the_lifted_guard(monkeypatch):
     """A cell whose expanded network exceeds the arc guard reports no
-    theta_hat and still agrees; the other cells carry the matching value."""
+    theta_hat and still agrees; the other cells carry the matching value.
+
+    Then a staircase: a guard that passes (0, q_max) and (k_max, 1) but not
+    (k_max, q_max) cuts each row of the grid at its own width.  The cells
+    over it report None, the others the cold matching value, and no
+    ScaleError escapes.  A spy on the matching sees the live adjacency at
+    every cell: it never holds more entries than the largest passing cell's
+    middle arcs, nor any list, or layer of a list, that no passing cell
+    reads."""
+    k_max = q_max = 3
     arcs = {(k, q): len(build_lifted_network(FIG1, k, q).arcs)
-            for k in range(3) for q in range(1, 4)}
+            for k in range(k_max + 1) for q in range(1, q_max + 1)}
     guard = 60
-    assert min(arcs.values()) < guard < max(arcs.values())
+    assert min(arcs.values()) < guard < arcs[2, 3]
     monkeypatch.setattr(swenctrl.flow, "MAX_LIFTED_ARCS", guard)
     report = crosscheck(FIG1, 2, 3)
     assert report.agree and len(report.cells) == 9
@@ -527,6 +536,36 @@ def test_crosscheck_theta_hat_none_above_the_lifted_guard(monkeypatch):
         else:
             assert isinstance(cell.theta_hat, int) and cell.theta_hat == cell.theta
     assert {c.theta_hat is None for c in report.cells} == {True, False}
+
+    guard = max(arcs[0, q_max], arcs[k_max, 1])
+    assert arcs[k_max, q_max] > guard
+    passing = {cell for cell, size in arcs.items() if size <= guard}
+    widths = [max(q for k, q in passing if k == row) for row in range(k_max + 1)]
+    assert widths == [q_max] + [1] * k_max
+    monkeypatch.setattr(swenctrl.flow, "MAX_LIFTED_ARCS", guard)
+    cold = {cell: swenctrl.flow.lifted_value(FIG1, *cell) for cell in passing}
+    match, seen = swenctrl.flow._match, []
+
+    def spy(adjacency, mate, free):
+        seen.append([len(lefts) for lefts in adjacency])
+        return match(adjacency, mate, free)
+
+    monkeypatch.setattr(swenctrl.flow, "_match", spy)
+    report = crosscheck(FIG1, k_max, q_max)
+    assert report.agree and len(report.cells) == len(arcs)
+    for cell in report.cells:
+        if (cell.k, cell.q) in passing:
+            assert cell.theta_hat == cold[cell.k, cell.q] == cell.theta
+        else:
+            assert cell.theta_hat is None
+    assert len(seen) == len(passing)
+    stars = len(FIG1.stars)
+    assert max(map(sum, seen)) <= max((k + 1) * q * stars for k, q in passing)
+    for lengths in seen:
+        copies = len(lengths) // FIG1.n
+        layers = lengths[0] // len(FIG1.rows[0])
+        assert (layers - 1, copies) in passing
+        assert lengths == [layers * len(row) for row in FIG1.rows * copies]
 
 
 def test_crosscheck_builds_no_lifted_network(monkeypatch):

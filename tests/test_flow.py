@@ -36,6 +36,7 @@ from swenctrl.flow import (
     compact_arcs,
     lift_flow,
     lifted_value,
+    lifted_values,
     max_flow,
     min_cut,
     network_json,
@@ -163,27 +164,50 @@ def _lifted_cases():
 
 
 def test_lifted_value_matches_lifted_max_flow():
-    """The matching read off the rows has the expanded network's Dinic value."""
-    short = 0
+    """The matching read off the rows has the expanded network's Dinic value,
+    cold (lifted_value) and in every cell of the grid up to each (k, q) of
+    the corpus (lifted_values, each cell warm-started from a smaller cell's
+    matching).  The corpus holds unreachable patterns, starved ones (a state
+    with no in-neighbour) and patterns with m = 0."""
+    short = cells = unreachable = starved = no_inputs = 0
     for p, k, q in _lifted_cases():
-        value = lifted_value(p, k, q)
-        assert value == max_flow(build_lifted_network(p, k, q)).value_total, (p.rows, k, q)
-        short += value < p.n * q
-    assert short > 300
+        grid = lifted_values(p, k, q)
+        assert len(grid) == k + 1 and {len(row) for row in grid} == {q}
+        for kk, row in enumerate(grid):
+            for qq, value in enumerate(row, 1):
+                dinic = max_flow(build_lifted_network(p, kk, qq)).value_total
+                assert value == lifted_value(p, kk, qq) == dinic, (p.rows, kk, qq)
+                cells += 1
+        short += grid[k][q - 1] < p.n * q
+        unreachable += bool(unreachable_states(p.rows, p.n))
+        starved += not all(p.rows)
+        no_inputs += p.m == 0
+    assert short > 300 and cells > 10_000
+    assert unreachable > 300 and starved > 300 and no_inputs > 200
 
 
 def test_lifted_adjacency_is_the_lifted_middle_layer():
     """The (left id, right id) pairs that lifted_value reads are, as a
     multiset, the middle arcs of build_lifted_network, so the two readings
-    of the expansion cannot drift apart."""
+    of the expansion cannot drift apart.  Each list runs layer by layer: for
+    every k' <= k its first (k'+1)|row| entries are exactly its arcs in
+    layers 0..k', the list that row k' of lifted_values holds."""
     for p, k, q in _lifted_cases():
         net = build_lifted_network(p, k, q)
         sink = len(net.nodes) - 1
         mu0 = sink - q * p.n  # mu_{p+1,i} is mu0 + p*n + i - 1
         middle = Counter((u, v) for u, v in net.arcs if u != 0 and v != sink)
-        read = Counter((u, mu0 + r) for r, lefts in enumerate(_lifted_adjacency(p, k, q))
-                       for u in lefts)
+        adjacency = _lifted_adjacency(p, k, q)
+        read = Counter((u, mu0 + r) for r, lefts in enumerate(adjacency) for u in lefts)
         assert read == middle, (p.rows, k, q)
+        layers = [[Counter() for _ in range(k + 1)] for _ in adjacency]
+        for u, v in middle.elements():
+            layers[v - mu0][net.nodes[u][1] - 1][u] += 1  # lam_{ell,.} or nu_{ell,.,.}
+        for r, lefts in enumerate(adjacency):
+            width = len(p.rows[r % p.n])
+            for top in range(k + 1):
+                arcs = sum(layers[r][:top + 1], Counter())
+                assert Counter(lefts[:(top + 1) * width]) == arcs, (p.rows, k, q, r, top)
 
 
 def test_lifted_matches_small_at_k0_q1():

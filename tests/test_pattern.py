@@ -14,6 +14,7 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import swenctrl.pattern
 from swenctrl.errors import ParseError, ScaleError
 from swenctrl.pattern import (
     MAX_PATTERN_DIM,
@@ -159,6 +160,25 @@ def test_lift_rejects_bad_q():
         lift_ensemble(FIG2A, 0)
     with pytest.raises(ScaleError):
         lift_ensemble(SparsityPattern(1 << 11, 0, frozenset()), 1 << 10)
+
+
+def test_text_guards_run_before_parsing(monkeypatch):
+    """A grid's star count and a JSON text's length are checked on the text
+    before it is read: at the bound it parses, and one star (a comment's
+    counts too) or one character more raises ScaleError, even where the
+    text would not parse."""
+    grid = serialize_pattern(FIG1, "grid")
+    monkeypatch.setattr(swenctrl.pattern, "MAX_GRID_STARS", grid.count("*"))
+    assert parse_pattern(grid) == FIG1
+    for over in ("# *\n" + grid, grid + "*"):
+        with pytest.raises(ScaleError, match=f"{len(FIG1.stars) + 1} stars in the grid text"):
+            parse_pattern(over)
+    text = serialize_pattern(FIG1, "json")
+    monkeypatch.setattr(swenctrl.pattern, "MAX_JSON_CHARS", len(text))
+    assert parse_pattern(text, "json") == FIG1
+    for over in (text + " ", "[" * (len(text) + 1)):
+        with pytest.raises(ScaleError, match=f"JSON text of {len(text) + 1} characters"):
+            parse_pattern(over, "json")
 
 
 def test_pattern_dimension_guard():
