@@ -2,7 +2,7 @@
 
 Random integer realizations of a pattern are tested for controllability of
 the switched ensemble dynamics.  Each segment's block-diagonal system is read
-straight from the sampled blocks, as the nonzeros of A's rows and the columns
+from the sample's star values, as the nonzeros of A's rows and the columns
 of B.  The mode_span rank is the dimension of the sum of the segments' Krylov
 spaces, found in one pass: each segment's span is grown by deflated products
 and kept as an integer echelon basis, and every new row joins the union at
@@ -55,15 +55,18 @@ class RankReport(FrozenValue):
 
 def _segment(instance: EnsembleInstance, ell: int) -> tuple[list, list[list[int]]]:
     """Segment ell's block-diagonal A as the (column, value) nonzeros of each
-    row, and its stacked B as m columns, read straight from the q blocks."""
-    n = instance.pattern.n
-    rows, b_rows = [], []
-    for p in range(1, instance.q + 1):
-        ab, bb = instance.blocks[(p, ell)]
-        base = (p - 1) * n
-        rows += [[(base + j, x) for j, x in enumerate(row) if x] for row in ab]
-        b_rows += bb
-    return rows, [list(col) for col in zip(*b_rows)]
+    row, and its stacked B as m columns, read from the q subsystems' stars."""
+    n, q = instance.pattern.n, instance.q
+    rows = [[] for _ in range(q * n)]
+    columns = [[0] * (q * n) for _ in range(instance.pattern.m)]
+    for p in range(1, q + 1):
+        base = (p - 1) * n - 1
+        for i, j, x in instance.entries(p, ell):
+            if j <= n:
+                rows[base + i].append((base + j, x))
+            else:
+                columns[j - n - 1][base + i] = x
+    return rows, columns
 
 
 def _matvec(rows, v: list[int]) -> list[int]:
@@ -361,11 +364,12 @@ def _deficient(instance: EnsembleInstance, certificate) -> bool:
     states = states.intersection(range(1, n + 1))
     # (copy, segment, column) of each nonzero in the rows of `states`, a
     # state column counted per copy and the m input columns shared
-    nonzeros = {(p if j < n else 0, ell, j) for (p, ell), (a, b) in instance.blocks.items()
-                for i in states for j, x in enumerate(a[i - 1] + b[i - 1]) if x}
+    nonzeros = {(p if j <= n else 0, ell, j) for p in range(1, instance.q + 1)
+                for ell in range(instance.k + 1)
+                for i, j, _ in instance.entries(p, ell) if i in states}
     if isinstance(certificate, ViolatingSubset):
         return len(nonzeros) < instance.q * len(states)
-    return bool(states) and all(j + 1 in states for _, _, j in nonzeros)
+    return bool(states) and all(j in states for _, _, j in nonzeros)
 
 
 def _count_successes(pattern, k, q, trials, seed, value_bound, criterion, include_d0,

@@ -5,9 +5,10 @@ the state block, columns n+1..n+m the input block.  Read as a digraph, the
 star (i, j) is an edge into state i from state j or from input j-n.  A
 SparsityPattern keeps its rows, for each state the sorted tuple of its star
 columns, which the parsers hand over as they read them; they are the one
-graph every module of the package reads.  Its stars, the (row, column)
-pairs, are a frozenset derived from the rows on each read, for the public
-API only.
+graph every module of the package reads.  A realization, an
+EnsembleInstance, holds one int per star for each subsystem and switching
+segment.  The stars, the (row, column) pairs, and a realization's dense
+blocks are views built on each read, for the public API only.
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ MAX_GENERATED_N = 1 << 12  # guard on n in random_pattern
 # 3.11).  Both bounds admit the largest benchmark inputs by far.
 MAX_GRID_STARS = 1 << 21
 MAX_JSON_CHARS = 1 << 23
-MAX_SAMPLE_CELLS = 1 << 18  # guard on the matrix entries sample_instance allocates
+# Guard on a sample's q(k+1)n(n+m) matrix entries, though it stores its stars
+# only: they bound its blocks view, the referee's B columns and rank work.
+MAX_SAMPLE_CELLS = 1 << 18
 DEFAULT_VALUE_BOUND = 10007
 # Guard on the sampled entries: the exact rank's integers grow with their
 # bits, and one trial at the rank guard (dense n = 8, m = 2, k = 0, q = 8)
@@ -244,47 +247,60 @@ def random_pattern(n: int, m: int, density, seed: int) -> SparsityPattern:
     return SparsityPattern.from_rows(n, m, rows)
 
 
-Matrix = tuple[tuple[int, ...], ...]
-
-
 class EnsembleInstance(FrozenValue):
-    """Concrete integer matrices conforming to a pattern: one (A, B) block pair
-    per subsystem p in 1..q and switching segment ell in 0..k."""
+    """A realization of a pattern: values holds one int per star, for each
+    subsystem p in 1..q, then each switching segment ell in 0..k, then the
+    stars row-major, the order sample_instance draws them in.  entries(p, ell)
+    is the one reader of that layout; blocks, the dense (A, B) pair of each
+    (p, ell), is built from it on each read, for the public API only."""
 
-    __slots__ = _fields = ("pattern", "k", "q", "blocks")
+    __slots__ = _fields = ("pattern", "k", "q", "values")
 
-    def __init__(self, pattern: SparsityPattern, k: int, q: int,
-                 blocks: dict[tuple[int, int], tuple[Matrix, Matrix]]):
-        if k < 0:
-            raise ValueError("switch count k must be >= 0")
-        if q < 1:
-            raise ValueError("ensemble size q must be >= 1")
-        n, m = pattern.n, pattern.m
-        expected = {(p, ell) for p in range(1, q + 1) for ell in range(k + 1)}
-        if set(blocks) != expected:
-            raise ValueError("blocks must carry exactly one (A, B) pair per (subsystem, segment)")
-        columns = [frozenset(row) for row in pattern.rows]
-        for (p, ell), (a, b) in blocks.items():
-            if len(a) != n or any(len(row) != n for row in a):
-                raise ValueError(f"block A[{p},{ell}] is not {n}x{n}")
-            if len(b) != n or any(len(row) != m for row in b):
-                raise ValueError(f"block B[{p},{ell}] is not {n}x{m}")
-            for i in range(n):
-                for j in range(n):
-                    if a[i][j] != 0 and j + 1 not in columns[i]:
-                        raise ValueError(f"A[{p},{ell}] nonzero at zero-entry ({i + 1}, {j + 1})")
-                for c in range(m):
-                    if b[i][c] != 0 and n + c + 1 not in columns[i]:
-                        raise ValueError(f"B[{p},{ell}] nonzero at zero-entry ({i + 1}, {n + c + 1})")
-        object.__setattr__(self, "pattern", pattern)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "blocks", blocks)
+    def __init__(self, pattern: SparsityPattern, k: int, q: int, values):
+        _check_ensemble(k, q)
+        values = tuple(values)
+        size = q * (k + 1) * sum(map(len, pattern.rows))
+        # type, not isinstance: no bool, and a dict's (p, ell) keys fail
+        if len(values) != size or not {int}.issuperset(map(type, values)):
+            raise ValueError(f"values must be {size} ints, one per star and (subsystem, segment)")
+        FrozenValue.__init__(self, pattern, k, q, values)
+
+    def entries(self, p: int, ell: int) -> list[tuple[int, int, int]]:
+        """Subsystem p's nonzero stars in segment ell, as (row, column, value), row-major."""
+        if not (1 <= p <= self.q and 0 <= ell <= self.k):
+            raise ValueError(f"(p, ell) = ({p}, {ell}) out of range 1..{self.q} x 0..{self.k}")
+        rows = self.pattern.rows
+        size = sum(map(len, rows))
+        start = ((p - 1) * (self.k + 1) + ell) * size
+        values = iter(self.values[start:start + size])
+        return [(i, j, x) for i, row in enumerate(rows, 1) for j, x in zip(row, values) if x]
+
+    @property
+    def blocks(self) -> dict:
+        n, m = self.pattern.n, self.pattern.m
+        blocks = {}
+        for p in range(1, self.q + 1):
+            for ell in range(self.k + 1):
+                dense = [[0] * (n + m) for _ in range(n)]
+                for i, j, x in self.entries(p, ell):
+                    dense[i - 1][j - 1] = x
+                blocks[(p, ell)] = (tuple(tuple(row[:n]) for row in dense),
+                                    tuple(tuple(row[n:]) for row in dense))
+        return blocks
+
+
+def _check_ensemble(k, q) -> None:
+    if type(k) is not int or type(q) is not int:
+        raise ValueError("switch count k and ensemble size q must be ints")
+    if k < 0:
+        raise ValueError("switch count k must be >= 0")
+    if q < 1:
+        raise ValueError("ensemble size q must be >= 1")
 
 
 def check_sample_size(pattern: SparsityPattern, k: int, q: int) -> None:
-    """Raise ScaleError when a (k, q) sample of `pattern` would allocate more
-    than MAX_SAMPLE_CELLS matrix entries."""
+    """Raise ScaleError when a (k, q) sample of `pattern` spans more than
+    MAX_SAMPLE_CELLS matrix entries."""
     cells = q * (k + 1) * pattern.n * (pattern.n + pattern.m)
     if cells > MAX_SAMPLE_CELLS:
         raise ScaleError(
@@ -292,23 +308,15 @@ def check_sample_size(pattern: SparsityPattern, k: int, q: int) -> None:
         )
 
 
-def sample_instance(
-    pattern: SparsityPattern,
-    k: int,
-    q: int,
-    seed: int,
-    value_bound: int = DEFAULT_VALUE_BOUND,
-) -> EnsembleInstance:
-    """Draw every star entry uniformly from 1..value_bound, deterministically
-    under `seed`; zero entries stay exactly zero.  Each draw is randint's own
-    rejection loop on getrandbits, so the stream is random.Random(seed)'s
-    randint(1, value_bound) stream.  Raises ScaleError, before any draw, when
-    value_bound exceeds MAX_VALUE_BOUND or the entries exceed
-    MAX_SAMPLE_CELLS."""
-    if k < 0:
-        raise ValueError("switch count k must be >= 0")
-    if q < 1:
-        raise ValueError("ensemble size q must be >= 1")
+def sample_instance(pattern: SparsityPattern, k: int, q: int, seed: int,
+                    value_bound: int = DEFAULT_VALUE_BOUND) -> EnsembleInstance:
+    """Draw every star's value uniformly from 1..value_bound, in the order of
+    EnsembleInstance.values, deterministically under `seed`: each draw is
+    randint's own rejection loop on getrandbits, so the stream is
+    random.Random(seed)'s randint(1, value_bound) stream.  Raises ScaleError,
+    before any draw, when value_bound exceeds MAX_VALUE_BOUND or the matrix
+    entries exceed MAX_SAMPLE_CELLS."""
+    _check_ensemble(k, q)
     if value_bound < 2:
         raise ValueError("value_bound must be >= 2")
     if value_bound > MAX_VALUE_BOUND:
@@ -317,25 +325,13 @@ def sample_instance(
     check_sample_size(pattern, k, q)
     import random  # only the generators need it
 
-    n, m = pattern.n, pattern.m
     getrandbits = random.Random(seed).getrandbits
     bits = value_bound.bit_length()
-    # row-major, the order of the draws
-    stars = [(i, j) for i, row in enumerate(pattern.rows, 1) for j in row]
-    blocks = {}
-    for p in range(1, q + 1):
-        for ell in range(k + 1):
-            a = [[0] * n for _ in range(n)]
-            b = [[0] * m for _ in range(n)]
-            for i, j in stars:
-                # randint(1, value_bound)'s own rejection loop, inlined
-                v = getrandbits(bits)
-                while v >= value_bound:
-                    v = getrandbits(bits)
-                v += 1
-                if j <= n:
-                    a[i - 1][j - 1] = v
-                else:
-                    b[i - 1][j - n - 1] = v
-            blocks[(p, ell)] = (tuple(map(tuple, a)), tuple(map(tuple, b)))
-    return EnsembleInstance(pattern, k, q, blocks)
+    values = []
+    for _ in range(q * (k + 1) * sum(map(len, pattern.rows))):
+        # randint(1, value_bound)'s own rejection loop, inlined
+        v = getrandbits(bits)
+        while v >= value_bound:
+            v = getrandbits(bits)
+        values.append(v + 1)
+    return EnsembleInstance(pattern, k, q, values)

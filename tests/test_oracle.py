@@ -29,6 +29,7 @@ from swenctrl.pattern import (
     CRITERIA,
     DEFAULT_VALUE_BOUND,
     MAX_SAMPLE_CELLS,
+    EnsembleInstance,
     SparsityPattern,
     random_pattern,
     sample_instance,
@@ -86,6 +87,54 @@ def test_assemble_blocks_structure():
             assert tuple(b[p * n + i]) == bb[i]
     with pytest.raises(ValueError):
         assemble_segment(inst, 2)
+
+
+def _deficient_by_scan(instance, certificate):
+    """oracle._deficient's answer from a scan of every dense entry of the
+    certificate's rows."""
+    if isinstance(certificate, ViolatingSubset):
+        states = certificate.subset
+    elif isinstance(certificate, Unreachable):
+        states = certificate.nodes
+    else:
+        return False
+    n = instance.pattern.n
+    states = {i for i in states if 1 <= i <= n}
+    columns = {(p if j <= n else 0, ell, j) for (p, ell), (a, b) in instance.blocks.items()
+               for i in states for j, x in enumerate(a[i - 1] + b[i - 1], 1) if x}
+    if isinstance(certificate, ViolatingSubset):
+        return len(columns) < instance.q * len(states)
+    return bool(states) and all(j in states for _, _, j in columns)
+
+
+def test_segment_and_deficient_match_dense_scans():
+    # Hand-set values, a third of them zero, on patterns with empty rows and
+    # with m = 0: the referee reads each segment and each certificate's rows
+    # from the star values as a scan of the dense blocks would.
+    rng = random.Random(27)
+    seen = set()
+    for t in range(300):
+        n, m = rng.randint(1, 6), (0, rng.randint(0, 3))[t % 2]
+        rows = random_pattern(n, m, rng.random(), rng.randrange(1 << 30)).rows
+        empty = rng.randrange(n)
+        pattern = SparsityPattern.from_rows(n, m, rows[:empty] + ((),) + rows[empty + 1:])
+        k, q = rng.randint(0, 2), rng.randint(1, 3)
+        size = q * (k + 1) * sum(map(len, pattern.rows))
+        values = [rng.choice((0, 0, -3, 1, 2, 7)) for _ in range(size)]
+        inst = EnsembleInstance(pattern, k, q, values)
+        for ell in range(k + 1):
+            rows, columns = oracle._segment(inst, ell)
+            a, b = assemble_segment(inst, ell)
+            assert rows == [[(j, x) for j, x in enumerate(row) if x] for row in a]
+            assert columns == [list(col) for col in zip(*b)] and len(columns) == m
+        subset = rng.sample(range(1, n + 2), rng.randint(0, n))
+        for certificate in (ViolatingSubset(subset, 0, 1, k, q), Unreachable(subset),
+                            Saturated(n * q), None):
+            expected = _deficient_by_scan(inst, certificate)
+            assert oracle._deficient(inst, certificate) == expected
+            seen.add((type(certificate), expected))
+    assert {(ViolatingSubset, True), (ViolatingSubset, False),
+            (Unreachable, True), (Unreachable, False)} <= seen
 
 
 def test_integrator_rank_examples():

@@ -304,9 +304,37 @@ def test_sample_instance_value_bound_guard():
             sample_instance(INTEGRATOR, 0, 1, seed=0, value_bound=bound)
 
 
-def test_instance_rejects_nonconforming_entries():
-    with pytest.raises(ValueError, match="zero-entry"):
-        EnsembleInstance(INTEGRATOR, 0, 1, {(1, 0): (((3,),), ((1,),))})
+@pytest.mark.parametrize("k, q, values, message", [
+    (0.0, 1, (3,), "must be ints"),
+    (0, 1.0, (3,), "must be ints"),
+    (True, 1, (3, 4), "must be ints"),
+    (-1, 1, (), "k must be >= 0"),
+    (0, 0, (), "q must be >= 1"),
+    (0, 1, (), "must be 1 ints"),
+    (1, 1, (3,), "must be 2 ints"),
+    (0, 1, (True,), "must be 1 ints"),
+    (0, 1, (3.0,), "must be 1 ints"),
+    # the dense-block form: one (A, B) pair per (subsystem, segment)
+    (0, 1, {(1, 0): (((0,),), ((1,),))}, "must be 1 ints"),
+    (0, 1, {(1, 0): (((3,),), ((1,),))}, "must be 1 ints"),
+], ids=["k-float", "q-float", "k-bool", "k-negative", "q-zero", "too-few", "too-many", "bool-value",
+        "float-value", "dense-blocks", "dense-blocks-off-star"])
+def test_instance_rejects_what_is_not_one_int_per_star(k, q, values, message):
+    with pytest.raises(ValueError, match=message):
+        EnsembleInstance(INTEGRATOR, k, q, values)
+
+
+def test_instance_holds_zero_valued_stars():
+    # A zero value is stored as given, and every reader sees a zero entry.
+    inst = EnsembleInstance(FIG2A, 0, 2, (4, 0, 6, 0, 0, 0))
+    assert inst.entries(1, 0) == [(1, 3, 4), (2, 3, 6)] and inst.entries(2, 0) == []
+    assert inst.blocks == {(1, 0): (((0, 0), (0, 0)), ((4,), (6,))),
+                           (2, 0): (((0, 0), (0, 0)), ((0,), (0,)))}
+    for p, ell in ((0, 0), (3, 0), (1, 1), (1, -1)):
+        with pytest.raises(ValueError, match="out of range"):
+            inst.entries(p, ell)
+    with pytest.raises(ValueError, match="must be ints"):
+        sample_instance(INTEGRATOR, 0.0, 1, seed=0)
 
 
 VALID_TOKENS = st.sampled_from(["0", "*"])

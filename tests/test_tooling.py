@@ -179,17 +179,20 @@ def test_no_module_imports_dataclasses():
                 assert all(a.name != "dataclasses" for a in node.names), path.name
 
 
-def test_only_the_pattern_reads_stars():
-    """The pattern's rows are the one graph the package reads; stars is a
-    view of them kept for the public API, read by no other module."""
+@pytest.mark.parametrize("view", ["stars", "blocks"])
+def test_only_the_pattern_reads_views(view):
+    """The pattern's rows are the one graph the package reads, and a
+    realization's star values the one form of a sample; a pattern's stars
+    and a realization's dense blocks are views kept for the public API,
+    read by no other module."""
     src = Path(__file__).resolve().parents[1] / "src" / "swenctrl"
     for path in sorted(src.glob("*.py")):
         if path.name == "pattern.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         readers = [node.lineno for node in ast.walk(tree)
-                   if isinstance(node, ast.Attribute) and node.attr == "stars"]
-        assert not readers, f"{path.name} reads .stars on line(s) {readers}"
+                   if isinstance(node, ast.Attribute) and node.attr == view]
+        assert not readers, f"{path.name} reads .{view} on line(s) {readers}"
 
 
 def test_lazy_exports_resolve(monkeypatch):

@@ -34,7 +34,8 @@ AGREEMENT_CELL = AgreementCell("fig", 0, 1, True, True, 3, 3, "mode_span", False
 AGREEMENT_CELL_REPR = ("AgreementCell(pattern_id='fig', k=0, q=1, structural=True, "
                        "numerical=True, successes=3, trials=3, criterion='mode_span', "
                        "retried=False)")
-BLOCKS = {(1, 0): (((0, 0), (5, 0)), ((1,), (2,)))}
+# One value per star of P, row-major: (1, 3), (2, 1), (2, 3).
+VALUES = (1, 5, 2)
 
 # (class, field values, today's repr); equal values build equal objects.
 CASES = [
@@ -52,9 +53,8 @@ CASES = [
      "KStarResult(value=1, witness=ArgmaxSubset(subset=frozenset({1})), "
      "trace=((0, 1, 2), (1, 2, 2)))"),
     (SparsityPattern, (2, 1, P.stars), P_REPR),
-    (EnsembleInstance, (P, 0, 1, BLOCKS),
-     f"EnsembleInstance(pattern={P_REPR}, k=0, q=1, "
-     "blocks={(1, 0): (((0, 0), (5, 0)), ((1,), (2,)))})"),
+    (EnsembleInstance, (P, 0, 1, VALUES),
+     f"EnsembleInstance(pattern={P_REPR}, k=0, q=1, values=(1, 5, 2))"),
     (CrosscheckCell, (0, 1, True, True, 2, 2, True, True), CELL_REPR),
     (CrosscheckReport, (2, 1, 0, 1, (CELL,), 0, 0, True, ()),
      f"CrosscheckReport(n=2, m=1, k_max=0, q_max=1, cells=({CELL_REPR},), kstar_search=0, "
@@ -73,8 +73,6 @@ CASES = [
      "genericity_misses=())"),
 ]
 IDS = [cls.__name__ for cls, *_ in CASES]
-# EnsembleInstance (a dict of blocks) holds an unhashable field.
-UNHASHABLE = {EnsembleInstance}
 
 
 def fresh(cls, values):
@@ -109,12 +107,8 @@ def test_unequal_fields_differ():
 @pytest.mark.parametrize("cls, values, text", CASES, ids=IDS)
 def test_hash_follows_the_fields(cls, values, text):
     a, b = fresh(cls, values), fresh(cls, values)
-    if cls in UNHASHABLE:
-        with pytest.raises(TypeError):
-            hash(a)
-    else:
-        assert hash(a) == hash(b)
-        assert len({a, b}) == 1
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
 
 
 @pytest.mark.parametrize("cls, values, text", CASES, ids=IDS)
@@ -185,20 +179,13 @@ def test_subsets_are_stored_as_frozensets():
     assert Unreachable([1, 2]) == Unreachable({2, 1})
 
 
-def test_ensemble_instance_checks_its_blocks():
+def test_ensemble_instance_checks_its_fields():
     with pytest.raises(ValueError, match="k must be >= 0"):
-        EnsembleInstance(P, -1, 1, BLOCKS)
+        EnsembleInstance(P, -1, 1, VALUES)
     with pytest.raises(ValueError, match="q must be >= 1"):
-        EnsembleInstance(P, 0, 0, BLOCKS)
-    with pytest.raises(ValueError, match="exactly one"):
-        EnsembleInstance(P, 1, 1, BLOCKS)
-    with pytest.raises(ValueError, match=r"block A\[1,0\] is not 2x2"):
-        EnsembleInstance(P, 0, 1, {(1, 0): (((0,), (0,)), ((1,), (2,)))})
-    with pytest.raises(ValueError, match=r"block B\[1,0\] is not 2x1"):
-        EnsembleInstance(P, 0, 1, {(1, 0): (((0, 0), (0, 0)), ((1, 1), (2, 2)))})
-    with pytest.raises(ValueError, match=r"A\[1,0\] nonzero at zero-entry \(1, 1\)"):
-        EnsembleInstance(P, 0, 1, {(1, 0): (((7, 0), (0, 0)), ((1,), (2,)))})
-    with pytest.raises(ValueError, match=r"B\[1,0\] nonzero at zero-entry \(1, 3\)"):
-        EnsembleInstance(SparsityPattern(2, 1, {(2, 3)}), 0, 1,
-                         {(1, 0): (((0, 0), (0, 0)), ((1,), (2,)))})
-
+        EnsembleInstance(P, 0, 0, VALUES)
+    with pytest.raises(ValueError, match="must be 6 ints"):
+        EnsembleInstance(P, 1, 1, VALUES)
+    inst = EnsembleInstance(P, 0, 1, list(VALUES))
+    assert inst.values == VALUES
+    assert inst.blocks == {(1, 0): (((0, 0), (5, 0)), ((1,), (2,)))}
