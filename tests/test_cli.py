@@ -287,6 +287,42 @@ def test_family_check_and_kstar_golden(tmp_path, capsys, name):
     assert out == (GOLDEN / f"kstar_{name}.json").read_text()
 
 
+# The oracle's stdout on true, violating and unreachable cells, under both
+# criteria and without d = 0, at the default value bound and at 2, where
+# some samples of a true cell are deficient; frozen before the structural
+# proof moved from each sample to the cell.
+ORACLE_GOLDEN = json.loads((GOLDEN / "oracle_cli.json").read_text())
+ORACLE_GOLDEN_CELLS = {
+    "fig2a_k2_q3": (lambda: FIG2A, 2, 3),
+    "fig2a_k1_q3": (lambda: FIG2A, 1, 3),
+    "backbone7_k1_q2": (lambda: benchmark_pattern("backbone", 7, 0), 1, 2),
+    "hub8_k1_q2": (lambda: benchmark_pattern("hub", 8, 0), 1, 2),
+    "sparse_fail7_k1_q2": (lambda: benchmark_pattern("sparse-fail", 7, 0), 1, 2),
+    "sparse_fail_unreachable7_k1_q2": (
+        lambda: benchmark_pattern("sparse-fail-unreachable", 7, 0), 1, 2),
+}
+ORACLE_GOLDEN_FLAGS = {
+    "mode_span": (),
+    "mode_span_no_d0": ("--no-include-d0",),
+    "sequential_subspace": ("--criterion", "sequential_subspace"),
+}
+
+
+def oracle_golden_argv(case: str) -> tuple[str, tuple[str, ...]]:
+    """The cell name and the oracle flags of a golden case cell/flags/bound."""
+    cell, flags, bound = case.split("/")
+    _, k, q = ORACLE_GOLDEN_CELLS[cell]
+    return cell, ("--k", str(k), "--q", str(q), "--trials", "8", "--seed", "1",
+                  "--value-bound", bound, *ORACLE_GOLDEN_FLAGS[flags])
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_GOLDEN))
+def test_oracle_golden(tmp_path, capsys, case):
+    cell, flags = oracle_golden_argv(case)
+    path = write_pattern(tmp_path, ORACLE_GOLDEN_CELLS[cell][0]())
+    assert run_cli(capsys, "oracle", path, *flags) == (0, ORACLE_GOLDEN[case], "")
+
+
 def test_kstar_flow_values_near_2_pow_40(tmp_path, capsys):
     # Witness capacities times the arc count pass 2^63; every flow value
     # and cut stays below the total source capacity, about 2^52.

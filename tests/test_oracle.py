@@ -37,6 +37,7 @@ from swenctrl.pattern import (
 from swenctrl.results import Saturated, Unreachable, ViolatingSubset
 
 GOLDEN_RANKS = Path(__file__).parent / "golden" / "oracle_ranks.json"
+GOLDEN_AGREEMENT = Path(__file__).parent / "golden" / "oracle_agreement.json"
 
 
 def test_exact_rank_basics():
@@ -645,6 +646,33 @@ def test_oracle_agreement_corpus():
     for cell in report.cells:
         if not cell.structural:
             assert cell.successes == 0
+
+
+def agreement_reports() -> dict:
+    """oracle_agreement on criterion 6's corpus and grids, under both
+    criteria, at the default value bound with 10 trials and at 2 with one,
+    where some true cells retry, each report as plain lists."""
+    reports = {}
+    for criterion in CRITERIA:
+        for value_bound, trials in ((DEFAULT_VALUE_BOUND, 10), (2, 1)):
+            for corpus, k_max, q_max, seed in (
+                    ([("fig2a", FIG2A), ("two_cycle", TWO_CYCLE), ("integrator", INTEGRATOR)],
+                     2, 3, 60_000),
+                    ([("fig1", FIG1)], 1, 2, 60_001)):
+                report = oracle_agreement(corpus, k_max, q_max, trials, seed, value_bound,
+                                          criterion)
+                reports[f"{criterion}/{value_bound}/{corpus[0][0]}"] = {
+                    "cells": [[getattr(cell, name) for name in cell._fields]
+                              for cell in report.cells],
+                    "hard_disagreements": list(report.hard_disagreements),
+                    "genericity_misses": list(report.genericity_misses),
+                }
+    return reports
+
+
+def test_oracle_agreement_golden():
+    # Frozen before the structural proof moved from each sample to the cell.
+    assert agreement_reports() == json.loads(GOLDEN_AGREEMENT.read_text())
 
 
 def test_oracle_agreement_scale_pre():
