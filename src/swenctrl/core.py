@@ -44,12 +44,13 @@ _INT64_MAX = (1 << 63) - 1
 
 def check_kq(n: int, m: int, k: int, q: int) -> None:
     """The one guard on (k, q) for an n-state, m-input pattern, checked before
-    any work: ValueError unless k >= 0 and q >= 1 are ints, ScaleError unless
-    the total source capacity (k+1)(m+nq), which bounds every flow value and
-    cut and both sides of the counting condition, fits in 63 bits."""
-    if not isinstance(k, int) or k < 0:
+    any work: ValueError unless k >= 0 and q >= 1 are ints (of type int, so
+    no bool), ScaleError unless the total source capacity (k+1)(m+nq), which
+    bounds every flow value and cut and both sides of the counting
+    condition, fits in 63 bits."""
+    if type(k) is not int or k < 0:
         raise ValueError("switch count k must be an integer >= 0")
-    if not isinstance(q, int) or q < 1:
+    if type(q) is not int or q < 1:
         raise ValueError("ensemble size q must be an integer >= 1")
     if (k + 1) * (m + n * q) >= _INT64_MAX:
         raise ScaleError("total source capacity (k+1)(m+nq) exceeds the 64-bit guard")

@@ -13,7 +13,7 @@ alone, both counting the subset by graph._subset_sides.
 
 from __future__ import annotations
 
-from .core import Transport, check_structural, compute_kstar
+from .core import Transport, check_kq, check_structural, compute_kstar
 from .errors import ConsistencyError, ScaleError
 from .flow import lifted_values
 from .graph import (
@@ -82,8 +82,7 @@ def crosscheck(pattern: SparsityPattern, k_max: int, q_max: int) -> CrosscheckRe
     condition."""
     if pattern.n > MAX_CROSSCHECK_STATES:
         raise ScaleError(f"crosscheck requires n <= {MAX_CROSSCHECK_STATES}")
-    if k_max < 0 or q_max < 1:
-        raise ValueError("k_max must be >= 0 and q_max >= 1")
+    check_kq(pattern.n, pattern.m, k_max, q_max)
     if (k_max + 1) * q_max > MAX_CROSSCHECK_CELLS:
         raise ScaleError(f"(k_max+1)*q_max = {(k_max + 1) * q_max} grid cells exceed the "
                          f"guard {MAX_CROSSCHECK_CELLS}")
@@ -160,20 +159,23 @@ def recheck_certificate(pattern: SparsityPattern, verdict: Verdict) -> bool:
     and integer arithmetic over the star positions, no flow solver.  It reads
     the pattern's rows, a violating subset only its own states' rows, with
     the referees' code (graph's reachability search and _subset_sides),
-    apart from the solver's.  A violating subset must carry an int k >= 0
-    and an int q >= 1, the domain of check_kq, and come with the target
-    n*q.  A Saturated certificate is accepted only on a true verdict whose
-    flow value theta equals both the certificate's value and the target,
-    and whose target is n*q for an int q >= 1; it proves no more than that
-    (a brute-force verdict, which has no theta, fails it)."""
+    apart from the solver's.  A violating subset must carry a (k, q) that
+    passes check_kq and come with the target n*q.  A Saturated certificate
+    is accepted only on a true verdict whose flow value theta equals both
+    the certificate's value and the target, and whose target is n*q for an
+    int q >= 1; it proves no more than that (a brute-force verdict, which
+    has no theta, fails it)."""
     cert = verdict.certificate
     if isinstance(cert, ViolatingSubset):
         k, q = cert.k, cert.q
-        if verdict.decision or not (isinstance(k, int) and k >= 0 and isinstance(q, int)
-                                    and q >= 1 and verdict.stats.target == pattern.n * q):
+        try:
+            check_kq(pattern.n, pattern.m, k, q)
+        except (ValueError, ScaleError):
+            return False
+        if verdict.decision or verdict.stats.target != pattern.n * q:
             return False
         subset = cert.subset
-        if not subset or not all(isinstance(i, int) and 1 <= i <= pattern.n for i in subset):
+        if not subset or not all(type(i) is int and 1 <= i <= pattern.n for i in subset):
             return False
         lhs, rhs = _subset_sides(pattern, k, q, subset)
         return lhs == cert.lhs and rhs == cert.rhs and lhs < rhs

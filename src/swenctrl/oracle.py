@@ -1,26 +1,27 @@
 """Exact-arithmetic numerical referee.
 
 Random integer realizations of a pattern are tested for controllability of
-the switched ensemble dynamics.  Each segment's block-diagonal system is read
-from the sample's star values, as the nonzeros of A's rows and the columns
-of B.  The mode_span rank is the dimension of the sum of the segments' Krylov
-spaces, found in one pass: each segment's span is grown by deflated products
-and kept as an integer echelon basis, and every new row joins the union at
-once.  Once the union fills more than half the space and another segment
-follows, it is kept as an integer basis of its orthogonal complement instead,
-and each later segment cuts it directly: each complement vector u is kept
-beside its image u^T A^d and cut by that image's dot with each generator for
-d < qn, which suffices by Cayley-Hamilton.  No floating
-point anywhere: structural claims are generic-rank claims and a tolerance
-would blur exactly the cases under test.  Modular arithmetic only ever
-proves full rank, and only runs after a full sample, or when the structural
-verdict predicts one: a rank that is full mod a prime is full over the
-rationals.  A false verdict's certificate proves a sample deficient with no
-rank when it checks on the drawn integers: a violating subset's rows over
-every copy and segment have nonzeros in fewer columns than there are rows
-(Lin's dilation), and an unreachable set's rows read no input and no state
-outside it, so its coordinates stay zero in every Krylov vector.  Every
-other deficient sample, and every RankReport, is ranked in exact integers.
+the switched ensemble dynamics, one (k, q) cell at a time, in one order: the
+sampler's guards, the cell's structural verdict, the proof (_deficient),
+then the trials.  A false verdict's certificate that checks on the pattern's
+rows at the cell's k and q proves every realization deficient, so such a
+cell draws no sample.  Every other cell draws its trials, and each sample is
+ranked, under mode_span first mod a prime, where a full rank is full over
+the rationals too, and otherwise in exact integers.
+
+Each segment's block-diagonal system is read from the sample's star values,
+as the nonzeros of A's rows and the columns of B.  The mode_span rank is
+the dimension of the sum of the segments' Krylov spaces, found in one pass:
+each segment's span is grown by deflated products and kept as an integer
+echelon basis, and every new row joins the union at once.  Once the union
+fills more than half the space and another segment follows, it is kept as
+an integer basis of its orthogonal complement instead, and each later
+segment cuts it directly: each complement vector u is kept beside its image
+u^T A^d and cut by that image's dot with each generator for d < qn, which
+suffices by Cayley-Hamilton.  No floating point anywhere: structural claims
+are generic-rank claims and a tolerance would blur exactly the cases under
+test.  Modular arithmetic only ever proves full rank; every deficient
+sample, and every RankReport, is ranked in exact integers.
 """
 
 from __future__ import annotations
@@ -324,73 +325,72 @@ def controllability_rank(
     dim = n * q
     if dim > MAX_ORACLE_DIM:
         raise ScaleError(f"q*n = {dim} exceeds the exact-arithmetic guard {MAX_ORACLE_DIM}")
+    _check_criterion(criterion)
     if criterion == "mode_span":
         # By Cayley-Hamilton the columns of A^d B for d = 0..qn span the
         # Krylov space K(A, B), and those for d = 1..qn span K(A, A B), so the
         # literal rank is the dimension of the sum of these spaces.
         rank = _union_dimension(instance, include_d0, _SpanBasis)
         return RankReport(rank, dim, rank == dim, criterion, (0 if include_d0 else 1, dim))
-    if criterion == "sequential_subspace":
-        basis = None
-        for ell in range(instance.k + 1):
-            rows, generators = _segment(instance, ell)
-            if basis is not None:
-                generators.extend(basis.vectors())
-            basis = reach_subspace(rows, generators, dim)
-        rank = basis.dimension
-        return RankReport(rank, dim, rank == dim, criterion, (0, dim - 1))
-    raise ValueError(f"unknown criterion {criterion!r} (expected one of {CRITERIA})")
+    # sequential_subspace
+    basis = None
+    for ell in range(instance.k + 1):
+        rows, generators = _segment(instance, ell)
+        if basis is not None:
+            generators.extend(basis.vectors())
+        basis = reach_subspace(rows, generators, dim)
+    rank = basis.dimension
+    return RankReport(rank, dim, rank == dim, criterion, (0, dim - 1))
+
+
+def _check_criterion(criterion: str) -> None:
+    if criterion not in CRITERIA:
+        raise ValueError(f"unknown criterion {criterion!r} (expected one of {CRITERIA})")
 
 
 def _trial_seed(seed: int, t: int) -> int:
     return (seed * 6364136223846793005 + 1442695040888963407 * t) % (1 << 64)
 
 
-def _deficient(instance: EnsembleInstance, certificate) -> bool:
-    """True when the structural `certificate` proves this sample deficient
-    under both criteria, read off its drawn integers; False proves nothing.
-    For a ViolatingSubset V', the rows of V' in all q copies have nonzeros in
-    fewer than q|V'| columns of [A_0 B_0 .. A_k B_k], so some u != 0 on them
-    has u^T A_ell = u^T B_ell = 0 for every ell (Lin's dilation); for an
-    Unreachable U, no row of U reads an input or a state outside U, so U's
-    coordinates stay zero in every Krylov vector."""
+def _deficient(pattern: SparsityPattern, k: int, q: int, certificate) -> bool:
+    """True when the structural `certificate` proves every realization of the
+    cell (k, q) deficient under both criteria, checked on the pattern's rows
+    with the cell's own k and q; False proves nothing.  Its states must be a
+    nonempty set of ints in 1..n.  A ViolatingSubset V' passes when
+    (k+1)|beta_in| + q(k+1)|alpha_in| < q|V'|: the rows of V' in all q copies
+    then have nonzeros in fewer than q|V'| columns of [A_0 B_0 .. A_k B_k],
+    so some u != 0 on them has u^T A_ell = u^T B_ell = 0 for every ell
+    (Lin's dilation).  An Unreachable U passes when no row of U reads an
+    input or a state outside U, so U's coordinates stay zero in every
+    Krylov vector."""
     if isinstance(certificate, ViolatingSubset):
         states = certificate.subset
     elif isinstance(certificate, Unreachable):
         states = certificate.nodes
     else:
         return False
-    n = instance.pattern.n
-    states = states.intersection(range(1, n + 1))
-    # (copy, segment, column) of each nonzero in the rows of `states`, a
-    # state column counted per copy and the m input columns shared
-    nonzeros = {(p if j <= n else 0, ell, j) for p in range(1, instance.q + 1)
-                for ell in range(instance.k + 1)
-                for i, j, _ in instance.entries(p, ell) if i in states}
-    if isinstance(certificate, ViolatingSubset):
-        return len(nonzeros) < instance.q * len(states)
-    return bool(states) and all(j in states for _, _, j in nonzeros)
+    n = pattern.n
+    if not states or not all(type(i) is int and 1 <= i <= n for i in states):
+        return False
+    columns = frozenset().union(*[pattern.rows[i - 1] for i in states])
+    if isinstance(certificate, Unreachable):
+        return columns <= states
+    alpha = sum(j <= n for j in columns)
+    return (k + 1) * (len(columns) - alpha) + q * (k + 1) * alpha < q * len(states)
 
 
-def _count_successes(pattern, k, q, trials, seed, value_bound, criterion, include_d0,
-                     verdict=None) -> tuple[bool, int]:
-    """The trials of monte_carlo_controllable, past its guards.  `verdict` is
-    the cell's check_structural, or None to compute it after the first
-    sample's guards."""
+def _successes(pattern, k, q, trials, seed, value_bound, criterion, include_d0) -> int:
+    """The full-rank samples among `trials`, trial t drawn under
+    _trial_seed(seed, t): under mode_span each is first ranked mod PRIME,
+    where a full answer proves it full, and otherwise exactly."""
     mode_span = criterion == "mode_span"
     successes = 0
     for t in range(1, trials + 1):
         instance = sample_instance(pattern, k, q, seed=_trial_seed(seed, t), value_bound=value_bound)
-        if verdict is None:
-            verdict = check_structural(pattern, k, q)
-        # an unknown criterion still reaches controllability_rank's error
-        if criterion in CRITERIA and _deficient(instance, verdict.certificate):
-            continue
-        if mode_span and (successes or verdict.decision) and _full_mod_p(instance, include_d0):
+        if (mode_span and _full_mod_p(instance, include_d0)
+                or controllability_rank(instance, criterion, include_d0).controllable):
             successes += 1
-        elif controllability_rank(instance, criterion=criterion, include_d0=include_d0).controllable:
-            successes += 1
-    return successes > 0, successes
+    return successes
 
 
 def monte_carlo_controllable(
@@ -405,22 +405,22 @@ def monte_carlo_controllable(
 ) -> tuple[bool, int]:
     """True iff any of `trials` random realizations is controllable; one
     controllable sample certifies structural controllability, while structural
-    uncontrollability forces rank deficiency in every sample.  The structural
-    verdict is computed once, after the first sample's guards, and spares
-    ranks only by proofs: a sample on which its certificate checks is
-    deficient, since a violating subset's rows over every copy and segment
-    have fewer nonzero columns than rows and an unreachable set's rows read
-    only its own states; and after a full sample, or when the verdict
-    predicts one, a mode_span sample is first ranked mod PRIME, where a full
-    answer proves it full.  Any other sample takes the exact rank, so the
-    verdict never decides an answer."""
-    if trials < 1:
+    uncontrollability forces rank deficiency in every sample.  Past the
+    guards, check_structural runs once: a cell whose certificate passes
+    _deficient answers (False, 0) with no draw and no rank, and every other
+    cell draws its trials, so the verdict never decides an answer alone."""
+    if type(trials) is not int or trials < 1:
         raise ValueError("trials must be >= 1")
     if trials > MAX_ORACLE_TRIALS:
         raise ScaleError(f"trials = {trials} exceeds the guard {MAX_ORACLE_TRIALS}")
     if q * pattern.n > MAX_ORACLE_DIM:
         raise ScaleError(f"q*n = {q * pattern.n} exceeds the guard {MAX_ORACLE_DIM}")
-    return _count_successes(pattern, k, q, trials, seed, value_bound, criterion, include_d0)
+    check_sample_size(pattern, k, q, value_bound)
+    _check_criterion(criterion)
+    if _deficient(pattern, k, q, check_structural(pattern, k, q).certificate):
+        return False, 0
+    successes = _successes(pattern, k, q, trials, seed, value_bound, criterion, include_d0)
+    return successes > 0, successes
 
 
 class AgreementCell(FrozenValue):
@@ -450,10 +450,12 @@ def oracle_agreement(
     corpus: iterable of (name, pattern).  structural=false with any full-rank
     sample is a hard disagreement (it falsifies the implementation);
     structural=true with no full-rank sample is retried at 4x trials and then
-    logged as a genericity miss, never silently dropped.
+    logged as a genericity miss, never silently dropped.  A cell runs as in
+    monte_carlo_controllable with d = 0, its retry sharing its one verdict;
+    every guard is checked before the first cell.
     """
     corpus = list(corpus)
-    if trials < 1:
+    if type(trials) is not int or trials < 1:
         raise ValueError("trials must be >= 1")
     if 4 * trials > MAX_ORACLE_TRIALS:
         raise ScaleError(f"4*trials = {4 * trials} (the retry) exceeds the guard "
@@ -463,10 +465,9 @@ def oracle_agreement(
             raise ScaleError(
                 f"corpus pattern with n = {pat.n} exceeds q*n <= {MAX_ORACLE_DIM} at q_max = {q_max}"
             )
-        check_sample_size(pat, k_max, q_max)
-    cells = []
-    hard = []
-    misses = []
+        check_sample_size(pat, k_max, q_max, value_bound)
+    _check_criterion(criterion)
+    cells, hard, misses = [], [], []
     for name, pat in corpus:
         base = seed ^ zlib.crc32(name.encode())
         for k in range(k_max + 1):
@@ -474,32 +475,23 @@ def oracle_agreement(
                 cell_seed = _trial_seed(base, k * (q_max + 1) + q)
                 verdict = check_structural(pat, k, q)
                 structural = verdict.decision
-                ok, successes = _count_successes(
-                    pat, k, q, trials, cell_seed, value_bound, criterion, True, verdict
-                )
+                successes = 0
+                if not _deficient(pat, k, q, verdict.certificate):
+                    successes = _successes(pat, k, q, trials, cell_seed, value_bound, criterion,
+                                           True)
                 used_trials = trials
-                retried = False
-                if structural and not ok:
-                    retried = True
-                    ok2, succ2 = _count_successes(
-                        pat, k, q, 4 * trials, _trial_seed(cell_seed, 1), value_bound, criterion,
-                        True, verdict
-                    )
-                    ok = ok or ok2
-                    successes += succ2
+                retried = structural and not successes
+                if retried:
+                    successes = _successes(pat, k, q, 4 * trials, _trial_seed(cell_seed, 1),
+                                           value_bound, criterion, True)
                     used_trials += 4 * trials
-                numerical = ok
-                if not structural and successes > 0:
-                    hard.append(
-                        f"{name} k={k} q={q}: structurally uncontrollable but "
-                        f"{successes} full-rank sample(s)"
-                    )
+                numerical = successes > 0
+                if not structural and numerical:
+                    hard.append(f"{name} k={k} q={q}: structurally uncontrollable but "
+                                f"{successes} full-rank sample(s)")
                 if structural and not numerical:
-                    misses.append(
-                        f"{name} k={k} q={q}: no full-rank sample in {used_trials} trials"
-                    )
-                cells.append(
-                    AgreementCell(name, k, q, structural, numerical, successes,
-                                  used_trials, criterion, retried)
-                )
+                    misses.append(f"{name} k={k} q={q}: no full-rank sample in {used_trials} "
+                                  "trials")
+                cells.append(AgreementCell(name, k, q, structural, numerical, successes,
+                                           used_trials, criterion, retried))
     return AgreementReport(tuple(cells), tuple(hard), tuple(misses))

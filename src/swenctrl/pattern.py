@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 
+from .core import check_kq
 from .errors import ParseError, ScaleError
 from .results import FrozenValue
 
@@ -101,9 +102,9 @@ def _rows_of(n: int, stars) -> tuple[tuple[int, ...], ...]:
 
 
 def _check_dims(n, m) -> None:
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError("state dimension n must be an integer >= 1")
-    if not isinstance(m, int) or m < 0:
+    if type(m) is not int or m < 0:
         raise ValueError("input count m must be an integer >= 0")
     if n + m > MAX_PATTERN_DIM:
         raise ScaleError(f"n + m = {n + m} exceeds the dimension guard {MAX_PATTERN_DIM}")
@@ -257,7 +258,7 @@ class EnsembleInstance(FrozenValue):
     __slots__ = _fields = ("pattern", "k", "q", "values")
 
     def __init__(self, pattern: SparsityPattern, k: int, q: int, values):
-        _check_ensemble(k, q)
+        check_kq(pattern.n, pattern.m, k, q)
         values = tuple(values)
         size = q * (k + 1) * sum(map(len, pattern.rows))
         # type, not isinstance: no bool, and a dict's (p, ell) keys fail
@@ -289,18 +290,17 @@ class EnsembleInstance(FrozenValue):
         return blocks
 
 
-def _check_ensemble(k, q) -> None:
-    if type(k) is not int or type(q) is not int:
-        raise ValueError("switch count k and ensemble size q must be ints")
-    if k < 0:
-        raise ValueError("switch count k must be >= 0")
-    if q < 1:
-        raise ValueError("ensemble size q must be >= 1")
-
-
-def check_sample_size(pattern: SparsityPattern, k: int, q: int) -> None:
-    """Raise ScaleError when a (k, q) sample of `pattern` spans more than
+def check_sample_size(pattern: SparsityPattern, k: int, q: int, value_bound: int) -> None:
+    """The sampler's guards, checked before any draw: check_kq on (k, q),
+    ValueError when value_bound < 2, and ScaleError when value_bound exceeds
+    MAX_VALUE_BOUND or a (k, q) sample of `pattern` spans more than
     MAX_SAMPLE_CELLS matrix entries."""
+    check_kq(pattern.n, pattern.m, k, q)
+    if value_bound < 2:
+        raise ValueError("value_bound must be >= 2")
+    if value_bound > MAX_VALUE_BOUND:
+        raise ScaleError(f"value_bound of {value_bound.bit_length()} bits exceeds the guard "
+                         f"2^{MAX_VALUE_BOUND.bit_length() - 1}")
     cells = q * (k + 1) * pattern.n * (pattern.n + pattern.m)
     if cells > MAX_SAMPLE_CELLS:
         raise ScaleError(
@@ -313,16 +313,9 @@ def sample_instance(pattern: SparsityPattern, k: int, q: int, seed: int,
     """Draw every star's value uniformly from 1..value_bound, in the order of
     EnsembleInstance.values, deterministically under `seed`: each draw is
     randint's own rejection loop on getrandbits, so the stream is
-    random.Random(seed)'s randint(1, value_bound) stream.  Raises ScaleError,
-    before any draw, when value_bound exceeds MAX_VALUE_BOUND or the matrix
-    entries exceed MAX_SAMPLE_CELLS."""
-    _check_ensemble(k, q)
-    if value_bound < 2:
-        raise ValueError("value_bound must be >= 2")
-    if value_bound > MAX_VALUE_BOUND:
-        raise ScaleError(f"value_bound of {value_bound.bit_length()} bits exceeds the guard "
-                         f"2^{MAX_VALUE_BOUND.bit_length() - 1}")
-    check_sample_size(pattern, k, q)
+    random.Random(seed)'s randint(1, value_bound) stream.  check_sample_size
+    runs its guards before any draw."""
+    check_sample_size(pattern, k, q, value_bound)
     import random  # only the generators need it
 
     getrandbits = random.Random(seed).getrandbits

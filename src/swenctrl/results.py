@@ -151,43 +151,32 @@ class KStarResult(FrozenValue):
         return self.value is None
 
 
+# The JSON type name of each certificate class; a certificate's JSON holds
+# that name under "type", then its fields in order, each set sorted.
+_CERTIFICATE_TYPES = {Unreachable: "unreachable", ViolatingSubset: "violating_subset",
+                      Saturated: "saturated", EmptyAlphaIn: "empty_alpha_in",
+                      ArgmaxSubset: "argmax_subset"}
+
+
 def certificate_to_dict(cert) -> dict | None:
     if cert is None:
         return None
-    if isinstance(cert, Unreachable):
-        return {"type": "unreachable", "nodes": sorted(cert.nodes)}
-    if isinstance(cert, ViolatingSubset):
-        return {
-            "type": "violating_subset",
-            "subset": sorted(cert.subset),
-            "lhs": cert.lhs,
-            "rhs": cert.rhs,
-            "k": cert.k,
-            "q": cert.q,
-        }
-    if isinstance(cert, Saturated):
-        return {"type": "saturated", "value": cert.value}
-    if isinstance(cert, EmptyAlphaIn):
-        return {"type": "empty_alpha_in", "subset": sorted(cert.subset)}
-    if isinstance(cert, ArgmaxSubset):
-        return {"type": "argmax_subset", "subset": sorted(cert.subset)}
-    raise TypeError(f"unknown certificate type {type(cert).__name__}")
+    if type(cert) not in _CERTIFICATE_TYPES:
+        raise TypeError(f"unknown certificate type {type(cert).__name__}")
+    d = {"type": _CERTIFICATE_TYPES[type(cert)]}
+    for name in cert._fields:
+        value = getattr(cert, name)
+        d[name] = sorted(value) if isinstance(value, frozenset) else value
+    return d
 
 
 def certificate_from_dict(d: dict | None):
     if d is None:
         return None
     kind = d.get("type")
-    if kind == "unreachable":
-        return Unreachable(frozenset(d["nodes"]))
-    if kind == "violating_subset":
-        return ViolatingSubset(frozenset(d["subset"]), d["lhs"], d["rhs"], d["k"], d["q"])
-    if kind == "saturated":
-        return Saturated(d["value"])
-    if kind == "empty_alpha_in":
-        return EmptyAlphaIn(frozenset(d["subset"]))
-    if kind == "argmax_subset":
-        return ArgmaxSubset(frozenset(d["subset"]))
+    for cls, name in _CERTIFICATE_TYPES.items():
+        if kind == name:
+            return cls(*(d[field] for field in cls._fields))
     raise ValueError(f"unknown certificate type {kind!r}")
 
 

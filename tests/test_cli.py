@@ -155,15 +155,14 @@ def test_oracle_rejects_no_include_d0_with_sequential_subspace(tmp_path, capsys)
 
 
 @pytest.mark.parametrize("flags, message", [
-    (("--k", "-1"), "switch count k must be >= 0"),
-    (("--q", "0"), "ensemble size q must be >= 1"),
+    (("--k", "-1"), "switch count k must be an integer >= 0"),
+    (("--q", "0"), "ensemble size q must be an integer >= 1"),
     (("--trials", "0"), "trials must be >= 1"),
     (("--value-bound", "1"), "value_bound must be >= 2"),
 ])
 def test_oracle_usage_errors_come_before_any_structural_check(tmp_path, capsys, flags, message):
     """The oracle's own guards and the sampler's reject each bad argument
-    with their own message; the structural verdict, which orders the rank
-    passes, is only computed once the first sample has been drawn."""
+    with their own message before the structural verdict is computed."""
     path = write_pattern(tmp_path, FIG2A)
     argv = dict(zip(("--k", "--q", "--trials", "--value-bound"), ("1", "2", "2", "10007")))
     argv.update([flags])

@@ -35,7 +35,7 @@ from swenctrl.graph import (
     reachability_check,
     to_dot,
 )
-from swenctrl.oracle import controllability_rank
+from swenctrl.oracle import controllability_rank, monte_carlo_controllable, oracle_agreement
 from swenctrl.pattern import (
     SparsityPattern,
     parse_pattern,
@@ -750,6 +750,37 @@ def test_recheck_rejects_tampered_certificate():
         assert not recheck_certificate(p, Verdict(False, Unreachable(nodes), v.stats))
     saturated = check_structural(FIG2A, 2, 3)
     assert not recheck_certificate(FIG2A, Verdict(True, Saturated(5), saturated.stats))
+
+
+@pytest.mark.parametrize("k, q", [(True, 3), (1, True), (1.0, 3), (1, 3.0)])
+def test_one_integer_rule_for_k_and_q(k, q):
+    # A bool or a float k or q is refused everywhere with check_kq's message.
+    p = parse_pattern("2 1\n0 0 *\n* 0 0\n")
+    message = "switch count k" if type(k) is not int else "ensemble size q"
+    for call in (lambda: check_structural(p, k, q), lambda: brute_force_check(p, k, q),
+                 lambda: sample_instance(p, k, q, seed=0), lambda: crosscheck(p, k, q),
+                 lambda: monte_carlo_controllable(p, k, q, 1, 0)):
+        with pytest.raises(ValueError, match=f"{message} must be an integer"):
+            call()
+
+
+def test_one_integer_rule_for_certificates_trials_and_dimensions():
+    p = parse_pattern("2 1\n0 0 *\n* 0 0\n")
+    genuine = check_structural(p, 1, 3)
+    cert = genuine.certificate
+    assert cert == ViolatingSubset({1}, 2, 3, 1, 3) and recheck_certificate(p, genuine)
+    for subset, k, q in (({1}, True, 3), ({1}, 1.0, 3), ({1}, 1, 3.0), ({True}, 1, 3)):
+        tampered = ViolatingSubset(subset, cert.lhs, cert.rhs, k, q)
+        assert tampered == cert  # True == 1 == 1.0
+        assert not recheck_certificate(p, Verdict(False, tampered, genuine.stats)), (k, q)
+    for trials in (True, 1.0, 0):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            monte_carlo_controllable(p, 1, 1, trials, 0)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            oracle_agreement([("p", p)], 1, 1, trials, 0)
+    for n, m in ((True, 0), (2.0, 0), (2, False), (2, 1.0)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SparsityPattern(n, m, ())
 
 
 def tampered_verdict(decision, certificate, stats):

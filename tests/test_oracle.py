@@ -17,8 +17,9 @@ from helpers import (
 )
 
 from swenctrl import oracle
-from swenctrl.decide import check_structural
+from swenctrl.decide import check_structural, recheck_certificate
 from swenctrl.errors import ScaleError
+from swenctrl.graph import core_condition_holds
 from swenctrl.oracle import (
     controllability_rank,
     monte_carlo_controllable,
@@ -92,7 +93,7 @@ def test_assemble_blocks_structure():
 
 def _deficient_by_scan(instance, certificate):
     """oracle._deficient's answer from a scan of every dense entry of the
-    certificate's rows."""
+    certificate's rows in a realization with every star nonzero."""
     if isinstance(certificate, ViolatingSubset):
         states = certificate.subset
     elif isinstance(certificate, Unreachable):
@@ -100,7 +101,8 @@ def _deficient_by_scan(instance, certificate):
     else:
         return False
     n = instance.pattern.n
-    states = {i for i in states if 1 <= i <= n}
+    if not states or not states <= set(range(1, n + 1)):
+        return False
     columns = {(p if j <= n else 0, ell, j) for (p, ell), (a, b) in instance.blocks.items()
                for i in states for j, x in enumerate(a[i - 1] + b[i - 1], 1) if x}
     if isinstance(certificate, ViolatingSubset):
@@ -110,8 +112,9 @@ def _deficient_by_scan(instance, certificate):
 
 def test_segment_and_deficient_match_dense_scans():
     # Hand-set values, a third of them zero, on patterns with empty rows and
-    # with m = 0: the referee reads each segment and each certificate's rows
-    # from the star values as a scan of the dense blocks would.
+    # with m = 0: the referee reads each segment from the star values as a
+    # scan of the dense blocks would, and proves a certificate from the
+    # pattern's rows as a scan of a realization with every star nonzero would.
     rng = random.Random(27)
     seen = set()
     for t in range(300):
@@ -128,11 +131,12 @@ def test_segment_and_deficient_match_dense_scans():
             a, b = assemble_segment(inst, ell)
             assert rows == [[(j, x) for j, x in enumerate(row) if x] for row in a]
             assert columns == [list(col) for col in zip(*b)] and len(columns) == m
+        nonzero = EnsembleInstance(pattern, k, q, [1] * size)
         subset = rng.sample(range(1, n + 2), rng.randint(0, n))
         for certificate in (ViolatingSubset(subset, 0, 1, k, q), Unreachable(subset),
                             Saturated(n * q), None):
-            expected = _deficient_by_scan(inst, certificate)
-            assert oracle._deficient(inst, certificate) == expected
+            expected = _deficient_by_scan(nonzero, certificate)
+            assert oracle._deficient(pattern, k, q, certificate) == expected
             seen.add((type(certificate), expected))
     assert {(ViolatingSubset, True), (ViolatingSubset, False),
             (Unreachable, True), (Unreachable, False)} <= seen
@@ -480,8 +484,8 @@ def test_monte_carlo_matches_an_exact_rank_on_every_trial(monkeypatch, full_mod_
 
 
 def _fake_certificates(pattern, k, q):
-    """A fake verdict's certificates: Saturated, and wrong ones that a
-    sample check must not believe on a controllable cell: every state as a
+    """A fake verdict's certificates: Saturated, and wrong ones that the
+    proof must not believe on a controllable cell: every state as a
     violating subset (with states 0 and n+1, which do not exist) or as
     unreachable, and an empty unreachable set."""
     n = pattern.n
@@ -491,10 +495,10 @@ def _fake_certificates(pattern, k, q):
 
 @pytest.mark.parametrize("decision", [True, False])
 def test_the_structural_verdict_never_changes_an_answer(monkeypatch, decision):
-    # The verdict orders the modular and exact passes and spares a rank only
-    # where its certificate checks on the sample, so a verdict that is wrong
-    # on some cells, with a certificate that is wrong there too, leaves
-    # every answer the exact-only call's.
+    # The verdict spares a cell's trials only where its certificate passes
+    # on the pattern, so a verdict that is wrong on some cells, with a
+    # certificate that is wrong there too, leaves every answer the
+    # exact-only call's.
     for which in range(4):
         monkeypatch.setattr(oracle, "check_structural", lambda pattern, k, q: SimpleNamespace(
             decision=decision, certificate=_fake_certificates(pattern, k, q)[which]))
@@ -521,27 +525,61 @@ def exact_ranks(monkeypatch):
     return calls
 
 
-def test_a_checked_certificate_spares_every_rank(full_mod_p_calls, exact_ranks):
-    # Hub n=8 at k=1 < k*=7 and a referee cell violate the counting
-    # condition, and a sparse-fail cell has an unreachable state: their
-    # certificates check on every sample, so no trial ranks anything.
+@pytest.fixture
+def trial_path_calls(monkeypatch):
+    """The count of calls of each name that a cell's verdict, proof and
+    trials run, kept up to date as the referee runs."""
+    counts = dict.fromkeys(("check_structural", "sample_instance", "_full_mod_p",
+                            "controllability_rank"), 0)
+    for name in counts:
+        def counting(*args, _name=name, _original=getattr(oracle, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, name, counting)
+    return counts
+
+
+def test_a_checked_certificate_spares_every_rank(trial_path_calls):
+    # Hub n=8 at k=1 < k*=7, a referee cell and FIG2A at (1, 3) violate the
+    # counting condition, and a sparse-fail cell has an unreachable state:
+    # their certificates pass, so each cell, also in oracle_agreement, makes
+    # its one check_structural call and draws and ranks nothing.  An unknown
+    # criterion is refused before the verdict.
     cells = [(benchmark_pattern("hub", 8, 0), 1, 2, ViolatingSubset),
              (benchmark_pattern("small_random", 8, 12), 1, 3, ViolatingSubset),
+             (FIG2A, 1, 3, ViolatingSubset),
              (benchmark_pattern("sparse-fail-unreachable", 7, 0), 1, 2, Unreachable)]
+    calls = trial_path_calls
+    only_the_verdict = {"check_structural": 1, "sample_instance": 0, "_full_mod_p": 0,
+                        "controllability_rank": 0}
     for pattern, k, q, kind in cells:
         assert isinstance(check_structural(pattern, k, q).certificate, kind)
         for criterion in CRITERIA:
             for include_d0 in (True, False):
+                calls.update(dict.fromkeys(calls, 0))
                 answer = monte_carlo_controllable(pattern, k, q, 4, 0, criterion=criterion,
                                                   include_d0=include_d0)
                 assert answer == (False, 0)
-    assert not full_mod_p_calls and not exact_ranks
+                assert calls == only_the_verdict, (pattern, k, q, criterion, include_d0)
+        calls.update(dict.fromkeys(calls, 0))
+        with pytest.raises(ValueError, match="unknown criterion 'gramian'"):
+            monte_carlo_controllable(pattern, k, q, 4, 0, criterion="gramian")
+        assert not any(calls.values())
+    corpus = [("hub", cells[0][0]), ("unreachable", cells[3][0])]
+    report = oracle_agreement(corpus, 1, 2, trials=3)
+    assert not any(cell.structural or cell.successes or cell.retried for cell in report.cells)
+    assert calls == dict(only_the_verdict, check_structural=len(report.cells))
+    with pytest.raises(ValueError, match="unknown criterion 'gramian'"):
+        oracle_agreement(corpus, 1, 2, trials=3, criterion="gramian")
+    assert calls["check_structural"] == len(report.cells)
 
 
 def test_genuine_certificates_check_and_prove_deficiency():
     # On seeded random patterns, the solver's certificate of every false
-    # cell checks on every sample, and each sample it calls deficient has a
-    # deficient exact rank under both criteria, with and without d = 0.
+    # cell proves it deficient and passes the independent recheck, and each
+    # of its samples has a deficient exact rank under both criteria, with
+    # and without d = 0; a true cell's Saturated certificate proves nothing.
     # Small value bounds make coincidental cancellation common.
     rng = random.Random(25)
     kinds = {ViolatingSubset: 0, Unreachable: 0}
@@ -551,17 +589,68 @@ def test_genuine_certificates_check_and_prove_deficiency():
                                  rng.randrange(1 << 30))
         k, q = rng.randint(0, 2), rng.randint(1, 4)
         verdict = check_structural(pattern, k, q)
+        proved = oracle._deficient(pattern, k, q, verdict.certificate)
+        assert proved is (not verdict.decision), (t, verdict)
         if verdict.decision:
             continue
+        assert recheck_certificate(pattern, verdict), (t, verdict)
         kinds[type(verdict.certificate)] += 1
         for seed in range(2):
             inst = sample_instance(pattern, k, q, seed=seed, value_bound=(2, 3, 10007)[t % 3])
-            assert oracle._deficient(inst, verdict.certificate), (t, verdict)
             for criterion, include_d0 in (("mode_span", True), ("mode_span", False),
                                           ("sequential_subspace", True)):
                 report = controllability_rank(inst, criterion=criterion, include_d0=include_d0)
                 assert not report.controllable, (t, criterion, include_d0)
     assert kinds[ViolatingSubset] >= 30 and kinds[Unreachable] >= 30, kinds
+
+
+def test_the_proof_rejects_tampered_certificates():
+    # FIG2A at (1, 3) has the violating subset {1}: 2 < 3.  The proof prices
+    # a subset at the cell's own (k, q), whatever the certificate carries.
+    assert check_structural(FIG2A, 1, 3).certificate == ViolatingSubset({1}, 2, 3, 1, 3)
+    at_q2 = check_structural(FIG2A, 0, 2).certificate
+    assert at_q2 == ViolatingSubset({1}, 1, 2, 0, 2)
+    assert core_condition_holds(FIG2A, 1, 3, {1, 2})[0]
+    assert core_condition_holds(FIG2A, 2, 3, {1})[0]
+    assert oracle._deficient(FIG2A, 1, 3, ViolatingSubset({1}, 2, 3, 1, 3))
+    assert oracle._deficient(FIG2A, 1, 3, at_q2)  # it violates at (1, 3) too
+    for k, q, cert in [
+        (1, 3, ViolatingSubset({1, 2}, 2, 3, 1, 3)),  # a state added: 8 >= 6
+        (2, 3, ViolatingSubset({1}, 2, 3, 1, 3)),  # priced at (1, 3), not (2, 3)
+        (2, 3, at_q2),  # priced at (0, 2)
+        (1, 3, ViolatingSubset((), 0, 0, 1, 3)),  # empty
+        (1, 3, ViolatingSubset({1, 3}, 2, 6, 1, 3)),  # state out of range
+        (1, 3, ViolatingSubset({0, 1}, 2, 6, 1, 3)),  # state out of range
+        (1, 3, ViolatingSubset({True}, 2, 3, 1, 3)),  # not an int state
+        (1, 3, ViolatingSubset({1.0}, 2, 3, 1, 3)),  # not an int state
+    ]:
+        assert not oracle._deficient(FIG2A, k, q, cert), (k, q, cert)
+    # States 2 and 3 feed each other and nothing else reaches them.
+    p = SparsityPattern(3, 1, frozenset({(1, 4), (2, 3), (3, 2)}))
+    assert check_structural(p, 0, 1).certificate == Unreachable({2, 3})
+    assert oracle._deficient(p, 0, 1, Unreachable({2, 3}))
+    for nodes in ({2}, {3},  # an in-neighbour outside the set
+                  {1, 2, 3},  # a row reads the input
+                  (),  # empty
+                  {2, 3, 4}, {0, 2, 3}):  # states out of range
+        assert not oracle._deficient(p, 0, 1, Unreachable(nodes)), nodes
+
+
+def test_a_true_cell_draws_every_trial_seed_in_order(monkeypatch):
+    # At value bound 2 some samples are deficient, so both rank passes run.
+    seeds = []
+
+    def recording_sample(*args, **kwargs):
+        seeds.append(kwargs["seed"])
+        return sample_instance(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "sample_instance", recording_sample)
+    for pattern, k, q in ((FIG2A, 2, 3), (benchmark_pattern("backbone", 7, 0), 1, 2)):
+        assert check_structural(pattern, k, q).decision
+        for criterion in CRITERIA:
+            seeds.clear()
+            monte_carlo_controllable(pattern, k, q, 6, 17, value_bound=2, criterion=criterion)
+            assert seeds == [oracle._trial_seed(17, t) for t in range(1, 7)]
 
 
 def test_oracle_agreement_decides_each_cell_once(monkeypatch):
@@ -583,9 +672,8 @@ def test_oracle_agreement_decides_each_cell_once(monkeypatch):
 def test_modular_pass_first_after_a_full_or_an_expected_full_sample(full_mod_p_calls,
                                                                     exact_ranks):
     # Hub n=8 at k=1 < k*=7 is structurally uncontrollable and its
-    # certificate checks on every sample, so the pass never runs; backbone
-    # is structurally controllable, so every trial runs it first, and every
-    # sample is proved full mod p without an exact rank.
+    # certificate passes, so the pass never runs; every backbone trial runs
+    # it first, and every sample is proved full mod p without an exact rank.
     calls = full_mod_p_calls
     trials = 6
     assert monte_carlo_controllable(benchmark_pattern("hub", 8, 0), 1, 2, trials, 0) == (False, 0)

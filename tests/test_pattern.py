@@ -305,11 +305,11 @@ def test_sample_instance_value_bound_guard():
 
 
 @pytest.mark.parametrize("k, q, values, message", [
-    (0.0, 1, (3,), "must be ints"),
-    (0, 1.0, (3,), "must be ints"),
-    (True, 1, (3, 4), "must be ints"),
-    (-1, 1, (), "k must be >= 0"),
-    (0, 0, (), "q must be >= 1"),
+    (0.0, 1, (3,), "k must be an integer >= 0"),
+    (0, 1.0, (3,), "q must be an integer >= 1"),
+    (True, 1, (3, 4), "k must be an integer >= 0"),
+    (-1, 1, (), "k must be an integer >= 0"),
+    (0, 0, (), "q must be an integer >= 1"),
     (0, 1, (), "must be 1 ints"),
     (1, 1, (3,), "must be 2 ints"),
     (0, 1, (True,), "must be 1 ints"),
@@ -333,7 +333,7 @@ def test_instance_holds_zero_valued_stars():
     for p, ell in ((0, 0), (3, 0), (1, 1), (1, -1)):
         with pytest.raises(ValueError, match="out of range"):
             inst.entries(p, ell)
-    with pytest.raises(ValueError, match="must be ints"):
+    with pytest.raises(ValueError, match="k must be an integer >= 0"):
         sample_instance(INTEGRATOR, 0.0, 1, seed=0)
 
 

@@ -22,6 +22,8 @@ from swenctrl.results import (
     Verdict,
     VerdictStats,
     ViolatingSubset,
+    certificate_from_dict,
+    certificate_to_dict,
 )
 
 P = SparsityPattern(2, 1, frozenset({(1, 3), (2, 1), (2, 3)}))
@@ -180,12 +182,37 @@ def test_subsets_are_stored_as_frozensets():
 
 
 def test_ensemble_instance_checks_its_fields():
-    with pytest.raises(ValueError, match="k must be >= 0"):
+    with pytest.raises(ValueError, match="k must be an integer >= 0"):
         EnsembleInstance(P, -1, 1, VALUES)
-    with pytest.raises(ValueError, match="q must be >= 1"):
+    with pytest.raises(ValueError, match="q must be an integer >= 1"):
         EnsembleInstance(P, 0, 0, VALUES)
     with pytest.raises(ValueError, match="must be 6 ints"):
         EnsembleInstance(P, 1, 1, VALUES)
     inst = EnsembleInstance(P, 0, 1, list(VALUES))
     assert inst.values == VALUES
     assert inst.blocks == {(1, 0): (((0, 0), (5, 0)), ((1,), (2,)))}
+
+
+@pytest.mark.parametrize("cert, expected", [
+    # sets of small ints that a frozenset iterates out of order
+    (Unreachable({3, 8}), {"type": "unreachable", "nodes": [3, 8]}),
+    (ViolatingSubset({9, 2}, 5, 6, 1, 3),
+     {"type": "violating_subset", "subset": [2, 9], "lhs": 5, "rhs": 6, "k": 1, "q": 3}),
+    (Saturated(6), {"type": "saturated", "value": 6}),
+    (EmptyAlphaIn({8, 1, 4}), {"type": "empty_alpha_in", "subset": [1, 4, 8]}),
+    (ArgmaxSubset({5}), {"type": "argmax_subset", "subset": [5]}),
+], ids=lambda x: type(x).__name__)
+def test_certificate_json_round_trip(cert, expected):
+    d = certificate_to_dict(cert)
+    assert d == expected and list(d) == list(expected)
+    assert certificate_from_dict(d) == cert
+
+
+def test_certificate_json_rejects_unknown_types():
+    assert certificate_to_dict(None) is None and certificate_from_dict(None) is None
+    with pytest.raises(TypeError, match="unknown certificate type VerdictStats"):
+        certificate_to_dict(VerdictStats(1, 2))
+    with pytest.raises(ValueError, match="unknown certificate type 'cut'"):
+        certificate_from_dict({"type": "cut", "subset": [1]})
+    with pytest.raises(ValueError, match="unknown certificate type None"):
+        certificate_from_dict({"subset": [1]})
