@@ -68,6 +68,10 @@ TWO_CYCLE = SparsityPattern(2, 1, frozenset({(1, 2), (2, 1), (1, 3)}))
 # Single driftless integrator xdot = b u.
 INTEGRATOR = SparsityPattern(1, 1, frozenset({(1, 2)}))
 
+# States 1 and 2 form a cycle that no input reaches, yet the compact network
+# saturates at (0, 1) and (1, 2): theta = n q with a False verdict.
+UNREACHABLE_CYCLE = SparsityPattern(3, 1, frozenset({(1, 2), (2, 1), (3, 4)}))
+
 
 def hub_pattern(n: int, block: int = 8) -> SparsityPattern:
     """States in consecutive blocks; each block's only state in-neighbour is

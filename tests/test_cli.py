@@ -15,6 +15,7 @@ from helpers import (
     FIG2A,
     INTEGRATOR,
     TWO_CYCLE,
+    UNREACHABLE_CYCLE,
     benchmark_pattern,
     hub_pattern,
     long_path_chain,
@@ -320,6 +321,32 @@ def test_oracle_golden(tmp_path, capsys, case):
     cell, flags = oracle_golden_argv(case)
     path = write_pattern(tmp_path, ORACLE_GOLDEN_CELLS[cell][0]())
     assert run_cli(capsys, "oracle", path, *flags) == (0, ORACLE_GOLDEN[case], "")
+
+
+# crosscheck's stdout on the hand-made patterns, a reachable cycle whose
+# compact network saturates under False verdicts, and n <= 10 members of the
+# benchmark families, on a 2 x 3 grid, the referee workload's 4 x 3 and an
+# 8 x 5 one; frozen while each cell still ran a cold check.
+CROSSCHECK_GOLDEN = json.loads((GOLDEN / "crosscheck.json").read_text())
+CROSSCHECK_GOLDEN_PATTERNS = {
+    "fig1": lambda: FIG1,
+    "fig2a": lambda: FIG2A,
+    "two_cycle": lambda: TWO_CYCLE,
+    "integrator": lambda: INTEGRATOR,
+    "unreachable_cycle": lambda: UNREACHABLE_CYCLE,
+    **{f"{family.replace('-', '_')}{n}": (lambda family=family, n=n: benchmark_pattern(family, n, 0))
+       for family in ("backbone", "hub", "sparse-fail", "sparse-fail-unreachable")
+       for n in (6, 10)},
+}
+CROSSCHECK_GOLDEN_GRIDS = ((1, 3), (3, 3), (7, 5))
+
+
+@pytest.mark.parametrize("name", sorted(CROSSCHECK_GOLDEN_PATTERNS))
+@pytest.mark.parametrize("k_max, q_max", CROSSCHECK_GOLDEN_GRIDS)
+def test_crosscheck_golden(tmp_path, capsys, name, k_max, q_max):
+    path = write_pattern(tmp_path, CROSSCHECK_GOLDEN_PATTERNS[name]())
+    assert run_cli(capsys, "crosscheck", path, "--kmax", str(k_max), "--qmax", str(q_max)) == (
+        0, CROSSCHECK_GOLDEN[f"{name}/{k_max}/{q_max}"], "")
 
 
 def test_kstar_flow_values_near_2_pow_40(tmp_path, capsys):

@@ -7,6 +7,7 @@ from helpers import (
     FIG2A,
     INTEGRATOR,
     TWO_CYCLE,
+    UNREACHABLE_CYCLE,
     benchmark_pattern,
     hub_pattern,
     reference_kstar,
@@ -609,11 +610,6 @@ def test_crosscheck_finds_the_least_violation_once_per_cell(monkeypatch):
     report = crosscheck(FIG1, 3, 3)
     assert report.agree and len(report.cells) == 12
     assert sorted(calls) == [(k, q) for k in range(4) for q in range(1, 4)]
-
-
-# States 1 and 2 form a cycle that no input reaches, yet the compact network
-# saturates at (0, 1) and (1, 2): theta = n q with a False verdict.
-UNREACHABLE_CYCLE = SparsityPattern(3, 1, frozenset({(1, 2), (2, 1), (3, 4)}))
 
 
 def test_crosscheck_runs_no_compact_dinic(monkeypatch):
