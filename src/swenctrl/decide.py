@@ -4,8 +4,10 @@ check_structural and compute_kstar live in core, which imports nothing of
 this module; they are imported here so that their names still resolve
 from swenctrl.decide.  crosscheck runs the flow route against the
 brute-force enumeration, and the transport solver's compact value against
-the expanded network's matching value, over a whole (k, q) grid,
-enumerating the pattern's state subsets once for all its cells;
+the expanded network's matching value, over a whole (k, q) grid: it
+searches reachability once, solves the compact network warm (one transport
+problem per ensemble size, its switch count raised row by row) and
+enumerates the pattern's state subsets once for all its cells;
 witness_from_cut reads a violating subset off a named min cut, and
 recheck_certificate verifies a verdict's certificate from the pattern
 alone, both counting the subset by graph._subset_sides.
@@ -13,11 +15,17 @@ alone, both counting the subset by graph._subset_sides.
 
 from __future__ import annotations
 
-from .core import Transport, check_kq, check_structural, compute_kstar
+from .core import (
+    Transport,
+    _cut_sides,
+    check_kq,
+    check_structural,
+    compute_kstar,
+    unreachable_states,
+)
 from .errors import ConsistencyError, ScaleError
 from .flow import lifted_values
 from .graph import (
-    _brute_verdict,
     _kstar_brute,
     _least_violation,
     _subset_classes,
@@ -30,8 +38,9 @@ from .results import FrozenValue, Saturated, Unreachable, Verdict, ViolatingSubs
 MAX_CROSSCHECK_STATES = 10
 # The subsets are enumerated once per pattern, and the expanded network's
 # matching values once per grid (flow.lifted_values), their adjacency and
-# matchings growing with k and q; each cell runs a check, whose transport
-# solve gives the compact value.  The grid's size is checked before any runs.
+# matchings growing with k and q; the compact values come from one transport
+# problem per ensemble size, solved on as k grows, so a cell costs the flow
+# it adds and its least violation.  The grid's size is checked before any runs.
 MAX_CROSSCHECK_CELLS = 1 << 10
 
 
@@ -69,59 +78,70 @@ def crosscheck(pattern: SparsityPattern, k_max: int, q_max: int) -> CrosscheckRe
     """Oracle-agreement harness over the grid [0..k_max] x [1..q_max]:
     flow decision vs. subset enumeration, the compact network's max-flow
     value theta vs. the expanded network's matching value theta_hat, and
-    the ascent's vs. the enumerated minimal switch count.  theta is the
-    value of the check's own transport solve (core.Transport), or of a
-    solve of its own on an unreachable pattern, where the check returns
-    before it solves; theta_hat, a Hopcroft-Karp matching value, shares no
-    code with it.  One flow.lifted_values call, before the cell loop, gives
-    theta_hat for the whole grid off one expanded adjacency whose lists grow
-    layer by layer, each cell's matching warm-started from a smaller cell's;
-    a cell over the arc guard has theta_hat None.  The subsets are
-    enumerated once, after the guards, into the classes that every cell's
-    least violation is read from, once for its brute verdict and counting
-    condition."""
-    if pattern.n > MAX_CROSSCHECK_STATES:
+    the ascent's vs. the enumerated minimal switch count.
+
+    The flow side is check_structural's rule, solved warm: the solver's
+    reachability search (core.unreachable_states) runs once, and each
+    ensemble size q keeps one transport problem (core.Transport), set up at
+    k = 0 and raised a switch per row of the grid (Transport.shift): the
+    network of (k+1, q) holds that of (k, q) with larger supplies, so each
+    solve goes on from the previous row's maximum flow.  A cell's theta is
+    that transport's value, on an unreachable pattern too, where the check
+    answers before it solves, yet the compact network may saturate.  Its
+    flow decision is True when every state is reachable and the flow
+    saturates; a reachable cell short of that prices its min cut from the
+    rows (core._cut_sides), which raises ConsistencyError unless the flow
+    is maximal.  Max-flow values and the source-maximal min cut are the
+    same for every maximum flow, so each cell reads as a cold check would.
+    theta_hat, a Hopcroft-Karp matching value, shares no code with it: one
+    flow.lifted_values call, before the cell loop, gives theta_hat for the
+    whole grid off one expanded adjacency whose lists grow layer by layer,
+    each cell's matching warm-started from a smaller cell's; a cell over
+    the arc guard has theta_hat None.  The subsets are enumerated once,
+    after the guards, into the classes that every cell's least violation is
+    read from, once for its brute decision and counting condition."""
+    n, m, rows = pattern.n, pattern.m, pattern.rows
+    if n > MAX_CROSSCHECK_STATES:
         raise ScaleError(f"crosscheck requires n <= {MAX_CROSSCHECK_STATES}")
-    check_kq(pattern.n, pattern.m, k_max, q_max)
+    check_kq(n, m, k_max, q_max)
     if (k_max + 1) * q_max > MAX_CROSSCHECK_CELLS:
         raise ScaleError(f"(k_max+1)*q_max = {(k_max + 1) * q_max} grid cells exceed the "
                          f"guard {MAX_CROSSCHECK_CELLS}")
     unreachable = reachability_check(pattern)
     classes = _subset_classes(pattern)
     theta_hats = lifted_values(pattern, k_max, q_max)
+    blind = unreachable_states(rows, n)
+    transports = [Transport(rows, n, m, 0, q) for q in range(1, q_max + 1)]
     cells = []
     disagreements = []
     for k in range(k_max + 1):
-        for q in range(1, q_max + 1):
-            flow_verdict = check_structural(pattern, k, q)
-            theta = flow_verdict.stats.theta
-            if theta is None:  # unreachable: the check returned before it solved
-                transport = Transport(pattern.rows, pattern.n, pattern.m, k, q)
-                transport.solve(pattern.n * q)
-                theta = transport.value
-            violation = _least_violation(classes, k, q)
-            brute_verdict = _brute_verdict(violation, unreachable, k, q, pattern.n * q)
+        for q, transport in enumerate(transports, 1):
+            if k:
+                transport.shift(1)
+            subset = transport.solve(n * q)
+            theta = transport.value
+            if subset is not None and not blind:
+                _cut_sides(rows, n, k, q, subset, theta)
+            structural = not blind and subset is None
+            counting_ok = _least_violation(classes, k, q) is None
+            brute = not unreachable and counting_ok
             theta_hat = theta_hats[k][q - 1]
-            counting_ok = violation is None
-            agree = flow_verdict.decision == brute_verdict.decision
+            agree = structural == brute
             if not agree:
                 disagreements.append(
-                    f"k={k} q={q}: flow decision {flow_verdict.decision} "
-                    f"!= brute decision {brute_verdict.decision}"
+                    f"k={k} q={q}: flow decision {structural} != brute decision {brute}"
                 )
             if theta_hat is not None and theta != theta_hat:
                 agree = False
                 disagreements.append(f"k={k} q={q}: theta {theta} != theta_hat {theta_hat}")
-            if (theta == pattern.n * q) != counting_ok:
+            if (theta == n * q) != counting_ok:
                 agree = False
                 disagreements.append(
-                    f"k={k} q={q}: flow saturation {theta == pattern.n * q} "
+                    f"k={k} q={q}: flow saturation {theta == n * q} "
                     f"!= counting condition {counting_ok}"
                 )
-            cells.append(
-                CrosscheckCell(k, q, flow_verdict.decision, brute_verdict.decision,
-                               theta, theta_hat, counting_ok, agree)
-            )
+            cells.append(CrosscheckCell(k, q, structural, brute, theta, theta_hat, counting_ok,
+                                        agree))
     ks_search = compute_kstar(pattern)
     ks_enum = _kstar_brute(classes, unreachable)
     kstar_agree = ks_search.value == ks_enum.value
@@ -130,7 +150,7 @@ def crosscheck(pattern: SparsityPattern, k_max: int, q_max: int) -> CrosscheckRe
             f"kstar: search {ks_search.value} != enumeration {ks_enum.value}"
         )
     return CrosscheckReport(
-        pattern.n, pattern.m, k_max, q_max, tuple(cells),
+        n, m, k_max, q_max, tuple(cells),
         ks_search.value, ks_enum.value, kstar_agree, tuple(disagreements),
     )
 
@@ -183,7 +203,8 @@ def recheck_certificate(pattern: SparsityPattern, verdict: Verdict) -> bool:
         if verdict.decision:
             return False
         unreachable = reachability_check(pattern)
-        return bool(unreachable) and cert.nodes == unreachable
+        return (bool(unreachable) and all(type(i) is int for i in cert.nodes)
+                and cert.nodes == unreachable)
     if isinstance(cert, Saturated):
         target, n = verdict.stats.target, pattern.n
         return (verdict.decision is True and isinstance(target, int) and target >= n

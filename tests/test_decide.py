@@ -469,7 +469,7 @@ def test_crosscheck_grid_guard_before_any_cell(monkeypatch):
     def started(*args):
         raise Started
 
-    monkeypatch.setattr(swenctrl.decide, "check_structural", started)
+    monkeypatch.setattr(swenctrl.decide, "Transport", started)
     cells = swenctrl.decide.MAX_CROSSCHECK_CELLS
     with pytest.raises(Started):  # the largest grid passes the guard
         crosscheck(FIG2A, cells - 1, 1)
@@ -641,9 +641,10 @@ def _theta_cases():
 
 
 def test_crosscheck_theta_is_the_compact_max_flow():
-    """Every cell's theta, read off the check's transport solve or, on an
-    unreachable pattern, a solve of its own, is the compact network's Dinic
-    value; on UNREACHABLE_CYCLE that solve saturates under False verdicts."""
+    """Every cell's theta, read off its ensemble size's transport problem as
+    the grid raises its switch count, on reachable and unreachable patterns
+    alike, is the compact network's Dinic value; on UNREACHABLE_CYCLE that
+    transport saturates under False verdicts."""
     unreachable = 0
     for p, k_max, q_max in _theta_cases():
         report = crosscheck(p, k_max, q_max)
@@ -657,6 +658,65 @@ def test_crosscheck_theta_is_the_compact_max_flow():
     saturated = {(cell.k, cell.q) for cell in report.cells
                  if cell.theta == UNREACHABLE_CYCLE.n * cell.q and not cell.structural}
     assert {(0, 1), (1, 2)} <= saturated
+
+
+def test_crosscheck_grid_reads_as_cold_checks():
+    """The warm grid answers every cell as a cold check would: the flow
+    decision of check_structural, and theta its transport value or, on an
+    unreachable pattern, where the check does not solve, that of a cold
+    transport solve."""
+    for p, k_max, q_max in _theta_cases():
+        blind = bool(reachability_check(p))
+        for cell in crosscheck(p, k_max, q_max).cells:
+            verdict = check_structural(p, cell.k, cell.q)
+            assert cell.structural == verdict.decision, (p.rows, cell.k, cell.q)
+            if blind:
+                cold = Transport(p.rows, p.n, p.m, cell.k, cell.q)
+                cold.solve(p.n * cell.q)
+                assert verdict.stats.theta is None and cell.theta == cold.value
+            else:
+                assert cell.theta == verdict.stats.theta, (p.rows, cell.k, cell.q)
+
+
+def test_crosscheck_searches_reachability_once_and_sets_up_a_transport_per_q(monkeypatch):
+    """One crosscheck runs the solver's reachability search once and sets up
+    one transport problem per ensemble size, at k = 0, for its whole grid
+    (compute_kstar's own search and transports, in core, are not counted)."""
+    searches, set_ups = [], []
+    search, transport = swenctrl.decide.unreachable_states, swenctrl.decide.Transport
+
+    def search_spy(rows, n):
+        searches.append(rows)
+        return search(rows, n)
+
+    def transport_spy(rows, n, m, k, q):
+        set_ups.append((k, q))
+        return transport(rows, n, m, k, q)
+
+    monkeypatch.setattr(swenctrl.decide, "unreachable_states", search_spy)
+    monkeypatch.setattr(swenctrl.decide, "Transport", transport_spy)
+    for pattern, k_max, q_max in [(FIG1, 3, 3), (FIG2A, 7, 5), (UNREACHABLE_CYCLE, 2, 4)]:
+        searches.clear(), set_ups.clear()
+        report = crosscheck(pattern, k_max, q_max)
+        assert report.agree and len(report.cells) == (k_max + 1) * q_max
+        assert searches == [pattern.rows]
+        assert set_ups == [(0, q) for q in range(1, q_max + 1)]
+
+
+def test_crosscheck_refuses_a_flow_that_is_not_maximal(monkeypatch):
+    """A labelling bug that ends the search after the greedy fill leaves the
+    flow short of the maximum; the grid prices the claimed cut as the check
+    does and raises, rather than reporting the short flow."""
+    pattern = SparsityPattern(3, 1, frozenset({(1, 4), (2, 4), (3, 4)}))
+    assert crosscheck(pattern, 1, 2).agree
+
+    def after_the_fill(self):
+        return [int(need > 0) for need in self.short], [0] * len(self.spare), 0
+
+    monkeypatch.setattr(swenctrl.core.Transport, "_label", after_the_fill)
+    for call in (lambda: check_structural(pattern, 0, 1), lambda: crosscheck(pattern, 1, 2)):
+        with pytest.raises(ConsistencyError, match="flow is not maximal"):
+            call()
 
 
 def _no_unreachable_states(rows, n):
@@ -769,6 +829,13 @@ def test_one_integer_rule_for_certificates_trials_and_dimensions():
         tampered = ViolatingSubset(subset, cert.lhs, cert.rhs, k, q)
         assert tampered == cert  # True == 1 == 1.0
         assert not recheck_certificate(p, Verdict(False, tampered, genuine.stats)), (k, q)
+    # states 2, then 1, unreachable; 2.0 == 2 and True == 1
+    for p, nodes in ((SparsityPattern(2, 1, {(1, 3)}), {2.0}),
+                     (SparsityPattern(2, 1, {(2, 3)}), {True})):
+        genuine = check_structural(p, 0, 1)
+        tampered = Unreachable(nodes)
+        assert tampered == genuine.certificate and recheck_certificate(p, genuine)
+        assert not recheck_certificate(p, Verdict(False, tampered, genuine.stats)), nodes
     for trials in (True, 1.0, 0):
         with pytest.raises(ValueError, match="trials must be >= 1"):
             monte_carlo_controllable(p, 1, 1, trials, 0)
