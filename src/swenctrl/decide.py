@@ -78,28 +78,23 @@ def crosscheck(pattern: SparsityPattern, k_max: int, q_max: int) -> CrosscheckRe
     """Oracle-agreement harness over the grid [0..k_max] x [1..q_max]:
     flow decision vs. subset enumeration, the compact network's max-flow
     value theta vs. the expanded network's matching value theta_hat, and
-    the ascent's vs. the enumerated minimal switch count.
-
-    The flow side is check_structural's rule, solved warm: the solver's
-    reachability search (core.unreachable_states) runs once, and each
-    ensemble size q keeps one transport problem (core.Transport), set up at
-    k = 0 and raised a switch per row of the grid (Transport.shift): the
-    network of (k+1, q) holds that of (k, q) with larger supplies, so each
-    solve goes on from the previous row's maximum flow.  A cell's theta is
-    that transport's value, on an unreachable pattern too, where the check
-    answers before it solves, yet the compact network may saturate.  Its
-    flow decision is True when every state is reachable and the flow
-    saturates; a reachable cell short of that prices its min cut from the
-    rows (core._cut_sides), which raises ConsistencyError unless the flow
-    is maximal.  Max-flow values and the source-maximal min cut are the
-    same for every maximum flow, so each cell reads as a cold check would.
-    theta_hat, a Hopcroft-Karp matching value, shares no code with it: one
-    flow.lifted_values call, before the cell loop, gives theta_hat for the
-    whole grid off one expanded adjacency whose lists grow layer by layer,
-    each cell's matching warm-started from a smaller cell's; a cell over
-    the arc guard has theta_hat None.  The subsets are enumerated once,
-    after the guards, into the classes that every cell's least violation is
-    read from, once for its brute decision and counting condition."""
+    the ascent's vs. the enumerated minimal switch count.  The flow side is
+    check_structural's rule, solved warm: one reachability search
+    (core.unreachable_states), and per ensemble size q one transport
+    problem, set up at k = 0 and raised a switch per row (Transport.shift),
+    the network of (k+1, q) holding that of (k, q) with larger supplies.
+    theta is its value, on an unreachable pattern too, where the network
+    may still saturate; a reachable cell short of n*q prices its min cut
+    (core._cut_sides), raising ConsistencyError unless the flow is maximal.
+    Max-flow values and the source-maximal min cut are the same for every
+    maximum flow, so each cell reads as a cold check would.  theta_hat, a
+    Hopcroft-Karp matching value, shares no code with it: one
+    flow.lifted_values call gives it for the whole grid off one expanded
+    adjacency whose lists grow layer by layer, each cell's matching
+    warm-started from a smaller cell's; a cell over the arc guard has
+    theta_hat None.  The subsets are enumerated once, after the guards,
+    into the classes that every cell's least violation is read from, once
+    for its brute decision and counting condition."""
     n, m, rows = pattern.n, pattern.m, pattern.rows
     if n > MAX_CROSSCHECK_STATES:
         raise ScaleError(f"crosscheck requires n <= {MAX_CROSSCHECK_STATES}")

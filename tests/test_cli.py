@@ -323,10 +323,10 @@ def test_oracle_golden(tmp_path, capsys, case):
     assert run_cli(capsys, "oracle", path, *flags) == (0, ORACLE_GOLDEN[case], "")
 
 
-# crosscheck's stdout on the hand-made patterns, a reachable cycle whose
-# compact network saturates under False verdicts, and n <= 10 members of the
-# benchmark families, on a 2 x 3 grid, the referee workload's 4 x 3 and an
-# 8 x 5 one; frozen while each cell still ran a cold check.
+# crosscheck's stdout on the hand-made patterns, a cycle that no input
+# reaches, whose compact network saturates under False verdicts, and n <= 10
+# members of the benchmark families, on a 2 x 3 grid, the referee workload's
+# 4 x 3 and an 8 x 5 one; frozen while each cell still ran a cold check.
 CROSSCHECK_GOLDEN = json.loads((GOLDEN / "crosscheck.json").read_text())
 CROSSCHECK_GOLDEN_PATTERNS = {
     "fig1": lambda: FIG1,

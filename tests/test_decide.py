@@ -696,7 +696,8 @@ def test_crosscheck_searches_reachability_once_and_sets_up_a_transport_per_q(mon
     monkeypatch.setattr(swenctrl.decide, "unreachable_states", search_spy)
     monkeypatch.setattr(swenctrl.decide, "Transport", transport_spy)
     for pattern, k_max, q_max in [(FIG1, 3, 3), (FIG2A, 7, 5), (UNREACHABLE_CYCLE, 2, 4)]:
-        searches.clear(), set_ups.clear()
+        searches.clear()
+        set_ups.clear()
         report = crosscheck(pattern, k_max, q_max)
         assert report.agree and len(report.cells) == (k_max + 1) * q_max
         assert searches == [pattern.rows]
@@ -830,12 +831,12 @@ def test_one_integer_rule_for_certificates_trials_and_dimensions():
         assert tampered == cert  # True == 1 == 1.0
         assert not recheck_certificate(p, Verdict(False, tampered, genuine.stats)), (k, q)
     # states 2, then 1, unreachable; 2.0 == 2 and True == 1
-    for p, nodes in ((SparsityPattern(2, 1, {(1, 3)}), {2.0}),
-                     (SparsityPattern(2, 1, {(2, 3)}), {True})):
-        genuine = check_structural(p, 0, 1)
+    for blind, nodes in ((SparsityPattern(2, 1, {(1, 3)}), {2.0}),
+                         (SparsityPattern(2, 1, {(2, 3)}), {True})):
+        unreachable = check_structural(blind, 0, 1)
         tampered = Unreachable(nodes)
-        assert tampered == genuine.certificate and recheck_certificate(p, genuine)
-        assert not recheck_certificate(p, Verdict(False, tampered, genuine.stats)), nodes
+        assert tampered == unreachable.certificate and recheck_certificate(blind, unreachable)
+        assert not recheck_certificate(blind, Verdict(False, tampered, unreachable.stats)), nodes
     for trials in (True, 1.0, 0):
         with pytest.raises(ValueError, match="trials must be >= 1"):
             monte_carlo_controllable(p, 1, 1, trials, 0)
