@@ -446,8 +446,9 @@ def assemble_segment(instance: EnsembleInstance, ell: int) -> tuple[tuple, tuple
     dim = n * q
     a = [[0] * dim for _ in range(dim)]
     b = [[0] * m for _ in range(dim)]
+    blocks = instance.blocks  # a view built on each read
     for p in range(1, q + 1):
-        ab, bb = instance.blocks[(p, ell)]
+        ab, bb = blocks[(p, ell)]
         base = (p - 1) * n
         for i in range(n):
             row = a[base + i]
@@ -458,10 +459,37 @@ def assemble_segment(instance: EnsembleInstance, ell: int) -> tuple[tuple, tuple
     return tuple(map(tuple, a)), tuple(map(tuple, b))
 
 
-def literal_mode_span_rank(instance: EnsembleInstance, include_d0: bool) -> int:
-    """mode_span rank from its definition: exact_rank of every column of
-    A[ell]^d B[ell] over all segments ell, for d in 0..qn (1..qn without
-    include_d0), the range controllability_rank reports as d_range_used."""
+def rank_mod(vectors, p: int) -> int:
+    """Rank mod the prime p of the span of integer vectors, by Gauss-Jordan
+    elimination: the pivot rows are kept with pivot 1 and zero in every
+    other pivot column, and each vector, reduced mod p, is cleared against
+    them and becomes one when it is not zero."""
+    pivots = {}
+    for v in vectors:
+        row = [x % p for x in v]
+        for c, pivot_row in pivots.items():
+            if row[c]:
+                f = row[c]
+                row = [(x - f * y) % p for x, y in zip(row, pivot_row)]
+        lead = next((c for c, x in enumerate(row) if x), None)
+        if lead is None:
+            continue
+        inverse = pow(row[lead], -1, p)
+        row = [x * inverse % p for x in row]
+        for c, pivot_row in pivots.items():
+            if pivot_row[lead]:
+                f = pivot_row[lead]
+                pivots[c] = [(x - f * y) % p for x, y in zip(pivot_row, row)]
+        pivots[lead] = row
+        if len(pivots) == len(row):
+            break
+    return len(pivots)
+
+
+def literal_mode_span_columns(instance: EnsembleInstance, include_d0: bool) -> list[list[int]]:
+    """Every column of A[ell]^d B[ell] over all segments ell, for d in 0..qn
+    (1..qn without include_d0), the range controllability_rank reports as
+    d_range_used."""
     dim = instance.pattern.n * instance.q
     vectors = []
     for ell in range(instance.k + 1):
@@ -472,7 +500,13 @@ def literal_mode_span_rank(instance: EnsembleInstance, include_d0: bool) -> int:
             powers.append([[sum(x * v[j] for j, x in row) for row in nonzeros] for v in powers[-1]])
         for cols in powers[0 if include_d0 else 1:]:
             vectors.extend(cols)
-    return exact_rank(vectors)
+    return vectors
+
+
+def literal_mode_span_rank(instance: EnsembleInstance, include_d0: bool) -> int:
+    """mode_span rank from its definition: exact_rank of every literal power
+    column."""
+    return exact_rank(literal_mode_span_columns(instance, include_d0))
 
 
 def reference_monte_carlo(pattern: SparsityPattern, k: int, q: int, trials: int, seed: int,

@@ -12,7 +12,9 @@ from helpers import (
     assemble_segment,
     benchmark_pattern,
     exact_rank,
+    literal_mode_span_columns,
     literal_mode_span_rank,
+    rank_mod,
     reference_monte_carlo,
 )
 
@@ -218,9 +220,10 @@ def test_oracle_ranks_match_golden():
 
 def test_mode_span_products_per_segment(monkeypatch):
     # Deflation multiplies each new basis row once: at most qn products per
-    # segment, where the literal power range needs m * qn.
+    # segment, where the literal power range needs m * qn, in the exact rank
+    # and in the modular pass alike.
     per_segment = []
-    segment, matvec = oracle._segment, oracle._matvec
+    segment, matvec, product = oracle._segment, oracle._matvec, oracle._ModSpan.product
 
     def counting_segment(instance, ell):
         per_segment.append(0)
@@ -230,14 +233,21 @@ def test_mode_span_products_per_segment(monkeypatch):
         per_segment[-1] += 1
         return matvec(*args)
 
+    def counting_product(*args):
+        per_segment[-1] += 1
+        return product(*args)
+
     monkeypatch.setattr(oracle, "_segment", counting_segment)
     monkeypatch.setattr(oracle, "_matvec", counting_matvec)
+    monkeypatch.setattr(oracle._ModSpan, "product", counting_product)
     k, q = 1, 3
     qn = FIG1.n * q
     for seed in range(5):
-        per_segment.clear()
-        oracle.controllability_rank(sample_instance(FIG1, k, q, seed=seed))
-        assert per_segment and max(per_segment) <= qn, per_segment
+        inst = sample_instance(FIG1, k, q, seed=seed)
+        for rank in (oracle.controllability_rank, lambda inst: oracle._full_mod_p(inst, True)):
+            per_segment.clear()
+            rank(inst)
+            assert per_segment and max(per_segment) <= qn, per_segment
 
 
 def test_mode_span_union_sides_match_literal_rank(monkeypatch):
@@ -695,6 +705,7 @@ def test_full_mod_p_implies_full_rank(monkeypatch):
     rng = random.Random(21)
     answers = {True: 0, False: 0}
     vanished = 0
+    missed_at_7 = False  # a sample full exactly but not mod 7
     for t in range(2000):
         if t == 1000:
             monkeypatch.setattr(oracle, "PRIME", 7)
@@ -711,8 +722,36 @@ def test_full_mod_p_implies_full_rank(monkeypatch):
         answers[full] += 1
         if full:
             assert controllability_rank(inst, include_d0=include_d0).controllable, (t, prime)
+        elif prime == 7 and not missed_at_7:
+            missed_at_7 = controllability_rank(inst, include_d0=include_d0).controllable
     assert answers[True] and answers[False], answers
     assert vanished
+    # the patched modulus reaches the modular pass
+    assert missed_at_7
+
+
+def test_modular_dimension_matches_rank_mod_of_literal_columns(monkeypatch):
+    # The modular pass's dimension is the rank mod the prime of every
+    # literal power column, full or deficient, with and without d = 0; a
+    # quarter of the instances run with the modulus 7, where entries and
+    # minors vanish mod it often.  Most instances keep qn <= 24 and one in
+    # ten reaches up to the guard, qn = 64.
+    rng = random.Random(30)
+    prime = oracle.PRIME
+    deficient = 0
+    for t in range(500):
+        monkeypatch.setattr(oracle, "PRIME", 7 if t // 4 % 4 == 0 else prime)
+        n = rng.randint(1, 8)
+        pattern = random_pattern(n, rng.randint(0, 3), rng.random(), rng.randrange(1 << 30))
+        q = rng.randint(1, (64 if t % 10 == 0 else 24) // n)
+        inst = sample_instance(pattern, rng.randint(0, 3), q, seed=rng.randrange(1 << 30),
+                               value_bound=(2, 3, 10007, 1 << 32)[t % 4])
+        for include_d0 in (True, False):
+            dimension = oracle._union_dimension(inst, include_d0, oracle._ModSpan)
+            expected = rank_mod(literal_mode_span_columns(inst, include_d0), oracle.PRIME)
+            assert dimension == expected, (t, include_d0, oracle.PRIME)
+            deficient += dimension < n * q
+    assert deficient >= 200, deficient
 
 
 def test_structural_false_forces_rank_deficiency():

@@ -344,6 +344,8 @@ BAD_VALUES = st.one_of(st.integers(-2, 0), st.sampled_from([MAX_PATTERN_DIM, 10*
 
 SEPARATORS = st.sampled_from([" ", "  ", "\t", " \t", "   "])
 EDGE_SPACE = st.sampled_from(["", "", " ", "\t", "  "])
+# The characters at which str.splitlines, and so the parser, ends a line.
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 @st.composite
@@ -352,7 +354,8 @@ def grid_renderings(draw):
     header, a row too many or too few, a token too many or an unknown
     token), with blank and comment lines in between: one with single spaces
     and newlines, one with drawn separators (runs of spaces, tabs), leading
-    and trailing whitespace, and newline or CRLF line ends."""
+    and trailing whitespace, and newline or CRLF line ends.  A bad header's
+    free text holds no line break, so both renderings have the same lines."""
     n, m = draw(st.integers(1, 5)), draw(st.integers(0, 3))
     rows = [draw(st.lists(VALID_TOKENS, min_size=n + m, max_size=n + m)) for _ in range(n)]
     header = [str(n), str(m)]
@@ -362,7 +365,8 @@ def grid_renderings(draw):
     if defect == "header":
         header = draw(st.one_of(st.sampled_from([[f"{n}"], ["0", f"{m}"], [f"{n}", "-1"],
                                                  [f"{n}", f"{m}", "1"]]),
-                                st.text(max_size=6)))
+                                st.text(st.characters(exclude_characters=LINE_BREAKS),
+                                        max_size=6)))
     elif defect == "extra row":
         rows.append(rows[row])
     elif defect == "missing row":

@@ -123,8 +123,9 @@ def test_oracle_shares_no_rank_or_flow_code_with_the_solver():
 
 
 def test_oracle_modulus_is_a_prime_below_2_15():
-    """A rank full mod PRIME proves full rank only if PRIME is prime, and the
-    modular pass stays on one-digit integers only below 2^15."""
+    """A rank full mod PRIME proves full rank only if PRIME is prime, and
+    below 2^15 the modular pass's 64-bit lanes stay below 2 qn PRIME^2,
+    under 2^37 at qn <= 64, so they never carry."""
     assert 2 <= PRIME < 1 << 15
     assert all(PRIME % d for d in range(2, math.isqrt(PRIME) + 1))
 
