@@ -103,15 +103,12 @@ def _kstar(args, pattern: SparsityPattern):
 
 
 def _oracle(args, pattern: SparsityPattern):
-    if args.criterion == "sequential_subspace" and not args.include_d0:
-        raise ValueError("--no-include-d0 applies to the mode_span criterion only")
     from .oracle import monte_carlo_controllable
 
     seed = _seed_or_default(args)
     controllable, successes = monte_carlo_controllable(
         pattern, args.k, args.q, args.trials, seed,
         value_bound=args.value_bound, criterion=args.criterion,
-        include_d0=args.include_d0,
     )
     obj = {
         "controllable": controllable,
@@ -121,7 +118,6 @@ def _oracle(args, pattern: SparsityPattern):
         "q": args.q,
         "full_dim": pattern.n * args.q,
         "criterion": args.criterion,
-        "include_d0": args.include_d0,
         "value_bound": args.value_bound,
         "seed": seed,
     }
@@ -185,9 +181,7 @@ def _add_oracle(sub) -> None:
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--value-bound", type=int, default=DEFAULT_VALUE_BOUND)
-    p.add_argument("--criterion", choices=CRITERIA, default="mode_span")
-    p.add_argument("--include-d0", action=argparse.BooleanOptionalAction, default=True,
-                   help="include the zeroth matrix power (disable for the literal 1..qn range)")
+    p.add_argument("--criterion", choices=CRITERIA, default="invariant_closure")
 
 
 def _add_crosscheck(sub) -> None:

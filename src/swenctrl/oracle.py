@@ -6,33 +6,27 @@ sampler's guards, the cell's structural verdict, the proof (_deficient),
 then the trials.  A false verdict's certificate that checks on the pattern's
 rows at the cell's k and q proves every realization deficient, so such a
 cell draws no sample.  Every other cell draws its trials, and each sample is
-ranked, under mode_span first mod a prime, where a full rank is full over
-the rationals too, and otherwise in exact integers.
+ranked first mod a prime, where a full rank is full over the rationals too,
+and otherwise in exact integers.
 
 Each segment's block-diagonal system is read from the sample's star values,
-as the nonzeros of A's rows and the columns of B.  The mode_span rank is
-the dimension of the sum of the segments' Krylov spaces, found in one pass:
-each segment's span is grown by deflated products and kept as an integer
-echelon basis, and every new row joins the union at once.  Once the union
-fills more than half the space and another segment follows, it is kept as
-an integer basis of its orthogonal complement instead, and each later
-segment cuts it directly: each complement vector u is kept beside its image
-u^T A^d and cut by that image's dot with each generator for d < qn, which
-suffices by Cayley-Hamilton.  No floating point anywhere: structural claims
-are generic-rank claims and a tolerance would blur exactly the cases under
-test.  Modular arithmetic only ever proves full rank; every deficient
-sample, and every RankReport, is ranked in exact integers.
+as the nonzeros of A's rows and the columns of B.  Both criteria grow one
+basis, kept in echelon form, by deflated block-Krylov steps (_closure): the
+segments are visited in turn, and each grows the basis under its A, from
+its B columns on its first visit and from every row that entered since it
+last grew.  One pass gives sequential_subspace's V_k, and passes until one
+adds nothing give the invariant closure.  No floating point anywhere:
+structural claims are generic-rank claims and a tolerance would blur
+exactly the cases under test.  Modular arithmetic only ever proves full
+rank; every deficient sample, and every short RankReport, is ranked in
+exact integers.
 
-The modular pass runs the same Krylov steps and union on packed vectors: a
-vector mod PRIME is one int with one 64-bit lane per coordinate, A is
-reduced mod PRIME into qn packed columns, so A v is qn multiply-adds,
-and a reduction step is one multiply-add of the whole vector with a pivot
-row kept negated.  Lanes stay below 2 qn PRIME^2 < 2^37 at qn <= 64, so
-they never carry, and they are reduced mod PRIME once per inserted vector.
-On a 2-core Xeon under CPython 3.11 the pass takes a median of 0.40 ms on
-the referee workload's samples (n = 8, q = 3, k = 1), where a pass on lists
-of ints took 0.67 ms, and on a backbone sample at k = 1 it takes 2.4, 13.2
-and 73 ms at qn = 64, 128 and 256, where the lists took 7.0, 46 and 316 ms.
+The modular pass runs the same steps on packed vectors: a vector mod PRIME
+is one int with one 64-bit lane per coordinate, A is reduced mod PRIME into
+qn packed columns, so A v is qn multiply-adds, and a reduction step is one
+multiply-add of the whole vector with a pivot row kept negated.  Lanes stay
+below 2 qn PRIME^2 < 2^37 at qn <= 64, so they never carry, and they are
+reduced mod PRIME once per inserted vector.
 """
 
 from __future__ import annotations
@@ -66,7 +60,7 @@ PRIME = 32749
 
 
 class RankReport(FrozenValue):
-    __slots__ = _fields = ("rank", "full_dim", "controllable", "criterion", "d_range_used")
+    __slots__ = _fields = ("rank", "full_dim", "controllable", "criterion")
 
 
 def _segment(instance: EnsembleInstance, ell: int) -> tuple[list, list[list[int]]]:
@@ -89,20 +83,6 @@ def _matvec(rows, v: list[int]) -> list[int]:
     """rows @ v for `rows` from `_segment`; q blocks on the diagonal make a
     product cost q*|stars| multiplications, not (qn)^2."""
     return [sum(x * v[j] for j, x in row) for row in rows]
-
-
-def _vecmat(v: list[int], rows) -> list[int]:
-    """v @ A for A's `rows` from `_segment`, scattering each nonzero."""
-    out = [0] * len(v)
-    for x, row in zip(v, rows):
-        if x:
-            for j, a in row:
-                out[j] += x * a
-    return out
-
-
-def _dot(u: list[int], v: list[int]) -> int:
-    return sum(x * y for x, y in zip(u, v))
 
 
 def _strip_content(v: list[int]) -> list[int]:
@@ -216,81 +196,14 @@ class _ModSpan:
         return len(self.pivots)
 
 
-class _Complement:
-    """A span U of more than half the space, kept as an integer basis of its
-    orthogonal complement.  A later segment's Krylov space K is cut from it
-    directly, with no basis of K: u is orthogonal to U + K exactly when it is
-    orthogonal to U and u^T A^d g = 0 for every generator g and every d, and
-    by Cayley-Hamilton d < dim suffices."""
-
-    def __init__(self, span: _SpanBasis):
-        # One null vector of the echelon rows per free column f: x[f] = 1,
-        # the other free columns 0, and the pivot entries by fraction-free
-        # back-substitution, scaling x whenever a pivot does not divide.
-        dim, pivots = span.dim, span.pivots
-        self.dim = dim
-        self.basis = []
-        for f in range(dim):
-            if f in pivots:
-                continue
-            x = [0] * dim
-            x[f] = 1
-            for c in sorted((c for c in pivots if c < f), reverse=True):
-                row = pivots[c]
-                s = _dot(row[c + 1:], x[c + 1:])
-                if s:
-                    g = gcd(s, row[c])
-                    scale = row[c] // g
-                    if scale != 1:
-                        x = [scale * y for y in x]
-                    x[c] = -s // g
-            self.basis.append(_strip_content(x))
-
-    def cut(self, rows, generators) -> None:
-        """Keep each vector u as one row [u | u^T A^d], for d = 0 .. dim-1: a
-        row whose image has a nonzero dot with a generator drops out, the
-        others with one are combined with it to make theirs zero, and then
-        every image advances by one product.  A row whose image is zero is
-        set aside, since no power can cut it."""
-        dim = self.dim
-        live, done = [u + u for u in self.basis], []
-        for d in range(dim):
-            if d:
-                advanced = []
-                for w in live:
-                    image = _vecmat(w[dim:], rows)
-                    (advanced if any(image) else done).append(w[:dim] + image)
-                live = advanced
-            if not live:
-                break
-            for g in generators:
-                dots = [_dot(w[dim:], g) for w in live]
-                hits = [i for i, x in enumerate(dots) if x]
-                if not hits:
-                    continue
-                j = min(hits, key=lambda i: abs(dots[i]))
-                pivot, dp = live[j], dots[j]
-                for i in hits:
-                    if i != j:
-                        c = gcd(dp, dots[i])
-                        fa, fb = dp // c, dots[i] // c
-                        live[i] = _strip_content([fa * x - fb * y for x, y in zip(live[i], pivot)])
-                del live[j]
-        self.basis = [w[:dim] for w in done + live]
-
-    @property
-    def dimension(self) -> int:
-        return self.dim - len(self.basis)
-
-
-def _grow(product, generators, basis: _SpanBasis | _ModSpan):
+def _grow(product, generators, frontier: list, basis: _SpanBasis | _ModSpan):
     """Deflated block-Krylov steps: grow `basis` to the smallest subspace
-    that holds the generators and is invariant under A, where `product(v)`
-    is A v, yielding each row as it enters.  Only reduced rows are
-    multiplied: each differs from the raw power by a combination of rows
-    already in the span, so the span is the same.  Every row enters the
-    frontier once, so there are at most dim products."""
-    frontier = []
+    that holds it and the generators and is invariant under A, where
+    `product(v)` is A v, yielding each row as it enters.  The `frontier`
+    rows, already in the basis, and every row that enters are multiplied
+    once each, so at most dim rows are.  Only reduced rows are multiplied:
+    each differs from the raw power by a combination of rows already in the
+    span, so the span is the same."""
     for v in generators:
         w = basis.add(v)
         if w is not None:
@@ -308,92 +221,62 @@ def _grow(product, generators, basis: _SpanBasis | _ModSpan):
         frontier = grown
 
 
-def reach_subspace(rows, generators, dim: int) -> _SpanBasis:
-    """Smallest subspace that holds the generators and is invariant under
-    the matrix whose rows are `rows`, each as its (column, value) nonzeros."""
-    basis = _SpanBasis(dim)
-    for _ in _grow(partial(_matvec, rows), generators, basis):
-        pass
+def _closure(instance: EnsembleInstance, span, one_pass: bool) -> _SpanBasis | _ModSpan:
+    """The invariant closure, the smallest subspace that holds every
+    segment's B columns and is invariant under every segment's A, or with
+    one_pass sequential_subspace's V_k, kept as a `span` (_SpanBasis, or
+    _ModSpan with packed vectors and products).  The segments ell = 0..k are
+    visited in turn, each read when first reached, and each grows the one
+    basis under A_ell: from B_ell on its first visit, and from every row
+    that entered since it last grew.  One pass is V_k.  A segment reached
+    again with no new row ends the closure, since every other segment has
+    grown since and so has multiplied every row."""
+    k = instance.k
+    basis = span(instance.pattern.n * instance.q)
+    rows, grown, products = [], [0] * (k + 1), [None] * (k + 1)
+    ell = 0
+    while basis.dimension < basis.dim:
+        generators = ()
+        if products[ell] is None:
+            a_rows, generators = _segment(instance, ell)
+            if span is _ModSpan:
+                products[ell] = partial(basis.product, basis.columns(a_rows))
+                generators = [basis.pack(v) for v in generators]
+            else:
+                products[ell] = partial(_matvec, a_rows)
+        elif grown[ell] == len(rows):
+            break
+        rows.extend(_grow(products[ell], generators, rows[grown[ell]:], basis))
+        grown[ell] = len(rows)
+        if one_pass and ell == k:
+            break
+        ell = (ell + 1) % (k + 1)
     return basis
 
 
-def _union_dimension(instance: EnsembleInstance, include_d0: bool, span) -> int:
-    """Dimension of the sum of the segments' Krylov spaces, with each span
-    kept as a `span` (_SpanBasis or _ModSpan); qn as soon as the union
-    reaches it.  A _ModSpan's vectors and products are packed.  Only an
-    exact union switches to its complement."""
-    dim = instance.pattern.n * instance.q
-    union = span(dim)
-    for ell in range(instance.k + 1):
-        rows, generators = _segment(instance, ell)
-        if span is _ModSpan:
-            product = partial(union.product, union.columns(rows))
-            generators = [union.pack(v) for v in generators]
-        else:
-            product = partial(_matvec, rows)
-        if not include_d0:
-            generators = [product(v) for v in generators]
-        if ell and isinstance(union, _SpanBasis) and 2 * union.dimension > dim:
-            union = _Complement(union)
-        if not isinstance(union, span):  # the complement side
-            union.cut(rows, generators)
-            if union.dimension == dim:
-                return dim
-            continue
-        # segment 0's Krylov basis is the union itself
-        basis = span(dim) if ell else union
-        for w in _grow(product, generators, basis):
-            if basis is not union:
-                union.add(w)
-            if union.dimension == dim:
-                return dim
-    return union.dimension
-
-
-def _full_mod_p(instance: EnsembleInstance, include_d0: bool) -> bool:
-    """True when the mode_span rank is full mod PRIME, which proves it full:
-    the union mod PRIME is the span of the literal power columns reduced mod
-    PRIME, and a nonzero maximal minor mod PRIME is nonzero over the
-    rationals.  False proves nothing."""
-    return _union_dimension(instance, include_d0, _ModSpan) == instance.pattern.n * instance.q
-
-
-def controllability_rank(
-    instance: EnsembleInstance,
-    criterion: str = "mode_span",
-    include_d0: bool = True,
-) -> RankReport:
+def controllability_rank(instance: EnsembleInstance,
+                         criterion: str = "invariant_closure") -> RankReport:
     """Exact controllability test of the assembled switched ensemble system.
 
-    mode_span: rank of the union over segments ell of the columns of
-    A[ell]^d B[ell].  The literal power range is 1..qn; by default d = 0 is
-    included as well, since without it a driftless system (A = 0, B != 0)
-    would test as uncontrollable.  It is computed as the dimension of the
-    sum of the segments' Krylov spaces, which that range spans, in one pass:
-    each segment's new rows join the union as they are found.
-    sequential_subspace: iterate V_{ell+1} = reach(A[ell+1], im B[ell+1] +
-    V_ell) and report dim V_k.
+    invariant_closure: the dimension of the smallest subspace that holds
+    every segment's B columns and is invariant under every segment's A, the
+    controllable subspace when the k+1 realizations may be switched in any
+    order and as often as wanted (Sun, Ge and Lee, Automatica 2002).
+    sequential_subspace: dim V_k for V_ell = reach(A_ell, im B_ell +
+    V_(ell-1)), one pass of k switches; V_k lies in the closure.
+    Both are ranked first mod PRIME, where a full dimension is full over the
+    rationals too (a maximal minor nonzero mod PRIME is nonzero), and in
+    exact integers only when the modular one is short.
     """
-    n, q = instance.pattern.n, instance.q
-    dim = n * q
+    dim = instance.pattern.n * instance.q
     if dim > MAX_ORACLE_DIM:
         raise ScaleError(f"q*n = {dim} exceeds the exact-arithmetic guard {MAX_ORACLE_DIM}")
     _check_criterion(criterion)
-    if criterion == "mode_span":
-        # By Cayley-Hamilton the columns of A^d B for d = 0..qn span the
-        # Krylov space K(A, B), and those for d = 1..qn span K(A, A B), so the
-        # literal rank is the dimension of the sum of these spaces.
-        rank = _union_dimension(instance, include_d0, _SpanBasis)
-        return RankReport(rank, dim, rank == dim, criterion, (0 if include_d0 else 1, dim))
-    # sequential_subspace
-    basis = None
-    for ell in range(instance.k + 1):
-        rows, generators = _segment(instance, ell)
-        if basis is not None:
-            generators.extend(basis.vectors())
-        basis = reach_subspace(rows, generators, dim)
-    rank = basis.dimension
-    return RankReport(rank, dim, rank == dim, criterion, (0, dim - 1))
+    one_pass = criterion == "sequential_subspace"
+    rank = _closure(instance, _ModSpan, one_pass).dimension
+    if rank < dim:
+        rank = _closure(instance, _SpanBasis, one_pass).dimension
+    return RankReport(rank, dim, rank == dim, criterion)
 
 
 def _check_criterion(criterion: str) -> None:
@@ -407,15 +290,17 @@ def _trial_seed(seed: int, t: int) -> int:
 
 def _deficient(pattern: SparsityPattern, k: int, q: int, certificate) -> bool:
     """True when the structural `certificate` proves every realization of the
-    cell (k, q) deficient under both criteria, checked on the pattern's rows
-    with the cell's own k and q; False proves nothing.  Its states must be a
-    nonempty set of ints in 1..n.  A ViolatingSubset V' passes when
-    (k+1)|beta_in| + q(k+1)|alpha_in| < q|V'|: the rows of V' in all q copies
-    then have nonzeros in fewer than q|V'| columns of [A_0 B_0 .. A_k B_k],
-    so some u != 0 on them has u^T A_ell = u^T B_ell = 0 for every ell
-    (Lin's dilation).  An Unreachable U passes when no row of U reads an
-    input or a state outside U, so U's coordinates stay zero in every
-    Krylov vector."""
+    cell (k, q) deficient under every criterion, checked on the pattern's
+    rows with the cell's own k and q; False proves nothing.  Its states must
+    be a nonempty set of ints in 1..n.  Every criterion's space lies in the
+    invariant closure, and both proofs bound the closure.  A ViolatingSubset
+    V' passes when (k+1)|beta_in| + q(k+1)|alpha_in| < q|V'|: the rows of V'
+    in all q copies then have nonzeros in fewer than q|V'| columns of
+    [A_0 B_0 .. A_k B_k], so some u != 0 on them has u^T A_ell = u^T B_ell = 0
+    for every ell (Lin's dilation), and the closure lies in u's orthogonal
+    complement.  An Unreachable U passes when no row of U reads an input or
+    a state outside U, so U's coordinates stay zero in every B column and
+    every product of the closure."""
     if isinstance(certificate, ViolatingSubset):
         states = certificate.subset
     elif isinstance(certificate, Unreachable):
@@ -432,17 +317,13 @@ def _deficient(pattern: SparsityPattern, k: int, q: int, certificate) -> bool:
     return (k + 1) * (len(columns) - alpha) + q * (k + 1) * alpha < q * len(states)
 
 
-def _successes(pattern, k, q, trials, seed, value_bound, criterion, include_d0) -> int:
+def _successes(pattern, k, q, trials, seed, value_bound, criterion) -> int:
     """The full-rank samples among `trials`, trial t drawn under
-    _trial_seed(seed, t): under mode_span each is first ranked mod PRIME,
-    where a full answer proves it full, and otherwise exactly."""
-    mode_span = criterion == "mode_span"
+    _trial_seed(seed, t)."""
     successes = 0
     for t in range(1, trials + 1):
         instance = sample_instance(pattern, k, q, seed=_trial_seed(seed, t), value_bound=value_bound)
-        if (mode_span and _full_mod_p(instance, include_d0)
-                or controllability_rank(instance, criterion, include_d0).controllable):
-            successes += 1
+        successes += controllability_rank(instance, criterion).controllable
     return successes
 
 
@@ -453,8 +334,7 @@ def monte_carlo_controllable(
     trials: int,
     seed: int,
     value_bound: int = DEFAULT_VALUE_BOUND,
-    criterion: str = "mode_span",
-    include_d0: bool = True,
+    criterion: str = "invariant_closure",
 ) -> tuple[bool, int]:
     """True iff any of `trials` random realizations is controllable; one
     controllable sample certifies structural controllability, while structural
@@ -472,7 +352,7 @@ def monte_carlo_controllable(
     _check_criterion(criterion)
     if _deficient(pattern, k, q, check_structural(pattern, k, q).certificate):
         return False, 0
-    successes = _successes(pattern, k, q, trials, seed, value_bound, criterion, include_d0)
+    successes = _successes(pattern, k, q, trials, seed, value_bound, criterion)
     return successes > 0, successes
 
 
@@ -496,7 +376,7 @@ def oracle_agreement(
     trials: int = 10,
     seed: int = 0,
     value_bound: int = DEFAULT_VALUE_BOUND,
-    criterion: str = "mode_span",
+    criterion: str = "invariant_closure",
 ) -> AgreementReport:
     """Compare structural verdicts against the numerical referee over a grid.
 
@@ -504,8 +384,8 @@ def oracle_agreement(
     sample is a hard disagreement (it falsifies the implementation);
     structural=true with no full-rank sample is retried at 4x trials and then
     logged as a genericity miss, never silently dropped.  A cell runs as in
-    monte_carlo_controllable with d = 0, its retry sharing its one verdict;
-    every guard is checked before the first cell.
+    monte_carlo_controllable, its retry sharing its one verdict; every
+    guard is checked before the first cell.
     """
     corpus = list(corpus)
     if type(trials) is not int or trials < 1:
@@ -530,13 +410,12 @@ def oracle_agreement(
                 structural = verdict.decision
                 successes = 0
                 if not _deficient(pat, k, q, verdict.certificate):
-                    successes = _successes(pat, k, q, trials, cell_seed, value_bound, criterion,
-                                           True)
+                    successes = _successes(pat, k, q, trials, cell_seed, value_bound, criterion)
                 used_trials = trials
                 retried = structural and not successes
                 if retried:
                     successes = _successes(pat, k, q, 4 * trials, _trial_seed(cell_seed, 1),
-                                           value_bound, criterion, True)
+                                           value_bound, criterion)
                     used_trials += 4 * trials
                 numerical = successes > 0
                 if not structural and numerical:

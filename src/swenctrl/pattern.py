@@ -41,7 +41,7 @@ DEFAULT_VALUE_BOUND = 10007
 MAX_VALUE_BOUND = 1 << 32
 # The referee's rank criteria (oracle.controllability_rank); kept here so the
 # CLI can offer them without importing the referee.
-CRITERIA = ("mode_span", "sequential_subspace")
+CRITERIA = ("invariant_closure", "sequential_subspace")
 
 
 class SparsityPattern(FrozenValue):

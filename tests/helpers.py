@@ -34,7 +34,7 @@ from swenctrl.flow import (
     node_name,
 )
 from swenctrl.graph import reachability_check
-from swenctrl.oracle import _trial_seed, controllability_rank
+from swenctrl.oracle import _closure, _SpanBasis, _trial_seed
 from swenctrl.pattern import (
     DEFAULT_VALUE_BOUND,
     MAX_PATTERN_DIM,
@@ -486,39 +486,47 @@ def rank_mod(vectors, p: int) -> int:
     return len(pivots)
 
 
-def literal_mode_span_columns(instance: EnsembleInstance, include_d0: bool) -> list[list[int]]:
-    """Every column of A[ell]^d B[ell] over all segments ell, for d in 0..qn
-    (1..qn without include_d0), the range controllability_rank reports as
-    d_range_used."""
-    dim = instance.pattern.n * instance.q
-    vectors = []
-    for ell in range(instance.k + 1):
-        a, b = assemble_segment(instance, ell)
-        nonzeros = [[(j, x) for j, x in enumerate(row) if x] for row in a]
-        powers = [[[b[r][c] for r in range(dim)] for c in range(instance.pattern.m)]]
-        for _ in range(dim):
-            powers.append([[sum(x * v[j] for j, x in row) for row in nonzeros] for v in powers[-1]])
-        for cols in powers[0 if include_d0 else 1:]:
-            vectors.extend(cols)
-    return vectors
+def literal_closure_rank(instance: EnsembleInstance, prime: int | None = None) -> int:
+    """The invariant closure's rank from its definition, over the rationals
+    by exact_rank, or mod `prime` by rank_mod: the span of every segment's B
+    columns, extended by every segment's A times every spanning vector until
+    the rank stops rising.  In each round a vector joins the spanning set
+    when it raises the set's rank, and the round stops once the set has the
+    rank of the set and the whole round; each vector that joins is
+    multiplied by every A in the next round, so the span ends invariant
+    under every A."""
+    def rank(vectors):
+        return exact_rank(vectors) if prime is None else rank_mod(vectors, prime)
 
-
-def literal_mode_span_rank(instance: EnsembleInstance, include_d0: bool) -> int:
-    """mode_span rank from its definition: exact_rank of every literal power
-    column."""
-    return exact_rank(literal_mode_span_columns(instance, include_d0))
+    dim, m = instance.pattern.n * instance.q, instance.pattern.m
+    segments = [assemble_segment(instance, ell) for ell in range(instance.k + 1)]
+    frontier = [[b[r][c] for r in range(dim)] for _, b in segments for c in range(m)]
+    spanning = []
+    while frontier:
+        target = rank(spanning + frontier)
+        joined = []
+        for v in frontier:
+            if len(spanning) == target:
+                break
+            if rank(spanning + [v]) > len(spanning):
+                spanning.append(v)
+                joined.append(v)
+        frontier = [[sum(x * y for x, y in zip(row, v)) for row in a]
+                    for a, _ in segments for v in joined]
+        if prime is not None:
+            frontier = [[x % prime for x in v] for v in frontier]
+    return rank(spanning)
 
 
 def reference_monte_carlo(pattern: SparsityPattern, k: int, q: int, trials: int, seed: int,
-                          value_bound: int = DEFAULT_VALUE_BOUND, criterion: str = "mode_span",
-                          include_d0: bool = True) -> tuple[bool, int]:
-    """The answer monte_carlo_controllable must give, with an exact
-    controllability_rank on every trial's sample."""
+                          value_bound: int = DEFAULT_VALUE_BOUND,
+                          criterion: str = "invariant_closure") -> tuple[bool, int]:
+    """The answer monte_carlo_controllable must give, with an exact rank of
+    the criterion's space on every trial's sample and no modular pass."""
+    dim = pattern.n * q
     successes = sum(
-        controllability_rank(
-            sample_instance(pattern, k, q, seed=_trial_seed(seed, t), value_bound=value_bound),
-            criterion=criterion, include_d0=include_d0,
-        ).controllable
+        _closure(sample_instance(pattern, k, q, seed=_trial_seed(seed, t), value_bound=value_bound),
+                 _SpanBasis, criterion == "sequential_subspace").dimension == dim
         for t in range(1, trials + 1)
     )
     return successes > 0, successes

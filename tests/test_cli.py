@@ -137,24 +137,6 @@ def test_oracle_command(tmp_path, capsys):
     assert obj["full_dim"] == 6
 
 
-def test_oracle_rejects_no_include_d0_with_sequential_subspace(tmp_path, capsys):
-    """sequential_subspace always starts its powers at d = 0, so
-    --no-include-d0 with it is a usage error rather than an ignored flag;
-    each flag alone still runs."""
-    path = write_pattern(tmp_path, FIG2A)
-    dot_path = tmp_path / "p.dot"
-    base = ("oracle", path, "--k", "2", "--q", "3", "--trials", "2", "--seed", "1")
-    code, out, err = run_cli(capsys, *base, "--criterion", "sequential_subspace",
-                             "--no-include-d0", "--dot-out", str(dot_path))
-    assert (code, out) == (1, "")
-    assert "--no-include-d0 applies to the mode_span criterion only" in err
-    assert not dot_path.exists()
-    for flags, include_d0 in [(("--criterion", "sequential_subspace"), True),
-                              (("--no-include-d0",), False)]:
-        code, out, _ = run_cli(capsys, *base, *flags)
-        assert code == 0 and json.loads(out)["include_d0"] is include_d0
-
-
 @pytest.mark.parametrize("flags, message", [
     (("--k", "-1"), "switch count k must be an integer >= 0"),
     (("--q", "0"), "ensemble size q must be an integer >= 1"),
@@ -288,9 +270,9 @@ def test_family_check_and_kstar_golden(tmp_path, capsys, name):
 
 
 # The oracle's stdout on true, violating and unreachable cells, under both
-# criteria and without d = 0, at the default value bound and at 2, where
-# some samples of a true cell are deficient; frozen before the structural
-# proof moved from each sample to the cell.
+# criteria, at the default value bound and at 2, where some samples of a
+# true cell are deficient; the sequential_subspace cases were frozen before
+# the structural proof moved from each sample to the cell.
 ORACLE_GOLDEN = json.loads((GOLDEN / "oracle_cli.json").read_text())
 ORACLE_GOLDEN_CELLS = {
     "fig2a_k2_q3": (lambda: FIG2A, 2, 3),
@@ -302,8 +284,7 @@ ORACLE_GOLDEN_CELLS = {
         lambda: benchmark_pattern("sparse-fail-unreachable", 7, 0), 1, 2),
 }
 ORACLE_GOLDEN_FLAGS = {
-    "mode_span": (),
-    "mode_span_no_d0": ("--no-include-d0",),
+    "invariant_closure": (),
     "sequential_subspace": ("--criterion", "sequential_subspace"),
 }
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from pathlib import Path
@@ -12,9 +13,7 @@ from helpers import (
     assemble_segment,
     benchmark_pattern,
     exact_rank,
-    literal_mode_span_columns,
-    literal_mode_span_rank,
-    rank_mod,
+    literal_closure_rank,
     reference_monte_carlo,
 )
 
@@ -22,12 +21,7 @@ from swenctrl import oracle
 from swenctrl.decide import check_structural, recheck_certificate
 from swenctrl.errors import ScaleError
 from swenctrl.graph import core_condition_holds
-from swenctrl.oracle import (
-    controllability_rank,
-    monte_carlo_controllable,
-    oracle_agreement,
-    reach_subspace,
-)
+from swenctrl.oracle import controllability_rank, monte_carlo_controllable, oracle_agreement
 from swenctrl.pattern import (
     CRITERIA,
     DEFAULT_VALUE_BOUND,
@@ -41,6 +35,7 @@ from swenctrl.results import Saturated, Unreachable, ViolatingSubset
 
 GOLDEN_RANKS = Path(__file__).parent / "golden" / "oracle_ranks.json"
 GOLDEN_AGREEMENT = Path(__file__).parent / "golden" / "oracle_agreement.json"
+GOLDEN_CENSUS = Path(__file__).parent / "golden" / "closure_census.json"
 
 
 def test_exact_rank_basics():
@@ -153,257 +148,199 @@ def test_integrator_rank_examples():
     assert (r.rank, r.controllable) == (2, True)
 
 
-def test_literal_d_range_misses_driftless_system():
-    # With drift A = 0 the literal power range 1..qn spans nothing.
-    r = controllability_rank(sample_instance(INTEGRATOR, 0, 1, seed=3), include_d0=False)
-    assert r.rank == 0 and not r.controllable
-    assert r.d_range_used == (1, 1)
-
-
-def test_rank_monotone_in_d_range():
-    inst = sample_instance(FIG2A, k=1, q=2, seed=9)
-    dim = FIG2A.n * 2
-    a0, b0 = assemble_segment(inst, 0)
-    a1, b1 = assemble_segment(inst, 1)
-    prev_rank = 0
-    cols0 = [[b0[r][c] for r in range(dim)] for c in range(FIG2A.m)]
-    cols1 = [[b1[r][c] for r in range(dim)] for c in range(FIG2A.m)]
-    collected = []
-    for _ in range(dim + 1):
-        collected.extend(cols0)
-        collected.extend(cols1)
-        rank = exact_rank(collected)
-        assert rank >= prev_rank
-        prev_rank = rank
-        cols0 = [[sum(a0[i][j] * v[j] for j in range(dim)) for i in range(dim)] for v in cols0]
-        cols1 = [[sum(a1[i][j] * v[j] for j in range(dim)) for i in range(dim)] for v in cols1]
-
-
-def test_mode_span_matches_literal_rank():
-    # The Krylov span must give the rank of every literal power column, full
-    # or deficient; small value bounds make coincidental deficiency common.
+def test_closure_matches_literal_rank():
+    # The kernel's closure must have the rank of the literal closure, full or
+    # deficient, and V_k must lie in it; small value bounds make
+    # coincidental deficiency common, so both the modular pass and the exact
+    # rank behind it run.  qn stays at most 24.
     rng = random.Random(5)
-    deficient = 0
+    deficient = short = 0
     for t in range(600):
         n = rng.randint(1, 8)
         m = rng.randint(0, 3)
         density = 0.0 if t % 25 == 0 else rng.random()
         pattern = random_pattern(n, m, density, rng.randrange(1 << 30))
         k = rng.randint(0, 2)
-        q = rng.randint(1, 32 // n)
+        q = rng.randint(1, 24 // n)
         inst = sample_instance(pattern, k, q, seed=rng.randrange(1 << 30),
                                value_bound=rng.choice((2, 3, 10007)))
-        reports = {d0: controllability_rank(inst, include_d0=d0) for d0 in (True, False)}
-        for include_d0, report in reports.items():
-            assert report.d_range_used == (0 if include_d0 else 1, n * q)
-            assert report.rank == literal_mode_span_rank(inst, include_d0), (t, include_d0)
-            assert report.controllable == (report.rank == n * q)
-        deficient += not reports[True].controllable
-    assert deficient >= 200
+        report = controllability_rank(inst)
+        assert report.rank == literal_closure_rank(inst), t
+        assert (report.full_dim, report.controllable) == (n * q, report.rank == n * q)
+        one_pass = controllability_rank(inst, criterion="sequential_subspace").rank
+        assert one_pass <= report.rank
+        deficient += not report.controllable
+        short += one_pass < report.rank
+    assert deficient >= 200, deficient
+    assert short, short
 
 
 def test_oracle_ranks_match_golden():
-    # Ranks of both criteria, with and without d = 0, over 200 seeded
-    # instances; the mode_span ranks were computed by Bareiss elimination of
-    # every literal power column.
+    # Ranks of both criteria over 200 seeded instances; the closure's ranks
+    # were computed by helpers.literal_closure_rank, the sequential ones by
+    # its earlier exact code, unchanged since.
     cases = json.loads(GOLDEN_RANKS.read_text())["cases"]
     assert len(cases) == 200
     for case in cases:
         pattern = SparsityPattern(case["n"], case["m"], frozenset(map(tuple, case["stars"])))
         inst = sample_instance(pattern, case["k"], case["q"], seed=case["seed"],
                                value_bound=case["value_bound"])
-        for key, expected in case["ranks"].items():
-            criterion, d0 = key.split("/")
-            report = controllability_rank(inst, criterion=criterion, include_d0=d0 == "d0")
-            assert [report.rank, report.controllable] == expected, (case["name"], key)
+        assert sorted(case["ranks"]) == sorted(CRITERIA)
+        for criterion, expected in case["ranks"].items():
+            report = controllability_rank(inst, criterion=criterion)
+            assert [report.rank, report.controllable] == expected, (case["name"], criterion)
 
 
-def test_mode_span_products_per_segment(monkeypatch):
-    # Deflation multiplies each new basis row once: at most qn products per
-    # segment, where the literal power range needs m * qn, in the exact rank
-    # and in the modular pass alike.
-    per_segment = []
+def test_closure_reads_each_segment_once_and_multiplies_each_row_once(monkeypatch):
+    # Each segment is read when the cycle first reaches it, in order, and
+    # multiplies each row of the basis at most once over all its visits, so
+    # at most qn products per segment, in the modular pass and in the exact
+    # rank alike; one pass reads every segment.
+    reads, products = [], {}
     segment, matvec, product = oracle._segment, oracle._matvec, oracle._ModSpan.product
 
     def counting_segment(instance, ell):
-        per_segment.append(0)
+        reads.append(ell)
         return segment(instance, ell)
 
-    def counting_matvec(*args):
-        per_segment[-1] += 1
-        return matvec(*args)
+    def counting_matvec(rows, v):
+        products[id(rows)] = products.get(id(rows), 0) + 1
+        return matvec(rows, v)
 
-    def counting_product(*args):
-        per_segment[-1] += 1
-        return product(*args)
+    def counting_product(self, columns, v):
+        products[id(columns)] = products.get(id(columns), 0) + 1
+        return product(self, columns, v)
 
     monkeypatch.setattr(oracle, "_segment", counting_segment)
     monkeypatch.setattr(oracle, "_matvec", counting_matvec)
     monkeypatch.setattr(oracle._ModSpan, "product", counting_product)
-    k, q = 1, 3
-    qn = FIG1.n * q
-    for seed in range(5):
-        inst = sample_instance(FIG1, k, q, seed=seed)
-        for rank in (oracle.controllability_rank, lambda inst: oracle._full_mod_p(inst, True)):
-            per_segment.clear()
-            rank(inst)
-            assert per_segment and max(per_segment) <= qn, per_segment
+    cells = [(FIG1, 1, 3), (FIG2A, 2, 3), (benchmark_pattern("hub", 16, 0), 6, 3)]
+    cells += [(random_pattern(6, 1, 0.3, seed), 3, 2) for seed in range(6)]
+    for pattern, k, q in cells:
+        for seed in range(3):
+            inst = sample_instance(pattern, k, q, seed=seed, value_bound=(2, 10007)[seed % 2])
+            for span in (oracle._ModSpan, oracle._SpanBasis):
+                for one_pass in (False, True):
+                    reads.clear()
+                    products.clear()
+                    basis = oracle._closure(inst, span, one_pass)
+                    assert reads == list(range(len(reads))), reads
+                    assert len(reads) == k + 1 or basis.dimension == basis.dim, reads
+                    assert max(products.values(), default=0) <= pattern.n * q, products
 
 
-def test_mode_span_union_sides_match_literal_rank(monkeypatch):
-    # The union of the segments' Krylov spaces stays a span basis while it
-    # fills at most half the space (hub blocks at k=1, q=2) and becomes an
-    # orthogonal complement once segment 0 fills more (referee-like n=8 at
-    # q=3); a single segment never builds the complement.
-    complements, segments = [], []
-    complement, segment = oracle._Complement, oracle._segment
-
-    def counting_complement(span):
-        complements.append(span.dimension)
-        return complement(span)
-
-    def counting_segment(instance, ell):
-        segments.append(ell)
-        return segment(instance, ell)
-
-    monkeypatch.setattr(oracle, "_Complement", counting_complement)
-    monkeypatch.setattr(oracle, "_segment", counting_segment)
-    shapes = [(benchmark_pattern("hub", 8, seed), 1, 2) for seed in range(4)]
-    shapes += [(random_pattern(8, 2, 0.3, seed), k, 3) for seed in range(12) for k in (1, 2)]
-    shapes += [(random_pattern(8, 2, 0.3, seed), 0, 3) for seed in range(4)]
-    sides = {"span": 0, "complement": 0}
-    verdicts = set()
-    for t, (pattern, k, q) in enumerate(shapes):
-        inst = sample_instance(pattern, k, q, seed=t)
-        dim = pattern.n * q
-        for include_d0 in (True, False):
-            complements.clear()
-            segments.clear()
-            report = controllability_rank(inst, include_d0=include_d0)
-            assert report.rank == literal_mode_span_rank(inst, include_d0), (t, include_d0)
-            assert all(2 * r > dim for r in complements)
-            if k == 0:
-                assert not complements
-            elif complements:
-                sides["complement"] += 1
-            elif 1 in segments:
-                sides["span"] += 1
-        if k:
-            verdicts.add(check_structural(pattern, k, q).decision)
-    assert sides["span"] and sides["complement"], sides
-    assert verdicts == {True, False}
-
-
-def _complement_side_cases():
-    """Deficient-heavy instances whose segment 0 often fills more than half
-    the space: n <= 8, q up to 24 // n, k in 1..3, value bounds 2, 3 and
-    10007, so that coincidental deficiency is common."""
-    rng = random.Random(31)
-    for t in range(150):
-        n = rng.randint(2, 8)
-        pattern = random_pattern(n, rng.randint(1, 2), rng.uniform(0.2, 0.6),
-                                 rng.randrange(1 << 30))
-        yield sample_instance(pattern, rng.randint(1, 3), rng.randint(1, 24 // n),
-                              seed=rng.randrange(1 << 30), value_bound=(2, 3, 10007)[t % 3])
-
-
-def test_complement_side_matches_literal_rank(monkeypatch):
-    # Once the union switches to its complement, later segments are cut on
-    # that side: no segment after the switch builds a span basis of its own.
-    events = []
-
-    class CountingSpan(oracle._SpanBasis):
-        def __init__(self, dim):
-            events.append("span")
-            super().__init__(dim)
-
-    complement = oracle._Complement
-
-    def counting_complement(span):
-        events.append("complement")
-        return complement(span)
-
-    monkeypatch.setattr(oracle, "_SpanBasis", CountingSpan)
-    monkeypatch.setattr(oracle, "_Complement", counting_complement)
-    sides = {"complement": 0, "deficient": 0}
-    for t, inst in enumerate(_complement_side_cases()):
-        for include_d0 in (True, False):
-            events.clear()
-            report = controllability_rank(inst, include_d0=include_d0)
-            assert report.rank == literal_mode_span_rank(inst, include_d0), (t, include_d0)
-            if "complement" in events:
-                assert events.count("complement") == 1
-                assert "span" not in events[events.index("complement"):], (t, events)
-                sides["complement"] += 1
-                sides["deficient"] += not report.controllable
-    assert sides["complement"] >= 50 and sides["deficient"] >= 25, sides
-
-
-def test_complement_side_products(monkeypatch):
-    # A later segment multiplies each surviving complement vector's image
-    # once per power: at most c * (qn - 1) row-times-A products for a
-    # complement of c vectors, none once the complement is empty, and no
-    # later segment is read after it empties.
-    cuts, segments = [], []
-    cut, vecmat, segment = oracle._Complement.cut, oracle._vecmat, oracle._segment
-
-    def counting_cut(self, rows, generators):
-        cuts.append({"size": len(self.basis), "products": 0, "segments": len(segments)})
-        cut(self, rows, generators)
-        cuts[-1]["left"] = len(self.basis)
-
-    def counting_vecmat(*args):
-        cuts[-1]["products"] += 1
-        return vecmat(*args)
-
-    def counting_segment(instance, ell):
-        segments.append(ell)
-        return segment(instance, ell)
-
-    monkeypatch.setattr(oracle._Complement, "cut", counting_cut)
-    monkeypatch.setattr(oracle, "_vecmat", counting_vecmat)
-    monkeypatch.setattr(oracle, "_segment", counting_segment)
-    emptied = 0
-    for inst in _complement_side_cases():
-        dim = inst.pattern.n * inst.q
-        for include_d0 in (True, False):
-            cuts.clear()
-            segments.clear()
-            controllability_rank(inst, include_d0=include_d0)
-            for c in cuts:
-                assert c["products"] <= c["size"] * (dim - 1), (c, dim)
-            if cuts and not cuts[-1]["left"]:
-                assert len(segments) == cuts[-1]["segments"], (segments, cuts)
-                emptied += segments[-1] < inst.k
-    assert emptied
-
-    # Under the shift A e_i = e_(i+1), the complement {e4} of span{e1, e2,
-    # e3} is cut by the generator e_i at d = 4 - i, after 4 - i products:
-    # none for e4, one for e3, though the bound allows three, and all three
-    # for e1, whose cut needs the last power d = qn - 1.
-    span = oracle._SpanBasis(4)
-    for i in range(3):
-        span.add([int(j == i) for j in range(4)])
-    shift = [[], [(0, 1)], [(1, 1)], [(2, 1)]]
-    for i in (4, 3, 1):
-        complement = oracle._Complement(span)
-        complement.cut(shift, [[int(j == i - 1) for j in range(4)]])
-        assert complement.dimension == 4 and cuts[-1]["products"] == 4 - i
-
-
-def test_reach_subspace_fixpoint_invariant():
+def test_closure_is_the_smallest_invariant_span():
+    # The exact closure's rows hold every segment's B columns and map into
+    # their span under every segment's A, read from the dense assembly; V_k
+    # holds the last segment's B columns and is invariant under its A.
     rng = random.Random(2)
-    for _ in range(20):
-        dim = rng.randint(1, 4)
-        a = tuple(tuple(rng.randint(0, 3) for _ in range(dim)) for _ in range(dim))
-        gens = [[rng.randint(0, 3) for _ in range(dim)] for _ in range(rng.randint(0, 2))]
-        rows = [[(j, x) for j, x in enumerate(row) if x] for row in a]
-        basis = reach_subspace(rows, gens, dim)
-        for v in list(basis.vectors()):
-            image = [sum(a[i][j] * v[j] for j in range(dim)) for i in range(dim)]
-            assert not any(basis._reduce(image))
-        for v in gens:
-            assert not any(basis._reduce(v))
+    for t in range(60):
+        n = rng.randint(1, 4)
+        pattern = random_pattern(n, rng.randint(0, 2), rng.random(), rng.randrange(1 << 30))
+        inst = sample_instance(pattern, rng.randint(0, 3), rng.randint(1, 3),
+                               seed=rng.randrange(1 << 30), value_bound=(2, 3, 7)[t % 3])
+        dim = inst.pattern.n * inst.q
+        for one_pass in (False, True):
+            basis = oracle._closure(inst, oracle._SpanBasis, one_pass)
+            for ell in range(inst.k + 1) if not one_pass else (inst.k,):
+                a, b = assemble_segment(inst, ell)
+                for v in basis.vectors():
+                    image = [sum(a[i][j] * v[j] for j in range(dim)) for i in range(dim)]
+                    assert not any(basis._reduce(image)), (t, ell)
+                for c in range(inst.pattern.m):
+                    assert not any(basis._reduce([row[c] for row in b])), (t, ell)
+
+
+def test_closure_runs_until_a_pass_adds_nothing():
+    # Hand-set values on the chain 1 -> 2 -> .. -> n fed by the input at
+    # state 1: segment 0 keeps the links out of odd states and segment 1 the
+    # links out of even ones, so each pass of the two segments adds two
+    # states, and the closure needs n / 2 passes where V_k holds 3 states.
+    for n in (6, 8):
+        rows = ((n + 1,),) + tuple((i,) for i in range(1, n))
+        pattern = SparsityPattern.from_rows(n, 1, rows)
+        values = [1] + [i % 2 for i in range(1, n)] + [0] + [1 - i % 2 for i in range(1, n)]
+        inst = EnsembleInstance(pattern, 1, 1, values)
+        assert literal_closure_rank(inst) == n
+        assert [controllability_rank(inst, criterion=c).rank for c in CRITERIA] == [n, 3]
+
+
+def test_smallest_one_pass_gap():
+    # n = 3, m = 1 with rows ((2,), (4,), (2,)) at (1, 2) is true: the closure
+    # is full on a sample, while V_k stays 5 of 6 on every sample.
+    pattern = SparsityPattern.from_rows(3, 1, ((2,), (4,), (2,)))
+    assert check_structural(pattern, 1, 2).decision
+    closure = [controllability_rank(sample_instance(pattern, 1, 2, seed=s)) for s in range(4)]
+    one_pass = [controllability_rank(sample_instance(pattern, 1, 2, seed=s),
+                                     criterion="sequential_subspace") for s in range(4)]
+    assert [r.rank for r in closure] == [6] * 4
+    assert [r.rank for r in one_pass] == [5] * 4
+
+
+def test_hub16_closure_pins():
+    # hub16 (k* = 7): at (6, 3) the closure is full and V_k is 47 of 48; at
+    # the false cells (5, 2) and (6, 4) the closure is deficient.
+    hub = benchmark_pattern("hub", 16, 0)
+    assert check_structural(hub, 6, 3).decision
+    inst = sample_instance(hub, 6, 3, seed=1)
+    assert controllability_rank(inst).rank == 48
+    assert controllability_rank(inst, criterion="sequential_subspace").rank == 47
+    for k, q in ((5, 2), (6, 4)):
+        assert not check_structural(hub, k, q).decision
+        assert not controllability_rank(sample_instance(hub, k, q, seed=1)).controllable
+
+
+def closure_census() -> dict:
+    """Every pattern with (n, m) in {(2, 1), (2, 2), (3, 1)} at k <= 2 and
+    q <= 3, each cell ranked on two samples at value bound 2^31: a false
+    cell's samples mod PRIME only, where a full closure would prove the cell
+    controllable, a true cell's closure and V_k as controllability_rank
+    ranks them.  Returns the count of true and false cells and the true
+    cells whose V_k is short on both samples, as [n, m, rows, k, q]."""
+    counts = {"true": 0, "false": 0}
+    gaps = []
+    for n, m in ((2, 1), (2, 2), (3, 1)):
+        columns = range(1, n + m + 1)
+        subsets = [c for r in range(n + m + 1) for c in itertools.combinations(columns, r)]
+        for rows in itertools.product(subsets, repeat=n):
+            pattern = SparsityPattern.from_rows(n, m, rows)
+            for k in range(3):
+                for q in range(1, 4):
+                    samples = [sample_instance(pattern, k, q, seed=seed, value_bound=1 << 31)
+                               for seed in (1, 2)]
+                    if not check_structural(pattern, k, q).decision:
+                        counts["false"] += 1
+                        for inst in samples:
+                            full = oracle._closure(inst, oracle._ModSpan, False).dimension == n * q
+                            assert not full, ("a false cell with a full closure", rows, k, q)
+                        continue
+                    counts["true"] += 1
+                    assert any(controllability_rank(inst).controllable for inst in samples), (
+                        "a true cell with a deficient closure", rows, k, q)
+                    if not any(controllability_rank(inst, criterion="sequential_subspace")
+                               .controllable for inst in samples):
+                        gaps.append([n, m, [list(row) for row in rows], k, q])
+    return dict(counts, one_pass_gaps=gaps)
+
+
+def test_closure_census():
+    # On every small pattern a true verdict is a full closure and a false
+    # one a deficient closure.  One pass of k switches misses 12 true cells,
+    # all at n = 3, m = 1 and (1, 2): the relabellings of rows ((2,), (4,),
+    # (2,)), some with input stars added.
+    assert closure_census() == json.loads(GOLDEN_CENSUS.read_text())
+
+
+def test_closure_agreement_on_one_pass_gaps():
+    # The smallest one-pass gap and hub16 (at qn <= 64, so q <= 4 over its
+    # whole k range) agree with the verdict under the closure: no hard
+    # disagreement and no genericity miss.
+    smallest = SparsityPattern.from_rows(3, 1, ((2,), (4,), (2,)))
+    report = oracle_agreement([("smallest", smallest)], 2, 3, trials=2, seed=7)
+    hub = oracle_agreement([("hub16", benchmark_pattern("hub", 16, 0))], 7, 4, trials=2, seed=7)
+    for r in (report, hub):
+        assert not r.hard_disagreements and not r.genericity_misses
+    assert any(cell.structural for cell in hub.cells)
 
 
 def test_criteria_agree_on_corpus():
@@ -413,9 +350,9 @@ def test_criteria_agree_on_corpus():
         for k in (0, 1, 2):
             for q in (1, 2, 3):
                 inst = sample_instance(pattern, k, q, seed=rng.randint(0, 10**6))
-                span = controllability_rank(inst, criterion="mode_span")
+                closure = controllability_rank(inst, criterion="invariant_closure")
                 seq = controllability_rank(inst, criterion="sequential_subspace")
-                assert span.controllable == seq.controllable, (pattern, k, q)
+                assert closure.controllable == seq.controllable, (pattern, k, q)
 
 
 def test_unknown_criterion_rejected():
@@ -464,31 +401,31 @@ def _monte_carlo_cells():
 
 
 @pytest.fixture
-def full_mod_p_calls(monkeypatch):
-    """The arguments of every call of the modular pass."""
-    calls = []
-    full_mod_p = oracle._full_mod_p
+def closure_spans(monkeypatch):
+    """The span class of every kernel run, in order: _ModSpan for a modular
+    pass, _SpanBasis for an exact rank."""
+    spans = []
+    closure = oracle._closure
 
-    def counting_full_mod_p(*args):
-        calls.append(args)
-        return full_mod_p(*args)
+    def counting_closure(instance, span, one_pass):
+        spans.append(span)
+        return closure(instance, span, one_pass)
 
-    monkeypatch.setattr(oracle, "_full_mod_p", counting_full_mod_p)
-    return calls
+    monkeypatch.setattr(oracle, "_closure", counting_closure)
+    return spans
 
 
-def test_monte_carlo_matches_an_exact_rank_on_every_trial(monkeypatch, full_mod_p_calls):
+def test_monte_carlo_matches_an_exact_rank_on_every_trial(monkeypatch, closure_spans):
     # The modular pass only replaces an exact full rank by a proof of it, so
     # every answer is the exact-only call's, also when the pass never says full.
     answers = {}
     for seed, (pattern, k, q, trials) in enumerate(_monte_carlo_cells()):
         for criterion in CRITERIA:
-            for include_d0 in (True, False):
-                args = (pattern, k, q, trials, seed, DEFAULT_VALUE_BOUND, criterion, include_d0)
-                answers[args] = monte_carlo_controllable(*args)
-                assert answers[args] == reference_monte_carlo(*args), args
-    assert full_mod_p_calls
-    monkeypatch.setattr(oracle, "_full_mod_p", lambda instance, include_d0: False)
+            args = (pattern, k, q, trials, seed, DEFAULT_VALUE_BOUND, criterion)
+            answers[args] = monte_carlo_controllable(*args)
+            assert answers[args] == reference_monte_carlo(*args), args
+    assert oracle._ModSpan in closure_spans
+    monkeypatch.setattr(oracle._ModSpan, "add", lambda self, v: None)
     for args, answer in answers.items():
         assert monte_carlo_controllable(*args) == answer, args
 
@@ -514,11 +451,9 @@ def test_the_structural_verdict_never_changes_an_answer(monkeypatch, decision):
             decision=decision, certificate=_fake_certificates(pattern, k, q)[which]))
         for seed, (pattern, k, q, trials) in enumerate(_monte_carlo_cells()):
             for criterion in CRITERIA:
-                for include_d0 in (True, False):
-                    args = (pattern, k, q, trials, seed, DEFAULT_VALUE_BOUND, criterion,
-                            include_d0)
-                    assert monte_carlo_controllable(*args) == reference_monte_carlo(*args), (
-                        which, args)
+                args = (pattern, k, q, trials, seed, DEFAULT_VALUE_BOUND, criterion)
+                assert monte_carlo_controllable(*args) == reference_monte_carlo(*args), (
+                    which, args)
 
 
 @pytest.fixture
@@ -539,7 +474,7 @@ def exact_ranks(monkeypatch):
 def trial_path_calls(monkeypatch):
     """The count of calls of each name that a cell's verdict, proof and
     trials run, kept up to date as the referee runs."""
-    counts = dict.fromkeys(("check_structural", "sample_instance", "_full_mod_p",
+    counts = dict.fromkeys(("check_structural", "sample_instance", "_closure",
                             "controllability_rank"), 0)
     for name in counts:
         def counting(*args, _name=name, _original=getattr(oracle, name), **kwargs):
@@ -561,17 +496,15 @@ def test_a_checked_certificate_spares_every_rank(trial_path_calls):
              (FIG2A, 1, 3, ViolatingSubset),
              (benchmark_pattern("sparse-fail-unreachable", 7, 0), 1, 2, Unreachable)]
     calls = trial_path_calls
-    only_the_verdict = {"check_structural": 1, "sample_instance": 0, "_full_mod_p": 0,
+    only_the_verdict = {"check_structural": 1, "sample_instance": 0, "_closure": 0,
                         "controllability_rank": 0}
     for pattern, k, q, kind in cells:
         assert isinstance(check_structural(pattern, k, q).certificate, kind)
         for criterion in CRITERIA:
-            for include_d0 in (True, False):
-                calls.update(dict.fromkeys(calls, 0))
-                answer = monte_carlo_controllable(pattern, k, q, 4, 0, criterion=criterion,
-                                                  include_d0=include_d0)
-                assert answer == (False, 0)
-                assert calls == only_the_verdict, (pattern, k, q, criterion, include_d0)
+            calls.update(dict.fromkeys(calls, 0))
+            answer = monte_carlo_controllable(pattern, k, q, 4, 0, criterion=criterion)
+            assert answer == (False, 0)
+            assert calls == only_the_verdict, (pattern, k, q, criterion)
         calls.update(dict.fromkeys(calls, 0))
         with pytest.raises(ValueError, match="unknown criterion 'gramian'"):
             monte_carlo_controllable(pattern, k, q, 4, 0, criterion="gramian")
@@ -588,8 +521,8 @@ def test_a_checked_certificate_spares_every_rank(trial_path_calls):
 def test_genuine_certificates_check_and_prove_deficiency():
     # On seeded random patterns, the solver's certificate of every false
     # cell proves it deficient and passes the independent recheck, and each
-    # of its samples has a deficient exact rank under both criteria, with
-    # and without d = 0; a true cell's Saturated certificate proves nothing.
+    # of its samples has a deficient rank under both criteria; a true cell's
+    # Saturated certificate proves nothing.
     # Small value bounds make coincidental cancellation common.
     rng = random.Random(25)
     kinds = {ViolatingSubset: 0, Unreachable: 0}
@@ -607,10 +540,9 @@ def test_genuine_certificates_check_and_prove_deficiency():
         kinds[type(verdict.certificate)] += 1
         for seed in range(2):
             inst = sample_instance(pattern, k, q, seed=seed, value_bound=(2, 3, 10007)[t % 3])
-            for criterion, include_d0 in (("mode_span", True), ("mode_span", False),
-                                          ("sequential_subspace", True)):
-                report = controllability_rank(inst, criterion=criterion, include_d0=include_d0)
-                assert not report.controllable, (t, criterion, include_d0)
+            for criterion in CRITERIA:
+                report = controllability_rank(inst, criterion=criterion)
+                assert not report.controllable, (t, criterion)
     assert kinds[ViolatingSubset] >= 30 and kinds[Unreachable] >= 30, kinds
 
 
@@ -679,51 +611,56 @@ def test_oracle_agreement_decides_each_cell_once(monkeypatch):
     assert len(calls) == len(set(calls)) == len(report.cells) == 18
 
 
-def test_modular_pass_first_after_a_full_or_an_expected_full_sample(full_mod_p_calls,
-                                                                    exact_ranks):
+def test_modular_pass_first_after_a_full_or_an_expected_full_sample(closure_spans):
     # Hub n=8 at k=1 < k*=7 is structurally uncontrollable and its
-    # certificate passes, so the pass never runs; every backbone trial runs
-    # it first, and every sample is proved full mod p without an exact rank.
-    calls = full_mod_p_calls
+    # certificate passes, so no kernel runs; every backbone trial runs the
+    # modular pass first, under both criteria, and every sample is proved
+    # full mod p without an exact rank.
     trials = 6
     assert monte_carlo_controllable(benchmark_pattern("hub", 8, 0), 1, 2, trials, 0) == (False, 0)
-    assert not calls
+    assert not closure_spans
     backbone = benchmark_pattern("backbone", 7, 0)
-    assert monte_carlo_controllable(backbone, 1, 2, trials, 0) == (True, trials)
-    assert len(calls) == trials
-    assert not exact_ranks
-    calls.clear()
-    monte_carlo_controllable(backbone, 1, 2, trials, 0, criterion="sequential_subspace")
-    assert not calls
+    for criterion in CRITERIA:
+        closure_spans.clear()
+        assert monte_carlo_controllable(backbone, 1, 2, trials, 0, criterion=criterion) == (
+            True, trials)
+        assert closure_spans == [oracle._ModSpan] * trials
 
 
 def test_full_mod_p_implies_full_rank(monkeypatch):
-    # A full answer mod a prime must be a full exact rank.  Small value
-    # bounds make deficient samples common; a bound above the modulus lets
-    # entries vanish mod it, which at PRIME is rare, so half the instances
-    # run with the modulus 7 in its place.
+    # A full modular pass must be a full exact rank: the literal closure's
+    # for invariant_closure, the exact kernel's for sequential_subspace.
+    # Small value bounds make deficient samples common; a bound above the
+    # modulus lets entries vanish mod it, which at PRIME is rare, so half
+    # the instances run with the modulus 7 in its place.  qn stays at most 24.
     rng = random.Random(21)
     answers = {True: 0, False: 0}
     vanished = 0
     missed_at_7 = False  # a sample full exactly but not mod 7
-    for t in range(2000):
-        if t == 1000:
+    for t in range(600):
+        if t == 300:
             monkeypatch.setattr(oracle, "PRIME", 7)
         prime = oracle.PRIME
         n = rng.randint(1, 8)
         pattern = random_pattern(n, rng.randint(0, 3), rng.random(), rng.randrange(1 << 30))
-        inst = sample_instance(pattern, rng.randint(0, 3), rng.randint(1, 4),
+        inst = sample_instance(pattern, rng.randint(0, 3), rng.randint(1, 24 // n),
                                seed=rng.randrange(1 << 30),
                                value_bound=(2, 3, 10007, 2 * prime)[t % 4])
         vanished += sum(x % prime == 0 for a, b in inst.blocks.values()
                         for row in a + b for x in row if x)
-        include_d0 = t // 4 % 2 == 0
-        full = oracle._full_mod_p(inst, include_d0)
+        one_pass = t // 4 % 2 == 1
+        dim = n * inst.q
+        full = oracle._closure(inst, oracle._ModSpan, one_pass).dimension == dim
         answers[full] += 1
-        if full:
-            assert controllability_rank(inst, include_d0=include_d0).controllable, (t, prime)
-        elif prime == 7 and not missed_at_7:
-            missed_at_7 = controllability_rank(inst, include_d0=include_d0).controllable
+        if full or prime == 7 and not missed_at_7:
+            if one_pass:
+                exact = oracle._closure(inst, oracle._SpanBasis, True).dimension
+            else:
+                exact = literal_closure_rank(inst)
+            if full:
+                assert exact == dim, (t, prime)
+            else:
+                missed_at_7 = exact == dim
     assert answers[True] and answers[False], answers
     assert vanished
     # the patched modulus reaches the modular pass
@@ -731,11 +668,10 @@ def test_full_mod_p_implies_full_rank(monkeypatch):
 
 
 def test_modular_dimension_matches_rank_mod_of_literal_columns(monkeypatch):
-    # The modular pass's dimension is the rank mod the prime of every
-    # literal power column, full or deficient, with and without d = 0; a
-    # quarter of the instances run with the modulus 7, where entries and
-    # minors vanish mod it often.  Most instances keep qn <= 24 and one in
-    # ten reaches up to the guard, qn = 64.
+    # The modular closure's dimension is the rank mod the prime of the
+    # literal closure, full or deficient; a quarter of the instances run
+    # with the modulus 7, where entries and minors vanish mod it often.
+    # Instances keep qn <= 24, but one in 25 reaches up to the guard, 64.
     rng = random.Random(30)
     prime = oracle.PRIME
     deficient = 0
@@ -743,14 +679,12 @@ def test_modular_dimension_matches_rank_mod_of_literal_columns(monkeypatch):
         monkeypatch.setattr(oracle, "PRIME", 7 if t // 4 % 4 == 0 else prime)
         n = rng.randint(1, 8)
         pattern = random_pattern(n, rng.randint(0, 3), rng.random(), rng.randrange(1 << 30))
-        q = rng.randint(1, (64 if t % 10 == 0 else 24) // n)
+        q = rng.randint(1, (64 if t % 25 == 0 else 24) // n)
         inst = sample_instance(pattern, rng.randint(0, 3), q, seed=rng.randrange(1 << 30),
                                value_bound=(2, 3, 10007, 1 << 32)[t % 4])
-        for include_d0 in (True, False):
-            dimension = oracle._union_dimension(inst, include_d0, oracle._ModSpan)
-            expected = rank_mod(literal_mode_span_columns(inst, include_d0), oracle.PRIME)
-            assert dimension == expected, (t, include_d0, oracle.PRIME)
-            deficient += dimension < n * q
+        dimension = oracle._closure(inst, oracle._ModSpan, False).dimension
+        assert dimension == literal_closure_rank(inst, oracle.PRIME), (t, oracle.PRIME)
+        deficient += dimension < n * q
     assert deficient >= 200, deficient
 
 
@@ -798,7 +732,8 @@ def agreement_reports() -> dict:
 
 
 def test_oracle_agreement_golden():
-    # Frozen before the structural proof moved from each sample to the cell.
+    # The sequential_subspace reports were frozen before the structural proof
+    # moved from each sample to the cell.
     assert agreement_reports() == json.loads(GOLDEN_AGREEMENT.read_text())
 
 

@@ -32,10 +32,10 @@ NET = build_small_network(P, 0, 1)
 CELL = CrosscheckCell(0, 1, True, True, 2, 2, True, True)
 CELL_REPR = ("CrosscheckCell(k=0, q=1, structural=True, brute=True, theta=2, theta_hat=2, "
              "counting_ok=True, agree=True)")
-AGREEMENT_CELL = AgreementCell("fig", 0, 1, True, True, 3, 3, "mode_span", False)
+AGREEMENT_CELL = AgreementCell("fig", 0, 1, True, True, 3, 3, "invariant_closure", False)
 AGREEMENT_CELL_REPR = ("AgreementCell(pattern_id='fig', k=0, q=1, structural=True, "
-                       "numerical=True, successes=3, trials=3, criterion='mode_span', "
-                       "retried=False)")
+                       "numerical=True, successes=3, trials=3, "
+                       "criterion='invariant_closure', retried=False)")
 # One value per star of P, row-major: (1, 3), (2, 1), (2, 3).
 VALUES = (1, 5, 2)
 
@@ -66,10 +66,10 @@ CASES = [
      f"arcs={NET.arcs!r}, capacity={NET.capacity!r})"),
     (FlowAssignment, ((1, Fraction(1, 2)), Fraction(3, 2)),
      "FlowAssignment(values=(1, Fraction(1, 2)), value_total=Fraction(3, 2))"),
-    (RankReport, (2, 2, True, "mode_span", (0, 2)),
-     "RankReport(rank=2, full_dim=2, controllable=True, criterion='mode_span', "
-     "d_range_used=(0, 2))"),
-    (AgreementCell, ("fig", 0, 1, True, True, 3, 3, "mode_span", False), AGREEMENT_CELL_REPR),
+    (RankReport, (2, 2, True, "invariant_closure"),
+     "RankReport(rank=2, full_dim=2, controllable=True, criterion='invariant_closure')"),
+    (AgreementCell, ("fig", 0, 1, True, True, 3, 3, "invariant_closure", False),
+     AGREEMENT_CELL_REPR),
     (AgreementReport, ((AGREEMENT_CELL,), ("x",), ()),
      f"AgreementReport(cells=({AGREEMENT_CELL_REPR},), hard_disagreements=('x',), "
      "genericity_misses=())"),
