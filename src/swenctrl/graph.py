@@ -7,10 +7,12 @@ core they import only the (k, q) guard check_kq.  One subset's two sides
 are counted by _subset_sides alone, for core_condition_holds and decide's
 witness_from_cut and recheck_certificate.  The 2^n state subsets are
 enumerated once per pattern (_subset_classes): the unions of two halves of
-the states are tabulated apart and joined, each subset folded as it is
-formed into a class keyed by the three counts the counting condition
-reads.  The verdict, the least violation and k* are read off those classes
-for any (k, q).
+the states are tabulated apart, each table folded to its distinct entries
+at their least masks, and only those are joined, each subset folded as it
+is formed into a class keyed by the three counts the counting condition
+reads.  A class's least mask joins two such entries, as a smaller half with
+the same union would give the same key.  The verdict, the least violation
+and k* are read off those classes for any (k, q).
 
 The pattern is the digraph: state node a_i stands for state coordinate i and
 control node b_j for input channel j, and each column j of row i is the
@@ -102,16 +104,20 @@ def _check_brute_size(pattern: SparsityPattern) -> None:
         )
 
 
-def _union_table(amask: list[int], bmask: list[int]) -> list[tuple[int, int, int]]:
-    """(|s|, alpha_in, beta_in) at index s for every subset mask s of the
+def _union_table(amask: list[int], bmask: list[int]) -> dict[tuple[int, int, int], int]:
+    """Each distinct (|s|, alpha_in, beta_in) of the subset masks s of the
     states whose in-neighbour masks are listed, bit i standing for amask[i],
-    bmask[i]: each subset adds its lowest state to the subset without it."""
+    bmask[i], mapped to its least s, in ascending order of s: each subset
+    adds its lowest state to the subset without it."""
     table = [(0, 0, 0)]
     for s in range(1, 1 << len(amask)):
         low = (s & -s).bit_length() - 1
         size, a, b = table[s & (s - 1)]
         table.append((size + 1, a | amask[low], b | bmask[low]))
-    return table
+    firsts: dict[tuple[int, int, int], int] = {}
+    for s, entry in enumerate(table):
+        firsts.setdefault(entry, s)
+    return firsts
 
 
 def _mask_to_set(mask: int) -> frozenset[int]:
@@ -121,21 +127,23 @@ def _mask_to_set(mask: int) -> frozenset[int]:
 def _subset_classes(pattern: SparsityPattern) -> dict[tuple[int, int, int], int]:
     """The nonempty state subsets folded into classes keyed by the three
     counts the counting condition reads, (|V'|, |alpha_in|, |beta_in|), each
-    class mapped to its least subset mask.  The unions of the low n//2
-    states and of the others are tabulated apart (_union_table, at most 2^12
-    entries each) and joined in ascending mask order, so the first mask seen
-    in a class is its least.  Every (k, q) reads the same classes, so a
-    pattern's subsets are enumerated once: at n = 10, at most 11 * 11 * (m+1)
-    classes stand for 1023 subsets."""
+    class mapped to its least subset mask.  The distinct unions of the low
+    n//2 states and of the others, each at its least mask (_union_table),
+    are joined in ascending mask order, so the first mask seen in a class is
+    its least: that mask's halves are least in their own unions, or a
+    smaller mask would give the same key.  Every (k, q) reads the same
+    classes, so a pattern's subsets are enumerated once: at n = 10, at most
+    11 * 11 * (m+1) classes stand for 1023 subsets, and a hub pattern's
+    halves fold from 32 entries to about 9 each."""
     n, rows = pattern.n, pattern.rows
     amask = [sum(1 << (j - 1) for j in row if j <= n) for row in rows]
     bmask = [sum(1 << (j - n - 1) for j in row if j > n) for row in rows]
     h = n // 2
-    low = _union_table(amask[:h], bmask[:h])
+    low = list(_union_table(amask[:h], bmask[:h]).items())
     classes: dict[tuple[int, int, int], int] = {}
-    for hi, (size_hi, a_hi, b_hi) in enumerate(_union_table(amask[h:], bmask[h:])):
+    for (size_hi, a_hi, b_hi), hi in _union_table(amask[h:], bmask[h:]).items():
         base = hi << h
-        for lo, (size, a, b) in enumerate(low):
+        for (size, a, b), lo in low:
             key = (size_hi + size, (a_hi | a).bit_count(), (b_hi | b).bit_count())
             if key not in classes:  # cheaper than a setdefault call on every subset
                 classes[key] = base | lo

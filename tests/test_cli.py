@@ -406,6 +406,12 @@ def test_exit_code_brute_enumeration_guard(tmp_path, capsys):
     assert code == 3 and "flow-based" in err
 
 
+def test_brute_at_the_enumeration_guard(tmp_path, capsys):
+    path = write_pattern(tmp_path, hub_pattern(24))
+    code, out, _ = run_cli(capsys, "brute", path, "--k", "7", "--q", "2")
+    assert code == 0 and json.loads(out)["decision"] is True
+
+
 DENSE_2X1 = SparsityPattern(2, 1, frozenset((i, j) for i in (1, 2) for j in (1, 2, 3)))
 DENSE_8X2 = SparsityPattern(8, 2, frozenset((i, j) for i in range(1, 9) for j in range(1, 11)))
 INT64_MAX = (1 << 63) - 1

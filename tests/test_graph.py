@@ -1,12 +1,21 @@
 import random
 
 import pytest
-from helpers import FIG1, FIG2A, TWO_CYCLE, lift_ensemble, reference_brute
+from helpers import (
+    FIG1,
+    FIG2A,
+    TWO_CYCLE,
+    benchmark_pattern,
+    hub_pattern,
+    lift_ensemble,
+    reference_brute,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import swenctrl.graph
 from swenctrl.core import in_neighbours
+from swenctrl.decide import check_structural, compute_kstar, recheck_certificate
 from swenctrl.errors import ScaleError
 from swenctrl.graph import (
     _least_violation,
@@ -134,16 +143,46 @@ def test_brute_force_scale_guard():
         kstar_brute(p)
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 8, 13])
-def test_subset_classes_keep_the_least_mask(n):
-    p = random_pattern(n, 2, 0.3, seed=n)
+LEAST_MASK_PATTERNS = {
+    **{str(n): random_pattern(n, 2, 0.3, seed=n) for n in (1, 2, 5, 8, 13)},
+    **{f"hub{n}": hub_pattern(n) for n in range(9, 15)},
+    **{f"bench_hub10_{s}": benchmark_pattern("hub", 10, s) for s in range(3)},
+    **{f"bench_sparse_fail8_{s}": benchmark_pattern("sparse-fail", 8, s) for s in range(3)},
+    # rows 1, 2 and 6 equal, rows 3 and 5 empty, row 4 a state column only
+    "duplicate_and_empty_rows": SparsityPattern.from_rows(
+        6, 1, ((1, 7), (1, 7), (), (2,), (), (1, 7))),
+    "no_inputs": random_pattern(9, 0, 0.3, seed=9),
+}
+
+
+@pytest.mark.parametrize("name", LEAST_MASK_PATTERNS)
+def test_subset_classes_keep_the_least_mask(name):
+    """The classes, in order, are the literal walk's: every mask in
+    ascending order, each class kept at the first mask that reaches it."""
+    p = LEAST_MASK_PATTERNS[name]
+    n = p.n
     expected = {}
     for s in range(1, 1 << n):
         subset = {i + 1 for i in range(n) if s >> i & 1}
         cols = {j for i, j in p.stars if i in subset}
         key = (len(subset), sum(j <= n for j in cols), sum(j > n for j in cols))
         expected.setdefault(key, s)
-    assert _subset_classes(p) == expected
+    assert list(_subset_classes(p).items()) == list(expected.items())
+
+
+@pytest.mark.parametrize("k, q", [(6, 2), (6, 25), (7, 25), (7, 2)])
+def test_brute_referees_at_the_guard_on_a_hub(k, q):
+    """At n = 24, the enumeration guard, the hub's blocks repeat their
+    half-unions, so the referees join a few dozen entries rather than
+    walking 2^24 subsets; they agree with the flow on both sides of k* = 7,
+    and a violating subset passes the recheck."""
+    p = hub_pattern(24)
+    verdict = brute_force_check(p, k, q)
+    assert verdict.decision == check_structural(p, k, q).decision
+    if not verdict.decision:
+        assert isinstance(verdict.certificate, ViolatingSubset)
+        assert recheck_certificate(p, verdict)
+    assert kstar_brute(p).value == compute_kstar(p).value == 7
 
 
 def test_brute_referees_match_the_literal_walk():
