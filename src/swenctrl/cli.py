@@ -3,15 +3,13 @@
 Subcommands: check, kstar, brute, oracle, crosscheck, flowdump, bench.
 Exit status: 0 on successful execution regardless of verdict, 1 on usage
 errors, 2 on input/parse errors, 3 on scale/overflow guards.  JSON output is
-byte-deterministic for identical inputs.  When SWENCTRL_CI is set, randomized
-commands (oracle, bench) refuse to run without an explicit --seed.
+byte-deterministic for identical inputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 # check and kstar need only the decision core; every other subcommand
@@ -21,8 +19,6 @@ from .core import check_structural, compute_kstar
 from .errors import ParseError, ScaleError
 from .pattern import CRITERIA, DEFAULT_VALUE_BOUND, SparsityPattern, parse_pattern
 from .results import kstar_to_dict, verdict_to_dict
-
-CI_ENV_VAR = "SWENCTRL_CI"
 
 
 class _UsageError(Exception):
@@ -51,10 +47,6 @@ def _emit(args, obj: dict, text_lines) -> None:
     else:
         for line in text_lines:
             print(line)
-
-
-def _seed_or_default(args) -> int:
-    return 0 if args.seed is None else args.seed
 
 
 def _run_on_pattern(args) -> int:
@@ -105,9 +97,8 @@ def _kstar(args, pattern: SparsityPattern):
 def _oracle(args, pattern: SparsityPattern):
     from .oracle import monte_carlo_controllable
 
-    seed = _seed_or_default(args)
     controllable, successes = monte_carlo_controllable(
-        pattern, args.k, args.q, args.trials, seed,
+        pattern, args.k, args.q, args.trials, args.seed,
         value_bound=args.value_bound, criterion=args.criterion,
     )
     obj = {
@@ -119,7 +110,7 @@ def _oracle(args, pattern: SparsityPattern):
         "full_dim": pattern.n * args.q,
         "criterion": args.criterion,
         "value_bound": args.value_bound,
-        "seed": seed,
+        "seed": args.seed,
     }
     return obj, [
         f"controllable: {controllable} ({successes}/{args.trials} full-rank samples)",
@@ -142,7 +133,7 @@ def _run_tool(args) -> int:
 
     if args.command == "flowdump":
         return tools.flowdump(args, _load_pattern(args.pattern))
-    return tools.bench(args, _seed_or_default(args))
+    return tools.bench(args)
 
 
 def _add_pattern_command(sub, name: str, help: str, answer) -> _Parser:
@@ -179,7 +170,7 @@ def _add_oracle(sub) -> None:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--value-bound", type=int, default=DEFAULT_VALUE_BOUND)
     p.add_argument("--criterion", choices=CRITERIA, default="invariant_closure")
 
@@ -209,7 +200,7 @@ def _add_bench(sub) -> None:
     p.add_argument("--nmin", type=int, default=50)
     p.add_argument("--nmax", type=int, default=400)
     p.add_argument("--density", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--q", type=int, default=3)
@@ -249,8 +240,6 @@ def main(argv=None) -> int:
     parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
-        if os.environ.get(CI_ENV_VAR) and getattr(args, "seed", 0) is None:
-            raise _UsageError(f"--seed is required when {CI_ENV_VAR} is set")
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

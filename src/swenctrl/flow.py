@@ -26,18 +26,17 @@ levels by residual distance to the sink) on those lists: max_flow starts it
 from zero flow, and min_cut reads the cut of a given flow off one augment
 call, whose last search labels the sink side of the source-maximal min cut,
 and checks the capacity of the arcs entering that side against the flow
-value.  lifted_value gives the expanded network's value with no network at
-all: its arcs all have capacity 1, so the value is a maximum bipartite
-matching on its middle layer, read off the rows as plain int adjacency with
-build_lifted_network's ids.  Each right node lists its left nodes layer by
-layer, so that layers 0..k form a prefix of its list.  lifted_values gives
-the value of every cell of a (k, q) grid, for crosscheck: it keeps one
-adjacency, extends every list by a layer in place as each row k begins, and
-grows each cell's maximum matching from a smaller cell's (warm start).  One
-Hopcroft-Karp routine, _match, serves both, from the empty matching or from
-the warm one; it shares no code with augment or with the transport solver,
-so crosscheck's two values come from independent solvers.  Both readings of
-the expansion pass one size guard, cell by cell.
+value.  lifted_values, crosscheck's one reader of the expanded network's
+value, builds no network: its arcs all have capacity 1, so each cell's
+value is a maximum bipartite matching on its middle layer, read off the
+rows as plain int adjacency.  Each right node lists its left nodes layer
+by layer; one adjacency serves the whole (k, q) grid, every list gaining
+a layer in place as each row k begins, and each cell's maximum matching
+grows from a smaller cell's (warm start).  The Hopcroft-Karp routine
+_match shares no code with augment or with the transport solver, so
+crosscheck's two values come from independent solvers; Dinic on
+build_lifted_network is the matching's reference in the tests.  Both
+readings of the expansion pass one size guard, cell by cell.
 
 The node-collapsing map phi sends expanded nodes onto compact ones; flows
 transfer along phi in both directions with their value preserved.  This
@@ -254,16 +253,6 @@ def _lifted_arcs(n: int, m: int, stars: int, k: int, q: int) -> int:
     return (k + 1) * (m + n * q + q * stars) + n * q
 
 
-def _check_lifted_size(pattern: SparsityPattern, k: int, q: int) -> None:
-    """The one size guard of the expanded network, whether it is built with
-    named nodes or read as a matching: (k, q) pass check_kq, and the arc
-    count _lifted_arcs stays within MAX_LIFTED_ARCS, else ScaleError."""
-    n, m = pattern.n, pattern.m
-    check_kq(n, m, k, q)
-    if _lifted_arcs(n, m, sum(map(len, pattern.rows)), k, q) > MAX_LIFTED_ARCS:
-        raise ScaleError(f"(k+1)(m+nq+q|E|)+nq exceeds the {MAX_LIFTED_ARCS} arc guard")
-
-
 def build_lifted_network(pattern: SparsityPattern, k: int, q: int) -> FlowNetwork:
     """Expanded unit-capacity network: left layer of (k+1)(m+nq) nodes, right
     layer of nq nodes, state copies wired within their own ensemble copy.
@@ -271,12 +260,15 @@ def build_lifted_network(pattern: SparsityPattern, k: int, q: int) -> FlowNetwor
     Node ids follow the name order: lam_{ell,i}, then nu_{ell,p,j}, then
     mu_{p,j}, each with its last index running fastest.  The middle arcs
     expand the compact middle arcs in their order, each over its layers ell
-    and then its ensemble copies p.  Raises ScaleError, before allocating,
-    when (k, q) fail check_kq or the arc count (k+1)(m+nq) + (k+1)q|E| + nq
-    exceeds MAX_LIFTED_ARCS.
+    and then its ensemble copies p.  (k, q) pass check_kq first; then the
+    one size guard of the expansion, which lifted_values applies cell by
+    cell, raises ScaleError, before allocating, when the arc count
+    (k+1)(m+nq) + (k+1)q|E| + nq exceeds MAX_LIFTED_ARCS.
     """
     n, m = pattern.n, pattern.m
-    _check_lifted_size(pattern, k, q)
+    check_kq(n, m, k, q)
+    if _lifted_arcs(n, m, sum(map(len, pattern.rows)), k, q) > MAX_LIFTED_ARCS:
+        raise ScaleError(f"(k+1)(m+nq+q|E|)+nq exceeds the {MAX_LIFTED_ARCS} arc guard")
     kp1 = k + 1
     nu0 = 1 + kp1 * m
     mu0 = nu0 + kp1 * q * n
@@ -322,26 +314,10 @@ def _add_layer(adjacency: list[list[int]], rows, n: int, lam: int, nu: int) -> N
             lefts += [shift + c for c in states]
 
 
-def _lifted_adjacency(pattern: SparsityPattern, k: int, q: int) -> list[list[int]]:
-    """The expanded network's middle layer as plain int adjacency: entry
-    p*n + i - 1 lists the left ids adjacent to the right node mu_{p+1,i},
-    layer by layer, so that its first (k'+1)|row i| entries are its arcs in
-    layers 0..k'; within a layer, input columns come first.  The ids are
-    build_lifted_network's: lam_{ell+1,c-n} is ell*m + c - n for an input
-    column c, and nu_{ell+1,p+1,c} is nu0 + (ell*q + p)*n + c - 1 for a state
-    column c.  Raises as build_lifted_network does, before allocating."""
-    n, m = pattern.n, pattern.m
-    _check_lifted_size(pattern, k, q)
-    nu0 = 1 + (k + 1) * m
-    adjacency: list[list[int]] = [[] for _ in range(q * n)]
-    for ell in range(k + 1):
-        _add_layer(adjacency, pattern.rows, n, ell * m, nu0 + ell * q * n)
-    return adjacency
-
-
 def _match(adjacency: list[list[int]], mate: list[int], free) -> list[int]:
     """Raise the matching mate to a maximum one, in place, and return the
-    right nodes it leaves free.
+    right nodes it leaves free; lifted_values calls it once per cell, with
+    a smaller cell's maximum matching.
 
     mate[v] is the right node (an index into adjacency) matched to the left
     id v, or -1.  free lists every right node that mate leaves free; they
@@ -416,37 +392,28 @@ def _match(adjacency: list[list[int]], mate: list[int], free) -> list[int]:
     return free
 
 
-def lifted_value(pattern: SparsityPattern, k: int, q: int) -> int:
-    """Maximum flow value of the expanded network, without building it.
+def lifted_values(pattern: SparsityPattern, k_max: int, q_max: int) -> list[list[int | None]]:
+    """Maximum flow value of the expanded network in every cell of the grid
+    [0..k_max] x [1..q_max], without building it: row k of the result holds
+    the values of (k, 1)..(k, q_max), None for a cell over the arc guard.
+    (k_max, q_max) pass check_kq first.
 
     Every arc of that network has capacity 1, and each left node has one
     source arc and each right node one sink arc, so its value is the size of
-    a maximum matching between its left and right layers (_lifted_adjacency),
-    which _match grows from the empty matching.  Raises ScaleError as
-    build_lifted_network does.
-    """
-    adjacency = _lifted_adjacency(pattern, k, q)
-    mate = [-1] * (1 + (k + 1) * (pattern.m + q * pattern.n))
-    return len(adjacency) - len(_match(adjacency, mate, range(len(adjacency))))
-
-
-def lifted_values(pattern: SparsityPattern, k_max: int, q_max: int) -> list[list[int | None]]:
-    """lifted_value for every cell of the grid [0..k_max] x [1..q_max]: row k
-    of the result holds the values of (k, 1)..(k, q_max), None for a cell
-    over the arc guard.
-
-    The expanded network of (k, q) contains that of every smaller cell, so
-    one adjacency serves the grid.  The guard is monotone in k and in q, so
-    row k passes up to a width w_k <= w_{k-1} and ends there.  As row k
-    begins, the lists of the copies past w_k are dropped, every other list
-    gains its layer k in place, and the layer's m + w_k*n left nodes take
-    the next ids; the live adjacency is the middle layer of the passing cell
-    (k, w_k).  A matching of a cell is one of every larger cell, so _match
+    a maximum matching between its left and right layers, each right node
+    listing its left ids layer by layer (_add_layer).  The expanded network
+    of (k, q) contains that of every smaller cell, so one adjacency serves
+    the grid.  The guard is monotone in k and in q, so row k passes up to a
+    width w_k <= w_{k-1} and ends there.  As row k begins, the lists of the
+    copies past w_k are dropped, every other list gains its layer k in
+    place, and the layer's m + w_k*n left nodes take the next ids; the live
+    adjacency is the middle layer of the passing cell (k, w_k).  A matching of a cell is one of every larger cell, so _match
     grows (k, q) from the maximum matching of (k, q-1), rooted at its free
     right nodes and the new copy's (a path through the new copy may reach an
     old free one), and (k, 1) from a saved copy of (k-1, 1)'s.
     """
     n, m, rows = pattern.n, pattern.m, pattern.rows
+    check_kq(n, m, k_max, q_max)
     stars = sum(map(len, rows))
     values: list[list[int | None]] = [[None] * q_max for _ in range(k_max + 1)]
     width = q_max

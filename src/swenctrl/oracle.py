@@ -344,6 +344,8 @@ def monte_carlo_controllable(
     cell draws its trials, so the verdict never decides an answer alone."""
     if type(trials) is not int or trials < 1:
         raise ValueError("trials must be >= 1")
+    if type(seed) is not int:
+        raise ValueError("seed must be an integer")
     if trials > MAX_ORACLE_TRIALS:
         raise ScaleError(f"trials = {trials} exceeds the guard {MAX_ORACLE_TRIALS}")
     if q * pattern.n > MAX_ORACLE_DIM:
@@ -390,6 +392,8 @@ def oracle_agreement(
     corpus = list(corpus)
     if type(trials) is not int or trials < 1:
         raise ValueError("trials must be >= 1")
+    if type(seed) is not int:
+        raise ValueError("seed must be an integer")
     if 4 * trials > MAX_ORACLE_TRIALS:
         raise ScaleError(f"4*trials = {4 * trials} (the retry) exceeds the guard "
                          f"{MAX_ORACLE_TRIALS}")

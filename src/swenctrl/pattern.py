@@ -14,6 +14,7 @@ blocks are views built on each read, for the public API only.
 from __future__ import annotations
 
 import json
+from operator import ge
 
 from .core import check_kq
 from .errors import ParseError, ScaleError
@@ -70,8 +71,18 @@ class SparsityPattern(FrozenValue):
     @classmethod
     def from_rows(cls, n: int, m: int, rows: tuple[tuple[int, ...], ...]) -> SparsityPattern:
         """The pattern whose row i holds the star columns rows[i-1], each row a
-        tuple sorted ascending without repeats, as the parsers read them.
-        The range checks run per row, on its first and last column."""
+        tuple sorted ascending without repeats, else ValueError."""
+        self = cls._from_sorted_rows(n, m, rows)
+        for i, row in enumerate(rows, 1):
+            if any(map(ge, row, row[1:])):
+                raise ValueError(f"row {i}: star columns {row} are not strictly increasing")
+        return self
+
+    @classmethod
+    def _from_sorted_rows(cls, n: int, m: int, rows) -> SparsityPattern:
+        """from_rows for rows strictly increasing by construction, as the
+        parsers and generators build them: the range checks run per row, on
+        its first and last column."""
         _check_dims(n, m)
         if len(rows) != n:
             raise ValueError(f"expected {n} rows, got {len(rows)}")
@@ -172,7 +183,7 @@ def _parse_grid(text: str) -> SparsityPattern:
         raise ParseError("missing header line 'n m'")
     if len(rows) != n:
         raise ParseError(f"expected {n} pattern rows, got {len(rows)}")
-    return SparsityPattern.from_rows(n, m, tuple(rows))
+    return SparsityPattern._from_sorted_rows(n, m, tuple(rows))
 
 
 def _parse_json(text: str) -> SparsityPattern:
@@ -210,7 +221,7 @@ def _parse_json(text: str) -> SparsityPattern:
             raise ParseError(f"stars[{idx}]: column index {j} out of range 1..{n + m}")
         stars.add((i, j))
     _check_dims(n, m)  # before the n rows are allocated
-    return SparsityPattern.from_rows(n, m, _rows_of(n, stars))
+    return SparsityPattern._from_sorted_rows(n, m, _rows_of(n, stars))
 
 
 def serialize_pattern(pattern: SparsityPattern, fmt: str = "grid") -> str:
@@ -245,7 +256,7 @@ def random_pattern(n: int, m: int, density, seed: int) -> SparsityPattern:
     rng = random.Random(seed)
     columns = range(1, n + m + 1)
     rows = tuple(tuple(j for j in columns if rng.random() < d) for _ in range(n))
-    return SparsityPattern.from_rows(n, m, rows)
+    return SparsityPattern._from_sorted_rows(n, m, rows)
 
 
 class EnsembleInstance(FrozenValue):
@@ -292,11 +303,11 @@ class EnsembleInstance(FrozenValue):
 
 def check_sample_size(pattern: SparsityPattern, k: int, q: int, value_bound: int) -> None:
     """The sampler's guards, checked before any draw: check_kq on (k, q),
-    ValueError when value_bound < 2, and ScaleError when value_bound exceeds
-    MAX_VALUE_BOUND or a (k, q) sample of `pattern` spans more than
-    MAX_SAMPLE_CELLS matrix entries."""
+    ValueError unless value_bound >= 2 is of type int (so no bool or float),
+    and ScaleError when value_bound exceeds MAX_VALUE_BOUND or a (k, q)
+    sample of `pattern` spans more than MAX_SAMPLE_CELLS matrix entries."""
     check_kq(pattern.n, pattern.m, k, q)
-    if value_bound < 2:
+    if type(value_bound) is not int or value_bound < 2:
         raise ValueError("value_bound must be >= 2")
     if value_bound > MAX_VALUE_BOUND:
         raise ScaleError(f"value_bound of {value_bound.bit_length()} bits exceeds the guard "

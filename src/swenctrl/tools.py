@@ -2,7 +2,7 @@
 its timing rows and the fitted log-log slope.  The CLI imports this module
 only when one of those two subcommands runs, so check and kstar compile
 none of it; it imports nothing of the CLI, which hands each handler its
-parsed arguments and the pattern or the seed."""
+parsed arguments, and flowdump the pattern too."""
 
 from __future__ import annotations
 
@@ -49,7 +49,7 @@ def bench_pattern(n: int, density: float, seed: int) -> SparsityPattern:
     m = max(1, n // 10)
     base = random_pattern(n, m, density, seed)
     rows = tuple(tuple(sorted({*row, i, n + 1})) for i, row in enumerate(base.rows, 1))
-    return SparsityPattern.from_rows(n, m, rows)
+    return SparsityPattern._from_sorted_rows(n, m, rows)
 
 
 def _best_time(fn, repeats: int) -> float:
@@ -127,13 +127,13 @@ def run_bench(nmin: int, nmax: int, density: float, seed: int,
     }
 
 
-def bench(args, seed: int) -> int:
+def bench(args) -> int:
     # the CLI reports a ValueError as a usage error, exit 1
     if args.nmin < 1 or args.nmax < args.nmin:
         raise ValueError("require 1 <= nmin <= nmax")
     if args.repeats < 1:
         raise ValueError("require repeats >= 1")
-    result = run_bench(args.nmin, args.nmax, args.density, seed,
+    result = run_bench(args.nmin, args.nmax, args.density, args.seed,
                        repeats=args.repeats, k=args.k, q=args.q)
     if args.output == "json":
         print(json.dumps(result, indent=2, sort_keys=True))

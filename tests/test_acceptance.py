@@ -16,7 +16,7 @@ from swenctrl.flow import (
     build_lifted_network,
     build_small_network,
     lift_flow,
-    lifted_value,
+    lifted_values,
     max_flow,
     project_flow,
     verify_flow,
@@ -74,11 +74,12 @@ def test_criterion_2_expanded_network_value():
     assert len(patterns) >= 50
     mismatches = []
     for pattern in patterns:
+        grid = lifted_values(pattern, 2, 3)
         for k in (0, 1, 2):
             for q in (1, 2, 3):
                 theta = max_flow(build_small_network(pattern, k, q)).value_total
                 theta_hat = max_flow(build_lifted_network(pattern, k, q)).value_total
-                matching = lifted_value(pattern, k, q)
+                matching = grid[k][q - 1]
                 if not theta == theta_hat == matching:
                     mismatches.append((sorted(pattern.stars), k, q, theta, theta_hat, matching))
     elapsed = perf_counter() - t0

@@ -681,15 +681,6 @@ def test_json_output_byte_deterministic(tmp_path, capsys):
     assert o1 == o2
 
 
-def test_ci_mode_requires_seed(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SWENCTRL_CI", "1")
-    path = write_pattern(tmp_path, FIG2A)
-    code, _, err = run_cli(capsys, "oracle", path, "--k", "1", "--q", "2", "--trials", "2")
-    assert code == 1 and "--seed" in err
-    code, *_ = run_cli(capsys, "oracle", path, "--k", "1", "--q", "2", "--trials", "2", "--seed", "4")
-    assert code == 0
-
-
 def test_certificate_reverifies_from_json(tmp_path, capsys):
     # External-tool style verification: JSON + the pattern file suffice.
     from swenctrl.decide import recheck_certificate

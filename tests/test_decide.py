@@ -518,11 +518,11 @@ def test_crosscheck_theta_hat_none_above_the_lifted_guard(monkeypatch):
 
     Then a staircase: a guard that passes (0, q_max) and (k_max, 1) but not
     (k_max, q_max) cuts each row of the grid at its own width.  The cells
-    over it report None, the others the cold matching value, and no
-    ScaleError escapes.  A spy on the matching sees the live adjacency at
-    every cell: it never holds more entries than the largest passing cell's
-    middle arcs, nor any list, or layer of a list, that no passing cell
-    reads."""
+    over it report None, the others the Dinic value of their expanded
+    network, and no ScaleError escapes.  A spy on the matching sees the live
+    adjacency at every cell: it never holds more entries than the largest
+    passing cell's middle arcs, nor any list, or layer of a list, that no
+    passing cell reads."""
     k_max = q_max = 3
     arcs = {(k, q): len(build_lifted_network(FIG1, k, q).arcs)
             for k in range(k_max + 1) for q in range(1, q_max + 1)}
@@ -544,7 +544,7 @@ def test_crosscheck_theta_hat_none_above_the_lifted_guard(monkeypatch):
     widths = [max(q for k, q in passing if k == row) for row in range(k_max + 1)]
     assert widths == [q_max] + [1] * k_max
     monkeypatch.setattr(swenctrl.flow, "MAX_LIFTED_ARCS", guard)
-    cold = {cell: swenctrl.flow.lifted_value(FIG1, *cell) for cell in passing}
+    cold = {cell: max_flow(build_lifted_network(FIG1, *cell)).value_total for cell in passing}
     match, seen = swenctrl.flow._match, []
 
     def spy(adjacency, mate, free):
@@ -845,6 +845,19 @@ def test_one_integer_rule_for_certificates_trials_and_dimensions():
     for n, m in ((True, 0), (2.0, 0), (2, False), (2, 1.0)):
         with pytest.raises(ValueError, match="must be an integer"):
             SparsityPattern(n, m, ())
+    # a float value_bound, above 2^32 too, and a seed that is no int are
+    # refused before any draw
+    for value_bound in (True, 3.0, 2.0 ** 40):
+        for call in (lambda: sample_instance(p, 1, 1, 0, value_bound),
+                     lambda: monte_carlo_controllable(p, 1, 1, 1, 0, value_bound),
+                     lambda: oracle_agreement([("p", p)], 1, 1, 1, 0, value_bound)):
+            with pytest.raises(ValueError, match="value_bound must be >= 2"):
+                call()
+    for seed in ("x", None, 1.5, True):
+        for call in (lambda: monte_carlo_controllable(p, 1, 1, 1, seed),
+                     lambda: oracle_agreement([("p", p)], 1, 1, 1, seed)):
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                call()
 
 
 def tampered_verdict(decision, certificate, stats):

@@ -29,13 +29,12 @@ from swenctrl.flow import (
     SOURCE,
     FlowAssignment,
     FlowNetwork,
-    _lifted_adjacency,
+    _add_layer,
     augment,
     build_lifted_network,
     build_small_network,
     compact_arcs,
     lift_flow,
-    lifted_value,
     lifted_values,
     max_flow,
     min_cut,
@@ -131,20 +130,28 @@ def test_lifted_network_guard():
                          ids=["fig2a", "fig1", "no-stars"])
 def test_lifted_size_guard_boundary(pattern, k, q, monkeypatch):
     """Both readings of the expansion pass one guard: at an arc count equal
-    to MAX_LIFTED_ARCS both answer, and at one arc more both raise the same
-    error."""
+    to MAX_LIFTED_ARCS the matching grid's cell (k, q) holds the Dinic
+    value, and at one arc more that cell is None and build_lifted_network
+    raises."""
     arcs = len(build_lifted_network(pattern, k, q).arcs)
     n, m, stars = pattern.n, pattern.m, len(pattern.stars)
     assert arcs == (k + 1) * (m + n * q) + (k + 1) * q * stars + n * q
     monkeypatch.setattr(swenctrl.flow, "MAX_LIFTED_ARCS", arcs)
-    assert lifted_value(pattern, k, q) == max_flow(build_lifted_network(pattern, k, q)).value_total
+    dinic = max_flow(build_lifted_network(pattern, k, q)).value_total
+    assert lifted_values(pattern, k, q)[k][q - 1] == dinic
     monkeypatch.setattr(swenctrl.flow, "MAX_LIFTED_ARCS", arcs - 1)
-    messages = set()
-    for read in (build_lifted_network, lifted_value, _lifted_adjacency):
-        with pytest.raises(ScaleError, match="arc guard") as error:
-            read(pattern, k, q)
-        messages.add(str(error.value))
-    assert messages == {f"(k+1)(m+nq+q|E|)+nq exceeds the {arcs - 1} arc guard"}
+    assert lifted_values(pattern, k, q)[k][q - 1] is None
+    with pytest.raises(ScaleError) as error:
+        build_lifted_network(pattern, k, q)
+    assert str(error.value) == f"(k+1)(m+nq+q|E|)+nq exceeds the {arcs - 1} arc guard"
+
+
+@pytest.mark.parametrize("k_max, q_max", [(-1, 2), (0, 0), (True, 2), (1, False)])
+def test_lifted_values_checks_the_grid(k_max, q_max):
+    """The grid passes check_kq: a negative k_max, a q_max below 1 or a bool
+    raises ValueError instead of an empty or a truncated grid."""
+    with pytest.raises(ValueError, match="must be an integer"):
+        lifted_values(FIG2A, k_max, q_max)
 
 
 def _lifted_cases():
@@ -164,10 +171,9 @@ def _lifted_cases():
 
 
 def test_lifted_value_matches_lifted_max_flow():
-    """The matching read off the rows has the expanded network's Dinic value,
-    cold (lifted_value) and in every cell of the grid up to each (k, q) of
-    the corpus (lifted_values, each cell warm-started from a smaller cell's
-    matching).  The corpus holds unreachable patterns, starved ones (a state
+    """The matching read off the rows has the expanded network's Dinic value
+    in every cell of the grid up to each (k, q) of the corpus (lifted_values,
+    each cell warm-started from a smaller cell's matching).  The corpus holds unreachable patterns, starved ones (a state
     with no in-neighbour) and patterns with m = 0."""
     short = cells = unreachable = starved = no_inputs = 0
     for p, k, q in _lifted_cases():
@@ -176,7 +182,7 @@ def test_lifted_value_matches_lifted_max_flow():
         for kk, row in enumerate(grid):
             for qq, value in enumerate(row, 1):
                 dinic = max_flow(build_lifted_network(p, kk, qq)).value_total
-                assert value == lifted_value(p, kk, qq) == dinic, (p.rows, kk, qq)
+                assert value == dinic, (p.rows, kk, qq)
                 cells += 1
         short += grid[k][q - 1] < p.n * q
         unreachable += bool(unreachable_states(p.rows, p.n))
@@ -187,7 +193,9 @@ def test_lifted_value_matches_lifted_max_flow():
 
 
 def test_lifted_adjacency_is_the_lifted_middle_layer():
-    """The (left id, right id) pairs that lifted_value reads are, as a
+    """The (left id, right id) pairs that _add_layer gives, layer ell with
+    build_lifted_network's ids (lam_{ell+1,c} is ell*m + c and
+    nu_{ell+1,p+1,j} is 1 + (k+1)m + (ell*q + p)n + j - 1), are, as a
     multiset, the middle arcs of build_lifted_network, so the two readings
     of the expansion cannot drift apart.  Each list runs layer by layer: for
     every k' <= k its first (k'+1)|row| entries are exactly its arcs in
@@ -197,7 +205,9 @@ def test_lifted_adjacency_is_the_lifted_middle_layer():
         sink = len(net.nodes) - 1
         mu0 = sink - q * p.n  # mu_{p+1,i} is mu0 + p*n + i - 1
         middle = Counter((u, v) for u, v in net.arcs if u != 0 and v != sink)
-        adjacency = _lifted_adjacency(p, k, q)
+        adjacency = [[] for _ in range(q * p.n)]
+        for ell in range(k + 1):
+            _add_layer(adjacency, p.rows, p.n, ell * p.m, 1 + (k + 1) * p.m + ell * q * p.n)
         read = Counter((u, mu0 + r) for r, lefts in enumerate(adjacency) for u in lefts)
         assert read == middle, (p.rows, k, q)
         layers = [[Counter() for _ in range(k + 1)] for _ in adjacency]

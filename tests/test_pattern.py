@@ -518,6 +518,15 @@ def test_rows_and_stars_agree(seed):
      "star column index 0 out of range 1..3"),
     (lambda: SparsityPattern.from_rows(1, MAX_PATTERN_DIM, ((),)), ScaleError,
      f"n + m = {MAX_PATTERN_DIM + 1} exceeds the dimension guard {MAX_PATTERN_DIM}"),
+    # rows that are not strictly increasing: the same stars as {(1,1), (1,3),
+    # (2,1)} out of order, a repeated column, and a column past n+m inside
+    # a row whose first and last columns are in range
+    (lambda: SparsityPattern.from_rows(2, 1, ((3, 1), (1,))), ValueError,
+     "row 1: star columns (3, 1) are not strictly increasing"),
+    (lambda: SparsityPattern.from_rows(2, 1, ((1, 1, 3), (1,))), ValueError,
+     "row 1: star columns (1, 1, 3) are not strictly increasing"),
+    (lambda: SparsityPattern.from_rows(2, 1, ((1, 99, 3), (1,))), ValueError,
+     "row 1: star columns (1, 99, 3) are not strictly increasing"),
 ])
 def test_pattern_constructor_checks(build, error, message):
     with pytest.raises(error) as info:

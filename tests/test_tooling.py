@@ -158,6 +158,16 @@ def test_only_flow_and_tools_use_build_lifted_network():
     assert users <= {"flow", "tools"}
 
 
+def test_one_reader_of_the_expanded_value():
+    """lifted_values is the package's one reader of the expanded network's
+    matching value, named only in flow and by crosscheck (in decide), and
+    _match, its Hopcroft-Karp routine, is named only in flow."""
+    assert package_users("_match") == {"flow"}
+    users = package_users("lifted_values")
+    assert "decide" in users
+    assert users <= {"flow", "decide"}
+
+
 @pytest.mark.parametrize("name", ["build_small_network", "max_flow"])
 def test_only_flow_and_tools_use_the_compact_dinic(name):
     """The named compact network and its Dinic max-flow serve the export
